@@ -15,7 +15,7 @@ import click
 
 from .chain import Chain
 from .decide import LOGIC_PN, LOGIC_TPN, search_countermodel
-from .errors import MveffError
+from .errors import MveffError, check_document
 from .filtration import (
     STAGE_ENRICHED,
     STAGE_INTERMEDIATE,
@@ -38,9 +38,12 @@ from .tables import (
 
 def _read_doc(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as handle:
-        return json.load(handle)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path) as handle:
+            doc = json.load(handle)
+    check_document(doc, ())
+    return doc
 
 
 def _emit(doc: dict, fmt: str):

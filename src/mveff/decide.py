@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .chain import Chain
 from .corpus import random_enriched_model, random_playable_model
-from .errors import BudgetExceeded, DialectViolation
+from .errors import BudgetExceeded, DialectViolation, VerificationFailed
 from .formulas import (
     Box,
     BoxO,
@@ -320,12 +320,15 @@ def _assemble_model(T, witnesses, signatures, logic):
 
 def _verify_countermodel(model, phi, state_idx, signatures, logic):
     """Double-entry bookkeeping: re-check the found model from scratch."""
-    for E in model.eff:
-        assert check_playability(E).truly_playable
-    if logic == LOGIC_TPN:
-        assert is_standard(model)
-    values = eval_vector(model, phi)
-    assert values[state_idx] < model.n, "countermodel failed re-verification"
+    for j, E in enumerate(model.eff):
+        if not check_playability(E).truly_playable:
+            raise VerificationFailed(
+                f"countermodel table at {model.states[j]} is not truly playable"
+            )
+    if logic == LOGIC_TPN and not is_standard(model):
+        raise VerificationFailed("countermodel is not a standard enriched model")
+    if eval_vector(model, phi)[state_idx] >= model.n:
+        raise VerificationFailed("countermodel does not refute the formula")
 
 
 def _feasible(T, signatures, logic):
@@ -503,7 +506,10 @@ def soundness_suite(logic: str, models, chain: Chain, players: int = 2) -> dict:
             if name == "modus_ponens":
                 for part in (mp_minor, mp_major):
                     holds, witness = check_axiom_schema(model, part)
-                    assert holds, f"modus ponens premise failed: {witness!r}"
+                    if not holds:
+                        raise VerificationFailed(
+                            f"modus ponens premise failed: {witness!r}"
+                        )
             holds, _ = check_axiom_schema(model, conclusion)
             ok = ok and holds
         rule_results[name] = "pass" if ok else "fail"

@@ -75,3 +75,29 @@ class NotStandard(MveffError):
 
 class PremiseViolated(MveffError):
     """The [O]-homogeneity premise of the enriched truth transfer fails."""
+
+
+class BadDocument(MveffError):
+    """A JSON document is not an object at the top level, is of another
+    kind, lacks a required key, or names an outcome or state it does not
+    declare."""
+
+
+class VerificationFailed(MveffError):
+    """An independent soundness re-check of a computed result failed."""
+
+
+def check_document(doc, kinds: tuple, keys: tuple = ()):
+    """Raise BadDocument unless doc is a JSON object of one of the kinds,
+    holding every key.  A document without a "kind" is of the first kind."""
+    if not isinstance(doc, dict):
+        raise BadDocument(f"a document must be a JSON object, not {type(doc).__name__}")
+    kind = doc.get("kind", kinds[0]) if kinds else None
+    if kinds and kind not in kinds:
+        raise BadDocument(
+            f"expected a {' or '.join(kinds)} document, got kind={kind!r}"
+        )
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        label = f"{kind} document" if kinds else "document"
+        raise BadDocument(f"{label} lacks {', '.join(map(repr, missing))}")

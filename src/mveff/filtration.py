@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import tau_odot_num, tau_oplus_num
-from .errors import NotPlayable, NotStandard, PremiseViolated
+from .errors import NotPlayable, NotStandard, PremiseViolated, VerificationFailed
 from .formulas import (
     Box,
     BoxO,
@@ -159,7 +159,6 @@ def _intermediate_tables(q: Quotient, gamma) -> list[EffFn]:
     k = model.k
     cls = q.num_classes
     full = (1 << k) - 1
-    count = (n + 1) ** cls
     assessments = np.asarray(list(enumerate_assessments(n, cls)), dtype=np.int64)
     gamma_m = np.asarray(gamma, dtype=np.int64)
     below = (gamma_m[None, :, :] <= assessments[:, None, :]).all(axis=2)
@@ -190,7 +189,6 @@ def _intermediate_tables(q: Quotient, gamma) -> list[EffFn]:
                 table=[[int(v) for v in row] for row in rows],
             )
         )
-    assert all(len(t.table[0]) == count for t in tables)
     return tables
 
 
@@ -205,30 +203,33 @@ def _boxed_cells(q: Quotient):
             yield phi, tuple(arg[j] for j in rep)
 
 
-def _assert_filtration_conditions(q: Quotient, filtered: LnModel):
+def _verify_filtration_conditions(q: Quotient, filtered: LnModel):
     model = q.source
     lookup = dict(q.subformula_vectors)
     for p in filtered.declared_props():
         row = filtered.prop_row(p)
         src = lookup[Prop(p)]
         for j, u in enumerate(model.states):
-            assert row[q.class_map[j]] == src[j], "condition (1) failed"
+            if row[q.class_map[j]] != src[j]:
+                raise VerificationFailed(f"condition (1) failed for p{p} at {u}")
     for phi, class_arg in _boxed_cells(q):
         fidx = encode_assessment(class_arg, model.n)
         src = lookup[phi]
         for j in range(model.num_states):
             got = filtered.eff[q.class_map[j]].table[phi.coalition.mask][fidx]
-            assert got == src[j], f"condition (2) failed at {phi}"
+            if got != src[j]:
+                raise VerificationFailed(f"condition (2) failed at {phi}")
 
 
-def _assert_truth_transfer(q: Quotient, filtered: LnModel):
+def _verify_truth_transfer(q: Quotient, filtered: LnModel):
     enriched = isinstance(filtered, EnrichedLnModel)
     for phi, vec in q.subformula_vectors:
         if not enriched and uses_outcome_modality(phi):
             continue
         fvec = eval_vector(filtered, phi)
         for j in range(q.source.num_states):
-            assert fvec[q.class_map[j]] == vec[j], f"truth transfer failed at {phi}"
+            if fvec[q.class_map[j]] != vec[j]:
+                raise VerificationFailed(f"truth transfer failed at {phi}")
 
 
 def _filtered_valuation(q: Quotient):
@@ -242,7 +243,7 @@ def _filtered_valuation(q: Quotient):
 
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
-    """Class-level model with the E* tables, conditions asserted."""
+    """Class-level model with the E* tables, conditions verified."""
     for E in model.eff:
         if not check_playability(E).playable:
             raise NotPlayable("filtration requires a playable model")
@@ -250,15 +251,15 @@ def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     gamma = definable_class_vectors(q)
     tables = _intermediate_tables(q, gamma)
     for E in tables:
-        report = check_playability(boolean_skeleton(E, strict=False))
-        assert report.playable, "intermediate skeleton must be playable"
+        if not check_playability(boolean_skeleton(E, strict=False)).playable:
+            raise VerificationFailed("intermediate skeleton is not playable")
     filtered = LnModel(
         chain=model.chain,
         states=q.class_names(),
         eff=tables,
         valuation=_filtered_valuation(q),
     )
-    _assert_filtration_conditions(q, filtered)
+    _verify_filtration_conditions(q, filtered)
     return FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE)
 
 
@@ -277,9 +278,10 @@ def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
         valuation=_filtered_valuation(q),
     )
     for E in lifted:
-        assert check_playability(E).truly_playable, "lifted table must be truly playable"
-    _assert_filtration_conditions(q, filtered)
-    _assert_truth_transfer(q, filtered)
+        if not check_playability(E).truly_playable:
+            raise VerificationFailed("lifted table is not truly playable")
+    _verify_filtration_conditions(q, filtered)
+    _verify_truth_transfer(q, filtered)
     return FiltrationResult(quotient=q, model=filtered, stage=STAGE_PLAYABLE)
 
 
@@ -321,7 +323,9 @@ def enriched_filtration(model: EnrichedLnModel, mu: Formula) -> FiltrationResult
     # disagree on [O] values outside the generator's subformulas)
     for u, v in model.R:
         if u in q.representatives:
-            assert (q.class_map[u], q.class_map[v]) in pairs, "condition (3) failed"
-    assert is_standard(filtered), "enriched filtration must yield a standard model"
-    _assert_truth_transfer(q, filtered)
+            if (q.class_map[u], q.class_map[v]) not in pairs:
+                raise VerificationFailed(f"condition (3) failed at {(u, v)}")
+    if not is_standard(filtered):
+        raise VerificationFailed("enriched filtration did not yield a standard model")
+    _verify_truth_transfer(q, filtered)
     return FiltrationResult(quotient=q, model=filtered, stage=STAGE_ENRICHED)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chain import Chain, TruthValue
-from .errors import BudgetExceeded, EmptyProfileSet
+from .errors import BadDocument, BudgetExceeded, EmptyProfileSet, check_document
 from .formulas import Coalition
 
 DEFAULT_CELL_BUDGET = 1 << 20
@@ -89,10 +89,14 @@ class GameForm:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GameForm":
-        if doc.get("kind", "game-form") != "game-form":
-            raise ValueError(f"not a game-form document: kind={doc.get('kind')!r}")
+        check_document(doc, ("game-form",), ("strategies", "outcomes", "o"))
         outcomes = tuple(doc["outcomes"])
         index = {name: i for i, name in enumerate(outcomes)}
+        unknown = sorted({name for name in doc["o"] if name not in index}, key=str)
+        if unknown:
+            raise BadDocument(
+                f"game-form document maps profiles to unknown outcomes {unknown}"
+            )
         return cls(
             strategy_counts=tuple(doc["strategies"]),
             outcomes=outcomes,

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Chain, TruthValue
-from .errors import BudgetExceeded, DialectViolation, UnknownProposition
+from .errors import (
+    BudgetExceeded,
+    DialectViolation,
+    UnknownProposition,
+    check_document,
+)
 from .formulas import (
     Box,
     BoxO,
@@ -117,10 +122,11 @@ class LnModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LnModel":
+        check_document(doc, ("model", "enriched-model"), ("n", "states", "E", "val"))
         kind = doc.get("kind", "model")
-        if kind not in ("model", "enriched-model"):
-            raise ValueError(f"not a model document: kind={kind!r}")
         states = tuple(doc["states"])
+        for key in ("E", "val"):
+            check_document(doc[key], (), states)
         eff = tuple(EffFn.from_doc(doc["E"][u]) for u in states)
         props = sorted(
             {int(name[1:]) for per_state in doc["val"].values() for name in per_state}

@@ -2,8 +2,18 @@
 
 An EffFn stores one value for every (coalition, assessment) cell, with
 assessments over the ordered outcome set encoded as base-(n+1) integers.
-All playability predicates are decided by exhaustive quantification over
-their displayed quantifiers, vectorized over the assessment axis.
+Each playability predicate is decided by exhaustive quantification over its
+displayed quantifiers, vectorized over the assessment axis; superadditivity
+compares whole rows against the meet index in blocks of bounded size.
+
+`check_playability` first decides homogeneity on the full table.  A
+homogeneous table commutes with both doubling maps, hence with every cut
+tau_i, so it is the lift of its Boolean skeleton and every predicate (built
+from <=, meet, negation and the constants) has the same verdict on the table
+and on the 2^S-assessment skeleton.  For n > 1 the battery therefore runs on
+the skeleton; a predicate that fails there runs again on the full table, so
+its witness is the first failing dense cell.  Non-homogeneous tables and
+Boolean tables run the battery on the full table.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ from .errors import (
     NotPlayableInput,
     NotTrulyPlayable,
     SynthesisBudgetExceeded,
+    VerificationFailed,
+    check_document,
 )
 from .formulas import Coalition
 
@@ -48,7 +60,8 @@ PLAYABLE_PARTS = (
     "safety",
 )
 
-_MEET_MATRIX_CAP = 4096
+# cells of the meet index held in memory at once
+_MEET_MATRIX_CAP = 1 << 22
 
 
 def enumerate_assessments(n: int, size: int) -> Iterable[tuple[int, ...]]:
@@ -99,18 +112,42 @@ class _Geometry:
             self.count, dtype=bool
         )
 
-    @property
-    def meet_idx(self) -> np.ndarray | None:
-        if self.count > _MEET_MATRIX_CAP:
-            return None
-        cached = getattr(self, "_meet_idx", None)
-        if cached is None:
-            cached = (
-                np.minimum(self.tuples[:, None, :], self.tuples[None, :, :])
-                @ self.powers
-            )
-            self._meet_idx = cached
-        return cached
+        self._meet_idx = None
+
+    def meet_blocks(self):
+        """The count x count meet index in row blocks, as (first row, block).
+
+        block[i, gi] encodes the meet of assessments start + i and gi.  A
+        block holds at most _MEET_MATRIX_CAP cells; when one block covers
+        every row it is built once and kept.
+        """
+        step = max(1, _MEET_MATRIX_CAP // self.count)
+        if step >= self.count:
+            yield 0, self._meet_all()
+            return
+        for start in range(0, self.count, step):
+            yield start, self._meet_rows(start, min(start + step, self.count))
+
+    def _meet_all(self) -> np.ndarray:
+        if self._meet_idx is None:
+            self._meet_idx = self._meet_rows(0, self.count)
+        return self._meet_idx
+
+    def _meet_rows(self, start: int, stop: int) -> np.ndarray:
+        """Meet index of assessments start..stop-1 against every assessment.
+
+        Meets act digit by digit, so with an index split into leading and
+        trailing digits, idx = hi * L + lo, the meet index is the sum of the
+        two halves' meet indices, the leading one scaled by L.
+        """
+        idx = np.arange(start, stop, dtype=np.int64)
+        if self.size == 1:
+            return np.minimum.outer(idx, np.arange(self.count, dtype=np.int64))
+        high = _geometry(self.n, self.size // 2)
+        low = _geometry(self.n, self.size - self.size // 2)
+        hi = high._meet_all()[idx // low.count] * low.count
+        lo = low._meet_all()[idx % low.count]
+        return (hi[:, :, None] + lo[:, None, :]).reshape(stop - start, self.count)
 
 
 @lru_cache(maxsize=None)
@@ -192,9 +229,6 @@ class EffFn:
     def value_num(self, mask: int, f: Sequence[int]) -> int:
         return self.table[mask][encode_assessment(f, self.n)]
 
-    def value_by_index(self, mask: int, f_index: int) -> int:
-        return self.table[mask][f_index]
-
     def coalitions(self) -> Iterable[Coalition]:
         return (Coalition(mask, self.k) for mask in range(1 << self.k))
 
@@ -214,8 +248,7 @@ class EffFn:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EffFn":
-        if doc.get("kind", "effectivity") != "effectivity":
-            raise ValueError(f"not an effectivity document: kind={doc.get('kind')!r}")
+        check_document(doc, ("effectivity",), ("n", "players", "outcomes", "table"))
         k = doc["players"]
         rows = [None] * (1 << k)
         for key, row in doc["table"].items():
@@ -292,22 +325,17 @@ def _check_regular(E: EffFn):
     return True, None
 
 
-def _superadditive_cell_violation(E, rows, geo, c1, c2):
-    lhs = np.minimum.outer(rows[c1], rows[c2])
-    meet_idx = geo.meet_idx
-    if meet_idx is not None:
-        rhs = rows[c1 | c2][meet_idx]
-        bad = np.nonzero(lhs > rhs)
-        if bad[0].size:
-            return int(bad[0][0]), int(bad[1][0])
-        return None
+def _superadditive_cell_violation(rows, geo, c1, c2):
+    """First (f, g) in row-major order with E(c1,f) meet E(c2,g) above
+    E(c1 | c2, f meet g), or None."""
     union_row = rows[c1 | c2]
-    n = geo.n
-    for fi, f in enumerate(geo.tuples):
-        for gi, g in enumerate(geo.tuples):
-            meet = encode_assessment(np.minimum(f, g), n)
-            if min(rows[c1][fi], rows[c2][gi]) > union_row[meet]:
-                return fi, gi
+    for start, meet in geo.meet_blocks():
+        lhs = np.minimum.outer(rows[c1][start : start + len(meet)], rows[c2])
+        bad = (lhs > union_row[meet]).ravel()
+        first = int(bad.argmax())
+        if bad[first]:
+            fi, gi = divmod(first, geo.count)
+            return start + fi, gi
     return None
 
 
@@ -318,7 +346,7 @@ def _check_superadditive(E: EffFn, proper_unions_only=False):
     for c1, c2 in _disjoint_mask_pairs(E.k):
         if proper_unions_only and (c1 | c2) == full:
             continue
-        hit = _superadditive_cell_violation(E, rows, geo, c1, c2)
+        hit = _superadditive_cell_violation(rows, geo, c1, c2)
         if hit is not None:
             return False, (c1, c2, hit[0], hit[1])
     return True, None
@@ -435,15 +463,29 @@ def check_property(E: EffFn, which: str) -> PropertyCheck:
 
 
 def check_playability(E: EffFn) -> PlayabilityReport:
-    """Run every predicate and aggregate the playability verdicts."""
+    """Run every predicate and aggregate the playability verdicts.
+
+    A homogeneous table with n > 1 is checked on its Boolean skeleton, which
+    gives the same verdicts; a predicate that fails there is run again on the
+    table itself for its witness.
+    """
+    homogeneous = _check_homogeneous(E)
+    target = boolean_skeleton(E) if E.n > 1 and homogeneous[0] else E
+
+    def run(check):
+        holds, witness = check(target)
+        if witness is not None and target is not E:
+            holds, witness = check(E)
+        return holds, witness
+
     properties = {}
     witnesses = {}
     for name in PROPERTY_NAMES:
-        holds, witness = _CHECKS[name](E)
+        holds, witness = homogeneous if name == "homogeneous" else run(_CHECKS[name])
         properties[name] = holds
         if witness is not None:
             witnesses[name] = witness
-    semi, semi_witness = _check_semi_playable(E)
+    semi, semi_witness = run(_check_semi_playable)
     if semi_witness is not None:
         witnesses["semi_playable"] = semi_witness
     playable = all(properties[name] for name in PLAYABLE_PARTS)
@@ -454,10 +496,6 @@ def check_playability(E: EffFn) -> PlayabilityReport:
         playable=playable,
         truly_playable=playable and properties["principal"],
     )
-
-
-def is_playable(E: EffFn) -> bool:
-    return check_playability(E).playable
 
 
 # -- skeleton, lift, equality -----------------------------------------------
@@ -472,19 +510,18 @@ def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
     """
     if E.n == 1:
         return E
-    geo = E.geometry()
-    idem = np.nonzero(geo.idempotent_mask)[0]
-    table = []
-    for mask in range(1 << E.k):
-        row = []
-        for fi in idem:
-            v = E.table[mask][fi]
-            if strict and v not in (0, E.n):
-                raise NotHomogeneous(
-                    f"skeleton cell (coalition {mask}, assessment {fi}) has value {v}/{E.n}"
-                )
-            row.append(1 if v == E.n else 0)
-        table.append(row)
+    idem = E.geometry().idempotent_mask
+    values = E.rows()[:, idem]
+    if strict:
+        bad = np.argwhere((values != 0) & (values != E.n))
+        if bad.size:
+            mask, j = (int(x) for x in bad[0])
+            fi = int(np.nonzero(idem)[0][j])
+            raise NotHomogeneous(
+                f"skeleton cell (coalition {mask}, assessment {fi}) "
+                f"has value {int(values[mask, j])}/{E.n}"
+            )
+    table = (values == E.n).astype(np.int64).tolist()
     return EffFn(chain=BOOL_CHAIN, k=E.k, outcomes=E.outcomes, table=table)
 
 
@@ -529,9 +566,8 @@ def equal_by_skeleton(E: EffFn, other: EffFn, debug: bool = False) -> bool:
         if not holds:
             raise NotHomogeneous("skeleton comparison requires homogeneous tables")
     verdict = boolean_skeleton(E) == boolean_skeleton(other)
-    if debug:
-        full = E == other
-        assert full == verdict, "skeleton verdict disagrees with full-table equality"
+    if debug and (E == other) != verdict:
+        raise VerificationFailed("skeleton verdict disagrees with full-table equality")
     return verdict
 
 

@@ -172,6 +172,26 @@ def test_missing_file_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_document_missing_key_exit_2(runner, workdir):
+    (workdir / "short.json").write_text(json.dumps({"kind": "effectivity", "n": 1}))
+    result = runner.invoke(main, ["check", str(workdir / "short.json")])
+    assert result.exit_code == 2
+
+
+def test_unknown_outcome_exit_2(runner, workdir):
+    doc = json.loads((workdir / "gf.json").read_text())
+    doc["o"][0] = "nowhere"
+    (workdir / "stray.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["effectivity", str(workdir / "stray.json")])
+    assert result.exit_code == 2
+
+
+def test_non_object_document_exit_2(runner, workdir):
+    (workdir / "list.json").write_text("[]")
+    result = runner.invoke(main, ["check", str(workdir / "list.json")])
+    assert result.exit_code == 2
+
+
 def test_determinism_byte_identical(runner, workdir):
     args = ["effectivity", str(workdir / "gf.json"), "--n", "2"]
     out1 = runner.invoke(main, args).output

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import mveff
 
 from mveff.chain import Chain
 from mveff.corpus import random_enriched_model, random_playable_model
@@ -128,3 +133,36 @@ def test_soundness_suite_reports():
     report2 = soundness_suite(LOGIC_TPN, emodels, chain)
     assert report2["failures"] == []
     assert report2["rules"]["necessitation"] == "pass"
+
+
+_UNVERIFIABLE_QUERY = """
+from mveff.chain import Chain
+from mveff.decide import search_countermodel
+from mveff.errors import VerificationFailed
+from mveff.formulas import parse
+
+query = parse("[{1}]p1 & [{}]p2 -> [{1}](p1 & p2)", 2, chain=Chain(1))
+try:
+    verdict = search_countermodel(query, chain=Chain(1))
+except VerificationFailed:
+    print("verification failed")
+else:
+    print("returned", verdict.status)
+"""
+
+
+def test_countermodel_verification_survives_optimize():
+    # the search assembles a countermodel whose tables are not truly
+    # playable for this query; the re-check must reject it under -O too
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mveff.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNVERIFIABLE_QUERY],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "verification failed"

@@ -5,7 +5,7 @@ import pytest
 
 from mveff.chain import Chain
 from mveff.corpus import random_game_form
-from mveff.errors import BudgetExceeded, EmptyProfileSet
+from mveff.errors import BadDocument, BudgetExceeded, EmptyProfileSet
 from mveff.formulas import Coalition
 from mveff.games import (
     GameForm,
@@ -125,6 +125,14 @@ def test_document_round_trip():
     doc = json.loads(g.to_json())
     assert doc["kind"] == "game-form"
     assert GameForm.from_doc(doc) == g
+
+
+def test_bad_game_form_documents():
+    doc = random_game_form(random.Random(2), 2, 2).to_doc()
+    with pytest.raises(BadDocument):
+        GameForm.from_doc({**doc, "o": ["elsewhere"] * len(doc["o"])})
+    with pytest.raises(BadDocument):
+        GameForm.from_doc({key: value for key, value in doc.items() if key != "o"})
 
 
 def test_from_social_choice():

@@ -5,7 +5,12 @@ import pytest
 
 from mveff.chain import Chain
 from mveff.corpus import random_enriched_model, random_playable_model
-from mveff.errors import BudgetExceeded, DialectViolation, UnknownProposition
+from mveff.errors import (
+    BadDocument,
+    BudgetExceeded,
+    DialectViolation,
+    UnknownProposition,
+)
 from mveff.formulas import parse
 from mveff.models import (
     EnrichedLnModel,
@@ -160,3 +165,11 @@ def test_model_document_round_trip():
     restored = LnModel.from_doc(doc2)
     assert isinstance(restored, EnrichedLnModel)
     assert restored == S
+
+
+def test_bad_model_documents():
+    doc = random_playable_model(random.Random(7), Chain(2), 3).to_doc()
+    with pytest.raises(BadDocument):
+        LnModel.from_doc({**doc, "E": {}})
+    with pytest.raises(BadDocument):
+        LnModel.from_doc({key: value for key, value in doc.items() if key != "val"})

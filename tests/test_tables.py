@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mveff import tables
 from mveff.chain import Chain
 from mveff.corpus import (
     playable_boolean_tables,
@@ -11,14 +14,18 @@ from mveff.corpus import (
     state_names,
 )
 from mveff.errors import (
+    BadDocument,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
     SynthesisBudgetExceeded,
 )
-from mveff.games import effectivity_table
+from mveff.games import GameForm, effectivity_table
 from mveff.tables import (
+    PLAYABLE_PARTS,
+    PROPERTY_NAMES,
     EffFn,
+    PlayabilityReport,
     boolean_skeleton,
     check_playability,
     check_property,
@@ -179,3 +186,118 @@ def test_random_tables_playable_iff_all_parts():
             and parts["safety"]
         )
         assert report.playable == expected
+
+
+def test_bad_effectivity_documents():
+    doc = _game_table(4).to_doc()
+    del doc["players"]
+    with pytest.raises(BadDocument):
+        EffFn.from_doc(doc)
+    with pytest.raises(BadDocument):
+        EffFn.from_doc([doc])
+
+
+# -- the skeleton-first battery against the dense one --------------------------
+
+
+def _dense_report(E):
+    """Reference: every predicate run on the full table itself."""
+    checks = {name: check_property(E, name) for name in PROPERTY_NAMES}
+    semi = check_property(E, "semi_playable")
+    witnesses = {
+        name: check.witness
+        for name, check in [*checks.items(), ("semi_playable", semi)]
+        if check.witness is not None
+    }
+    playable = all(checks[name].holds for name in PLAYABLE_PARTS)
+    return PlayabilityReport(
+        properties={name: check.holds for name, check in checks.items()},
+        witnesses=witnesses,
+        semi_playable=semi.holds,
+        playable=playable,
+        truly_playable=playable and checks["principal"].holds,
+    ).to_doc()
+
+
+@st.composite
+def _upset_table(draw, n, k, size):
+    """Lift of a Boolean table whose rows are random upsets."""
+    rows = []
+    for _ in range(1 << k):
+        generators = draw(st.lists(st.integers(0, (1 << size) - 1), max_size=3))
+        rows.append(
+            [int(any(g & ~a == 0 for g in generators)) for a in range(1 << size)]
+        )
+    H = EffFn(BOOL, k, state_names(size), rows)
+    return lift_boolean(H, Chain(n), check_input=False)
+
+
+@st.composite
+def _game_form_table(draw, n, k, size):
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    profiles = 1
+    for m in shape:
+        profiles *= m
+    outcome_map = draw(
+        st.lists(st.integers(0, size - 1), min_size=profiles, max_size=profiles)
+    )
+    form = GameForm(shape, state_names(size), tuple(outcome_map))
+    return effectivity_table(form, Chain(n))
+
+
+@st.composite
+def _battery_inputs(draw):
+    n = draw(st.integers(2, 5))
+    k = draw(st.sampled_from((2, 3)))
+    size = draw(st.integers(1, 3))
+    style = draw(st.sampled_from(("upset", "perturbed upset", "game form")))
+    make = _game_form_table if style == "game form" else _upset_table
+    E = draw(make(n, k, size))
+    if style == "perturbed upset":
+        table = [list(row) for row in E.table]
+        mask = draw(st.integers(0, len(table) - 1))
+        fi = draw(st.integers(0, len(table[0]) - 1))
+        table[mask][fi] = draw(st.integers(0, n))
+        E = EffFn(E.chain, k, E.outcomes, table)
+    return E
+
+
+@settings(max_examples=200, deadline=None)
+@given(_battery_inputs())
+def test_playability_report_matches_dense_battery(E):
+    assert check_playability(E).to_doc() == _dense_report(E)
+
+
+def test_superadditivity_blocks_match_one_block(monkeypatch):
+    rng = random.Random(5)
+    inputs = [
+        random_eff_table(rng, Chain(rng.randint(1, 3)), 3, rng.choice((2, 3)))
+        for _ in range(40)
+    ]
+    expected = [_dense_report(E) for E in inputs]
+    monkeypatch.setattr(tables, "_MEET_MATRIX_CAP", 50)
+    assert [_dense_report(E) for E in inputs] == expected
+
+
+def test_dense_battery_past_one_meet_block():
+    # 3^8 = 6561 assessments: the meet index spans several blocks
+    E = effectivity_table(random_game_form(random.Random(3), 2, 8), Chain(2))
+    count = len(E.table[0])
+    assert count * count > tables._MEET_MATRIX_CAP
+    fstar = count - 2
+    rows = [list(row) for row in E.table]
+    rows[0][fstar] += 1  # breaks homogeneity, so the dense battery runs
+    bad = EffFn(E.chain, E.k, E.outcomes, rows)
+    report = check_playability(bad)
+    assert not report.properties["homogeneous"]
+    # every other row of the pair (empty, N) is that of a game-form table,
+    # which is superadditive: the first violation lies in row fstar
+    f = decode_assessment(fstar, 2, 8)
+    full = rows[3]
+    gi = next(
+        gi
+        for gi in range(count)
+        if min(rows[0][fstar], full[gi])
+        > full[encode_assessment(tuple(map(min, f, decode_assessment(gi, 2, 8))), 2)]
+    )
+    assert report.witnesses["superadditive"] == (0, 3, fstar, gi)
