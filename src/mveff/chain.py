@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ChainMismatch, IndexOutOfRange, OutOfUnitInterval
 
@@ -196,15 +196,3 @@ def ceil_to_chain(r: Fraction | int, chain: Chain) -> TruthValue:
     if not 0 <= r <= 1:
         raise OutOfUnitInterval(f"{r} outside [0, 1]")
     return TruthValue(math.ceil(r * chain.n), chain)
-
-
-def meet_vec(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(min, f, g))
-
-
-def neg_vec(f: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(n - v for v in f)
-
-
-def tau_vec(i: int, f: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(tau_threshold_num(i, v, n) for v in f)

@@ -7,6 +7,7 @@ is what makes the downstream reports byte-stable.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -26,7 +27,7 @@ from .formulas import (
 )
 from .games import GameForm, effectivity_table
 from .models import EnrichedLnModel, LnModel, standardize
-from .tables import BOOL_CHAIN, EffFn, check_playability, lift_boolean
+from .tables import BOOL_CHAIN, EffFn, _strategy_shapes, check_playability
 
 BOOL = BOOL_CHAIN
 
@@ -36,29 +37,15 @@ def state_names(count: int) -> tuple[str, ...]:
 
 
 def all_game_forms(k: int, max_strategies: int, num_outcomes: int):
-    """Every game form up to the strategy cap, deduplicated by outcome map.
+    """Every game form up to the strategy cap.
 
     Shapes are visited by increasing profile count; within a shape the
     outcome maps run in lexicographic order.
     """
     outcomes = state_names(num_outcomes)
-    seen = set()
-    shapes = sorted(
-        itertools.product(range(1, max_strategies + 1), repeat=k),
-        key=lambda shape: (
-            len([None for _ in itertools.product(*(range(m) for m in shape))]),
-            shape,
-        ),
-    )
-    for shape in shapes:
-        num_profiles = 1
-        for m in shape:
-            num_profiles *= m
+    for shape in _strategy_shapes(k, max_strategies):
+        num_profiles = math.prod(shape)
         for outcome_map in itertools.product(range(num_outcomes), repeat=num_profiles):
-            key = (shape, outcome_map)
-            if key in seen:
-                continue
-            seen.add(key)
             yield GameForm(
                 strategy_counts=shape, outcomes=outcomes, outcome_map=outcome_map
             )
@@ -214,10 +201,3 @@ def known_truly_playable_tables(min_count: int = 10) -> tuple[EffFn, ...]:
         if len(out) >= min_count * 2:
             break
     return tuple(out)
-
-
-def lifted_boolean_corpus(chain: Chain, num_states: int = 2, k: int = 2):
-    """Every playable Boolean table paired with its chain-valued lift."""
-    return tuple(
-        (H, lift_boolean(H, chain)) for H in playable_boolean_tables(num_states, k)
-    )

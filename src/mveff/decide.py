@@ -31,14 +31,16 @@ from .formulas import (
     Implies,
     Neg,
     Prop,
-    Top,
     meet,
     subformulas,
     uses_outcome_modality,
 )
 from .models import (
+    DEFAULT_VALUATION_BUDGET,
     EnrichedLnModel,
     LnModel,
+    _eval_nodes,
+    _valuation_grid,
     b_family,
     check_axiom_schema,
     eval_vector,
@@ -89,7 +91,7 @@ class _Signatures:
     def __init__(self, phi: Formula, chain: Chain, players: int):
         self.phi = phi
         self.chain = chain
-        self.subs = tuple(subformulas(phi))  # children before parents
+        self.subs = subformulas(phi)  # children before parents
         self.index = {f: i for i, f in enumerate(self.subs)}
         self.players = players
         for f in self.subs:
@@ -103,26 +105,12 @@ class _Signatures:
         self.props = tuple(f for f in self.subs if isinstance(f, Prop))
 
     def all(self) -> tuple[tuple[int, ...], ...]:
+        """Every assignment to the free nodes, lexicographically, with the
+        other nodes derived from it."""
         n = self.chain.n
-        out = []
-        for assignment in itertools.product(range(n + 1), repeat=len(self.free)):
-            free_val = dict(zip(self.free, assignment))
-            sig = []
-            for f in self.subs:
-                if isinstance(f, Top):
-                    sig.append(n)
-                elif f in free_val:
-                    sig.append(free_val[f])
-                elif isinstance(f, Neg):
-                    sig.append(n - sig[self.index[f.sub]])
-                elif isinstance(f, Implies):
-                    a = sig[self.index[f.left]]
-                    b = sig[self.index[f.right]]
-                    sig.append(min(n, n - a + b))
-                else:
-                    raise TypeError(f"unexpected node {f!r}")
-            out.append(tuple(sig))
-        return tuple(out)
+        grid = _valuation_grid(n, 1, self.free, DEFAULT_VALUATION_BUDGET)
+        values = _eval_nodes(self.subs, n, grid)
+        return tuple(zip(*(values[f][:, 0].tolist() for f in self.subs)))
 
 
 def _box_cell_constraints(sig_state, signatures, T, index, n):
@@ -156,24 +144,24 @@ def _o_constraints(sig_state, signatures, T, index):
 def _closure_generators(k, size, cells, z_set):
     """Minimal accepted sets per proper coalition, as antichain generators.
 
-    Rows start from the prescribed accepted cells plus liveness, absorb the
-    empty coalition's generator, and close under disjoint superadditive
-    intersections; upward closure stays implicit in the generator view.
+    Rows start from the prescribed accepted cells plus liveness and close
+    under disjoint superadditive intersections, the empty coalition's
+    generator Z included, so every generator g also brings g & Z; upward
+    closure stays implicit in the generator view.
     """
     full_mask = (1 << k) - 1
     everything = frozenset(range(size))
-    gens = {mask: {everything} for mask in range(1 << k) if mask not in (0, full_mask)}
+    gens = {mask: {everything} for mask in range(1, full_mask)}
+    gens[0] = {z_set}
     for (mask, X), v in cells.items():
         if v == 1 and mask not in (0, full_mask):
             gens[mask].add(X)
-    for mask in gens:
-        gens[mask].add(z_set)  # superadditivity with the empty coalition
     changed = True
     while changed:
         changed = False
         for m1 in gens:
             for m2 in gens:
-                if m1 & m2 or (m1 | m2) == full_mask or (m1 | m2) not in gens:
+                if m1 >= m2 or m1 & m2 or (m1 | m2) == full_mask:
                     continue
                 target = gens[m1 | m2]
                 for g1 in list(gens[m1]):
@@ -182,6 +170,7 @@ def _closure_generators(k, size, cells, z_set):
                         if g not in target:
                             target.add(g)
                             changed = True
+    del gens[0]
     # prune to antichains for cheap membership tests
     pruned = {}
     for mask, sets in gens.items():

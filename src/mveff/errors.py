@@ -79,8 +79,8 @@ class PremiseViolated(MveffError):
 
 class BadDocument(MveffError):
     """A JSON document is not an object at the top level, is of another
-    kind, lacks a required key, or names an outcome or state it does not
-    declare."""
+    kind, lacks a required key, holds a field of the wrong type, or names
+    an outcome or state it does not declare."""
 
 
 class VerificationFailed(MveffError):
@@ -101,3 +101,21 @@ def check_document(doc, kinds: tuple, keys: tuple = ()):
     if missing:
         label = f"{kind} document" if kinds else "document"
         raise BadDocument(f"{label} lacks {', '.join(map(repr, missing))}")
+
+
+_JSON_NAMES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def check_field(value, kind: type, name: str, items: type | None = None):
+    """Raise BadDocument unless value is of the JSON kind and, when items is
+    given, every element of it (every value, for an object) is of that kind.
+    true and false are not integers here."""
+
+    def fits(v, t):
+        return isinstance(v, t) and not (t is int and isinstance(v, bool))
+
+    if not fits(value, kind):
+        raise BadDocument(f"{name} must be {_JSON_NAMES[kind]}")
+    elements = value.values() if isinstance(value, dict) else value
+    if items is not None and not all(fits(v, items) for v in elements):
+        raise BadDocument(f"every element of {name} must be {_JSON_NAMES[items]}")

@@ -21,16 +21,16 @@ from .formulas import (
     BoxO,
     Formula,
     Prop,
+    children,
     iff,
     oplus,
     subformulas,
-    uses_outcome_modality,
 )
 from .models import (
     EnrichedLnModel,
     LnModel,
+    _eval_nodes,
     check_axiom_schema,
-    eval_vector,
     is_standard,
 )
 from .tables import (
@@ -90,9 +90,9 @@ class FiltrationResult:
 
 def quotient(model: LnModel, mu: Formula) -> Quotient:
     """Group states by the values of every subformula of mu."""
-    vectors = tuple(
-        (phi, eval_vector(model, phi)) for phi in subformulas(mu)
-    )
+    nodes = subformulas(mu)
+    values = _eval_nodes(nodes, model.n, {}, model)
+    vectors = tuple((phi, tuple(values[phi][0].tolist())) for phi in nodes)
     signatures = [
         tuple(vec[j] for _, vec in vectors) for j in range(model.num_states)
     ]
@@ -222,14 +222,19 @@ def _verify_filtration_conditions(q: Quotient, filtered: LnModel):
 
 
 def _verify_truth_transfer(q: Quotient, filtered: LnModel):
-    enriched = isinstance(filtered, EnrichedLnModel)
+    nodes = tuple(phi for phi, _ in q.subformula_vectors)
+    if not isinstance(filtered, EnrichedLnModel):
+        # the [O]-free subformulas, which are closed under children
+        above_o = set()
+        for phi in nodes:
+            if isinstance(phi, BoxO) or any(c in above_o for c in children(phi)):
+                above_o.add(phi)
+        nodes = tuple(phi for phi in nodes if phi not in above_o)
+    values = _eval_nodes(nodes, filtered.n, {}, filtered)
+    class_map = np.asarray(q.class_map)
     for phi, vec in q.subformula_vectors:
-        if not enriched and uses_outcome_modality(phi):
-            continue
-        fvec = eval_vector(filtered, phi)
-        for j in range(q.source.num_states):
-            if fvec[q.class_map[j]] != vec[j]:
-                raise VerificationFailed(f"truth transfer failed at {phi}")
+        if phi in values and not np.array_equal(values[phi][0][class_map], vec):
+            raise VerificationFailed(f"truth transfer failed at {phi}")
 
 
 def _filtered_valuation(q: Quotient):

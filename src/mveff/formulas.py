@@ -101,7 +101,7 @@ class Neg(Formula):
     sub: Formula
 
     def __str__(self):
-        return f"~{_atomic(self.sub)}"
+        return f"~{self.sub}"
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class Box(Formula):
     sub: Formula
 
     def __str__(self):
-        return f"[{self.coalition}]{_atomic(self.sub)}"
+        return f"[{self.coalition}]{self.sub}"
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,7 @@ class BoxO(Formula):
     sub: Formula
 
     def __str__(self):
-        return f"[O]{_atomic(self.sub)}"
-
-
-def _atomic(phi: Formula) -> str:
-    text = str(phi)
-    if isinstance(phi, Implies):
-        return text  # already parenthesized
-    return text
+        return f"[O]{self.sub}"
 
 
 TOP = Top()
@@ -194,29 +187,7 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class ClosureSet:
-    """The finite subformula set of a generator formula.
-
-    Closure under negation, implication and the doubling maps is kept
-    implicit: two states agreeing on every member agree on any such
-    combination, which is what every consumer of this set relies on.
-    """
-
-    generator: Formula
-    formulas: tuple[Formula, ...]
-
-    def __contains__(self, phi):
-        return phi in self.formulas
-
-    def __iter__(self):
-        return iter(self.formulas)
-
-    def __len__(self):
-        return len(self.formulas)
-
-
-def subformulas(phi: Formula) -> ClosureSet:
+def subformulas(phi: Formula) -> tuple[Formula, ...]:
     """All distinct subformulas of phi, children before parents."""
     seen: dict[Formula, None] = {}
 
@@ -228,7 +199,7 @@ def subformulas(phi: Formula) -> ClosureSet:
         seen[node] = None
 
     walk(phi)
-    return ClosureSet(phi, tuple(seen))
+    return tuple(seen)
 
 
 def substitute(phi: Formula, prop: Prop, repl: Formula) -> Formula:

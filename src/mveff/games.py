@@ -17,7 +17,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .chain import Chain, TruthValue
-from .errors import BadDocument, BudgetExceeded, EmptyProfileSet, check_document
+from .errors import (
+    BadDocument,
+    BudgetExceeded,
+    EmptyProfileSet,
+    check_document,
+    check_field,
+)
 from .formulas import Coalition
 
 DEFAULT_CELL_BUDGET = 1 << 20
@@ -90,6 +96,9 @@ class GameForm:
     @classmethod
     def from_doc(cls, doc: dict) -> "GameForm":
         check_document(doc, ("game-form",), ("strategies", "outcomes", "o"))
+        check_field(doc["strategies"], list, "strategies", int)
+        check_field(doc["outcomes"], list, "outcomes", str)
+        check_field(doc["o"], list, "o", str)
         outcomes = tuple(doc["outcomes"])
         index = {name: i for i, name in enumerate(outcomes)}
         unknown = sorted({name for name in doc["o"] if name not in index}, key=str)

@@ -21,6 +21,7 @@ from .errors import (
     DialectViolation,
     UnknownProposition,
     check_document,
+    check_field,
 )
 from .formulas import (
     Box,
@@ -36,6 +37,7 @@ from .formulas import (
     odot,
     oplus,
     propositions,
+    subformulas,
     tau_formula,
 )
 from .tables import EffFn
@@ -124,9 +126,14 @@ class LnModel:
     def from_doc(cls, doc: dict) -> "LnModel":
         check_document(doc, ("model", "enriched-model"), ("n", "states", "E", "val"))
         kind = doc.get("kind", "model")
+        check_field(doc["n"], int, "n")
+        check_field(doc["states"], list, "states", str)
         states = tuple(doc["states"])
         for key in ("E", "val"):
             check_document(doc[key], (), states)
+        for u in states:
+            check_field(doc["val"][u], dict, f"the valuation at {u}", int)
+        check_field(doc.get("R", []), list, "R", list)
         eff = tuple(EffFn.from_doc(doc["E"][u]) for u in states)
         props = sorted(
             {int(name[1:]) for per_state in doc["val"].values() for name in per_state}
@@ -180,37 +187,33 @@ class EnrichedLnModel(LnModel):
 # -- evaluation --------------------------------------------------------------
 
 
-def _eval_batch(model: LnModel, phi: Formula, prop_arrays: dict) -> np.ndarray:
-    """Value arrays of shape (num_valuations, num_states), bottom-up.
+def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> dict:
+    """Value arrays of shape (batch, states) for nodes listed children first.
 
-    prop_arrays maps proposition indices to such arrays; propositions not
-    listed fall back to the model's own valuation, broadcast across rows.
+    Each node is computed once from its children's arrays.  A node in
+    assign takes its array from there; any other proposition, [C] or [O]
+    node is read from the model, broadcast across the batch.  The batch is
+    the assigned arrays' row count (1 when nothing is assigned); without a
+    model there is a single state.
     """
-    n = model.n
-    size = model.num_states
-    batch = next(iter(prop_arrays.values())).shape[0] if prop_arrays else 1
+    batch = next(iter(assign.values())).shape[0] if assign else 1
+    size = model.num_states if model is not None else 1
     powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
-    cache: dict[Formula, np.ndarray] = {}
-
-    def walk(node: Formula) -> np.ndarray:
-        hit = cache.get(node)
-        if hit is not None:
-            return hit
-        if isinstance(node, Top):
+    values: dict[Formula, np.ndarray] = {}
+    for node in nodes:
+        if node in assign:
+            out = assign[node]
+        elif isinstance(node, Top):
             out = np.full((batch, size), n, dtype=np.int64)
         elif isinstance(node, Prop):
-            if node.index in prop_arrays:
-                out = prop_arrays[node.index]
-            else:
-                row = np.asarray(model.prop_row(node.index), dtype=np.int64)
-                out = np.broadcast_to(row, (batch, size))
+            row = np.asarray(model.prop_row(node.index), dtype=np.int64)
+            out = np.broadcast_to(row, (batch, size))
         elif isinstance(node, Neg):
-            out = n - walk(node.sub)
+            out = n - values[node.sub]
         elif isinstance(node, Implies):
-            out = np.minimum(n, n - walk(node.left) + walk(node.right))
+            out = np.minimum(n, n - values[node.left] + values[node.right])
         elif isinstance(node, Box):
-            sub = walk(node.sub)
-            idx = sub @ powers
+            idx = values[node.sub] @ powers
             out = np.empty((batch, size), dtype=np.int64)
             for j in range(size):
                 row = np.asarray(model.eff[j].table[node.coalition.mask])
@@ -218,21 +221,19 @@ def _eval_batch(model: LnModel, phi: Formula, prop_arrays: dict) -> np.ndarray:
         elif isinstance(node, BoxO):
             if not isinstance(model, EnrichedLnModel):
                 raise DialectViolation("[O] needs an enriched model")
-            sub = walk(node.sub)
+            sub = values[node.sub]
             out = np.full((batch, size), n, dtype=np.int64)
             for u, v in model.R:
                 np.minimum(out[:, u], sub[:, v], out=out[:, u])
         else:
             raise TypeError(f"unknown formula node {node!r}")
-        cache[node] = out
-        return out
-
-    return walk(phi)
+        values[node] = out
+    return values
 
 
 def eval_vector(model: LnModel, phi: Formula) -> tuple[int, ...]:
     """Numerator of the value of phi at every state."""
-    return tuple(int(v) for v in _eval_batch(model, phi, {})[0])
+    return tuple(_eval_nodes(subformulas(phi), model.n, {}, model)[phi][0].tolist())
 
 
 def eval_formula(model: LnModel, u, phi: Formula) -> TruthValue:
@@ -274,17 +275,13 @@ def is_valid(
     if prop_support is None:
         prop_support = propositions(phi)
     prop_support = list(prop_support)
-    if not prop_support:
-        values = _eval_batch(model, phi, {})
-    else:
-        arrays = _valuation_grid(model.n, model.num_states, prop_support, budget)
-        values = _eval_batch(model, phi, arrays)
+    arrays = _valuation_grid(model.n, model.num_states, prop_support, budget)
+    assign = {Prop(p): arrays[p] for p in prop_support}
+    values = _eval_nodes(subformulas(phi), model.n, assign, model)[phi]
     bad = np.nonzero(values < model.n)
     if bad[0].size == 0:
         return True, None
     row, state = int(bad[0][0]), int(bad[1][0])
-    if not prop_support:
-        return False, ({}, state)
     witness = {
         p: tuple(int(v) for v in arrays[p][row]) for p in prop_support
     }

@@ -28,12 +28,14 @@ import numpy as np
 
 from .chain import Chain
 from .errors import (
+    BadDocument,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
     SynthesisBudgetExceeded,
     VerificationFailed,
     check_document,
+    check_field,
 )
 from .formulas import Coalition
 
@@ -250,8 +252,13 @@ class EffFn:
     def from_doc(cls, doc: dict) -> "EffFn":
         check_document(doc, ("effectivity",), ("n", "players", "outcomes", "table"))
         k = doc["players"]
-        rows = [None] * (1 << k)
+        check_field(doc["n"], int, "n")
+        check_field(k, int, "players")
+        check_field(doc["outcomes"], list, "outcomes", str)
+        check_field(doc["table"], dict, "table")
+        rows = {}
         for key, row in doc["table"].items():
+            check_field(row, list, f"the row of {key}", int)
             key = key.strip()
             if key == "N":
                 mask = (1 << k) - 1
@@ -259,14 +266,14 @@ class EffFn:
                 inner = key.strip("{}").strip()
                 members = [int(p) for p in inner.split(",")] if inner else []
                 mask = Coalition.of(members, k).mask
-            rows[mask] = tuple(row)
-        if any(row is None for row in rows):
-            raise ValueError("effectivity document is missing coalitions")
+            rows[mask] = row
+        if len(rows) != 1 << k:
+            raise BadDocument("effectivity document is missing coalitions")
         return cls(
             chain=Chain(doc["n"]),
             k=k,
             outcomes=tuple(doc["outcomes"]),
-            table=rows,
+            table=[rows[mask] for mask in range(1 << k)],
         )
 
     def to_json(self) -> str:
@@ -591,7 +598,7 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
     profile count.  The first Boolean match is verified against the full
     chain-valued table before being returned.
     """
-    from .games import GameForm, boolean_effectivity, effectivity_table
+    from .games import GameForm, effectivity_table
 
     report = check_playability(E)
     if not report.truly_playable:
@@ -608,11 +615,6 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
     if not targets:
         raise NotTrulyPlayable("empty forced range; the table violates safety")
 
-    subsets = [
-        frozenset(j for j in range(size) if f[j] == 1) for f in bool_geo.tuples
-    ]
-    coalitions = [Coalition(mask, H.k) for mask in range(1 << H.k)]
-
     for shape in _strategy_shapes(H.k, budget):
         num_profiles = int(np.prod(shape))
         for outcome_map in itertools.product(targets, repeat=num_profiles):
@@ -623,12 +625,7 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
                 outcomes=H.outcomes,
                 outcome_map=outcome_map,
             )
-            if all(
-                (1 if boolean_effectivity(form, c, subsets[fi]) else 0)
-                == H.table[c.mask][fi]
-                for c in coalitions
-                for fi in range(bool_geo.count)
-            ):
+            if effectivity_table(form, BOOL_CHAIN) == H:
                 candidate = effectivity_table(form, E.chain)
                 if candidate == E:
                     return form

@@ -192,6 +192,25 @@ def test_non_object_document_exit_2(runner, workdir):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command, name, field, change",
+    [
+        ("check", "eff.json", "table", lambda table: []),
+        ("check", "eff.json", "table", lambda table: {**table, "N": "0" * len(table["N"])}),
+        ("effectivity", "gf.json", "strategies", lambda counts: "22"),
+        ("eval", "model.json", "val", lambda val: {u: [0] for u in val}),
+    ],
+    ids=["table-list", "row-string", "strategies-string", "valuation-list"],
+)
+def test_wrong_typed_field_exit_2(runner, workdir, command, name, field, change):
+    doc = json.loads((workdir / name).read_text())
+    doc[field] = change(doc[field])
+    (workdir / "typed.json").write_text(json.dumps(doc))
+    args = [command, str(workdir / "typed.json")] + (["p1"] if command == "eval" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
 def test_determinism_byte_identical(runner, workdir):
     args = ["effectivity", str(workdir / "gf.json"), "--n", "2"]
     out1 = runner.invoke(main, args).output

@@ -1,22 +1,27 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mveff
 
 from mveff.chain import Chain
-from mveff.corpus import random_enriched_model, random_playable_model
+from mveff.corpus import random_enriched_model, random_formula, random_playable_model
 from mveff.decide import (
     LOGIC_PN,
     LOGIC_TPN,
+    _Signatures,
     search_countermodel,
     soundness_suite,
 )
-from mveff.errors import DialectViolation
-from mveff.formulas import parse
+from mveff.errors import BudgetExceeded, DialectViolation
+from mveff.formulas import Implies, Neg, Top, parse
 from mveff.models import EnrichedLnModel, eval_vector, is_standard
 from mveff.tables import check_playability
 
@@ -33,6 +38,9 @@ def test_axiom_instances_are_theorems():
         "([{1}](p1 (+) p1)) <-> ([{1}]p1 (+) [{1}]p1)",
         "~[{1}]0",
         "([{1}]p1 & [{2}]p2) -> [N](p1 & p2)",
+        "[{1}]p1 & [{}]p2 -> [{1}](p1 & p2)",
+        "[{}]p1 & [{2}]p2 -> [{2}](p1 & p2)",
+        "[{}]p1 & [{}]p2 -> [{}](p1 & p2)",
         "[{}]p1 -> ~[N]~p1",
     ):
         phi = parse(text, 2)
@@ -86,8 +94,6 @@ def test_exhaustive_agrees_with_random_model_sampling():
     # differential oracle at n=1: random playable models never refute a
     # certified theorem, and certified countermodels exist when sampling
     # finds one
-    from mveff.corpus import random_formula
-
     chain = Chain(1)
     rng = random.Random(12)
     for _ in range(25):
@@ -135,30 +141,42 @@ def test_soundness_suite_reports():
     assert report2["rules"]["necessitation"] == "pass"
 
 
-_UNVERIFIABLE_QUERY = """
+def test_ax4_with_the_empty_coalition_has_no_countermodel():
+    # proper coalitions' generators must meet the empty coalition's Z, or
+    # the search assembles tables that are not truly playable
+    phi = parse("[{1}]p1 & [{}]p2 -> [{1}](p1 & p2)", 2, chain=Chain(1))
+    verdict = search_countermodel(phi, chain=Chain(1))
+    assert verdict.status == "NoCountermodelUpToBound"
+
+
+_UNPLAYABLE_COUNTERMODEL = """
 from mveff.chain import Chain
-from mveff.decide import search_countermodel
+from mveff.decide import LOGIC_PN, _verify_countermodel
 from mveff.errors import VerificationFailed
 from mveff.formulas import parse
+from mveff.models import LnModel
+from mveff.tables import EffFn
 
-query = parse("[{1}]p1 & [{}]p2 -> [{1}](p1 & p2)", 2, chain=Chain(1))
+# every coalition accepts the empty set: safety fails
+E = EffFn(Chain(1), 2, ("s0",), [[1, 1]] * 4)
+model = LnModel(Chain(1), ("s0",), (E,), {1: (0,)})
 try:
-    verdict = search_countermodel(query, chain=Chain(1))
+    _verify_countermodel(model, parse("p1", 2), 0, None, LOGIC_PN)
 except VerificationFailed:
     print("verification failed")
 else:
-    print("returned", verdict.status)
+    print("accepted")
 """
 
 
 def test_countermodel_verification_survives_optimize():
-    # the search assembles a countermodel whose tables are not truly
-    # playable for this query; the re-check must reject it under -O too
+    # a countermodel whose table is not truly playable must be rejected by
+    # the re-check under -O too
     src = os.path.dirname(os.path.dirname(os.path.abspath(mveff.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _UNVERIFIABLE_QUERY],
+        [sys.executable, "-O", "-c", _UNPLAYABLE_COUNTERMODEL],
         env=env,
         capture_output=True,
         text=True,
@@ -166,3 +184,37 @@ def test_countermodel_verification_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "verification failed"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.booleans())
+def test_signatures_follow_the_connectives(seed, n, outcome):
+    chain = Chain(n)
+    phi = random_formula(random.Random(seed), 3, (1, 2), 2, chain, allow_outcome=outcome)
+    signatures = _Signatures(phi, chain, 2)
+    free = [signatures.index[f] for f in signatures.free]
+    assume((n + 1) ** len(free) <= 4096)
+    sigs = signatures.all()
+    assert [tuple(sig[i] for i in free) for sig in sigs] == list(
+        itertools.product(range(n + 1), repeat=len(free))
+    )
+    assert len(set(sigs)) == len(sigs)
+    index = signatures.index
+    for sig in sigs:
+        for pos, f in enumerate(signatures.subs):
+            if isinstance(f, Top):
+                assert sig[pos] == n
+            elif isinstance(f, Neg):
+                assert sig[pos] == n - sig[index[f.sub]]
+            elif isinstance(f, Implies):
+                a, b = sig[index[f.left]], sig[index[f.right]]
+                assert sig[pos] == min(n, n - a + b)
+
+
+def test_signature_budget():
+    # 2^21 signatures at n=1 exceed the valuation budget before enumeration
+    phi = parse(" -> ".join(f"p{i}" for i in range(1, 22)), 2)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        search_countermodel(phi, chain=Chain(1))
+    assert time.perf_counter() - start < 5

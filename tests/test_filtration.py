@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mveff.chain import Chain
 from mveff.corpus import (
@@ -17,7 +19,7 @@ from mveff.filtration import (
     playable_filtration,
     quotient,
 )
-from mveff.formulas import parse, subformulas
+from mveff.formulas import Box, Implies, Neg, Prop, Top, parse, subformulas
 from mveff.models import LnModel, eval_vector, is_standard
 from mveff.tables import EffFn, check_playability, encode_assessment
 
@@ -169,3 +171,33 @@ def test_class_map_document():
     doc = q.to_doc()
     assert doc["kind"] == "class-map"
     assert sum(len(v) for v in doc["classes"].values()) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 4), st.booleans())
+def test_quotient_vectors_match_eval_vector(seed, n, size, enriched):
+    # one evaluator pass over all subformulas gives what a pass per
+    # subformula gives, and every node obeys its semantic rule
+    rng = random.Random(seed)
+    chain = Chain(n)
+    make = random_enriched_model if enriched else random_playable_model
+    M = make(rng, chain, size)
+    mu = random_formula(rng, 3, (1, 2), 2, chain, allow_outcome=enriched)
+    vectors = dict(quotient(M, mu).subformula_vectors)
+    assert list(vectors) == list(subformulas(mu))
+    for phi, vec in vectors.items():
+        assert vec == eval_vector(M, phi)
+        for j in range(size):
+            if isinstance(phi, Top):
+                want = n
+            elif isinstance(phi, Prop):
+                want = M.prop_row(phi.index)[j]
+            elif isinstance(phi, Neg):
+                want = n - vectors[phi.sub][j]
+            elif isinstance(phi, Implies):
+                want = min(n, n - vectors[phi.left][j] + vectors[phi.right][j])
+            elif isinstance(phi, Box):
+                want = M.eff[j].value_num(phi.coalition.mask, vectors[phi.sub])
+            else:
+                want = min((vectors[phi.sub][v] for v in M.successors(j)), default=n)
+            assert vec[j] == want

@@ -135,6 +135,17 @@ def test_bad_game_form_documents():
         GameForm.from_doc({key: value for key, value in doc.items() if key != "o"})
 
 
+def test_wrong_typed_game_form_fields():
+    doc = random_game_form(random.Random(2), 2, 2).to_doc()
+    for bad in (
+        {"strategies": 4},
+        {"strategies": ["2", "2"]},
+        {"o": [["s0"]] * len(doc["o"])},
+    ):
+        with pytest.raises(BadDocument):
+            GameForm.from_doc({**doc, **bad})
+
+
 def test_from_social_choice():
     profiles = ["ab", "ba"]
 

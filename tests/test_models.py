@@ -173,3 +173,15 @@ def test_bad_model_documents():
         LnModel.from_doc({**doc, "E": {}})
     with pytest.raises(BadDocument):
         LnModel.from_doc({key: value for key, value in doc.items() if key != "val"})
+
+
+def test_wrong_typed_model_fields():
+    doc = random_playable_model(random.Random(7), Chain(2), 3).to_doc()
+    for bad in (
+        {"val": {**doc["val"], "s0": [1]}},
+        {"val": {**doc["val"], "s0": {"p1": "1"}}},
+        {"states": "s0"},
+        {"R": [0]},
+    ):
+        with pytest.raises(BadDocument):
+            LnModel.from_doc({**doc, **bad})

@@ -197,6 +197,18 @@ def test_bad_effectivity_documents():
         EffFn.from_doc([doc])
 
 
+def test_wrong_typed_effectivity_fields():
+    doc = _game_table(4).to_doc()
+    for bad in (
+        {"table": []},
+        {"table": {**doc["table"], "N": "ab"}},
+        {"players": "2"},
+        {"outcomes": "s0"},
+    ):
+        with pytest.raises(BadDocument):
+            EffFn.from_doc({**doc, **bad})
+
+
 # -- the skeleton-first battery against the dense one --------------------------
 
 
