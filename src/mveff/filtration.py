@@ -35,10 +35,10 @@ from .models import (
 )
 from .tables import (
     EffFn,
+    _geometry,
     boolean_skeleton,
     check_playability,
     encode_assessment,
-    enumerate_assessments,
     lift_boolean,
 )
 
@@ -159,7 +159,7 @@ def _intermediate_tables(q: Quotient, gamma) -> list[EffFn]:
     k = model.k
     cls = q.num_classes
     full = (1 << k) - 1
-    assessments = np.asarray(list(enumerate_assessments(n, cls)), dtype=np.int64)
+    assessments = _geometry(n, cls).tuples
     gamma_m = np.asarray(gamma, dtype=np.int64)
     below = (gamma_m[None, :, :] <= assessments[:, None, :]).all(axis=2)
     neg_idx = (n - assessments) @ ((n + 1) ** np.arange(cls - 1, -1, -1, dtype=np.int64))
@@ -249,14 +249,15 @@ def _filtered_valuation(q: Quotient):
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     """Class-level model with the E* tables, conditions verified."""
-    for E in model.eff:
+    # equal tables share a verdict, so each distinct one is checked once
+    for E in dict.fromkeys(model.eff):
         if not check_playability(E).playable:
             raise NotPlayable("filtration requires a playable model")
     q = quotient(model, mu)
     gamma = definable_class_vectors(q)
     tables = _intermediate_tables(q, gamma)
-    for E in tables:
-        if not check_playability(boolean_skeleton(E, strict=False)).playable:
+    for H in dict.fromkeys(boolean_skeleton(E, strict=False) for E in tables):
+        if not check_playability(H).playable:
             raise VerificationFailed("intermediate skeleton is not playable")
     filtered = LnModel(
         chain=model.chain,
@@ -282,7 +283,7 @@ def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
         eff=lifted,
         valuation=_filtered_valuation(q),
     )
-    for E in lifted:
+    for E in dict.fromkeys(lifted):
         if not check_playability(E).truly_playable:
             raise VerificationFailed("lifted table is not truly playable")
     _verify_filtration_conditions(q, filtered)

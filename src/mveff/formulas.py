@@ -88,6 +88,27 @@ class Top(Formula):
         return "1"
 
 
+def _hash_once(cls):
+    """Keep the dataclass's structural hash, computed once per node.
+
+    The desugared connectives repeat an operand (a | b is (a -> b) -> b),
+    so a recursive hash that is not kept doubles in cost with every level
+    of an n-ary join or meet chain.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Prop(Formula):
     index: int
@@ -96,6 +117,7 @@ class Prop(Formula):
         return f"p{self.index}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Neg(Formula):
     sub: Formula
@@ -104,6 +126,7 @@ class Neg(Formula):
         return f"~{self.sub}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
@@ -113,6 +136,7 @@ class Implies(Formula):
         return f"({self.left} -> {self.right})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Box(Formula):
     coalition: Coalition
@@ -122,6 +146,7 @@ class Box(Formula):
         return f"[{self.coalition}]{self.sub}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BoxO(Formula):
     sub: Formula

@@ -184,7 +184,7 @@ def effectivity_table(
     Evaluates every (coalition, assessment) cell by the max-min rule, done
     as vectorized axis reductions over the profile hypercube.
     """
-    from .tables import EffFn, enumerate_assessments
+    from .tables import EffFn, _geometry
 
     n = chain.n
     num_outcomes = len(form.outcomes)
@@ -192,7 +192,7 @@ def effectivity_table(
     if cells > cell_budget:
         raise BudgetExceeded(f"{cells} table cells exceed budget {cell_budget}")
 
-    assessments = np.asarray(list(enumerate_assessments(n, num_outcomes)), dtype=np.int64)
+    assessments = _geometry(n, num_outcomes).tuples
     outcome_cube = form.outcome_array()
     # value cube: one row per assessment, one axis per player
     values = assessments[:, outcome_cube.reshape(-1)].reshape(

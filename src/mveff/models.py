@@ -5,11 +5,16 @@ valuation of finitely many propositions.  The enriched variant adds a
 relation R for the outcome modality [O].  Evaluation is bottom-up over the
 formula DAG and batched over candidate valuations, so validity checks run
 one vectorized pass instead of one recursion per valuation.
+
+The valuations are one np.indices grid, in itertools.product order, and
+every array holds its values in the narrowest signed integer type that
+covers the evaluator's intermediates [-n, 2n] (int8 up to n = 63): a grid
+of V valuations over c (proposition, state) cells takes V * c bytes at
+n <= 63, and the budget on V is checked before it is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -187,42 +192,55 @@ class EnrichedLnModel(LnModel):
 # -- evaluation --------------------------------------------------------------
 
 
+def _value_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer type holding every value in [-n, 2n].
+
+    Those bounds cover every intermediate of the evaluator: an implication
+    computes n - a + b before clipping at n, which reaches 2n.
+    """
+    return np.min_scalar_type(-(2 * n + 1))
+
+
 def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> dict:
     """Value arrays of shape (batch, states) for nodes listed children first.
 
-    Each node is computed once from its children's arrays.  A node in
-    assign takes its array from there; any other proposition, [C] or [O]
-    node is read from the model, broadcast across the batch.  The batch is
-    the assigned arrays' row count (1 when nothing is assigned); without a
-    model there is a single state.
+    Each node is computed once from its children's arrays, held in
+    _value_dtype(n).  A node in assign takes its array from there; any other
+    proposition, [C] or [O] node is read from the model, broadcast across
+    the batch.  The batch is the assigned arrays' row count (1 when nothing
+    is assigned); without a model there is a single state.
     """
     batch = next(iter(assign.values())).shape[0] if assign else 1
     size = model.num_states if model is not None else 1
-    powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    dtype = _value_dtype(n)
     values: dict[Formula, np.ndarray] = {}
     for node in nodes:
         if node in assign:
             out = assign[node]
         elif isinstance(node, Top):
-            out = np.full((batch, size), n, dtype=np.int64)
+            out = np.full((batch, size), n, dtype=dtype)
         elif isinstance(node, Prop):
-            row = np.asarray(model.prop_row(node.index), dtype=np.int64)
+            row = np.asarray(model.prop_row(node.index), dtype=dtype)
             out = np.broadcast_to(row, (batch, size))
         elif isinstance(node, Neg):
             out = n - values[node.sub]
         elif isinstance(node, Implies):
             out = np.minimum(n, n - values[node.left] + values[node.right])
         elif isinstance(node, Box):
-            idx = values[node.sub] @ powers
-            out = np.empty((batch, size), dtype=np.int64)
+            # the argument's assessment index per batch row, last state fastest
+            sub = values[node.sub]
+            idx = np.zeros(batch, dtype=np.int64)
             for j in range(size):
-                row = np.asarray(model.eff[j].table[node.coalition.mask])
-                out[:, j] = row[idx]
+                idx *= n + 1
+                idx += sub[:, j]
+            mask = node.coalition.mask
+            rows = np.asarray([E.table[mask] for E in model.eff], dtype=dtype)
+            out = np.take(rows, idx, axis=1).T
         elif isinstance(node, BoxO):
             if not isinstance(model, EnrichedLnModel):
                 raise DialectViolation("[O] needs an enriched model")
             sub = values[node.sub]
-            out = np.full((batch, size), n, dtype=np.int64)
+            out = np.full((batch, size), n, dtype=dtype)
             for u, v in model.R:
                 np.minimum(out[:, u], sub[:, v], out=out[:, u])
         else:
@@ -245,7 +263,13 @@ def is_true(model: LnModel, phi: Formula) -> bool:
 
 
 def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
-    """One array per proposition covering every joint valuation."""
+    """One (valuations, states) array per proposition covering every joint
+    valuation, in _value_dtype(n).
+
+    Row r is the r-th tuple of itertools.product(range(n + 1), repeat=cells)
+    over the cells (proposition, state), last cell fastest.  The budget is
+    checked before anything is allocated.
+    """
     props = list(props)
     cells = len(props) * size
     total = (n + 1) ** cells
@@ -253,9 +277,8 @@ def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
         raise BudgetExceeded(
             f"{total} candidate valuations exceed budget {budget}"
         )
-    grid = np.asarray(
-        list(itertools.product(range(n + 1), repeat=cells)), dtype=np.int64
-    )
+    grid = np.indices((n + 1,) * cells, dtype=_value_dtype(n))
+    grid = grid.reshape(cells, total).T
     return {
         p: grid[:, i * size : (i + 1) * size] for i, p in enumerate(props)
     }
@@ -278,10 +301,11 @@ def is_valid(
     arrays = _valuation_grid(model.n, model.num_states, prop_support, budget)
     assign = {Prop(p): arrays[p] for p in prop_support}
     values = _eval_nodes(subformulas(phi), model.n, assign, model)[phi]
-    bad = np.nonzero(values < model.n)
-    if bad[0].size == 0:
+    bad = values < model.n
+    if not bad.any():
         return True, None
-    row, state = int(bad[0][0]), int(bad[1][0])
+    row = int(np.argmax(bad.any(axis=1)))
+    state = int(np.argmax(bad[row]))
     witness = {
         p: tuple(int(v) for v in arrays[p][row]) for p in prop_support
     }

@@ -94,7 +94,9 @@ class _Geometry:
         self.n = n
         self.size = size
         self.count = (n + 1) ** size
-        self.tuples = np.asarray(list(enumerate_assessments(n, size)), dtype=np.int64)
+        # every assessment in enumerate_assessments order, shared read-only
+        self.tuples = np.indices((n + 1,) * size, dtype=np.int64).reshape(size, -1).T
+        self.tuples.flags.writeable = False
         powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
         self.powers = powers
         self.neg_idx = (self.n - self.tuples) @ powers

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mveff import filtration
 from mveff.chain import Chain
 from mveff.corpus import (
     random_enriched_model,
@@ -88,6 +89,26 @@ def test_intermediate_matches_direct_eq9():
                         pull = tuple(g[q.class_map[j]] for j in range(M.num_states))
                         best = max(best, M.eff[rep].value_num(mask, pull))
                 assert E.table[mask][fi] == best
+
+
+def test_each_distinct_table_is_checked_once(monkeypatch):
+    rng = random.Random(8)
+    chain = Chain(2)
+    base = random_playable_model(rng, chain, 4)
+    # two pairs of equal tables
+    M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
+    expect = playable_filtration(M, parse("[{1}]p1 -> p2", 2))
+    checked = []
+
+    def counting_check(E):
+        checked.append(E)
+        return check_playability(E)
+
+    monkeypatch.setattr(filtration, "check_playability", counting_check)
+    result = playable_filtration(M, parse("[{1}]p1 -> p2", 2))
+    assert result == expect
+    assert len(checked) == len(set(checked))
+    assert set(M.eff) <= set(checked)
 
 
 def test_filtration_requires_playable():

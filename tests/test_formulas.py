@@ -123,6 +123,15 @@ def test_subformulas_children_first():
             assert child in subs[:i]
 
 
+def test_long_join_chain_has_linear_subformulas():
+    # a | b desugars to (a -> b) -> b: each operand is shared, not copied,
+    # so k operands give k propositions and 2 implications per join
+    k = 40
+    phi = parse(" | ".join(f"p{i}" for i in range(1, k + 1)), 2)
+    assert len(subformulas(phi)) == 3 * k - 2
+    assert propositions(phi) == tuple(range(1, k + 1))
+
+
 def test_substitute_and_props():
     phi = parse("[{1}]p1 -> p2", 2)
     assert propositions(phi) == (1, 2)

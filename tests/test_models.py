@@ -1,20 +1,28 @@
+import itertools
 import json
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mveff.chain import Chain
-from mveff.corpus import random_enriched_model, random_playable_model
+from mveff.corpus import random_enriched_model, random_formula, random_playable_model
 from mveff.errors import (
     BadDocument,
     BudgetExceeded,
     DialectViolation,
     UnknownProposition,
 )
-from mveff.formulas import parse
+from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, parse
 from mveff.models import (
     EnrichedLnModel,
     LnModel,
+    _valuation_grid,
+    _value_dtype,
     b_family,
     char_vector,
     check_axiom_schema,
@@ -102,6 +110,107 @@ def test_is_valid_budget():
     M = random_playable_model(rng, Chain(3), 4)
     with pytest.raises(BudgetExceeded):
         is_valid(M, parse("p1 -> p2", 2), budget=10)
+
+
+def _reference_vector(model, phi, val):
+    """Value of phi at every state, by recursion on phi, in Python ints."""
+    n, size = model.n, model.num_states
+    rec = lambda psi: _reference_vector(model, psi, val)
+    if isinstance(phi, Top):
+        return (n,) * size
+    if isinstance(phi, Prop):
+        return val[phi.index]
+    if isinstance(phi, Neg):
+        return tuple(n - x for x in rec(phi.sub))
+    if isinstance(phi, Implies):
+        return tuple(min(n, n - x + y) for x, y in zip(rec(phi.left), rec(phi.right)))
+    if isinstance(phi, Box):
+        arg = rec(phi.sub)
+        return tuple(E.value_num(phi.coalition.mask, arg) for E in model.eff)
+    assert isinstance(phi, BoxO)
+    sub = rec(phi.sub)
+    return tuple(min((sub[v] for w, v in model.R if w == u), default=n) for u in range(size))
+
+
+def _reference_is_valid(model, phi, support):
+    """First falsifying (valuation, state) over itertools.product order."""
+    size = model.num_states
+    cells = itertools.product(range(model.n + 1), repeat=len(support) * size)
+    for flat in cells:
+        rows = {p: flat[i * size : (i + 1) * size] for i, p in enumerate(support)}
+        vec = _reference_vector(model, phi, {**dict(model.valuation), **rows})
+        for u, v in enumerate(vec):
+            if v < model.n:
+                return False, (rows, u)
+    return True, None
+
+
+@st.composite
+def _model_formula_support(draw):
+    # every dtype boundary of the evaluator: int8 holds [-n, 2n] up to n = 63
+    n = draw(st.sampled_from([1, 2, 3, 63, 64, 127, 128]))
+    size = draw(st.integers(1, 3 if n <= 3 else 2))
+    # at most 1024 valuations, so the reference stays quick
+    max_props = min(2, int(math.log(1024, n + 1) + 1e-9) // size)
+    support = (1, 2)[: draw(st.integers(0, max_props))]
+    enriched = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    chain = Chain(n)
+    if enriched:
+        model = random_enriched_model(rng, chain, size)
+    else:
+        model = random_playable_model(rng, chain, size)
+    phi = random_formula(rng, 4, (1, 2), 2, chain, allow_outcome=enriched)
+    return model, phi, support
+
+
+@settings(max_examples=80, deadline=None)
+@given(_model_formula_support())
+def test_evaluator_matches_recursive_reference(case):
+    model, phi, support = case
+    val = dict(model.valuation)
+    assert eval_vector(model, phi) == _reference_vector(model, phi, val)
+    assert is_valid(model, phi, support) == _reference_is_valid(model, phi, support)
+
+
+def test_valuation_grid_is_product_order():
+    for n, size, props in [
+        (1, 1, ()),
+        (1, 1, (1,)),
+        (1, 3, (1, 2)),
+        (2, 2, (1, 2)),
+        (3, 1, (4, 1, 2)),
+        (63, 1, (1,)),
+        (64, 2, (1,)),
+        (128, 1, (1, 2)),
+    ]:
+        grid = _valuation_grid(n, size, props, 1 << 20)
+        cells = len(props) * size
+        expect = np.asarray(
+            list(itertools.product(range(n + 1), repeat=cells)), dtype=np.int64
+        ).reshape((n + 1) ** cells, cells)
+        got = np.hstack([grid[p] for p in props]) if props else np.empty((1, 0))
+        assert np.array_equal(got, expect)
+        assert all(grid[p].dtype == _value_dtype(n) for p in props)
+
+
+def test_value_dtype_is_the_narrowest_that_holds_minus_n_to_2n():
+    for n in (1, 63, 64, 127, 128, 16383, 16384):
+        info = np.iinfo(_value_dtype(n))
+        assert info.min <= -n and info.max >= 2 * n
+        assert info.bits == 8 or np.iinfo(f"int{info.bits // 2}").max < 2 * n
+
+
+def test_over_budget_grid_raises_before_allocating():
+    # 2^21 valuations of 21 cells would take 44 MB even as int8
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            _valuation_grid(1, 1, range(21), 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_char_vector():

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,17 @@ def test_assessment_encoding_round_trip():
             for fi, f in enumerate(enumerate_assessments(n, size)):
                 assert encode_assessment(f, n) == fi
                 assert decode_assessment(fi, n, size) == f
+
+
+def test_geometry_tuples_follow_enumeration_order():
+    for n in (1, 2, 3):
+        for size in (1, 2, 3):
+            tuples = tables._geometry(n, size).tuples
+            assert tuples.dtype == np.int64
+            assert [tuple(f) for f in tuples.tolist()] == list(
+                enumerate_assessments(n, size)
+            )
+            assert not tuples.flags.writeable
 
 
 def test_table_validation():
