@@ -2,19 +2,25 @@
 
 The pipeline has three stages.  The quotient groups states by the value
 vector of every subformula of a generator formula.  The intermediate stage
-builds a class-level table E* as a max over definable assessments below the
-argument, and its Boolean skeleton is playable.  The playable stage lifts
-that skeleton back to the chain, giving a truly playable filtered model that
-evaluates every subformula exactly as the source model did.
+builds a class-level table E* whose value at an argument f is the source
+value at the largest definable vector below f, and its Boolean skeleton is
+playable.  The playable stage lifts that skeleton back to the chain, giving
+a truly playable filtered model that evaluates every subformula exactly as
+the source model did.
+
+The definable vectors form the MV-subalgebra of the chain power generated
+by the subformula vectors, and are kept in closed form: classes with equal
+seed columns form a block, and a vector is definable exactly when it is
+constant on each block and a multiple of that block's step there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import tau_odot_num, tau_oplus_num
 from .errors import NotPlayable, NotStandard, PremiseViolated, VerificationFailed
 from .formulas import (
     Box,
@@ -113,40 +119,37 @@ def quotient(model: LnModel, mu: Formula) -> Quotient:
     )
 
 
-def definable_class_vectors(q: Quotient) -> tuple[tuple[int, ...], ...]:
-    """Class-level value vectors definable from the subformula vectors.
+def definable_class_vectors(q: Quotient) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Class-level vectors definable from the subformula vectors, as
+    (block, step) pairs in first-seen order.
 
-    The seed vectors are closed under pointwise negation, implication and
-    both doubling maps; the closure is a finite fixpoint inside the chain
-    power and is returned in a deterministic first-seen order.
+    The definable vectors are the MV-subalgebra of L_n^classes generated by
+    the subformula vectors read at the representatives.  Classes with equal
+    seed columns form a block, and each block's step is the gcd of n and its
+    seed values.  A vector is definable exactly when it is constant on every
+    block and a multiple of the block's step there: a block's coordinate
+    generates the subalgebra L_(n/step), which embeds in L_n one way only,
+    and distinct blocks are independent by the Chinese remainder theorem.
     """
-    n = q.source.n
-    rep = q.representatives
-    seeds = [tuple(vec[j] for j in rep) for _, vec in q.subformula_vectors]
-    seen = dict.fromkeys(seeds)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        current = list(seen)
-        for a in frontier:
-            candidates = [
-                tuple(n - x for x in a),
-                tuple(tau_oplus_num(x, n) for x in a),
-                tuple(tau_odot_num(x, n) for x in a),
-            ]
-            for b in current:
-                candidates.append(tuple(min(n, n - x + y) for x, y in zip(a, b)))
-                candidates.append(tuple(min(n, n - x + y) for x, y in zip(b, a)))
-            for c in candidates:
-                if c not in seen:
-                    seen[c] = None
-                    new.append(c)
-        frontier = new
-    return tuple(seen)
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for c, j in enumerate(q.representatives):
+        column = tuple(vec[j] for _, vec in q.subformula_vectors)
+        blocks.setdefault(column, []).append(c)
+    return tuple(
+        (tuple(block), math.gcd(q.source.n, *column))
+        for column, block in blocks.items()
+    )
 
 
-def _intermediate_tables(q: Quotient, gamma) -> list[EffFn]:
-    """E* per class: max over definable assessments below the argument.
+def _intermediate_tables(q: Quotient, blocks) -> list[EffFn]:
+    """E* per class: the source value at the largest definable vector below f.
+
+    E*(f) is the max of the source value over definable vectors below f.
+    The source tables are playable, hence outcome-monotone, and definable
+    vectors are closed under joins, so the max is taken at the largest one,
+    g*(f): on each block, the block minimum of f rounded down to a multiple
+    of the step.  Read at the source states, g*(f) is one index into the
+    source row, so every row is one gather.
 
     The grand coalition's row is the dual of the empty coalition's row;
     every other row reads the source table of the canonical (first-seen)
@@ -156,38 +159,23 @@ def _intermediate_tables(q: Quotient, gamma) -> list[EffFn]:
     """
     model = q.source
     n = model.n
-    k = model.k
-    cls = q.num_classes
-    full = (1 << k) - 1
-    assessments = _geometry(n, cls).tuples
-    gamma_m = np.asarray(gamma, dtype=np.int64)
-    below = (gamma_m[None, :, :] <= assessments[:, None, :]).all(axis=2)
-    neg_idx = (n - assessments) @ ((n + 1) ** np.arange(cls - 1, -1, -1, dtype=np.int64))
-
-    # source-level value of each definable vector, per source state
-    pullback = [
-        tuple(g[q.class_map[j]] for j in range(model.num_states)) for g in gamma
-    ]
+    geo = _geometry(n, q.num_classes)
+    # a class's weight in a source index: the place values of its members
+    places = (n + 1) ** np.arange(model.num_states - 1, -1, -1, dtype=np.int64)
+    weights = np.zeros(q.num_classes, dtype=np.int64)
+    np.add.at(weights, np.asarray(q.class_map), places)
+    idx = np.zeros(geo.count, dtype=np.int64)
+    for block, step in blocks:
+        cols = list(block)
+        low = geo.tuples[:, cols].min(axis=1) // step * step
+        idx += low * int(weights[cols].sum())
+    full = (1 << model.k) - 1
     tables = []
-    for c in range(cls):
-        rep = q.representatives[c]
-        rows = [None] * (1 << k)
-        for mask in range(1 << k):
-            if mask == full:
-                continue
-            w = np.asarray(
-                [model.eff[rep].value_num(mask, pb) for pb in pullback],
-                dtype=np.int64,
-            )
-            rows[mask] = np.max(np.where(below, w[None, :], 0), axis=1)
-        rows[full] = n - rows[0][neg_idx]
+    for rep in q.representatives:
+        rows = model.eff[rep].rows()[:, idx]
+        rows[full] = n - rows[0][geo.neg_idx]
         tables.append(
-            EffFn(
-                chain=model.chain,
-                k=k,
-                outcomes=q.class_names(),
-                table=[[int(v) for v in row] for row in rows],
-            )
+            EffFn(chain=model.chain, k=model.k, outcomes=q.class_names(), table=rows.tolist())
         )
     return tables
 
@@ -247,16 +235,17 @@ def _filtered_valuation(q: Quotient):
     }
 
 
-def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
-    """Class-level model with the E* tables, conditions verified."""
+def _intermediate(model: LnModel, mu: Formula):
+    """The intermediate filtration, and the Boolean skeleton of each of its
+    distinct tables (built once, for the check and for the lift)."""
     # equal tables share a verdict, so each distinct one is checked once
     for E in dict.fromkeys(model.eff):
         if not check_playability(E).playable:
             raise NotPlayable("filtration requires a playable model")
     q = quotient(model, mu)
-    gamma = definable_class_vectors(q)
-    tables = _intermediate_tables(q, gamma)
-    for H in dict.fromkeys(boolean_skeleton(E, strict=False) for E in tables):
+    tables = _intermediate_tables(q, definable_class_vectors(q))
+    skeletons = {E: boolean_skeleton(E, strict=False) for E in dict.fromkeys(tables)}
+    for H in dict.fromkeys(skeletons.values()):
         if not check_playability(H).playable:
             raise VerificationFailed("intermediate skeleton is not playable")
     filtered = LnModel(
@@ -266,24 +255,29 @@ def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
         valuation=_filtered_valuation(q),
     )
     _verify_filtration_conditions(q, filtered)
-    return FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE)
+    return FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE), skeletons
+
+
+def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
+    """Class-level model with the E* tables, conditions verified."""
+    return _intermediate(model, mu)[0]
 
 
 def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     """Lift of the intermediate skeleton: a truly playable filtration."""
-    inter = intermediate_filtration(model, mu)
+    inter, skeletons = _intermediate(model, mu)
     q = inter.quotient
-    lifted = tuple(
-        lift_boolean(boolean_skeleton(E, strict=False), model.chain, check_input=False)
-        for E in inter.model.eff
-    )
+    lifts = {
+        H: lift_boolean(H, model.chain, check_input=False)
+        for H in dict.fromkeys(skeletons.values())
+    }
     filtered = LnModel(
         chain=model.chain,
         states=q.class_names(),
-        eff=lifted,
+        eff=tuple(lifts[skeletons[E]] for E in inter.model.eff),
         valuation=_filtered_valuation(q),
     )
-    for E in dict.fromkeys(lifted):
+    for E in lifts.values():
         if not check_playability(E).truly_playable:
             raise VerificationFailed("lifted table is not truly playable")
     _verify_filtration_conditions(q, filtered)
@@ -303,20 +297,14 @@ def enriched_filtration(model: EnrichedLnModel, mu: Formula) -> FiltrationResult
         raise PremiseViolated(f"[O] fails homogeneity, witness {witness!r}")
     base = playable_filtration(model, mu)
     q = base.quotient
-    gamma = definable_class_vectors(q)
-    pairs = set()
-    for cu in range(q.num_classes):
-        succ = model.successors(q.representatives[cu])
-        for cv in range(q.num_classes):
-            ok = True
-            for g in gamma:
-                # premise: the canonical representative gives [O] of g value 1
-                boxed_one = all(g[q.class_map[v]] == model.n for v in succ)
-                if boxed_one and g[cv] != model.n:
-                    ok = False
-                    break
-            if ok:
-                pairs.add((cu, cv))
+    # the Boolean definable vectors are the indicators of unions of blocks,
+    # so cv is forced exactly when its block holds a successor's class; the
+    # quotient's classes have distinct seed columns, so a block is one class
+    pairs = {
+        (cu, q.class_map[v])
+        for cu, rep in enumerate(q.representatives)
+        for v in model.successors(rep)
+    }
     filtered = EnrichedLnModel(
         chain=model.chain,
         states=base.model.states,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mveff import filtration
-from mveff.chain import Chain
+from mveff.chain import Chain, tau_odot_num, tau_oplus_num
 from mveff.corpus import (
     random_enriched_model,
     random_formula,
@@ -14,6 +14,7 @@ from mveff.corpus import (
 )
 from mveff.errors import NotPlayable, NotStandard
 from mveff.filtration import (
+    Quotient,
     definable_class_vectors,
     enriched_filtration,
     intermediate_filtration,
@@ -22,7 +23,13 @@ from mveff.filtration import (
 )
 from mveff.formulas import Box, Implies, Neg, Prop, Top, parse, subformulas
 from mveff.models import LnModel, eval_vector, is_standard
-from mveff.tables import EffFn, check_playability, encode_assessment
+from mveff.tables import (
+    EffFn,
+    boolean_skeleton,
+    check_playability,
+    encode_assessment,
+    lift_boolean,
+)
 
 
 def test_quotient_single_class_for_top():
@@ -66,29 +73,114 @@ def test_intermediate_grand_row_is_dual():
             assert E.table[3][fi] == chain.n - E.table[0][neg_fi]
 
 
+def _closure(q):
+    """Definable class vectors as a fixpoint: the seed vectors closed under
+    pointwise negation, implication and both doubling maps, first-seen order.
+    """
+    n = q.source.n
+    rep = q.representatives
+    seeds = [tuple(vec[j] for j in rep) for _, vec in q.subformula_vectors]
+    seen = dict.fromkeys(seeds)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        current = list(seen)
+        for a in frontier:
+            candidates = [
+                tuple(n - x for x in a),
+                tuple(tau_oplus_num(x, n) for x in a),
+                tuple(tau_odot_num(x, n) for x in a),
+            ]
+            for b in current:
+                candidates.append(tuple(min(n, n - x + y) for x, y in zip(a, b)))
+                candidates.append(tuple(min(n, n - x + y) for x, y in zip(b, a)))
+            for c in candidates:
+                if c not in seen:
+                    seen[c] = None
+                    new.append(c)
+        frontier = new
+    return tuple(seen)
+
+
+def _expand(blocks, n, size):
+    """Every vector constant on each block and a multiple of its step there."""
+    vectors = set()
+    for values in itertools.product(*(range(0, n + 1, step) for _, step in blocks)):
+        g = [None] * size
+        for (block, _), x in zip(blocks, values):
+            for c in block:
+                g[c] = x
+        vectors.add(tuple(g))
+    return vectors
+
+
 def test_intermediate_matches_direct_eq9():
     # independent oracle: recompute each proper cell by scanning the
-    # definable closure directly
-    rng = random.Random(4)
-    chain = Chain(2)
-    M = random_playable_model(rng, chain, 3)
+    # fixpoint closure directly; the last two cases have steps above 1
     mu = parse("[{1}]p1 -> p2", 2)
-    result = intermediate_filtration(M, mu)
-    q = result.quotient
-    gamma = definable_class_vectors(q)
-    for c, E in enumerate(result.model.eff):
-        rep = q.representatives[c]
-        geo = E.geometry()
-        for mask in (0, 1, 2):
-            for fi, f in enumerate(
-                itertools.product(range(3), repeat=q.num_classes)
-            ):
-                best = 0
-                for g in gamma:
-                    if all(x <= y for x, y in zip(g, f)):
-                        pull = tuple(g[q.class_map[j]] for j in range(M.num_states))
-                        best = max(best, M.eff[rep].value_num(mask, pull))
-                assert E.table[mask][fi] == best
+    for n, seed in ((2, 4), (2, 8), (4, 4)):
+        M = random_playable_model(random.Random(seed), Chain(n), 3)
+        result = intermediate_filtration(M, mu)
+        q = result.quotient
+        gamma = _closure(q)
+        for c, E in enumerate(result.model.eff):
+            rep = q.representatives[c]
+            for mask in (0, 1, 2):
+                for fi, f in enumerate(
+                    itertools.product(range(n + 1), repeat=q.num_classes)
+                ):
+                    best = 0
+                    for g in gamma:
+                        if all(x <= y for x, y in zip(g, f)):
+                            pull = tuple(g[q.class_map[j]] for j in range(M.num_states))
+                            best = max(best, M.eff[rep].value_num(mask, pull))
+                    assert E.table[mask][fi] == best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 4), st.booleans())
+def test_definable_blocks_match_closure(seed, n, size, synthetic):
+    # the (block, step) pairs expand to exactly the fixpoint closure, and
+    # the enriched relation keeps exactly the pairs whose target the
+    # closure's vectors force to 1 wherever they are 1 at every successor
+    rng = random.Random(seed)
+    M = random_enriched_model(rng, Chain(n), size)
+    if synthetic:
+        # seeds over a two-value palette repeat columns, so a block can
+        # hold several classes (a quotient's classes never share a column)
+        palette = rng.sample(range(n + 1), 2)
+        vectors = tuple(
+            (Prop(p), tuple(rng.choice(palette) for _ in range(size)))
+            for p in range(1, rng.randint(2, 4))
+        )
+        ids = tuple(range(size))
+        q = Quotient(M, Top(), ids, ids, vectors)
+    else:
+        q = quotient(M, random_formula(rng, 3, (1, 2), 2, Chain(n), allow_outcome=True))
+    gamma = _closure(q)
+    blocks = definable_class_vectors(q)
+    assert _expand(blocks, n, q.num_classes) == set(gamma)
+
+    per_g = {
+        (cu, cv)
+        for cu, rep in enumerate(q.representatives)
+        for cv in range(q.num_classes)
+        if all(
+            g[cv] == n
+            for g in gamma
+            if all(g[q.class_map[v]] == n for v in M.successors(rep))
+        )
+    }
+    block_of = {c: block for block, _ in blocks for c in block}
+    by_block = {
+        (cu, cv)
+        for cu, rep in enumerate(q.representatives)
+        for v in M.successors(rep)
+        for cv in block_of[q.class_map[v]]
+    }
+    assert by_block == per_g
+    if not synthetic:
+        assert enriched_filtration(M, q.generator).model.R == per_g
 
 
 def test_each_distinct_table_is_checked_once(monkeypatch):
@@ -109,6 +201,52 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
     assert result == expect
     assert len(checked) == len(set(checked))
     assert set(M.eff) <= set(checked)
+
+
+def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
+    rng = random.Random(8)
+    chain = Chain(2)
+    base = random_playable_model(rng, chain, 4)
+    M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
+    mu = parse("[{1}]p1 -> p2", 2)
+    expect = playable_filtration(M, mu)
+    tables = intermediate_filtration(M, mu).model.eff
+    # classes whose representatives share a source table share E*
+    assert len(set(tables)) < len(tables)
+    built, lifted = [], []
+
+    def counting_skeleton(E, strict=True):
+        built.append(E)
+        return boolean_skeleton(E, strict)
+
+    def counting_lift(H, chain, check_input=True):
+        lifted.append(H)
+        return lift_boolean(H, chain, check_input)
+
+    monkeypatch.setattr(filtration, "boolean_skeleton", counting_skeleton)
+    monkeypatch.setattr(filtration, "lift_boolean", counting_lift)
+    result = playable_filtration(M, mu)
+    assert result == expect
+    assert built == list(dict.fromkeys(tables))
+    skeletons = {boolean_skeleton(E, strict=False) for E in tables}
+    assert len(lifted) == len(set(lifted)) and set(lifted) == skeletons
+
+
+def test_six_class_filtration_at_n4():
+    # 6 classes at n = 4, steps 2,1,1,1,1,1: 3 * 5^5 definable vectors
+    chain = Chain(4)
+    M = random_playable_model(random.Random(0), chain, 6)
+    mu = parse("[{1}]p1 -> p2", 2)
+    result = playable_filtration(M, mu)
+    q = result.quotient
+    assert q.num_classes == 6
+    assert [step for _, step in definable_class_vectors(q)] == [2, 1, 1, 1, 1, 1]
+    for E in result.model.eff:
+        assert check_playability(E).truly_playable
+    for phi in subformulas(mu):
+        src = eval_vector(M, phi)
+        dst = eval_vector(result.model, phi)
+        assert all(dst[q.class_map[j]] == src[j] for j in range(M.num_states))
 
 
 def test_filtration_requires_playable():
