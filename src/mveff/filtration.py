@@ -41,6 +41,7 @@ from .models import (
 )
 from .tables import (
     EffFn,
+    PlayabilityReport,
     _geometry,
     boolean_skeleton,
     check_playability,
@@ -172,11 +173,9 @@ def _intermediate_tables(q: Quotient, blocks) -> list[EffFn]:
     full = (1 << model.k) - 1
     tables = []
     for rep in q.representatives:
-        rows = model.eff[rep].rows()[:, idx]
-        rows[full] = n - rows[0][geo.neg_idx]
-        tables.append(
-            EffFn(chain=model.chain, k=model.k, outcomes=q.class_names(), table=rows.tolist())
-        )
+        rows = model.eff[rep].rows().take(idx, axis=1)
+        rows[full] = n - rows[0].take(geo.neg_idx)
+        tables.append(EffFn(chain=model.chain, k=model.k, outcomes=q.class_names(), table=rows))
     return tables
 
 
@@ -236,17 +235,28 @@ def _filtered_valuation(q: Quotient):
 
 
 def _intermediate(model: LnModel, mu: Formula):
-    """The intermediate filtration, and the Boolean skeleton of each of its
-    distinct tables (built once, for the check and for the lift)."""
-    # equal tables share a verdict, so each distinct one is checked once
-    for E in dict.fromkeys(model.eff):
-        if not check_playability(E).playable:
+    """The intermediate filtration, the Boolean skeleton of each of its
+    distinct tables (built once, for the check and for the lift), and the
+    playability report of every distinct table checked so far.
+
+    Equal tables share a report, so each distinct table is checked once per
+    filtration call; at n = 1 a skeleton is its table, and its lift is too.
+    """
+    reports: dict[EffFn, PlayabilityReport] = {}
+
+    def report(E):
+        if E not in reports:
+            reports[E] = check_playability(E)
+        return reports[E]
+
+    for E in model.eff:
+        if not report(E).playable:
             raise NotPlayable("filtration requires a playable model")
     q = quotient(model, mu)
     tables = _intermediate_tables(q, definable_class_vectors(q))
     skeletons = {E: boolean_skeleton(E, strict=False) for E in dict.fromkeys(tables)}
-    for H in dict.fromkeys(skeletons.values()):
-        if not check_playability(H).playable:
+    for H in skeletons.values():
+        if not report(H).playable:
             raise VerificationFailed("intermediate skeleton is not playable")
     filtered = LnModel(
         chain=model.chain,
@@ -255,7 +265,8 @@ def _intermediate(model: LnModel, mu: Formula):
         valuation=_filtered_valuation(q),
     )
     _verify_filtration_conditions(q, filtered)
-    return FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE), skeletons
+    inter = FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE)
+    return inter, skeletons, report
 
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
@@ -265,7 +276,7 @@ def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
 
 def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     """Lift of the intermediate skeleton: a truly playable filtration."""
-    inter, skeletons = _intermediate(model, mu)
+    inter, skeletons, report = _intermediate(model, mu)
     q = inter.quotient
     lifts = {
         H: lift_boolean(H, model.chain, check_input=False)
@@ -278,7 +289,7 @@ def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
         valuation=_filtered_valuation(q),
     )
     for E in lifts.values():
-        if not check_playability(E).truly_playable:
+        if not report(E).truly_playable:
             raise VerificationFailed("lifted table is not truly playable")
     _verify_filtration_conditions(q, filtered)
     _verify_truth_transfer(q, filtered)

@@ -184,7 +184,7 @@ def effectivity_table(
     Evaluates every (coalition, assessment) cell by the max-min rule, done
     as vectorized axis reductions over the profile hypercube.
     """
-    from .tables import EffFn, _geometry
+    from .tables import EffFn, _geometry, _value_dtype
 
     n = chain.n
     num_outcomes = len(form.outcomes)
@@ -198,14 +198,13 @@ def effectivity_table(
     values = assessments[:, outcome_cube.reshape(-1)].reshape(
         (len(assessments),) + outcome_cube.shape
     )
-    table = []
+    table = np.empty((1 << form.k, len(assessments)), dtype=_value_dtype(n))
     all_axes = range(1, form.k + 1)
     for mask in range(1 << form.k):
         out_axes = tuple(ax for ax in all_axes if not mask >> (ax - 1) & 1)
         reduced = values.min(axis=out_axes) if out_axes else values
         in_axes = tuple(range(1, reduced.ndim))
-        reduced = reduced.max(axis=in_axes) if in_axes else reduced
-        table.append([int(v) for v in reduced])
+        table[mask] = reduced.max(axis=in_axes) if in_axes else reduced
     return EffFn(chain=chain, k=form.k, outcomes=form.outcomes, table=table)
 
 

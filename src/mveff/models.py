@@ -45,7 +45,7 @@ from .formulas import (
     subformulas,
     tau_formula,
 )
-from .tables import EffFn
+from .tables import EffFn, _value_dtype
 
 DEFAULT_VALUATION_BUDGET = 1 << 20
 
@@ -192,15 +192,6 @@ class EnrichedLnModel(LnModel):
 # -- evaluation --------------------------------------------------------------
 
 
-def _value_dtype(n: int) -> np.dtype:
-    """The narrowest signed integer type holding every value in [-n, 2n].
-
-    Those bounds cover every intermediate of the evaluator: an implication
-    computes n - a + b before clipping at n, which reaches 2n.
-    """
-    return np.min_scalar_type(-(2 * n + 1))
-
-
 def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> dict:
     """Value arrays of shape (batch, states) for nodes listed children first.
 
@@ -213,6 +204,11 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
     batch = next(iter(assign.values())).shape[0] if assign else 1
     size = model.num_states if model is not None else 1
     dtype = _value_dtype(n)
+    # every implication is clipped against this array, not the scalar n:
+    # numpy's integer minimum against a scalar, or across memory layouts,
+    # runs 4-7x slower, so it is column-major like the valuation grid and
+    # the [C] gather
+    top = np.full((batch, size), n, dtype=dtype, order="F")
     values: dict[Formula, np.ndarray] = {}
     for node in nodes:
         if node in assign:
@@ -225,7 +221,8 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
         elif isinstance(node, Neg):
             out = n - values[node.sub]
         elif isinstance(node, Implies):
-            out = np.minimum(n, n - values[node.left] + values[node.right])
+            out = n - values[node.left] + values[node.right]
+            np.minimum(out, top, out=out)
         elif isinstance(node, Box):
             # the argument's assessment index per batch row, last state fastest
             sub = values[node.sub]
@@ -234,7 +231,7 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
                 idx *= n + 1
                 idx += sub[:, j]
             mask = node.coalition.mask
-            rows = np.asarray([E.table[mask] for E in model.eff], dtype=dtype)
+            rows = np.stack([E.rows()[mask] for E in model.eff])
             out = np.take(rows, idx, axis=1).T
         elif isinstance(node, BoxO):
             if not isinstance(model, EnrichedLnModel):

@@ -2,9 +2,18 @@
 
 An EffFn stores one value for every (coalition, assessment) cell, with
 assessments over the ordered outcome set encoded as base-(n+1) integers.
-Each playability predicate is decided by exhaustive quantification over its
-displayed quantifiers, vectorized over the assessment axis; superadditivity
-compares whole rows against the meet index in blocks of bounded size.
+The cells are one read-only array of shape (2^k, (n+1)^S) in the narrowest
+signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
+`.table` is built only when asked for.
+
+Each playability predicate is one array expression over every coalition
+(or every coalition pair) at once, laid out in the order of its displayed
+quantifiers, so a C-order argmax of the failing cells is the first witness
+in that order.  Superadditivity compares a stack of disjoint coalition
+pairs against the meet index in chunks of bounded size, and refuses with
+BudgetExceeded a scan larger than _DENSE_CELL_BUDGET cells.  Principality
+has a closed form: the only possible generator is the set of coordinates
+that are top on every assessment the empty coalition accepts.
 
 `check_playability` first decides homogeneity on the full table.  A
 homogeneous table commutes with both doubling maps, hence with every cut
@@ -29,6 +38,7 @@ import numpy as np
 from .chain import Chain
 from .errors import (
     BadDocument,
+    BudgetExceeded,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
@@ -65,6 +75,26 @@ PLAYABLE_PARTS = (
 # cells of the meet index held in memory at once
 _MEET_MATRIX_CAP = 1 << 22
 
+# cells of the coalition-pair stack that superadditivity compares at once
+# (one pair at least): a chunk and its two same-sized temporaries stay under
+# 200 KB at int8, so stacking speeds up small tables without raising the
+# peak memory of large ones
+_STACK_CAP = 1 << 16
+
+# cells one superadditivity scan may compare: pairs x (n+1)^(2S)
+_DENSE_CELL_BUDGET = 1 << 31
+
+
+@lru_cache(maxsize=None)
+def _value_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer type holding every value in [-n, 2n].
+
+    Those bounds cover every intermediate computed from chain numerators
+    here and in the formula evaluator: doubling a value, or an implication's
+    n - a + b before it is clipped at n, reaches 2n.
+    """
+    return np.min_scalar_type(-(2 * n + 1))
+
 
 def enumerate_assessments(n: int, size: int) -> Iterable[tuple[int, ...]]:
     """All numerator tuples over an outcome set of the given size, in
@@ -100,39 +130,39 @@ class _Geometry:
         powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
         self.powers = powers
         self.neg_idx = (self.n - self.tuples) @ powers
-        self.oplus_self_idx = np.minimum(2 * self.tuples, n) @ powers
-        self.odot_self_idx = np.maximum(2 * self.tuples - n, 0) @ powers
-        # tau_idx[i-1][fi] = index of the i/n-thresholded assessment
-        self.tau_idx = [
-            (np.where(self.tuples >= i, n, 0) @ powers) for i in range(1, n + 1)
-        ]
-        # per-coordinate decrement (cover pairs for monotonicity)
-        self.dec_idx = []
-        for j in range(size):
-            dec = self.tuples.copy()
-            dec[:, j] = np.maximum(dec[:, j] - 1, 0)
-            self.dec_idx.append(dec @ powers)
-        self.idempotent_mask = (self.tuples % n == 0).all(axis=1) if n > 1 else np.ones(
-            self.count, dtype=bool
+        # dec_idx[j, fi]: fi with coordinate j lowered by one (cover pairs)
+        self.dec_idx = np.arange(self.count) - powers[:, None] * (self.tuples.T > 0)
+        self.on_top = self.tuples == n
+        self.on_top.flags.writeable = False
+        # double_idx[0] and [1]: each assessment's oplus and odot with
+        # itself; minus double_shift and clipped to [0, n], 2x is either one
+        self.double_idx = np.stack(
+            (np.minimum(2 * self.tuples, n) @ powers, np.maximum(2 * self.tuples - n, 0) @ powers)
+        )
+        self.double_shift = np.array([[0], [n]], dtype=_value_dtype(n))
+        # the idempotent assessments, which index a Boolean skeleton
+        self.idempotent_idx = np.flatnonzero((self.tuples % n == 0).all(axis=1))
+        # tau_bool_idx[i-1, fi]: the i/n-thresholded assessment, in base 2
+        bool_powers = 2 ** np.arange(size - 1, -1, -1, dtype=np.int64)
+        self.tau_bool_idx = np.stack(
+            [(self.tuples >= i) @ bool_powers for i in range(1, n + 1)]
         )
 
         self._meet_idx = None
 
     def meet_blocks(self):
-        """The count x count meet index in row blocks, as (first row, block).
+        """The count x count meet index in row blocks, as (first row, block),
+        for a matrix larger than _MEET_MATRIX_CAP cells.
 
         block[i, gi] encodes the meet of assessments start + i and gi.  A
-        block holds at most _MEET_MATRIX_CAP cells; when one block covers
-        every row it is built once and kept.
+        block holds at most _MEET_MATRIX_CAP cells (one row at least).
         """
         step = max(1, _MEET_MATRIX_CAP // self.count)
-        if step >= self.count:
-            yield 0, self._meet_all()
-            return
         for start in range(0, self.count, step):
             yield start, self._meet_rows(start, min(start + step, self.count))
 
-    def _meet_all(self) -> np.ndarray:
+    def meet_all(self) -> np.ndarray:
+        """The whole meet index, built once and kept."""
         if self._meet_idx is None:
             self._meet_idx = self._meet_rows(0, self.count)
         return self._meet_idx
@@ -149,8 +179,8 @@ class _Geometry:
             return np.minimum.outer(idx, np.arange(self.count, dtype=np.int64))
         high = _geometry(self.n, self.size // 2)
         low = _geometry(self.n, self.size - self.size // 2)
-        hi = high._meet_all()[idx // low.count] * low.count
-        lo = low._meet_all()[idx % low.count]
+        hi = high.meet_all()[idx // low.count] * low.count
+        lo = low.meet_all()[idx % low.count]
         return (hi[:, :, None] + lo[:, None, :]).reshape(stop - start, self.count)
 
 
@@ -187,34 +217,78 @@ class PlayabilityReport:
         }
 
 
-@dataclass(frozen=True, eq=True)
 class EffFn:
     """A total table P(N) x (chain^S) -> chain.
 
-    table[mask][f_index] is the numerator of the value of the coalition with
-    that bitmask at the encoded assessment.
+    rows()[mask, f_index] is the numerator of the value of the coalition
+    with that bitmask at the encoded assessment; `table` is the same cells
+    as a tuple of tuples of ints.  Instances are immutable and compare and
+    hash by (chain, k, outcomes, cells).
     """
 
-    chain: Chain
-    k: int
-    outcomes: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+    __slots__ = ("chain", "k", "outcomes", "_rows", "_table", "_hash")
 
-    def __init__(self, chain, k, outcomes, table):
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
-        object.__setattr__(self, "table", tuple(tuple(row) for row in table))
-        size = len(self.outcomes)
-        if size < 1 or k < 2:
+    def __init__(self, chain: Chain, k: int, outcomes, table):
+        """table: nested sequences or an array of shape (2^k, (n+1)^S)."""
+        outcomes = tuple(outcomes)
+        if len(outcomes) < 1 or k < 2:
             raise ValueError("need at least 1 outcome and 2 players")
-        expected = (chain.n + 1) ** size
-        if len(self.table) != 1 << k or any(
-            len(row) != expected for row in self.table
-        ):
+        try:
+            rows = np.asarray(table)
+        except ValueError:  # ragged rows
+            rows = None
+        if rows is None or rows.shape != (1 << k, (chain.n + 1) ** len(outcomes)):
             raise ValueError("table shape does not match (players, outcomes, chain)")
-        if any(not 0 <= v <= chain.n for row in self.table for v in row):
+        if rows.dtype.kind not in "biu" or rows.min() < 0 or rows.max() > chain.n:
             raise ValueError("table entry outside the chain")
+        rows = rows.astype(_value_dtype(chain.n))
+        rows.flags.writeable = False
+        for name, value in (
+            ("chain", chain),
+            ("k", k),
+            ("outcomes", outcomes),
+            ("_rows", rows),
+            ("_table", None),
+            ("_hash", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EffFn is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (EffFn, (self.chain, self.k, self.outcomes, self._rows))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, EffFn):
+            return NotImplemented
+        # equal chains, players and outcomes fix the shape and the dtype
+        return (
+            self.chain == other.chain
+            and self.k == other.k
+            and self.outcomes == other.outcomes
+            and self._rows.tobytes() == other._rows.tobytes()
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            key = (self.chain, self.k, self.outcomes, self._rows.tobytes())
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
+
+    def __repr__(self):
+        return (
+            f"EffFn(chain={self.chain!r}, k={self.k!r}, "
+            f"outcomes={self.outcomes!r}, table={self.table!r})"
+        )
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        if self._table is None:
+            object.__setattr__(self, "_table", tuple(map(tuple, self._rows.tolist())))
+        return self._table
 
     @property
     def n(self) -> int:
@@ -228,10 +302,11 @@ class EffFn:
         return _geometry(self.n, self.num_outcomes)
 
     def rows(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.int64)
+        """The cells, read-only, in _value_dtype(n)."""
+        return self._rows
 
     def value_num(self, mask: int, f: Sequence[int]) -> int:
-        return self.table[mask][encode_assessment(f, self.n)]
+        return int(self._rows[mask, encode_assessment(f, self.n)])
 
     def coalitions(self) -> Iterable[Coalition]:
         return (Coalition(mask, self.k) for mask in range(1 << self.k))
@@ -245,8 +320,8 @@ class EffFn:
             "players": self.k,
             "outcomes": list(self.outcomes),
             "table": {
-                str(Coalition(mask, self.k)): list(row)
-                for mask, row in enumerate(self.table)
+                str(Coalition(mask, self.k)): row
+                for mask, row in enumerate(self._rows.tolist())
             },
         }
 
@@ -283,6 +358,17 @@ class EffFn:
 
 
 # -- individual property checks ---------------------------------------------
+#
+# Each check stacks its comparisons in the order of its quantifiers (masks
+# outermost) and reads the first failing cell with a C-order argmax.
+
+
+def _first(bad: np.ndarray):
+    """Unravelled index of the first True cell of bad, or None."""
+    hit = int(bad.argmax())
+    if not bad.flat[hit]:
+        return None
+    return np.unravel_index(hit, bad.shape)
 
 
 def _disjoint_mask_pairs(k: int):
@@ -297,144 +383,184 @@ def _disjoint_mask_pairs(k: int):
             c2 = (c2 - 1) & rest
 
 
-def _check_outcome_monotonic(E: EffFn, masks=None):
+@lru_cache(maxsize=None)
+def _pair_stack(k: int, proper_unions_only: bool):
+    """The disjoint pairs in _disjoint_mask_pairs order, as three index
+    arrays (first, second, union); optionally without the pairs whose
+    union is the grand coalition."""
+    full = (1 << k) - 1
+    pairs = np.array(
+        [
+            pair
+            for pair in _disjoint_mask_pairs(k)
+            if not (proper_unions_only and pair[0] | pair[1] == full)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    first, second = pairs.T
+    return first, second, first | second
+
+
+@lru_cache(maxsize=None)
+def _cover_pairs(k: int):
+    """(mask, mask with one more player) pairs, masks outermost, as two
+    index arrays."""
+    pairs = [
+        (mask, mask | 1 << i)
+        for mask in range(1 << k)
+        for i in range(k)
+        if not mask >> i & 1
+    ]
+    return tuple(np.array(side, dtype=np.int64) for side in zip(*pairs))
+
+
+def _rows(E: EffFn, proper: bool) -> np.ndarray:
+    """The table's rows, without the grand coalition's (the last) if proper."""
+    return E.rows()[:-1] if proper else E.rows()
+
+
+def _check_outcome_monotonic(E: EffFn, proper=False):
     geo = E.geometry()
-    rows = E.rows()
-    masks = range(1 << E.k) if masks is None else masks
-    for mask in masks:
-        row = rows[mask]
-        for j in range(geo.size):
-            bad = np.nonzero(row < row[geo.dec_idx[j]])[0]
-            if bad.size:
-                fi = int(bad[0])
-                return False, (mask, fi, int(geo.dec_idx[j][fi]))
-    return True, None
+    rows = _rows(E, proper)
+    # (masks, coordinates, assessments)
+    hit = _first(rows[:, None, :] < rows.take(geo.dec_idx, axis=1))
+    if hit is None:
+        return True, None
+    mask, j, fi = hit
+    return False, (int(mask), int(fi), int(geo.dec_idx[j, fi]))
 
 
 def _check_n_maximal(E: EffFn):
     geo = E.geometry()
     rows = E.rows()
     full = (1 << E.k) - 1
-    lhs = E.n - rows[0][geo.neg_idx]
-    bad = np.nonzero(lhs > rows[full])[0]
-    if bad.size:
-        return False, (full, int(bad[0]))
-    return True, None
+    hit = _first(E.n - rows[0].take(geo.neg_idx) > rows[full])
+    if hit is None:
+        return True, None
+    return False, (full, int(hit[0]))
 
 
 def _check_regular(E: EffFn):
     geo = E.geometry()
     rows = E.rows()
-    full = (1 << E.k) - 1
-    for mask in range(1 << E.k):
-        comp = full & ~mask
-        bad = np.nonzero(rows[mask] > E.n - rows[comp][geo.neg_idx])[0]
-        if bad.size:
-            return False, (mask, int(bad[0]))
-    return True, None
+    # the complement of mask is full - mask, so complements run in reverse
+    hit = _first(rows > E.n - rows[::-1].take(geo.neg_idx, axis=1))
+    if hit is None:
+        return True, None
+    return False, (int(hit[0]), int(hit[1]))
 
 
-def _superadditive_cell_violation(rows, geo, c1, c2):
-    """First (f, g) in row-major order with E(c1,f) meet E(c2,g) above
-    E(c1 | c2, f meet g), or None."""
-    union_row = rows[c1 | c2]
-    for start, meet in geo.meet_blocks():
-        lhs = np.minimum.outer(rows[c1][start : start + len(meet)], rows[c2])
-        bad = (lhs > union_row[meet]).ravel()
-        first = int(bad.argmax())
-        if bad[first]:
-            fi, gi = divmod(first, geo.count)
-            return start + fi, gi
+def _superadditive_violation(rows, geo, first, second, union):
+    """First (pair, f, g), pairs outermost and then row-major, with
+    E(c1,f) meet E(c2,g) above E(c1 | c2, f meet g), or None.
+
+    Pairs are compared in stacked chunks of at most _STACK_CAP cells, or one
+    pair per chunk when a pair alone is larger; a pair larger than
+    _MEET_MATRIX_CAP cells is compared in row blocks of the meet index.
+    """
+    count = geo.count
+    per_pair = count * count
+    if per_pair <= _MEET_MATRIX_CAP:
+        meet = geo.meet_all()
+        step = max(1, _STACK_CAP // per_pair)
+        for start in range(0, len(first), step):
+            chunk = slice(start, start + step)
+            lhs = np.minimum(
+                rows.take(first[chunk], axis=0)[:, :, None],
+                rows.take(second[chunk], axis=0)[:, None, :],
+            )
+            hit = _first(lhs > rows.take(union[chunk], axis=0).take(meet, axis=1))
+            if hit is not None:
+                p, fi, gi = hit
+                return start + int(p), int(fi), int(gi)
+        return None
+    for p in range(len(first)):
+        union_row = rows[union[p]]
+        for start, meet in geo.meet_blocks():
+            lhs = np.minimum.outer(rows[first[p], start : start + len(meet)], rows[second[p]])
+            hit = _first(lhs > union_row.take(meet))
+            if hit is not None:
+                return p, start + int(hit[0]), int(hit[1])
     return None
 
 
 def _check_superadditive(E: EffFn, proper_unions_only=False):
     geo = E.geometry()
-    rows = E.rows()
-    full = (1 << E.k) - 1
-    for c1, c2 in _disjoint_mask_pairs(E.k):
-        if proper_unions_only and (c1 | c2) == full:
-            continue
-        hit = _superadditive_cell_violation(rows, geo, c1, c2)
-        if hit is not None:
-            return False, (c1, c2, hit[0], hit[1])
-    return True, None
+    first, second, union = _pair_stack(E.k, proper_unions_only)
+    cells = len(first) * geo.count * geo.count
+    if cells > _DENSE_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"superadditivity scan of {cells} cells exceeds budget {_DENSE_CELL_BUDGET}"
+        )
+    hit = _superadditive_violation(E.rows(), geo, first, second, union)
+    if hit is None:
+        return True, None
+    p, fi, gi = hit
+    return False, (int(first[p]), int(second[p]), fi, gi)
 
 
 def _check_coalition_monotonic(E: EffFn):
     rows = E.rows()
-    for mask in range(1 << E.k):
-        for i in range(E.k):
-            if mask >> i & 1:
-                continue
-            bigger = mask | 1 << i
-            bad = np.nonzero(rows[mask] > rows[bigger])[0]
-            if bad.size:
-                return False, (mask, bigger, int(bad[0]))
-    return True, None
+    smaller, bigger = _cover_pairs(E.k)
+    hit = _first(rows.take(smaller, axis=0) > rows.take(bigger, axis=0))
+    if hit is None:
+        return True, None
+    p, fi = hit
+    return False, (int(smaller[p]), int(bigger[p]), int(fi))
 
 
-def _check_homogeneous(E: EffFn, masks=None):
+def _check_homogeneous(E: EffFn):
     geo = E.geometry()
     rows = E.rows()
-    n = E.n
-    masks = range(1 << E.k) if masks is None else masks
-    for mask in masks:
-        row = rows[mask]
-        bad = np.nonzero(row[geo.oplus_self_idx] != np.minimum(2 * row, n))[0]
-        if bad.size:
-            return False, (mask, int(bad[0]), "oplus")
-        bad = np.nonzero(row[geo.odot_self_idx] != np.maximum(2 * row - n, 0))[0]
-        if bad.size:
-            return False, (mask, int(bad[0]), "odot")
-    return True, None
+    # (masks, oplus then odot, assessments)
+    expected = np.minimum(np.maximum(2 * rows[:, None, :] - geo.double_shift, 0), E.n)
+    hit = _first(rows.take(geo.double_idx, axis=1) != expected)
+    if hit is None:
+        return True, None
+    mask, which, fi = hit
+    return False, (int(mask), int(fi), ("oplus", "odot")[which])
 
 
-def _check_liveness(E: EffFn, masks=None):
+def _check_liveness(E: EffFn, proper=False):
     top = E.geometry().count - 1
-    masks = range(1 << E.k) if masks is None else masks
-    for mask in masks:
-        if E.table[mask][top] != E.n:
-            return False, (mask, top)
-    return True, None
+    hit = _first(_rows(E, proper)[:, top] != E.n)
+    if hit is None:
+        return True, None
+    return False, (int(hit[0]), top)
 
 
-def _check_safety(E: EffFn, masks=None):
-    masks = range(1 << E.k) if masks is None else masks
-    for mask in masks:
-        if E.table[mask][0] != 0:
-            return False, (mask, 0)
-    return True, None
+def _check_safety(E: EffFn, proper=False):
+    hit = _first(_rows(E, proper)[:, 0] != 0)
+    if hit is None:
+        return True, None
+    return False, (int(hit[0]), 0)
 
 
 def _check_principal(E: EffFn):
-    """Search every candidate generator g for the displayed principal shape.
+    """Whether the empty coalition's accepted set is a principal upset.
 
-    The n-fold odot power of any g is the characteristic vector of its
-    top-valued coordinates, so candidates reduce to outcome subsets.
+    The n-fold odot power of any generator g is the characteristic vector
+    of its top-valued coordinates, so candidates reduce to outcome subsets.
+    A subset G generates the accepted set A only if every member of A is
+    top on G, and the assessment that is top exactly on G is in A; so the
+    one candidate is the set of coordinates top on every member of A (all
+    of them when A is empty, whose upset holds the top assessment).
     """
     geo = E.geometry()
-    ones = E.rows()[0] == E.n
-    for combo_size in range(geo.size + 1):
-        for combo in itertools.combinations(range(geo.size), combo_size):
-            upset = np.ones(geo.count, dtype=bool)
-            for j in combo:
-                upset &= geo.tuples[:, j] == E.n
-            if np.array_equal(upset, ones):
-                return True, None
-    return False, None
+    accepted = E.rows()[0] == E.n
+    generator = geo.on_top[accepted].all(axis=0)
+    upset = geo.on_top[:, generator].all(axis=1)
+    return bool(np.array_equal(upset, accepted)), None
 
 
 def _check_semi_playable(E: EffFn):
-    full = (1 << E.k) - 1
-    proper = [m for m in range(1 << E.k) if m != full]
-    ok, w = _check_outcome_monotonic(E, masks=proper)
+    ok, w = _check_outcome_monotonic(E, proper=True)
     if not ok:
         return False, ("outcome_monotonic",) + w
-    ok, w = _check_liveness(E, masks=proper)
+    ok, w = _check_liveness(E, proper=True)
     if not ok:
         return False, ("liveness",) + w
-    ok, w = _check_safety(E, masks=proper)
+    ok, w = _check_safety(E, proper=True)
     if not ok:
         return False, ("safety",) + w
     ok, w = _check_superadditive(E, proper_unions_only=True)
@@ -519,19 +645,17 @@ def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
     """
     if E.n == 1:
         return E
-    idem = E.geometry().idempotent_mask
-    values = E.rows()[:, idem]
+    idem = E.geometry().idempotent_idx
+    values = E.rows().take(idem, axis=1)
     if strict:
-        bad = np.argwhere((values != 0) & (values != E.n))
-        if bad.size:
-            mask, j = (int(x) for x in bad[0])
-            fi = int(np.nonzero(idem)[0][j])
+        hit = _first((values != 0) & (values != E.n))
+        if hit is not None:
+            mask, j = (int(x) for x in hit)
             raise NotHomogeneous(
-                f"skeleton cell (coalition {mask}, assessment {fi}) "
+                f"skeleton cell (coalition {mask}, assessment {int(idem[j])}) "
                 f"has value {int(values[mask, j])}/{E.n}"
             )
-    table = (values == E.n).astype(np.int64).tolist()
-    return EffFn(chain=BOOL_CHAIN, k=E.k, outcomes=E.outcomes, table=table)
+    return EffFn(chain=BOOL_CHAIN, k=E.k, outcomes=E.outcomes, table=values == E.n)
 
 
 def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
@@ -548,19 +672,10 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
         return H
     n = chain.n
     geo = _geometry(n, H.num_outcomes)
-    bool_geo = _geometry(1, H.num_outcomes)
-    h_rows = H.rows()
-    # thresholded assessment, re-encoded in base 2
-    tau_bool_idx = [
-        ((geo.tuples >= i).astype(np.int64) @ bool_geo.powers) for i in range(1, n + 1)
-    ]
-    table = []
-    for mask in range(1 << H.k):
-        values = np.zeros(geo.count, dtype=np.int64)
-        for i in range(1, n + 1):
-            accepted = h_rows[mask][tau_bool_idx[i - 1]] == 1
-            values[accepted] = i
-        table.append([int(v) for v in values])
+    levels = np.arange(1, n + 1, dtype=_value_dtype(n))[:, None]
+    # (masks, i, assessments): i where tau_i(f) is accepted, else 0
+    accepted = H.rows().take(geo.tau_bool_idx, axis=1)
+    table = (accepted * levels).max(axis=1)
     return EffFn(chain=chain, k=H.k, outcomes=H.outcomes, table=table)
 
 

@@ -172,6 +172,17 @@ def test_missing_file_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_check_over_the_dense_budget_exit_2(runner, tmp_path):
+    # non-homogeneous, k = 2, n = 2, 9 outcomes: 9 pairs x 3^18 cells
+    E = effectivity_table(random_game_form(random.Random(3), 2, 9), Chain(2))
+    doc = E.to_doc()
+    doc["table"]["{}"][-1] = 1
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["check", str(tmp_path / "big.json")])
+    assert result.exit_code == 2
+    assert "budget" in result.output
+
+
 def test_document_missing_key_exit_2(runner, workdir):
     (workdir / "short.json").write_text(json.dumps({"kind": "effectivity", "n": 1}))
     result = runner.invoke(main, ["check", str(workdir / "short.json")])

@@ -184,23 +184,29 @@ def test_definable_blocks_match_closure(seed, n, size, synthetic):
 
 
 def test_each_distinct_table_is_checked_once(monkeypatch):
-    rng = random.Random(8)
-    chain = Chain(2)
-    base = random_playable_model(rng, chain, 4)
-    # two pairs of equal tables
-    M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
-    expect = playable_filtration(M, parse("[{1}]p1 -> p2", 2))
-    checked = []
+    # at n = 1 a skeleton is its table and so is its lift
+    mu = parse("[{1}]p1 -> p2", 2)
+    for n in (2, 1):
+        chain = Chain(n)
+        base = random_playable_model(random.Random(8), chain, 4)
+        # two pairs of equal tables
+        M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
+        expect = playable_filtration(M, mu)
+        tables = intermediate_filtration(M, mu).model.eff
+        built = {boolean_skeleton(E, strict=False) for E in tables}
+        checked = []
 
-    def counting_check(E):
-        checked.append(E)
-        return check_playability(E)
+        def counting_check(E):
+            checked.append(E)
+            return check_playability(E)
 
-    monkeypatch.setattr(filtration, "check_playability", counting_check)
-    result = playable_filtration(M, parse("[{1}]p1 -> p2", 2))
-    assert result == expect
-    assert len(checked) == len(set(checked))
-    assert set(M.eff) <= set(checked)
+        monkeypatch.setattr(filtration, "check_playability", counting_check)
+        result = playable_filtration(M, mu)
+        monkeypatch.undo()
+        assert result == expect
+        assert len(checked) == len(set(checked))
+        # every table built still gets a verdict
+        assert set(M.eff) | built | set(result.model.eff) <= set(checked)
 
 
 def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mveff.corpus import (
 )
 from mveff.errors import (
     BadDocument,
+    BudgetExceeded,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
@@ -65,11 +68,46 @@ def test_geometry_tuples_follow_enumeration_order():
             assert not tuples.flags.writeable
 
 
+def test_table_from_lists_equals_table_from_array():
+    E = _game_table(2)
+    from_lists = EffFn(E.chain, E.k, E.outcomes, [list(row) for row in E.table])
+    from_array = EffFn(E.chain, E.k, E.outcomes, np.array(E.table, dtype=np.int64))
+    assert from_lists == from_array == E
+    assert hash(from_lists) == hash(from_array) == hash(E)
+    assert from_lists != EffFn(E.chain, E.k, ("x", "y"), from_array.rows())
+    assert from_lists.rows().dtype == np.int8
+
+
+def test_table_view_is_tuples_of_ints():
+    E = _game_table(2)
+    assert isinstance(E.table, tuple)
+    assert all(isinstance(row, tuple) for row in E.table)
+    assert all(type(v) is int for row in E.table for v in row)
+    assert E.table == tuple(tuple(row) for row in E.rows().tolist())
+
+
+def test_rows_are_read_only():
+    E = _game_table(2)
+    assert E.rows() is E.rows()
+    with pytest.raises(ValueError):
+        E.rows()[0, 0] = 1
+    source = np.array(E.table)
+    copy = EffFn(E.chain, E.k, E.outcomes, source)
+    source[0, 0] = 1  # the table keeps its own cells
+    assert copy == E
+    with pytest.raises(AttributeError):
+        E.k = 3
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         EffFn(Chain(1), 2, ("a", "b"), [[0, 0, 0, 1]] * 3)
     with pytest.raises(ValueError):
         EffFn(Chain(1), 2, ("a", "b"), [[0, 0, 0, 2]] * 4)
+    with pytest.raises(ValueError, match="shape"):
+        EffFn(Chain(1), 2, ("a", "b"), [[0, 0, 0, 1]] * 3 + [[0, 0, 1]])
+    with pytest.raises(ValueError, match="outside"):
+        EffFn(Chain(1), 2, ("a", "b"), np.full((4, 4), -1))
 
 
 def test_game_form_tables_truly_playable():
@@ -221,26 +259,203 @@ def test_wrong_typed_effectivity_fields():
             EffFn.from_doc({**doc, **bad})
 
 
-# -- the skeleton-first battery against the dense one --------------------------
+# -- an independent oracle: the per-mask loop predicates ----------------------
+#
+# One Python loop per coalition, coordinate and coalition pair, over index
+# arrays built from enumerate_assessments, and a superadditivity scan that
+# holds each pair's whole meet matrix: the loop form of each predicate of
+# the array battery, and the reference for every witness.
+
+
+class _OracleGeometry:
+    def __init__(self, n, size):
+        self.count = (n + 1) ** size
+        self.tuples = np.array(list(enumerate_assessments(n, size)), dtype=np.int64)
+        self.tuples = self.tuples.reshape(self.count, size)
+        powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
+        self.neg_idx = (n - self.tuples) @ powers
+        self.oplus_self_idx = np.minimum(2 * self.tuples, n) @ powers
+        self.odot_self_idx = np.maximum(2 * self.tuples - n, 0) @ powers
+        self.dec_idx = []
+        for j in range(size):
+            dec = self.tuples.copy()
+            dec[:, j] = np.maximum(dec[:, j] - 1, 0)
+            self.dec_idx.append(dec @ powers)
+        meets = np.minimum(self.tuples[:, None, :], self.tuples[None, :, :])
+        self.meet = meets @ powers
+
+
+def _oracle_rows(E):
+    return np.array(E.table, dtype=np.int64), _OracleGeometry(E.n, len(E.outcomes))
+
+
+def _oracle_outcome_monotonic(E, masks=None):
+    rows, geo = _oracle_rows(E)
+    masks = range(1 << E.k) if masks is None else masks
+    for mask in masks:
+        row = rows[mask]
+        for j in range(len(E.outcomes)):
+            bad = np.nonzero(row < row[geo.dec_idx[j]])[0]
+            if bad.size:
+                fi = int(bad[0])
+                return False, (mask, fi, int(geo.dec_idx[j][fi]))
+    return True, None
+
+
+def _oracle_n_maximal(E):
+    rows, geo = _oracle_rows(E)
+    full = (1 << E.k) - 1
+    bad = np.nonzero(E.n - rows[0][geo.neg_idx] > rows[full])[0]
+    if bad.size:
+        return False, (full, int(bad[0]))
+    return True, None
+
+
+def _oracle_regular(E):
+    rows, geo = _oracle_rows(E)
+    full = (1 << E.k) - 1
+    for mask in range(1 << E.k):
+        comp = full & ~mask
+        bad = np.nonzero(rows[mask] > E.n - rows[comp][geo.neg_idx])[0]
+        if bad.size:
+            return False, (mask, int(bad[0]))
+    return True, None
+
+
+def _oracle_superadditive(E, proper_unions_only=False):
+    rows, geo = _oracle_rows(E)
+    full = (1 << E.k) - 1
+    for c1 in range(1 << E.k):
+        # every c2 disjoint from c1, in decreasing order
+        for c2 in range(full, -1, -1):
+            if c1 & c2:
+                continue
+            if proper_unions_only and c1 | c2 == full:
+                continue
+            lhs = np.minimum.outer(rows[c1], rows[c2])
+            bad = (lhs > rows[c1 | c2][geo.meet]).ravel()
+            first = int(bad.argmax())
+            if bad[first]:
+                fi, gi = divmod(first, geo.count)
+                return False, (c1, c2, fi, gi)
+    return True, None
+
+
+def _oracle_coalition_monotonic(E):
+    rows, _ = _oracle_rows(E)
+    for mask in range(1 << E.k):
+        for i in range(E.k):
+            if mask >> i & 1:
+                continue
+            bigger = mask | 1 << i
+            bad = np.nonzero(rows[mask] > rows[bigger])[0]
+            if bad.size:
+                return False, (mask, bigger, int(bad[0]))
+    return True, None
+
+
+def _oracle_homogeneous(E):
+    rows, geo = _oracle_rows(E)
+    n = E.n
+    for mask in range(1 << E.k):
+        row = rows[mask]
+        bad = np.nonzero(row[geo.oplus_self_idx] != np.minimum(2 * row, n))[0]
+        if bad.size:
+            return False, (mask, int(bad[0]), "oplus")
+        bad = np.nonzero(row[geo.odot_self_idx] != np.maximum(2 * row - n, 0))[0]
+        if bad.size:
+            return False, (mask, int(bad[0]), "odot")
+    return True, None
+
+
+def _oracle_liveness(E, masks=None):
+    top = len(E.table[0]) - 1
+    for mask in range(1 << E.k) if masks is None else masks:
+        if E.table[mask][top] != E.n:
+            return False, (mask, top)
+    return True, None
+
+
+def _oracle_safety(E, masks=None):
+    for mask in range(1 << E.k) if masks is None else masks:
+        if E.table[mask][0] != 0:
+            return False, (mask, 0)
+    return True, None
+
+
+def _oracle_principal(E):
+    """Search every outcome subset for a generator of the accepted set."""
+    _, geo = _oracle_rows(E)
+    ones = np.array(E.table[0]) == E.n
+    size = len(E.outcomes)
+    for combo_size in range(size + 1):
+        for combo in itertools.combinations(range(size), combo_size):
+            upset = np.ones(geo.count, dtype=bool)
+            for j in combo:
+                upset &= geo.tuples[:, j] == E.n
+            if np.array_equal(upset, ones):
+                return True, None
+    return False, None
+
+
+def _oracle_semi_playable(E):
+    proper = range((1 << E.k) - 1)
+    for name, check in (
+        ("outcome_monotonic", lambda: _oracle_outcome_monotonic(E, proper)),
+        ("liveness", lambda: _oracle_liveness(E, proper)),
+        ("safety", lambda: _oracle_safety(E, proper)),
+        ("superadditive", lambda: _oracle_superadditive(E, proper_unions_only=True)),
+    ):
+        ok, w = check()
+        if not ok:
+            return False, (name,) + w
+    return True, None
+
+
+_ORACLE = {
+    "outcome_monotonic": _oracle_outcome_monotonic,
+    "N_maximal": _oracle_n_maximal,
+    "regular": _oracle_regular,
+    "superadditive": _oracle_superadditive,
+    "coalition_monotonic": _oracle_coalition_monotonic,
+    "homogeneous": _oracle_homogeneous,
+    "liveness": _oracle_liveness,
+    "safety": _oracle_safety,
+    "principal": _oracle_principal,
+    "semi_playable": _oracle_semi_playable,
+}
+
+
+def _report(E, check):
+    """The report doc built from check(E, name) -> (holds, witness)."""
+    checks = {name: check(E, name) for name in (*PROPERTY_NAMES, "semi_playable")}
+    playable = all(checks[name][0] for name in PLAYABLE_PARTS)
+    semi = checks.pop("semi_playable")
+    witnesses = {name: w for name, (_, w) in checks.items() if w is not None}
+    if semi[1] is not None:
+        witnesses["semi_playable"] = semi[1]
+    return PlayabilityReport(
+        properties={name: holds for name, (holds, _) in checks.items()},
+        witnesses=witnesses,
+        semi_playable=semi[0],
+        playable=playable,
+        truly_playable=playable and checks["principal"][0],
+    ).to_doc()
 
 
 def _dense_report(E):
-    """Reference: every predicate run on the full table itself."""
-    checks = {name: check_property(E, name) for name in PROPERTY_NAMES}
-    semi = check_property(E, "semi_playable")
-    witnesses = {
-        name: check.witness
-        for name, check in [*checks.items(), ("semi_playable", semi)]
-        if check.witness is not None
-    }
-    playable = all(checks[name].holds for name in PLAYABLE_PARTS)
-    return PlayabilityReport(
-        properties={name: check.holds for name, check in checks.items()},
-        witnesses=witnesses,
-        semi_playable=semi.holds,
-        playable=playable,
-        truly_playable=playable and checks["principal"].holds,
-    ).to_doc()
+    """Reference: every oracle predicate run on the full table itself."""
+    return _report(E, lambda E, name: _ORACLE[name](E))
+
+
+def _battery_check(E, name):
+    check = check_property(E, name)
+    return check.holds, check.witness
+
+
+def _battery_report(E):
+    """Every predicate of the array battery run on the full table itself."""
+    return _report(E, _battery_check)
 
 
 @st.composite
@@ -292,6 +507,45 @@ def test_playability_report_matches_dense_battery(E):
     assert check_playability(E).to_doc() == _dense_report(E)
 
 
+@st.composite
+def _boolean_inputs(draw):
+    """k = 3 two-valued tables that fail some predicates: random upsets,
+    upsets with one cell flipped, and uniform random rows."""
+    size = draw(st.integers(1, 3))
+    style = draw(st.sampled_from(("upset", "perturbed upset", "uniform")))
+    if style == "uniform":
+        rows = [
+            draw(st.lists(st.integers(0, 1), min_size=1 << size, max_size=1 << size))
+            for _ in range(8)
+        ]
+        return EffFn(BOOL, 3, state_names(size), rows)
+    E = draw(_upset_table(1, 3, size))
+    if style == "perturbed upset":
+        rows = E.rows().copy()
+        mask = draw(st.integers(0, 7))
+        fi = draw(st.integers(0, (1 << size) - 1))
+        rows[mask, fi] = 1 - rows[mask, fi]
+        E = EffFn(BOOL, 3, E.outcomes, rows)
+    return E
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boolean_inputs(), st.data())
+def test_boolean_battery_matches_oracle_in_split_chunks(E, data):
+    # n = 1: no skeleton, the battery runs on the table itself.  The pair
+    # stack (27 pairs, 19 with a proper union) is cut into chunks of 2-5
+    # pairs and a cell remainder, or one pair per chunk in row blocks.
+    per_pair = len(E.table[0]) ** 2
+    pairs = data.draw(st.integers(2, 5))
+    stack_cap = pairs * per_pair + data.draw(st.integers(0, per_pair - 1))
+    meet_cap = data.draw(st.sampled_from((1 << 22, per_pair - 1)))
+    with mock.patch.object(tables, "_STACK_CAP", stack_cap), mock.patch.object(
+        tables, "_MEET_MATRIX_CAP", meet_cap
+    ):
+        assert check_playability(E).to_doc() == _dense_report(E)
+        assert _battery_report(E) == _dense_report(E)
+
+
 def test_superadditivity_blocks_match_one_block(monkeypatch):
     rng = random.Random(5)
     inputs = [
@@ -299,8 +553,10 @@ def test_superadditivity_blocks_match_one_block(monkeypatch):
         for _ in range(40)
     ]
     expected = [_dense_report(E) for E in inputs]
+    # one pair per chunk, in row blocks of the meet index
     monkeypatch.setattr(tables, "_MEET_MATRIX_CAP", 50)
-    assert [_dense_report(E) for E in inputs] == expected
+    assert [_battery_report(E) for E in inputs] == expected
+    assert [check_playability(E).to_doc() for E in inputs] == expected
 
 
 def test_dense_battery_past_one_meet_block():
@@ -325,3 +581,25 @@ def test_dense_battery_past_one_meet_block():
         > full[encode_assessment(tuple(map(min, f, decode_assessment(gi, 2, 8))), 2)]
     )
     assert report.witnesses["superadditive"] == (0, 3, fstar, gi)
+
+
+def _over_budget_table():
+    """A non-homogeneous k = 2, n = 2 table on 9 outcomes: its dense
+    superadditivity scan is 9 pairs x 3^18 cells."""
+    E = effectivity_table(random_game_form(random.Random(3), 2, 9), Chain(2))
+    rows = E.rows().copy()
+    rows[0, -1] = 1  # a middle value at the top assessment
+    return EffFn(E.chain, E.k, E.outcomes, rows)
+
+
+def test_dense_battery_budget():
+    E = _over_budget_table()
+    assert not check_property(E, "homogeneous").holds
+    count = len(E.table[0])
+    assert 9 * count * count > tables._DENSE_CELL_BUDGET
+    with pytest.raises(BudgetExceeded):
+        check_playability(E)
+    with pytest.raises(BudgetExceeded):
+        check_property(E, "superadditive")
+    # the 6561-assessment table of the test above stays under it
+    assert 9 * 3**16 <= tables._DENSE_CELL_BUDGET
