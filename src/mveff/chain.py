@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import ChainMismatch, IndexOutOfRange, OutOfUnitInterval
+from .errors import ChainMismatch, IndexOutOfRange, InvalidInput, OutOfUnitInterval
 
 TAU_OPLUS = "oplus"
 TAU_ODOT = "odot"
@@ -31,7 +31,7 @@ class Chain:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"chain parameter must be >= 1, got {self.n}")
+            raise InvalidInput(f"chain parameter must be >= 1, got {self.n}")
 
     def value(self, num: int) -> "TruthValue":
         return TruthValue(num, self)
@@ -61,7 +61,7 @@ class TruthValue:
 
     def __post_init__(self):
         if not 0 <= self.num <= self.chain.n:
-            raise ValueError(f"numerator {self.num} outside 0..{self.chain.n}")
+            raise InvalidInput(f"numerator {self.num} outside 0..{self.chain.n}")
 
     def _check(self, other: "TruthValue") -> None:
         if self.chain != other.chain:
@@ -70,9 +70,6 @@ class TruthValue:
     @property
     def n(self) -> int:
         return self.chain.n
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.n)
 
     # -- MV operations ------------------------------------------------------
 
@@ -150,9 +147,6 @@ class TauTerm:
         for op in self.ops:
             num = tau_oplus_num(num, n) if op == TAU_OPLUS else tau_odot_num(num, n)
         return num
-
-    def apply(self, x: TruthValue) -> TruthValue:
-        return TruthValue(self.apply_num(x.num, x.chain.n), x.chain)
 
     def table(self, chain: Chain) -> tuple[int, ...]:
         return tuple(self.apply_num(num, chain.n) for num in range(chain.n + 1))

@@ -3,7 +3,7 @@
 Each subcommand reads self-describing JSON documents (a "kind" field names
 the document type), writes one document or a text rendering to stdout, and
 exits 0 on success, 1 when the checked property fails or a countermodel is
-found, 2 on errors.
+found, 2 on errors: an MveffError or an OSError, mapped in one place.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import click
 
 from .chain import Chain
 from .decide import LOGIC_PN, LOGIC_TPN, search_countermodel
-from .errors import MveffError, check_document
+from .errors import BadDocument, MveffError, check_document
 from .filtration import (
     STAGE_ENRICHED,
     STAGE_INTERMEDIATE,
@@ -37,13 +37,24 @@ from .tables import (
 
 
 def _read_doc(path: str) -> dict:
-    if path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path) as handle:
-            doc = json.load(handle)
+    try:
+        if path == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        source = "standard input" if path == "-" else path
+        raise BadDocument(f"{source} is not a UTF-8 JSON document: {exc}") from exc
     check_document(doc, ())
     return doc
+
+
+def _model_and_formula(path: str, text: str):
+    """The model document at path, and the formula parsed in its dialect."""
+    model = LnModel.from_doc(_read_doc(path))
+    dialect = DIALECT_LPLUS if isinstance(model, EnrichedLnModel) else DIALECT_L
+    return model, parse(text, model.k, dialect=dialect, chain=model.chain)
 
 
 def _emit(doc: dict, fmt: str):
@@ -56,17 +67,28 @@ def _emit(doc: dict, fmt: str):
             click.echo(f"{key}: {json.dumps(value, sort_keys=True)}")
 
 
-def _fail(exc: Exception):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(2)
-
-
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="json"
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one place an error becomes exit 2.  A
+    RecursionError can only come from a deeply nested formula: _read_doc
+    turns one from a deeply nested document into a BadDocument."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (MveffError, OSError) as exc:
+            message = str(exc)
+        except RecursionError:
+            message = "formula nested too deeply"
+        click.echo(f"error: {message}", err=True)
+        ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact chain-valued effectivity toolkit."""
 
@@ -78,11 +100,8 @@ def main():
 @_format_option
 def cmd_effectivity(game_form_file, n, budget_cells, fmt):
     """Full effectivity table of a game form document."""
-    try:
-        form = GameForm.from_doc(_read_doc(game_form_file))
-        table = effectivity_table(form, Chain(n), cell_budget=budget_cells)
-    except (MveffError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    form = GameForm.from_doc(_read_doc(game_form_file))
+    table = effectivity_table(form, Chain(n), cell_budget=budget_cells)
     _emit(table.to_doc(), fmt)
 
 
@@ -96,35 +115,29 @@ def cmd_check(input_file, properties, fmt):
     With no explicit properties the full report is produced; the exit code
     is 1 as soon as any requested property fails.
     """
-    try:
-        doc = _read_doc(input_file)
-        kind = doc.get("kind", "effectivity")
-        if kind in ("model", "enriched-model"):
-            model = LnModel.from_doc(doc)
-            results = {}
-            for j, E in enumerate(model.eff):
-                results[model.states[j]] = check_playability(E).to_doc()
-            out = {"kind": "model-check", "per_state": results}
-            if isinstance(model, EnrichedLnModel):
-                out["standard"] = is_standard(model)
-            verdict = all(
-                r["truly_playable"] for r in results.values()
-            ) and out.get("standard", True)
+    doc = _read_doc(input_file)
+    kind = doc.get("kind", "effectivity")
+    if kind in ("model", "enriched-model"):
+        model = LnModel.from_doc(doc)
+        results = {u: check_playability(E).to_doc() for u, E in zip(model.states, model.eff)}
+        out = {"kind": "model-check", "per_state": results}
+        if isinstance(model, EnrichedLnModel):
+            out["standard"] = is_standard(model)
+        playable = all(r["truly_playable"] for r in results.values())
+        verdict = playable and out.get("standard", True)
+    else:
+        E = EffFn.from_doc(doc)
+        if properties:
+            out = {"kind": "property-check"}
+            verdict = True
+            for prop in properties:
+                check = check_property(E, prop)
+                out[prop] = check.holds
+                verdict = verdict and check.holds
         else:
-            E = EffFn.from_doc(doc)
-            if properties:
-                out = {"kind": "property-check"}
-                verdict = True
-                for prop in properties:
-                    check = check_property(E, prop)
-                    out[prop] = check.holds
-                    verdict = verdict and check.holds
-            else:
-                report = check_playability(E)
-                out = report.to_doc()
-                verdict = report.playable
-    except (MveffError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+            report = check_playability(E)
+            out = report.to_doc()
+            verdict = report.playable
     _emit(out, fmt)
     sys.exit(0 if verdict else 1)
 
@@ -136,15 +149,8 @@ def cmd_check(input_file, properties, fmt):
 @_format_option
 def cmd_eval(model_file, formula_text, state, fmt):
     """Value of a formula in a model, per state or at one state."""
-    try:
-        model = LnModel.from_doc(_read_doc(model_file))
-        dialect = (
-            DIALECT_LPLUS if isinstance(model, EnrichedLnModel) else DIALECT_L
-        )
-        phi = parse(formula_text, model.k, dialect=dialect, chain=model.chain)
-        values = eval_vector(model, phi)
-    except (MveffError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    model, phi = _model_and_formula(model_file, formula_text)
+    values = eval_vector(model, phi)
     if state is not None:
         value = values[model.state_index(state)]
         _emit({"kind": "value", "state": state, "value": value, "n": model.n}, fmt)
@@ -158,32 +164,27 @@ def cmd_eval(model_file, formula_text, state, fmt):
     sys.exit(0 if all(v == model.n for v in values) else 1)
 
 
+_FILTRATIONS = {
+    STAGE_INTERMEDIATE: intermediate_filtration,
+    STAGE_PLAYABLE: playable_filtration,
+    STAGE_ENRICHED: enriched_filtration,
+}
+
+
 @main.command("filter")
 @click.argument("model_file")
 @click.argument("formula_text")
 @click.option(
     "--stage",
-    type=click.Choice([STAGE_INTERMEDIATE, STAGE_PLAYABLE, STAGE_ENRICHED]),
+    type=click.Choice(list(_FILTRATIONS)),
     default=STAGE_PLAYABLE,
     show_default=True,
 )
 @_format_option
 def cmd_filter(model_file, formula_text, stage, fmt):
     """Filtration of a model by a formula, at the chosen stage."""
-    try:
-        model = LnModel.from_doc(_read_doc(model_file))
-        dialect = (
-            DIALECT_LPLUS if isinstance(model, EnrichedLnModel) else DIALECT_L
-        )
-        phi = parse(formula_text, model.k, dialect=dialect, chain=model.chain)
-        if stage == STAGE_INTERMEDIATE:
-            result = intermediate_filtration(model, phi)
-        elif stage == STAGE_PLAYABLE:
-            result = playable_filtration(model, phi)
-        else:
-            result = enriched_filtration(model, phi)
-    except (MveffError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    model, phi = _model_and_formula(model_file, formula_text)
+    result = _FILTRATIONS[stage](model, phi)
     doc = result.model.to_doc()
     doc["class_map"] = result.quotient.to_doc()["classes"]
     _emit(doc, fmt)
@@ -195,11 +196,8 @@ def cmd_filter(model_file, formula_text, stage, fmt):
 @_format_option
 def cmd_synthesize(effectivity_file, budget_strategies, fmt):
     """A game form realizing a truly playable effectivity table."""
-    try:
-        E = EffFn.from_doc(_read_doc(effectivity_file))
-        form = synthesize_game_form(E, budget=budget_strategies)
-    except (MveffError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    E = EffFn.from_doc(_read_doc(effectivity_file))
+    form = synthesize_game_form(E, budget=budget_strategies)
     _emit(form.to_doc(), fmt)
 
 
@@ -220,21 +218,18 @@ def cmd_synthesize(effectivity_file, budget_strategies, fmt):
 @_format_option
 def cmd_decide(formula_text, logic, n, players, max_states, strategy, seed, fmt):
     """Countermodel search; exit 1 when a countermodel is found."""
-    try:
-        chain = Chain(n)
-        dialect = DIALECT_LPLUS if logic == LOGIC_TPN else DIALECT_L
-        phi = parse(formula_text, players, dialect=dialect, chain=chain)
-        verdict = search_countermodel(
-            phi,
-            logic=logic,
-            max_states=max_states,
-            strategy=strategy,
-            chain=chain,
-            players=players,
-            seed=seed,
-        )
-    except (MveffError, ValueError, OSError) as exc:
-        _fail(exc)
+    chain = Chain(n)
+    dialect = DIALECT_LPLUS if logic == LOGIC_TPN else DIALECT_L
+    phi = parse(formula_text, players, dialect=dialect, chain=chain)
+    verdict = search_countermodel(
+        phi,
+        logic=logic,
+        max_states=max_states,
+        strategy=strategy,
+        chain=chain,
+        players=players,
+        seed=seed,
+    )
     _emit(verdict.to_doc(), fmt)
     sys.exit(1 if verdict.model is not None else 0)
 
@@ -245,11 +240,8 @@ def cmd_decide(formula_text, logic, n, players, max_states, strategy, seed, fmt)
 @_format_option
 def cmd_lift(boolean_effectivity_file, n, fmt):
     """Canonical chain-valued lift of a playable Boolean table."""
-    try:
-        H = EffFn.from_doc(_read_doc(boolean_effectivity_file))
-        E = lift_boolean(H, Chain(n))
-    except (MveffError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _fail(exc)
+    H = EffFn.from_doc(_read_doc(boolean_effectivity_file))
+    E = lift_boolean(H, Chain(n))
     _emit(E.to_doc(), fmt)
 
 

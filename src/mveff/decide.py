@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .chain import Chain
 from .corpus import random_enriched_model, random_playable_model
-from .errors import BudgetExceeded, DialectViolation, VerificationFailed
+from .errors import BudgetExceeded, DialectViolation, InvalidInput, VerificationFailed
 from .formulas import (
     Box,
     BoxO,
@@ -89,6 +89,15 @@ class _Signatures:
     """The consistent value signatures on the subformulas of a query."""
 
     def __init__(self, phi: Formula, chain: Chain, players: int):
+        if players < 2:
+            raise InvalidInput(f"need at least 2 players, got {players}")
+        # elimination visits every pair of the 2^players coalition rows; the
+        # budget is a power of 2, so 4^players > budget compares exponents
+        if 2 * players >= DEFAULT_VALUATION_BUDGET.bit_length():
+            raise BudgetExceeded(
+                f"{players} players give 4^{players} coalition row pairs, "
+                f"over budget {DEFAULT_VALUATION_BUDGET}"
+            )
         self.phi = phi
         self.chain = chain
         self.subs = subformulas(phi)  # children before parents
@@ -96,7 +105,7 @@ class _Signatures:
         self.players = players
         for f in self.subs:
             if isinstance(f, Box) and f.coalition.k != players:
-                raise ValueError("coalitions sized for a different player count")
+                raise InvalidInput("coalitions sized for a different player count")
         self.free = tuple(
             f for f in self.subs if isinstance(f, (Prop, Box, BoxO))
         )
@@ -344,11 +353,11 @@ def search_countermodel(
     if chain is None:
         chain = Chain(1)
     if logic not in (LOGIC_PN, LOGIC_TPN):
-        raise ValueError(f"unknown logic {logic!r}")
+        raise InvalidInput(f"unknown logic {logic!r}")
     if logic == LOGIC_PN and uses_outcome_modality(phi):
         raise DialectViolation("[O] formulas belong to the enriched logic")
     if max_states < 1:
-        raise ValueError("max_states must be positive")
+        raise InvalidInput("max_states must be positive")
     signatures = _Signatures(phi, chain, players)
     bound = (chain.n + 1) ** len(signatures.subs)
     phi_pos = signatures.index[phi]
@@ -356,7 +365,7 @@ def search_countermodel(
     if strategy == "randomized":
         return _randomized_search(phi, logic, max_states, chain, players, seed, samples, bound)
     if strategy != "exhaustive":
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise InvalidInput(f"unknown strategy {strategy!r}")
 
     # greatest fixpoint of per-state realizability
     survivors = list(signatures.all())
@@ -455,7 +464,7 @@ def soundness_suite(logic: str, models, chain: Chain, players: int = 2) -> dict:
     elif logic == LOGIC_TPN:
         axioms = tpn_axioms(players, chain)
     else:
-        raise ValueError(f"unknown logic {logic!r}")
+        raise InvalidInput(f"unknown logic {logic!r}")
     failures = []
     axiom_results = {}
     for name, schema in axioms:

@@ -5,6 +5,10 @@ class MveffError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInput(MveffError, ValueError):
+    """An argument outside the operation's domain; also a ValueError."""
+
+
 class ChainMismatch(MveffError):
     """Two truth values from different chains were combined."""
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .chain import TAU_OPLUS, Chain, synthesize_tau_term
-from .errors import DialectViolation, FormulaSyntaxError, UnknownPlayer
+from .errors import DialectViolation, FormulaSyntaxError, InvalidInput, UnknownPlayer
 
 DIALECT_L = "L"
 DIALECT_LPLUS = "L+"
@@ -47,6 +47,16 @@ class Coalition:
                 raise UnknownPlayer(f"player {p} outside 1..{k}")
             mask |= 1 << (p - 1)
         return cls(mask, k)
+
+    @classmethod
+    def parse(cls, text: str, k: int) -> "Coalition | None":
+        """The coalition written N or {i,j,...}, or None for other text."""
+        text = text.strip()
+        if text == "N":
+            return cls.grand(k)
+        if not re.fullmatch(r"\{\s*(?:\d+(?:\s*,\s*\d+)*)?\s*\}", text):
+            return None
+        return cls.of([int(p) for p in re.findall(r"\d+", text)], k)
 
     @classmethod
     def empty(cls, k: int) -> "Coalition":
@@ -366,12 +376,9 @@ class _Parser:
                 if self.dialect != DIALECT_LPLUS:
                     raise DialectViolation("[O] is not part of the O-free language")
                 return BoxO(self.unary())
-            if body == "N":
-                coalition = Coalition.grand(self.k)
-            else:
-                inner = body[1:-1].strip()
-                players = [int(p) for p in inner.split(",")] if inner else []
-                coalition = Coalition.of(players, self.k)
+            coalition = Coalition.parse(body, self.k)
+            if coalition is None:
+                raise FormulaSyntaxError(f"malformed coalition {body!r}", pos)
             return Box(coalition, self.unary())
         if kind == "tau":
             i = int(text[4:-1])
@@ -398,5 +405,5 @@ def parse(
     chain-independent.
     """
     if dialect not in (DIALECT_L, DIALECT_LPLUS):
-        raise ValueError(f"unknown dialect {dialect!r}")
+        raise InvalidInput(f"unknown dialect {dialect!r}")
     return _Parser(_tokenize(text), players, dialect, chain).parse()

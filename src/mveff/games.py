@@ -21,6 +21,7 @@ from .errors import (
     BadDocument,
     BudgetExceeded,
     EmptyProfileSet,
+    InvalidInput,
     check_document,
     check_field,
 )
@@ -40,18 +41,18 @@ class GameForm:
     def __post_init__(self):
         k = len(self.strategy_counts)
         if k < 2:
-            raise ValueError("a game form needs at least 2 players")
+            raise InvalidInput("a game form needs at least 2 players")
         if len(self.outcomes) < 1:
-            raise ValueError("a game form needs at least 1 outcome")
+            raise InvalidInput("a game form needs at least 1 outcome")
         if any(m < 1 for m in self.strategy_counts):
-            raise ValueError("strategy sets must be nonempty")
+            raise InvalidInput("strategy sets must be nonempty")
         expected = int(np.prod(self.strategy_counts))
         if len(self.outcome_map) != expected:
-            raise ValueError(
+            raise InvalidInput(
                 f"outcome map has {len(self.outcome_map)} entries, expected {expected}"
             )
         if any(not 0 <= o < len(self.outcomes) for o in self.outcome_map):
-            raise ValueError("outcome map points outside the outcome set")
+            raise InvalidInput("outcome map points outside the outcome set")
 
     @property
     def k(self) -> int:
@@ -127,22 +128,8 @@ def _joint_strategies(form: GameForm, mask: int):
 def boolean_effectivity(form: GameForm, coalition: Coalition, target: Iterable[int]) -> bool:
     """Whether the coalition can force the outcome into the target set."""
     target = frozenset(target)
-    inside, inside_joints = _joint_strategies(form, coalition.mask)
-    outside, outside_joints = _joint_strategies(form, coalition.complement().mask)
-    profile = [0] * form.k
-    for joint_in in inside_joints:
-        for i, s in zip(inside, joint_in):
-            profile[i] = s
-        forced = True
-        for joint_out in outside_joints:
-            for i, s in zip(outside, joint_out):
-                profile[i] = s
-            if form.outcome_of(profile) not in target:
-                forced = False
-                break
-        if forced:
-            return True
-    return False
+    indicator = [int(o in target) for o in range(len(form.outcomes))]
+    return mv_effectivity(form, Chain(1), coalition, indicator).num == 1
 
 
 def mv_effectivity(
@@ -155,7 +142,7 @@ def mv_effectivity(
     coalition the inner min does.
     """
     if len(f) != len(form.outcomes):
-        raise ValueError("assessment length does not match the outcome set")
+        raise InvalidInput("assessment length does not match the outcome set")
     inside, inside_joints = _joint_strategies(form, coalition.mask)
     outside, outside_joints = _joint_strategies(form, coalition.complement().mask)
     profile = [0] * form.k
@@ -234,7 +221,7 @@ def from_social_choice(
     for declared in itertools.product(profiles, repeat=k):
         chosen = frozenset(correspondence(declared))
         if chosen not in index:
-            raise ValueError(f"correspondence returned a non-subset: {chosen!r}")
+            raise InvalidInput(f"correspondence returned a non-subset: {chosen!r}")
         outcome_map.append(index[chosen])
     return GameForm(
         strategy_counts=(len(profiles),) * k,

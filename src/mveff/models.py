@@ -16,14 +16,17 @@ n <= 63, and the budget on V is checked before it is allocated.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import Chain, TruthValue
 from .errors import (
+    BadDocument,
     BudgetExceeded,
     DialectViolation,
+    InvalidInput,
     UnknownProposition,
     check_document,
     check_field,
@@ -75,15 +78,15 @@ class LnModel:
             valuation = tuple(sorted((p, tuple(row)) for p, row in valuation))
         object.__setattr__(self, "valuation", valuation)
         if len(self.eff) != len(self.states):
-            raise ValueError("need one effectivity table per state")
+            raise InvalidInput("need one effectivity table per state")
         for E in self.eff:
             if E.chain != chain or E.outcomes != self.states:
-                raise ValueError("every table must share the model's chain and states")
+                raise InvalidInput("every table must share the model's chain and states")
         for p, row in self.valuation:
             if len(row) != len(self.states):
-                raise ValueError(f"valuation row for p{p} has wrong length")
+                raise InvalidInput(f"valuation row for p{p} has wrong length")
             if any(not 0 <= v <= chain.n for v in row):
-                raise ValueError(f"valuation of p{p} leaves the chain")
+                raise InvalidInput(f"valuation of p{p} leaves the chain")
 
     @property
     def n(self) -> int:
@@ -98,6 +101,8 @@ class LnModel:
         return len(self.states)
 
     def state_index(self, u) -> int:
+        if not isinstance(u, int) and u not in self.states:
+            raise InvalidInput(f"unknown state {u!r}")
         return u if isinstance(u, int) else self.states.index(u)
 
     def prop_row(self, index: int) -> tuple[int, ...]:
@@ -138,7 +143,13 @@ class LnModel:
             check_document(doc[key], (), states)
         for u in states:
             check_field(doc["val"][u], dict, f"the valuation at {u}", int)
+            for name in doc["val"][u]:
+                if not re.fullmatch(r"p(?:0|[1-9][0-9]*)", name):
+                    raise BadDocument(f"valuation name {name!r} is not p<number>")
         check_field(doc.get("R", []), list, "R", list)
+        for pair in doc.get("R", []):
+            if len(pair) != 2 or any(u not in states for u in pair):
+                raise BadDocument(f"R pair {pair!r} is not two declared states")
         eff = tuple(EffFn.from_doc(doc["E"][u]) for u in states)
         props = sorted(
             {int(name[1:]) for per_state in doc["val"].values() for name in per_state}
@@ -148,10 +159,7 @@ class LnModel:
         }
         model = cls(Chain(doc["n"]), states, eff, valuation)
         if kind == "enriched-model" or "R" in doc:
-            pairs = frozenset(
-                (states.index(u), states.index(v)) for u, v in doc.get("R", [])
-            )
-            return EnrichedLnModel(model.chain, states, eff, valuation, pairs)
+            return EnrichedLnModel(model.chain, states, eff, valuation, doc.get("R", []))
         return model
 
     def to_json(self) -> str:
@@ -171,7 +179,7 @@ class EnrichedLnModel(LnModel):
         )
         for u, v in pairs:
             if not (0 <= u < len(self.states) and 0 <= v < len(self.states)):
-                raise ValueError(f"relation pair ({u}, {v}) outside the state set")
+                raise InvalidInput(f"relation pair ({u}, {v}) outside the state set")
         object.__setattr__(self, "R", pairs)
 
     def successors(self, u: int) -> tuple[int, ...]:

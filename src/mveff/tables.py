@@ -39,6 +39,7 @@ from .chain import Chain
 from .errors import (
     BadDocument,
     BudgetExceeded,
+    InvalidInput,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
@@ -232,15 +233,15 @@ class EffFn:
         """table: nested sequences or an array of shape (2^k, (n+1)^S)."""
         outcomes = tuple(outcomes)
         if len(outcomes) < 1 or k < 2:
-            raise ValueError("need at least 1 outcome and 2 players")
+            raise InvalidInput("need at least 1 outcome and 2 players")
         try:
             rows = np.asarray(table)
         except ValueError:  # ragged rows
             rows = None
         if rows is None or rows.shape != (1 << k, (chain.n + 1) ** len(outcomes)):
-            raise ValueError("table shape does not match (players, outcomes, chain)")
+            raise InvalidInput("table shape does not match (players, outcomes, chain)")
         if rows.dtype.kind not in "biu" or rows.min() < 0 or rows.max() > chain.n:
-            raise ValueError("table entry outside the chain")
+            raise InvalidInput("table entry outside the chain")
         rows = rows.astype(_value_dtype(chain.n))
         rows.flags.writeable = False
         for name, value in (
@@ -333,19 +334,20 @@ class EffFn:
         check_field(k, int, "players")
         check_field(doc["outcomes"], list, "outcomes", str)
         check_field(doc["table"], dict, "table")
+        if k < 2:
+            raise BadDocument(f"players must be at least 2, got {k}")
+        count = len(doc["table"])
+        if count >> k != 1 or count != 1 << k:  # the shift first: no 1 << k for a huge k
+            raise BadDocument(f"{k} players need 2^{k} coalition rows, not {count}")
         rows = {}
         for key, row in doc["table"].items():
             check_field(row, list, f"the row of {key}", int)
-            key = key.strip()
-            if key == "N":
-                mask = (1 << k) - 1
-            else:
-                inner = key.strip("{}").strip()
-                members = [int(p) for p in inner.split(",")] if inner else []
-                mask = Coalition.of(members, k).mask
-            rows[mask] = row
-        if len(rows) != 1 << k:
-            raise BadDocument("effectivity document is missing coalitions")
+            coalition = Coalition.parse(key, k)
+            if coalition is None:
+                raise BadDocument(f"coalition key {key!r} is not N or {{i,j,...}}")
+            if coalition.mask in rows:
+                raise BadDocument(f"two coalition keys name {coalition}")
+            rows[coalition.mask] = row
         return cls(
             chain=Chain(doc["n"]),
             k=k,
@@ -536,6 +538,12 @@ def _check_safety(E: EffFn, proper=False):
     return False, (int(hit[0]), 0)
 
 
+def _forced_range(E: EffFn) -> np.ndarray:
+    """Mask of the outcomes top on every assessment the empty coalition
+    accepts (all of them when it accepts none)."""
+    return E.geometry().on_top[E.rows()[0] == E.n].all(axis=0)
+
+
 def _check_principal(E: EffFn):
     """Whether the empty coalition's accepted set is a principal upset.
 
@@ -543,14 +551,11 @@ def _check_principal(E: EffFn):
     of its top-valued coordinates, so candidates reduce to outcome subsets.
     A subset G generates the accepted set A only if every member of A is
     top on G, and the assessment that is top exactly on G is in A; so the
-    one candidate is the set of coordinates top on every member of A (all
-    of them when A is empty, whose upset holds the top assessment).
+    one candidate is _forced_range(E) (all outcomes when A is empty, whose
+    upset holds the top assessment).
     """
-    geo = E.geometry()
-    accepted = E.rows()[0] == E.n
-    generator = geo.on_top[accepted].all(axis=0)
-    upset = geo.on_top[:, generator].all(axis=1)
-    return bool(np.array_equal(upset, accepted)), None
+    upset = E.geometry().on_top[:, _forced_range(E)].all(axis=1)
+    return bool(np.array_equal(upset, E.rows()[0] == E.n)), None
 
 
 def _check_semi_playable(E: EffFn):
@@ -592,7 +597,7 @@ def check_property(E: EffFn, which: str) -> PropertyCheck:
         report = check_playability(E)
         return PropertyCheck("truly_playable", report.truly_playable)
     if which not in _CHECKS:
-        raise ValueError(f"unknown property {which!r}")
+        raise InvalidInput(f"unknown property {which!r}")
     holds, witness = _CHECKS[which](E)
     return PropertyCheck(which, holds, witness)
 
@@ -665,7 +670,7 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     table accepts; an empty index set gives 0.
     """
     if H.n != 1:
-        raise ValueError("lift expects a Boolean (two-valued) table")
+        raise InvalidInput("lift expects a Boolean (two-valued) table")
     if check_input and not check_playability(H).playable:
         raise NotPlayableInput("lift requires a playable Boolean table")
     if chain.n == 1:
@@ -721,14 +726,7 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
     if not report.truly_playable:
         raise NotTrulyPlayable("synthesis requires a truly playable table")
     H = boolean_skeleton(E)
-    bool_geo = _geometry(1, H.num_outcomes)
-    size = H.num_outcomes
-    # forced range: intersection of all sets accepted by the empty coalition
-    forced = set(range(size))
-    for fi, f in enumerate(bool_geo.tuples):
-        if H.table[0][fi] == 1:
-            forced &= {j for j in range(size) if f[j] == 1}
-    targets = sorted(forced)
+    targets = np.flatnonzero(_forced_range(H)).tolist()
     if not targets:
         raise NotTrulyPlayable("empty forced range; the table violates safety")
 

@@ -11,7 +11,13 @@ from mveff.chain import (
     synthesize_tau_term,
     tau_threshold,
 )
-from mveff.errors import ChainMismatch, IndexOutOfRange, OutOfUnitInterval
+from mveff.errors import (
+    ChainMismatch,
+    IndexOutOfRange,
+    InvalidInput,
+    MveffError,
+    OutOfUnitInterval,
+)
 
 
 def test_chain_elements():
@@ -23,6 +29,14 @@ def test_chain_elements():
 def test_chain_requires_positive_n():
     with pytest.raises(ValueError):
         Chain(0)
+
+
+def test_input_errors_are_typed_value_errors():
+    assert issubclass(InvalidInput, MveffError) and issubclass(InvalidInput, ValueError)
+    with pytest.raises(InvalidInput):
+        Chain(0)
+    with pytest.raises(InvalidInput):
+        TruthValue(5, Chain(2))
 
 
 def test_operations_match_closed_forms():

@@ -227,3 +227,75 @@ def test_determinism_byte_identical(runner, workdir):
     out1 = runner.invoke(main, args).output
     out2 = runner.invoke(main, args).output
     assert out1 == out2
+
+
+@pytest.fixture()
+def malformed(workdir):
+    """The workdir, plus documents that are malformed in one field each."""
+
+    def edit(source, target, change):
+        doc = json.loads((workdir / source).read_text())
+        change(doc)
+        (workdir / target).write_text(json.dumps(doc))
+
+    edit("eff.json", "negative-players.json", lambda d: d.update(players=-1))
+    edit("eff.json", "letter-key.json", lambda d: d["table"].update({"{a}": d["table"].pop("{1}")}))
+    edit("eff.json", "extra-key.json", lambda d: d["table"].update({" {1}": d["table"]["{2}"]}))
+    edit("eff.json", "same-key.json", lambda d: d["table"].update({" {1}": d["table"].pop("{2}")}))
+    edit("model.json", "valuation-name.json", lambda d: d["val"]["s0"].update(px=1))
+    edit("emodel.json", "unknown-r-state.json", lambda d: d["R"].append(["s0", "nope"]))
+    edit("emodel.json", "r-triple.json", lambda d: d["R"].append(["s0", "s1", "s2"]))
+    (workdir / "latin-1.json").write_bytes(b'{"kind": "game-form", "outcomes": ["\xe9"]}')
+    (workdir / "invalid.json").write_text('{"kind": ')
+    (workdir / "deep.json").write_text("[" * 100_000)
+    return workdir
+
+
+_DEEP_NEGATION = "~" * 1000 + "p1"
+_DEEP_PARENTHESES = "(" * 300 + "p1" + ")" * 300
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["effectivity", "latin-1.json"], id="effectivity-not-utf8"),
+        pytest.param(["effectivity", "invalid.json"], id="effectivity-invalid-json"),
+        pytest.param(["check", "negative-players.json"], id="check-negative-players"),
+        pytest.param(["check", "letter-key.json"], id="check-coalition-key"),
+        pytest.param(["check", "extra-key.json"], id="check-extra-coalition-key"),
+        pytest.param(["check", "same-key.json"], id="check-repeated-coalition-key"),
+        pytest.param(["check", "r-triple.json"], id="check-r-triple"),
+        pytest.param(["check", "deep.json"], id="check-deep-json"),
+        pytest.param(["eval", "model.json", "p1", "--state", "nope"], id="eval-unknown-state"),
+        pytest.param(["eval", "valuation-name.json", "p1"], id="eval-valuation-name"),
+        pytest.param(["eval", "model.json", _DEEP_NEGATION], id="eval-deep-negation"),
+        pytest.param(["eval", "model.json", _DEEP_PARENTHESES], id="eval-deep-parentheses"),
+        pytest.param(["eval", "model.json", "[{1,}]p1"], id="eval-malformed-coalition"),
+        pytest.param(["filter", "unknown-r-state.json", "p1"], id="filter-unknown-r-state"),
+        pytest.param(["filter", "model.json", _DEEP_PARENTHESES], id="filter-deep-parentheses"),
+        pytest.param(["synthesize", "invalid.json"], id="synthesize-invalid-json"),
+        pytest.param(["synthesize", "negative-players.json"], id="synthesize-negative-players"),
+        pytest.param(["decide", "1", "--players", "16"], id="decide-player-budget"),
+        pytest.param(["decide", "1", "--players", "-1"], id="decide-negative-players"),
+        pytest.param(["decide", _DEEP_NEGATION], id="decide-deep-negation"),
+        pytest.param(["lift", "letter-key.json", "--n", "2"], id="lift-coalition-key"),
+        pytest.param(["lift", "latin-1.json", "--n", "2"], id="lift-not-utf8"),
+    ],
+)
+def test_malformed_input_exit_2(runner, malformed, args):
+    args = [str(malformed / a) if a.endswith(".json") else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # not an escaped error
+    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_deep_nesting_message(runner, workdir):
+    result = runner.invoke(main, ["eval", str(workdir / "model.json"), _DEEP_NEGATION])
+    assert result.stderr == "error: formula nested too deeply\n"
+
+
+def test_unknown_state_message(runner, workdir):
+    args = ["eval", str(workdir / "model.json"), "p1", "--state", "nope"]
+    assert runner.invoke(main, args).stderr == "error: unknown state 'nope'\n"

@@ -62,6 +62,18 @@ def test_boolean_effectivity_matching_pennies():
     assert boolean_effectivity(g, empty, {0, 1})
 
 
+def test_boolean_effectivity_reads_the_boolean_table():
+    rng = random.Random(1)
+    for _ in range(10):
+        g = random_game_form(rng, 2, 3)
+        table = effectivity_table(g, Chain(1))
+        for mask in range(4):
+            for f in enumerate_assessments(1, 3):
+                target = {j for j, x in enumerate(f) if x}
+                forced = boolean_effectivity(g, Coalition(mask, 2), target)
+                assert forced == (table.value_num(mask, f) == 1)
+
+
 def test_mv_effectivity_is_max_min():
     rng = random.Random(0)
     chain = Chain(3)

@@ -199,6 +199,22 @@ def test_synthesis_round_trip():
         assert effectivity_table(form, E.chain) == E
 
 
+def test_forced_range_is_the_intersection_of_accepted_sets():
+    for seed in range(6):
+        H = _game_table(seed, n=1)
+        accepted = [
+            {j for j, x in enumerate(f) if x}
+            for f, value in zip(enumerate_assessments(1, H.num_outcomes), H.table[0])
+            if value == 1
+        ]
+        forced = set.intersection(*accepted)
+        assert set(np.flatnonzero(tables._forced_range(H)).tolist()) == forced
+        assert synthesize_game_form(H).range_of_outcomes() == forced
+    # an empty coalition that accepts nothing forces nothing away
+    nothing = EffFn(BOOL, 2, state_names(2), [[0, 0, 0, 0]] * 4)
+    assert tables._forced_range(nothing).tolist() == [True, True]
+
+
 def test_synthesis_rejects_non_truly_playable():
     table = [[0, 1, 1, 1]] * 4  # accepts every nonempty set, empty coalition too strong
     E = EffFn(BOOL, 2, state_names(2), table)
