@@ -43,7 +43,9 @@ def _read_doc(path: str) -> dict:
         else:
             with open(path, encoding="utf-8") as handle:
                 doc = json.load(handle)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # a ValueError: undecodable bytes, invalid JSON or, with no class of its
+    # own, an integer of more digits than int() reads
+    except (ValueError, RecursionError) as exc:
         source = "standard input" if path == "-" else path
         raise BadDocument(f"{source} is not a UTF-8 JSON document: {exc}") from exc
     check_document(doc, ())

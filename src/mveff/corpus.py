@@ -107,11 +107,11 @@ def random_eff_table(rng: random.Random, chain: Chain, num_states: int, k: int) 
     if style == 1:
         form = random_game_form(rng, k, num_states)
         E = effectivity_table(form, chain)
-        table = [list(row) for row in E.table]
+        table = E.rows().copy()
         for _ in range(rng.randint(1, 3)):
             mask = rng.randrange(1 << k)
-            fi = rng.randrange(len(table[mask]))
-            table[mask][fi] = rng.randint(0, chain.n)
+            fi = rng.randrange(table.shape[1])
+            table[mask, fi] = rng.randint(0, chain.n)
         return EffFn(chain=chain, k=k, outcomes=E.outcomes, table=table)
     count = (chain.n + 1) ** num_states
     table = [

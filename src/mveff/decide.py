@@ -10,15 +10,28 @@ the surviving set; realizability is preserved when the set grows (a table
 over more outcomes can ignore the new coordinates), which is what makes
 the elimination complete.  A refuting survivor yields a countermodel; an
 empty refuting set at a sufficient state bound certifies theoremhood.
+
+Each elimination round is one `_Round` over the surviving set T.  A set of
+T's states is an int with state j at bit |T| - 1 - j, which is also the
+index of its characteristic assessment in `enumerate_assessments` order, so
+a table row is one array expression.  The round builds the cuts of every
+modal node's argument and the atoms they partition T into once; since
+realizability reads a signature only at its modal nodes, it is decided once
+per distinct projection.  One search tries at most
+DEFAULT_VALUATION_BUDGET candidate sets Z before raising BudgetExceeded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .chain import Chain
 from .corpus import random_enriched_model, random_playable_model
@@ -122,49 +135,158 @@ class _Signatures:
         return tuple(zip(*(values[f][:, 0].tolist() for f in self.subs)))
 
 
-def _box_cell_constraints(sig_state, signatures, T, index, n):
-    """Boolean skeleton cells forced at one state, or None on conflict.
+class _Round:
+    """Realizability over one elimination round's signature set T.
 
-    An exact chain value at a modal cell means the thresholded cell is
-    accepted up to that level and rejected just above it.
+    cuts[b][i - 1] is the set of states where b's argument is at least i/n;
+    `tries` counts the Z candidates of one search across its rounds.
     """
-    cells = {}
-    for b in signatures.boxes:
-        v = sig_state[index[b]]
-        fb = tuple(t[index[b.sub]] for t in T)
-        for i in range(1, n + 1):
-            X = frozenset(j for j, x in enumerate(fb) if x >= i)
-            want = 1 if v >= i else 0
-            key = (b.coalition.mask, X)
-            if cells.setdefault(key, want) != want:
-                return None
-    return cells
+
+    def __init__(self, signatures, T, tries):
+        self.signatures = signatures
+        self.T = T
+        self.size = len(T)
+        self.tries = tries
+        n = signatures.chain.n
+        index = signatures.index
+        self.modal = signatures.boxes + signatures.oboxes
+        self.modal_pos = tuple(index[b] for b in self.modal)
+        self.cuts = {}
+        for b in self.modal:
+            column = [sig[index[b.sub]] for sig in T]
+            self.cuts[b] = tuple(
+                self._set(j for j, x in enumerate(column) if x >= i)
+                for i in range(1, n + 1)
+            )
+        # states with equal membership in every cut, ordered by first state
+        atoms = {}
+        for j in range(self.size):
+            bit = self._set((j,))
+            profile = tuple(bool(cut & bit) for cuts in self.cuts.values() for cut in cuts)
+            atoms[profile] = atoms.get(profile, 0) | bit
+        self.atoms = tuple(atoms.values())
+        self._decided = {}
+
+    def _set(self, states) -> int:
+        return sum(1 << (self.size - 1 - j) for j in states)
+
+    def realizable(self, sig):
+        """The witness (Z, generators) of a state with this signature, or None."""
+        key = tuple(sig[i] for i in self.modal_pos)
+        if key not in self._decided:
+            self._decided[key] = self._decide(dict(zip(self.modal, key)))
+        return self._decided[key]
+
+    def _z_candidates(self):
+        """Unions of atoms, by count: how Z meets every cut is all any check
+        asks, so states of one atom are interchangeable."""
+        for count in range(1, len(self.atoms) + 1):
+            for combo in itertools.combinations(self.atoms, count):
+                yield functools.reduce(operator.or_, combo)
+
+    def _decide(self, value):
+        """The first Z, with the least closed rows of the proper coalitions,
+        that meets every cell the modal values prescribe.
+
+        An exact chain value at a [C] node accepts its argument's cuts up to
+        that level and rejects the ones above; the empty and grand
+        coalitions are determined by Z, and the least closed rows can only
+        help the rejected cells.  min over Z of an [O] argument is v exactly
+        when Z is inside cut v and not inside cut v + 1.
+        """
+        k = self.signatures.players
+        full_mask = (1 << k) - 1
+        everything = (1 << self.size) - 1
+        acc = {mask: set() for mask in range(full_mask + 1)}
+        rej = {mask: set() for mask in range(full_mask + 1)}
+        for b in self.signatures.boxes:
+            for i, X in enumerate(self.cuts[b], 1):
+                (acc if value[b] >= i else rej)[b.coalition.mask].add(X)
+        if any(acc[mask] & rej[mask] for mask in acc):
+            return None
+        # Z lies inside every set the empty coalition accepts, and misses
+        # every set the grand coalition rejects
+        inside = functools.reduce(operator.and_, acc[0], everything)
+        inside &= ~functools.reduce(operator.or_, rej[full_mask], 0)
+        outside = list(rej[0])  # Z lies inside none of these
+        for b in self.signatures.oboxes:
+            cuts = (everything, *self.cuts[b], 0)
+            inside &= cuts[value[b]]
+            outside.append(cuts[value[b] + 1])
+        accepted = {mask: [everything, *acc[mask]] for mask in range(1, full_mask)}
+        for z in self._z_candidates():
+            if next(self.tries) > DEFAULT_VALUATION_BUDGET:
+                raise BudgetExceeded(
+                    f"more than {DEFAULT_VALUATION_BUDGET} Z candidates tried"
+                )
+            if z & ~inside or any(z & X == z for X in outside):
+                continue
+            if not all(z & X for X in acc[full_mask]):
+                continue
+            gens = _closure_generators(k, accepted, z)
+            if any(
+                any(g == 0 or any(X & g == g for X in rej[mask]) for g in sets)
+                for mask, sets in gens.items()
+            ):
+                continue
+            # superadditive pairs whose union is the grand coalition
+            if all(
+                g1 & g2 & z
+                for m1, sets in gens.items()
+                for g1 in sets
+                for g2 in gens[full_mask & ~m1]
+            ):
+                return z, gens
+        return None
+
+    def state_table(self, witness) -> EffFn:
+        """The Boolean table of one realized state, lifted to the chain.
+
+        Row cells are indexed by assessment, and an assessment's index is
+        its accepted set: Z's row accepts its supersets, the grand row the
+        sets meeting Z, and a proper row the supersets of a generator.
+        """
+        z, gens = witness
+        k = self.signatures.players
+        idx = np.arange(1 << self.size)
+        rows = [idx & z == z]
+        for mask in range(1, (1 << k) - 1):
+            rows.append(np.any([idx & g == g for g in gens[mask]], axis=0))
+        rows.append(idx & z != 0)
+        outcomes = tuple(f"s{j}" for j in range(self.size))
+        H = EffFn(chain=BOOL_CHAIN, k=k, outcomes=outcomes, table=np.array(rows))
+        return lift_boolean(H, self.signatures.chain, check_input=False)
+
+    def model(self, logic):
+        """The model over T whose states carry their witnesses' tables."""
+        witnesses = [self.realizable(sig) for sig in self.T]
+        signatures = self.signatures
+        index = signatures.index
+        states = tuple(f"s{j}" for j in range(self.size))
+        eff = tuple(self.state_table(w) for w in witnesses)
+        valuation = {
+            p.index: tuple(t[index[p]] for t in self.T) for p in signatures.props
+        }
+        if logic == LOGIC_TPN:
+            pairs = frozenset(
+                (j, v) for j, (z, _) in enumerate(witnesses)
+                for v in range(self.size) if z & self._set((v,))
+            )
+            return EnrichedLnModel(signatures.chain, states, eff, valuation, pairs)
+        return LnModel(signatures.chain, states, eff, valuation)
 
 
-def _o_constraints(sig_state, signatures, T, index):
-    out = []
-    for b in signatures.oboxes:
-        v = sig_state[index[b]]
-        fb = tuple(t[index[b.sub]] for t in T)
-        out.append((fb, v))
-    return out
-
-
-def _closure_generators(k, size, cells, z_set):
+def _closure_generators(k, accepted, z):
     """Minimal accepted sets per proper coalition, as antichain generators.
 
-    Rows start from the prescribed accepted cells plus liveness and close
-    under disjoint superadditive intersections, the empty coalition's
+    Rows start from the prescribed accepted sets (liveness included) and
+    close under disjoint superadditive intersections, the empty coalition's
     generator Z included, so every generator g also brings g & Z; upward
     closure stays implicit in the generator view.
     """
     full_mask = (1 << k) - 1
-    everything = frozenset(range(size))
-    gens = {mask: {everything} for mask in range(1, full_mask)}
-    gens[0] = {z_set}
-    for (mask, X), v in cells.items():
-        if v == 1 and mask not in (0, full_mask):
-            gens[mask].add(X)
+    gens = {mask: set(sets) for mask, sets in accepted.items()}
+    gens[0] = {z}
     changed = True
     while changed:
         changed = False
@@ -181,139 +303,10 @@ def _closure_generators(k, size, cells, z_set):
                             changed = True
     del gens[0]
     # prune to antichains for cheap membership tests
-    pruned = {}
-    for mask, sets in gens.items():
-        keep = [g for g in sets if not any(h < g for h in sets)]
-        pruned[mask] = sorted(keep, key=lambda s: (len(s), sorted(s)))
-    return pruned
-
-
-def _z_candidates(size, cells, oc, n):
-    """Candidate generator sets Z, one per profile of touched atoms.
-
-    Every check against Z only asks how Z meets the constraint sets, so
-    states with the same membership profile across those sets are
-    interchangeable; taking whole atoms loses nothing and shrinks the
-    search from subsets of states to subsets of atoms.
-    """
-    reference = [X for (_, X) in cells]
-    for fb, _ in oc:
-        for i in range(1, n + 1):
-            reference.append(frozenset(j for j, x in enumerate(fb) if x >= i))
-    atoms = {}
-    for j in range(size):
-        profile = tuple(j in X for X in reference)
-        atoms.setdefault(profile, []).append(j)
-    atom_sets = [frozenset(members) for members in atoms.values()]
-    for count in range(1, len(atom_sets) + 1):
-        for combo in itertools.combinations(atom_sets, count):
-            yield frozenset().union(*combo)
-
-
-def _realizable(sig_state, signatures, T):
-    """Whether a state with this signature fits into a model over T.
-
-    Returns the witness (Z, generators) or None.  The empty and grand
-    coalitions are determined by the generator set Z; proper coalitions get
-    the least closed rows, which can only help the rejected cells.
-    """
-    n = signatures.chain.n
-    k = signatures.players
-    size = len(T)
-    index = signatures.index
-    full_mask = (1 << k) - 1
-    cells = _box_cell_constraints(sig_state, signatures, T, index, n)
-    if cells is None:
-        return None
-    oc = _o_constraints(sig_state, signatures, T, index)
-    for z_set in _z_candidates(size, cells, oc, n):
-        ok = True
-        for (mask, X), v in cells.items():
-            if mask == 0:
-                got = 1 if z_set <= X else 0
-            elif mask == full_mask:
-                got = 1 if z_set & X else 0
-            else:
-                continue
-            if got != v:
-                ok = False
-                break
-        if not ok:
-            continue
-        for fb, v in oc:
-            if min(fb[j] for j in z_set) != v:
-                ok = False
-                break
-        if not ok:
-            continue
-        gens = _closure_generators(k, size, cells, z_set)
-        for mask, sets in gens.items():
-            if any(len(g) == 0 for g in sets):
-                ok = False  # safety: the empty set became acceptable
-                break
-            for (m, X), v in cells.items():
-                if m == mask and v == 0 and any(g <= X for g in sets):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            # superadditive pairs whose union is the grand coalition
-            for m1 in gens:
-                m2 = full_mask & ~m1
-                if m2 in gens:
-                    for g1 in gens[m1]:
-                        for g2 in gens[m2]:
-                            if not (g1 & g2 & z_set):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if not ok:
-                    break
-        if ok:
-            return z_set, gens
-    return None
-
-
-def _build_state_table(witness, signatures, size) -> EffFn:
-    """Materialize the Boolean table of one realized state and lift it."""
-    z_set, gens = witness
-    k = signatures.players
-    full_mask = (1 << k) - 1
-    outcomes = tuple(f"s{j}" for j in range(size))
-    table = []
-    for mask in range(1 << k):
-        row = []
-        for bits in itertools.product((0, 1), repeat=size):
-            X = frozenset(j for j, b in enumerate(bits) if b)
-            if mask == 0:
-                row.append(1 if z_set <= X else 0)
-            elif mask == full_mask:
-                row.append(1 if z_set & X else 0)
-            else:
-                row.append(1 if any(g <= X for g in gens[mask]) else 0)
-        table.append(row)
-    H = EffFn(chain=BOOL_CHAIN, k=k, outcomes=outcomes, table=table)
-    return lift_boolean(H, signatures.chain, check_input=False)
-
-
-def _assemble_model(T, witnesses, signatures, logic):
-    size = len(T)
-    index = signatures.index
-    states = tuple(f"s{j}" for j in range(size))
-    eff = tuple(
-        _build_state_table(witnesses[j], signatures, size) for j in range(size)
-    )
-    valuation = {
-        p.index: tuple(t[index[p]] for t in T) for p in signatures.props
+    return {
+        mask: [g for g in sets if not any(h != g and h & g == h for h in sets)]
+        for mask, sets in gens.items()
     }
-    if logic == LOGIC_TPN:
-        pairs = frozenset(
-            (j, v) for j in range(size) for v in witnesses[j][0]
-        )
-        return EnrichedLnModel(signatures.chain, states, eff, valuation, pairs)
-    return LnModel(signatures.chain, states, eff, valuation)
 
 
 def _verify_countermodel(model, phi, state_idx, signatures, logic):
@@ -327,16 +320,6 @@ def _verify_countermodel(model, phi, state_idx, signatures, logic):
         raise VerificationFailed("countermodel is not a standard enriched model")
     if eval_vector(model, phi)[state_idx] >= model.n:
         raise VerificationFailed("countermodel does not refute the formula")
-
-
-def _feasible(T, signatures, logic):
-    witnesses = []
-    for sig in T:
-        w = _realizable(sig, signatures, T)
-        if w is None:
-            return None
-        witnesses.append(w)
-    return witnesses
 
 
 def search_countermodel(
@@ -368,12 +351,13 @@ def search_countermodel(
         raise InvalidInput(f"unknown strategy {strategy!r}")
 
     # greatest fixpoint of per-state realizability
+    tries = itertools.count(1)
     survivors = list(signatures.all())
     rounds = 0
     while True:
         rounds += 1
-        T = tuple(survivors)
-        kept = [sig for sig in survivors if _realizable(sig, signatures, T) is not None]
+        realizable = _Round(signatures, tuple(survivors), tries).realizable
+        kept = [sig for sig in survivors if realizable(sig) is not None]
         if len(kept) == len(survivors):
             break
         survivors = kept
@@ -398,10 +382,10 @@ def search_countermodel(
     comb_cap = 300_000
 
     def attempt(T):
-        witnesses = _feasible(T, signatures, logic)
-        if witnesses is None:
+        round_ = _Round(signatures, T, tries)
+        if any(round_.realizable(sig) is None for sig in T):
             return None
-        model = _assemble_model(T, witnesses, signatures, logic)
+        model = round_.model(logic)
         state_idx = next(j for j, sig in enumerate(T) if sig[phi_pos] < chain.n)
         _verify_countermodel(model, phi, state_idx, signatures, logic)
         stats["countermodel_states"] = len(T)

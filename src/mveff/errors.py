@@ -91,6 +91,15 @@ class VerificationFailed(MveffError):
     """An independent soundness re-check of a computed result failed."""
 
 
+def read_int(numeral: str, name: str) -> int:
+    """The int a decimal numeral from input spells.  int() refuses one of
+    more than sys.get_int_max_str_digits() digits with a plain ValueError."""
+    try:
+        return int(numeral)
+    except ValueError:
+        raise InvalidInput(f"{name} has too many digits") from None
+
+
 def check_document(doc, kinds: tuple, keys: tuple = ()):
     """Raise BadDocument unless doc is a JSON object of one of the kinds,
     holding every key.  A document without a "kind" is of the first kind."""

@@ -203,7 +203,7 @@ def _verify_filtration_conditions(q: Quotient, filtered: LnModel):
         fidx = encode_assessment(class_arg, model.n)
         src = lookup[phi]
         for j in range(model.num_states):
-            got = filtered.eff[q.class_map[j]].table[phi.coalition.mask][fidx]
+            got = filtered.eff[q.class_map[j]].rows()[phi.coalition.mask, fidx]
             if got != src[j]:
                 raise VerificationFailed(f"condition (2) failed at {phi}")
 

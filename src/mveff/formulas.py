@@ -19,10 +19,11 @@ grand coalition.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .chain import TAU_OPLUS, Chain, synthesize_tau_term
-from .errors import DialectViolation, FormulaSyntaxError, InvalidInput, UnknownPlayer
+from .errors import DialectViolation, FormulaSyntaxError, InvalidInput, UnknownPlayer, read_int
 
 DIALECT_L = "L"
 DIALECT_LPLUS = "L+"
@@ -56,7 +57,7 @@ class Coalition:
             return cls.grand(k)
         if not re.fullmatch(r"\{\s*(?:\d+(?:\s*,\s*\d+)*)?\s*\}", text):
             return None
-        return cls.of([int(p) for p in re.findall(r"\d+", text)], k)
+        return cls.of([read_int(p, "player number") for p in re.findall(r"\d+", text)], k)
 
     @classmethod
     def empty(cls, k: int) -> "Coalition":
@@ -361,7 +362,7 @@ class _Parser:
         if kind == "zero":
             return bottom()
         if kind == "prop":
-            return Prop(int(text[1:]))
+            return Prop(read_int(text[1:], "proposition index"))
         if kind == "neg":
             return Neg(self.unary())
         if kind == "lpar":
@@ -381,14 +382,17 @@ class _Parser:
                 raise FormulaSyntaxError(f"malformed coalition {body!r}", pos)
             return Box(coalition, self.unary())
         if kind == "tau":
-            i = int(text[4:-1])
+            i = read_int(text[4:-1], "tau level")
             if self.chain is None:
                 raise FormulaSyntaxError("tau(i) needs a chain parameter", pos)
             return tau_formula(i, self.chain, self.unary())
         if kind == "nfold":
-            count = int(text[:-1])
+            count = read_int(text[:-1], "n-fold count")
             if count < 1:
                 raise FormulaSyntaxError("n-fold sum needs a positive count", pos)
+            # each term nests one level deeper, so no evaluator walks this sum
+            if count > sys.getrecursionlimit():
+                raise FormulaSyntaxError("n-fold sum nested too deeply", pos)
             return nfold_oplus(count, self.unary())
         raise FormulaSyntaxError(f"unexpected token {text!r}", pos)
 

@@ -30,6 +30,7 @@ from .errors import (
     UnknownProposition,
     check_document,
     check_field,
+    read_int,
 )
 from .formulas import (
     Box,
@@ -151,9 +152,8 @@ class LnModel:
             if len(pair) != 2 or any(u not in states for u in pair):
                 raise BadDocument(f"R pair {pair!r} is not two declared states")
         eff = tuple(EffFn.from_doc(doc["E"][u]) for u in states)
-        props = sorted(
-            {int(name[1:]) for per_state in doc["val"].values() for name in per_state}
-        )
+        names = {name for val in doc["val"].values() for name in val}
+        props = sorted(read_int(name[1:], "valuation name") for name in names)
         valuation = {
             p: tuple(doc["val"][u].get(f"p{p}", 0) for u in states) for p in props
         }

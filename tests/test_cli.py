@@ -243,16 +243,20 @@ def malformed(workdir):
     edit("eff.json", "extra-key.json", lambda d: d["table"].update({" {1}": d["table"]["{2}"]}))
     edit("eff.json", "same-key.json", lambda d: d["table"].update({" {1}": d["table"].pop("{2}")}))
     edit("model.json", "valuation-name.json", lambda d: d["val"]["s0"].update(px=1))
+    edit("model.json", "long-name.json", lambda d: d["val"]["s0"].update({"p" + _DIGITS: 1}))
     edit("emodel.json", "unknown-r-state.json", lambda d: d["R"].append(["s0", "nope"]))
     edit("emodel.json", "r-triple.json", lambda d: d["R"].append(["s0", "s1", "s2"]))
     (workdir / "latin-1.json").write_bytes(b'{"kind": "game-form", "outcomes": ["\xe9"]}')
     (workdir / "invalid.json").write_text('{"kind": ')
     (workdir / "deep.json").write_text("[" * 100_000)
+    (workdir / "long-int.json").write_text('{"kind": "model", "n": ' + _DIGITS + "}")
     return workdir
 
 
 _DEEP_NEGATION = "~" * 1000 + "p1"
 _DEEP_PARENTHESES = "(" * 300 + "p1" + ")" * 300
+# more digits than int() converts from a string (4300 by default)
+_DIGITS = "9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -271,6 +275,13 @@ _DEEP_PARENTHESES = "(" * 300 + "p1" + ")" * 300
         pytest.param(["eval", "model.json", _DEEP_NEGATION], id="eval-deep-negation"),
         pytest.param(["eval", "model.json", _DEEP_PARENTHESES], id="eval-deep-parentheses"),
         pytest.param(["eval", "model.json", "[{1,}]p1"], id="eval-malformed-coalition"),
+        pytest.param(["eval", "model.json", _DIGITS + ".p1"], id="eval-long-nfold-count"),
+        pytest.param(["eval", "model.json", "p" + _DIGITS], id="eval-long-proposition"),
+        pytest.param(["eval", "model.json", f"tau({_DIGITS})p1"], id="eval-long-tau-level"),
+        pytest.param(["eval", "model.json", f"[{{{_DIGITS}}}]p1"], id="eval-long-player"),
+        pytest.param(["eval", "model.json", "99999999999999999999.p1"], id="eval-huge-nfold-count"),
+        pytest.param(["eval", "long-int.json", "p1"], id="eval-long-json-integer"),
+        pytest.param(["eval", "long-name.json", "p1"], id="eval-long-valuation-name"),
         pytest.param(["filter", "unknown-r-state.json", "p1"], id="filter-unknown-r-state"),
         pytest.param(["filter", "model.json", _DEEP_PARENTHESES], id="filter-deep-parentheses"),
         pytest.param(["synthesize", "invalid.json"], id="synthesize-invalid-json"),
@@ -278,6 +289,10 @@ _DEEP_PARENTHESES = "(" * 300 + "p1" + ")" * 300
         pytest.param(["decide", "1", "--players", "16"], id="decide-player-budget"),
         pytest.param(["decide", "1", "--players", "-1"], id="decide-negative-players"),
         pytest.param(["decide", _DEEP_NEGATION], id="decide-deep-negation"),
+        pytest.param(
+            ["decide", "[{1}]p1 & [{2}]p2 & [{}]p3 -> [N](p1 & p2 & p3)", "--n", "2"],
+            id="decide-z-candidate-budget",
+        ),
         pytest.param(["lift", "letter-key.json", "--n", "2"], id="lift-coalition-key"),
         pytest.param(["lift", "latin-1.json", "--n", "2"], id="lift-not-utf8"),
     ],

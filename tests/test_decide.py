@@ -16,6 +16,7 @@ from mveff.corpus import random_enriched_model, random_formula, random_playable_
 from mveff.decide import (
     LOGIC_PN,
     LOGIC_TPN,
+    _Round,
     _Signatures,
     search_countermodel,
     soundness_suite,
@@ -23,7 +24,7 @@ from mveff.decide import (
 from mveff.errors import BudgetExceeded, DialectViolation
 from mveff.formulas import Implies, Neg, Top, parse
 from mveff.models import EnrichedLnModel, eval_vector, is_standard
-from mveff.tables import check_playability
+from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment, lift_boolean
 
 
 def test_trivial_theorem():
@@ -91,25 +92,26 @@ def test_outcome_modality_rejected_in_pn():
 
 
 def test_exhaustive_agrees_with_random_model_sampling():
-    # differential oracle at n=1: random playable models never refute a
-    # certified theorem, and certified countermodels exist when sampling
-    # finds one
-    chain = Chain(1)
-    rng = random.Random(12)
-    for _ in range(25):
-        phi = random_formula(rng, 3, (1, 2), 2, chain)
-        verdict = search_countermodel(phi, max_states=10 ** 9, chain=chain)
-        sampler = random.Random(99)
-        sampled = False
-        for _ in range(150):
-            M = random_playable_model(sampler, chain, sampler.randint(1, 3))
-            if any(v < 1 for v in eval_vector(M, phi)):
-                sampled = True
-                break
-        if sampled:
-            assert verdict.status == "CountermodelFound"
-        if verdict.status == "TheoremByFiltrationBound":
-            assert not sampled
+    # differential oracle at n=1 and n=2: random playable models never
+    # refute a certified theorem, and certified countermodels exist when
+    # sampling finds one
+    for n in (1, 2):
+        chain = Chain(n)
+        rng = random.Random(12)
+        for _ in range(25):
+            phi = random_formula(rng, 3, (1, 2), 2, chain)
+            verdict = search_countermodel(phi, max_states=10 ** 9, chain=chain)
+            sampler = random.Random(99)
+            sampled = False
+            for _ in range(150):
+                M = random_playable_model(sampler, chain, sampler.randint(1, 3))
+                if any(v < n for v in eval_vector(M, phi)):
+                    sampled = True
+                    break
+            if sampled:
+                assert verdict.status == "CountermodelFound"
+            if verdict.status == "TheoremByFiltrationBound":
+                assert not sampled
 
 
 def test_randomized_strategy_reproducible():
@@ -218,3 +220,76 @@ def test_signature_budget():
     with pytest.raises(BudgetExceeded):
         search_countermodel(phi, chain=Chain(1))
     assert time.perf_counter() - start < 5
+
+
+def test_z_candidate_budget():
+    # 2187 signatures at n = 2; the first round's 27 atoms would let each
+    # unrealizable projection walk 2^27 candidate sets Z
+    phi = parse("[{1}]p1 & [{2}]p2 & [{}]p3 -> [N](p1 & p2 & p3)", 2, chain=Chain(2))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        search_countermodel(phi, chain=Chain(2))
+    assert time.perf_counter() - start < 10
+
+
+def _table_by_cells(z, gens, k, size, chain):
+    """A witness's table built one cell at a time over sets of states, as
+    the reference for the array rows of _Round.state_table."""
+
+    def states(s):
+        return frozenset(j for j in range(size) if s >> (size - 1 - j) & 1)
+
+    Z = states(z)
+    rows = []
+    for mask in range(1 << k):
+        row = []
+        for bits in itertools.product((0, 1), repeat=size):
+            X = frozenset(j for j, b in enumerate(bits) if b)
+            if mask == 0:
+                row.append(Z <= X)
+            elif mask == (1 << k) - 1:
+                row.append(bool(Z & X))
+            else:
+                row.append(any(states(g) <= X for g in gens[mask]))
+        rows.append(row)
+    H = EffFn(BOOL_CHAIN, k, tuple(f"s{j}" for j in range(size)), rows)
+    return lift_boolean(H, chain, check_input=False)
+
+
+def test_every_survivor_witness_realizes_its_signature():
+    # each survivor of the greatest fixpoint carries a witness: its Z must
+    # give every [O] node its value and, on sets of at most 8 states, its
+    # table must be truly playable and give every [C] node its value
+    checked = 0
+    for seed in range(60):
+        n, outcome = 1 + seed % 2, seed % 4 >= 2
+        chain = Chain(n)
+        phi = random_formula(random.Random(seed), 3, (1, 2), 2, chain, allow_outcome=outcome)
+        signatures = _Signatures(phi, chain, 2)
+        if (n + 1) ** len(signatures.free) > 729:
+            continue
+        survivors = signatures.all()
+        while True:
+            round_ = _Round(signatures, survivors, itertools.count(1))
+            kept = tuple(sig for sig in survivors if round_.realizable(sig) is not None)
+            if len(kept) == len(survivors):
+                break
+            survivors = kept
+        index = signatures.index
+        size = len(survivors)
+        for sig in survivors:
+            z, gens = round_.realizable(sig)
+            for b in signatures.oboxes:
+                arg = [t[index[b.sub]] for t in survivors]
+                in_z = [x for j, x in enumerate(arg) if z >> (size - 1 - j) & 1]
+                assert min(in_z) == sig[index[b]], (phi, b)
+            if size > 8:
+                continue
+            E = round_.state_table((z, gens))
+            assert E == _table_by_cells(z, gens, 2, size, chain)
+            assert check_playability(E).truly_playable
+            for b in signatures.boxes:
+                cell = encode_assessment([t[index[b.sub]] for t in survivors], n)
+                assert E.rows()[b.coalition.mask, cell] == sig[index[b]], (phi, b)
+            checked += 1
+    assert checked >= 100
