@@ -132,7 +132,10 @@ class _Signatures:
         n = self.chain.n
         grid = _valuation_grid(n, 1, self.free, DEFAULT_VALUATION_BUDGET)
         values = _eval_nodes(self.subs, n, grid)
-        return tuple(zip(*(values[f][:, 0].tolist() for f in self.subs)))
+        shape = (1,) + (n + 1,) * len(self.free)
+        return tuple(
+            zip(*(np.broadcast_to(values[f], shape).ravel().tolist() for f in self.subs))
+        )
 
 
 class _Round:

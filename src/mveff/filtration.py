@@ -99,7 +99,7 @@ def quotient(model: LnModel, mu: Formula) -> Quotient:
     """Group states by the values of every subformula of mu."""
     nodes = subformulas(mu)
     values = _eval_nodes(nodes, model.n, {}, model)
-    vectors = tuple((phi, tuple(values[phi][0].tolist())) for phi in nodes)
+    vectors = tuple((phi, tuple(values[phi].tolist())) for phi in nodes)
     signatures = [
         tuple(vec[j] for _, vec in vectors) for j in range(model.num_states)
     ]
@@ -220,7 +220,7 @@ def _verify_truth_transfer(q: Quotient, filtered: LnModel):
     values = _eval_nodes(nodes, filtered.n, {}, filtered)
     class_map = np.asarray(q.class_map)
     for phi, vec in q.subformula_vectors:
-        if phi in values and not np.array_equal(values[phi][0][class_map], vec):
+        if phi in values and not np.array_equal(values[phi][class_map], vec):
             raise VerificationFailed(f"truth transfer failed at {phi}")
 
 

@@ -6,11 +6,17 @@ relation R for the outcome modality [O].  Evaluation is bottom-up over the
 formula DAG and batched over candidate valuations, so validity checks run
 one vectorized pass instead of one recursion per valuation.
 
-The valuations are one np.indices grid, in itertools.product order, and
-every array holds its values in the narrowest signed integer type that
-covers the evaluator's intermediates [-n, 2n] (int8 up to n = 63): a grid
-of V valuations over c (proposition, state) cells takes V * c bytes at
-n <= 63, and the budget on V is checked before it is allocated.
+The valuations are an open grid: quantified proposition i varies on lead
+axis i only, over the (n+1)^S tuples of its values on the S states, and the
+lead axes in C order run through itertools.product order over the
+(proposition, state) cells.  Every node array has shape (states, *lead),
+states first so that broadcasting runs its inner loop over contiguous
+valuations, and it varies only on the axes of the propositions it depends
+on: a full-size array exists only for a node whose support is every
+quantified proposition.  Arrays hold their values in the narrowest signed
+integer type that covers the evaluator's intermediates [-n, 2n] (int8 up to
+n = 63), and the budget on the (n+1)^(P*S) joint valuations is checked
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -201,53 +207,57 @@ class EnrichedLnModel(LnModel):
 
 
 def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> dict:
-    """Value arrays of shape (batch, states) for nodes listed children first.
+    """Value arrays of shape (states, *lead) for nodes listed children first.
 
     Each node is computed once from its children's arrays, held in
     _value_dtype(n).  A node in assign takes its array from there; any other
-    proposition, [C] or [O] node is read from the model, broadcast across
-    the batch.  The batch is the assigned arrays' row count (1 when nothing
-    is assigned); without a model there is a single state.
+    proposition, [C] or [O] node is read from the model.  The lead axes are
+    those of the assigned arrays (an open grid from _valuation_grid, none
+    when nothing is assigned), and each node broadcasts over only the lead
+    axes its children vary on.  Without a model there is a single state.
     """
-    batch = next(iter(assign.values())).shape[0] if assign else 1
+    lead = next(iter(assign.values())).ndim - 1 if assign else 0
     size = model.num_states if model is not None else 1
+    const = (size,) + (1,) * lead
     dtype = _value_dtype(n)
-    # every implication is clipped against this array, not the scalar n:
-    # numpy's integer minimum against a scalar, or across memory layouts,
-    # runs 4-7x slower, so it is column-major like the valuation grid and
-    # the [C] gather
-    top = np.full((batch, size), n, dtype=dtype, order="F")
+    # every implication is clipped against an array of its own shape, not
+    # the scalar n: numpy's integer minimum against a scalar runs 10-20x
+    # slower
+    tops: dict[tuple, np.ndarray] = {}
     values: dict[Formula, np.ndarray] = {}
     for node in nodes:
         if node in assign:
             out = assign[node]
         elif isinstance(node, Top):
-            out = np.full((batch, size), n, dtype=dtype)
+            out = np.full(const, n, dtype=dtype)
         elif isinstance(node, Prop):
-            row = np.asarray(model.prop_row(node.index), dtype=dtype)
-            out = np.broadcast_to(row, (batch, size))
+            out = np.asarray(model.prop_row(node.index), dtype=dtype).reshape(const)
         elif isinstance(node, Neg):
             out = n - values[node.sub]
         elif isinstance(node, Implies):
             out = n - values[node.left] + values[node.right]
+            top = tops.get(out.shape)
+            if top is None:
+                top = tops[out.shape] = np.full(out.shape, n, dtype=dtype)
             np.minimum(out, top, out=out)
         elif isinstance(node, Box):
-            # the argument's assessment index per batch row, last state fastest
+            # the argument's assessment index per valuation, last state
+            # fastest, in the narrowest signed type that holds (n+1)^size
             sub = values[node.sub]
-            idx = np.zeros(batch, dtype=np.int64)
+            idx = np.zeros(sub.shape[1:], dtype=np.min_scalar_type(-1 - (n + 1) ** size))
             for j in range(size):
                 idx *= n + 1
-                idx += sub[:, j]
+                idx += sub[j]
             mask = node.coalition.mask
             rows = np.stack([E.rows()[mask] for E in model.eff])
-            out = np.take(rows, idx, axis=1).T
+            out = np.take(rows, idx, axis=1)
         elif isinstance(node, BoxO):
             if not isinstance(model, EnrichedLnModel):
                 raise DialectViolation("[O] needs an enriched model")
             sub = values[node.sub]
-            out = np.full((batch, size), n, dtype=dtype)
+            out = np.full(sub.shape, n, dtype=dtype)
             for u, v in model.R:
-                np.minimum(out[:, u], sub[:, v], out=out[:, u])
+                np.minimum(out[u : u + 1], sub[v : v + 1], out=out[u : u + 1])
         else:
             raise TypeError(f"unknown formula node {node!r}")
         values[node] = out
@@ -256,7 +266,7 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
 
 def eval_vector(model: LnModel, phi: Formula) -> tuple[int, ...]:
     """Numerator of the value of phi at every state."""
-    return tuple(_eval_nodes(subformulas(phi), model.n, {}, model)[phi][0].tolist())
+    return tuple(_eval_nodes(subformulas(phi), model.n, {}, model)[phi].tolist())
 
 
 def eval_formula(model: LnModel, u, phi: Formula) -> TruthValue:
@@ -268,24 +278,26 @@ def is_true(model: LnModel, phi: Formula) -> bool:
 
 
 def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
-    """One (valuations, states) array per proposition covering every joint
-    valuation, in _value_dtype(n).
+    """An open grid over every joint valuation of props, in _value_dtype(n).
 
-    Row r is the r-th tuple of itertools.product(range(n + 1), repeat=cells)
-    over the cells (proposition, state), last cell fastest.  The budget is
-    checked before anything is allocated.
+    The array of the i-th proposition has shape (size, 1, ..., V, ..., 1),
+    V = (n+1)^size on lead axis i, and column r of lead axis i is the r-th
+    tuple of itertools.product(range(n + 1), repeat=size).  Broadcast
+    together in C order over the lead axes, the valuations run in
+    itertools.product order over the cells (proposition, state), last cell
+    fastest.  The budget on every joint valuation is checked before anything
+    is allocated.
     """
     props = list(props)
-    cells = len(props) * size
-    total = (n + 1) ** cells
+    total = (n + 1) ** (len(props) * size)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate valuations exceed budget {budget}"
         )
-    grid = np.indices((n + 1,) * cells, dtype=_value_dtype(n))
-    grid = grid.reshape(cells, total).T
+    rows = np.indices((n + 1,) * size, dtype=_value_dtype(n)).reshape(size, -1)
     return {
-        p: grid[:, i * size : (i + 1) * size] for i, p in enumerate(props)
+        p: rows.reshape((size,) + (1,) * i + (-1,) + (1,) * (len(props) - 1 - i))
+        for i, p in enumerate(props)
     }
 
 
@@ -303,16 +315,19 @@ def is_valid(
     if prop_support is None:
         prop_support = propositions(phi)
     prop_support = list(prop_support)
-    arrays = _valuation_grid(model.n, model.num_states, prop_support, budget)
+    size = model.num_states
+    arrays = _valuation_grid(model.n, size, prop_support, budget)
     assign = {Prop(p): arrays[p] for p in prop_support}
-    values = _eval_nodes(subformulas(phi), model.n, assign, model)[phi]
-    bad = values < model.n
-    if not bad.any():
+    bad = _eval_nodes(subformulas(phi), model.n, assign, model)[phi] < model.n
+    rows = bad.any(axis=0)
+    if not rows.any():
         return True, None
-    row = int(np.argmax(bad.any(axis=1)))
-    state = int(np.argmax(bad[row]))
+    # an axis phi does not vary on has length 1, so its first index is 0
+    at = np.unravel_index(int(np.argmax(rows)), rows.shape)
+    state = int(np.argmax(bad[(slice(None),) + at]))
     witness = {
-        p: tuple(int(v) for v in arrays[p][row]) for p in prop_support
+        p: tuple(int(v) for v in arrays[p].reshape(size, -1)[:, at[i]])
+        for i, p in enumerate(prop_support)
     }
     return False, (witness, state)
 

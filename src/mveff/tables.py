@@ -21,8 +21,13 @@ tau_i, so it is the lift of its Boolean skeleton and every predicate (built
 from <=, meet, negation and the constants) has the same verdict on the table
 and on the 2^S-assessment skeleton.  For n > 1 the battery therefore runs on
 the skeleton; a predicate that fails there runs again on the full table, so
-its witness is the first failing dense cell.  Non-homogeneous tables and
-Boolean tables run the battery on the full table.
+its witness is the first failing dense cell.  Superadditivity holds pair by
+pair on the table exactly when it holds on the skeleton, so its dense re-run
+scans only the first coalition pair the skeleton fails.  Non-homogeneous
+tables and Boolean tables run the battery on the full table.
+Semi-playability is run only for a witness: when the full outcome
+monotonicity, liveness, safety and superadditivity hold, so do their
+proper-row and proper-union versions.
 """
 
 from __future__ import annotations
@@ -72,6 +77,10 @@ PLAYABLE_PARTS = (
     "liveness",
     "safety",
 )
+
+# the predicates whose proper-row or proper-union versions make up
+# semi-playability, in the order _check_semi_playable tries them
+SEMI_PLAYABLE_PARTS = ("outcome_monotonic", "liveness", "safety", "superadditive")
 
 # cells of the meet index held in memory at once
 _MEET_MATRIX_CAP = 1 << 22
@@ -487,8 +496,14 @@ def _superadditive_violation(rows, geo, first, second, union):
 
 
 def _check_superadditive(E: EffFn, proper_unions_only=False):
+    return _superadditive_over(E, _pair_stack(E.k, proper_unions_only))
+
+
+def _superadditive_over(E: EffFn, pairs):
+    """Superadditivity over a stack (first, second, union) of disjoint
+    coalition pairs, with the first failing (c1, c2, f, g) as witness."""
     geo = E.geometry()
-    first, second, union = _pair_stack(E.k, proper_unions_only)
+    first, second, union = pairs
     cells = len(first) * geo.count * geo.count
     if cells > _DENSE_CELL_BUDGET:
         raise BudgetExceeded(
@@ -614,8 +629,25 @@ def check_playability(E: EffFn) -> PlayabilityReport:
 
     def run(check):
         holds, witness = check(target)
-        if witness is not None and target is not E:
-            holds, witness = check(E)
+        if witness is None or target is E:
+            return holds, witness
+        # a homogeneous table fails exactly the superadditivity pairs its
+        # skeleton fails, so the dense scan needs only the skeleton's first
+        if check is _check_superadditive:
+            return dense_pair(*witness[:2])
+        if check is _check_semi_playable and witness[0] == "superadditive":
+            holds, witness = dense_pair(*witness[1:3])
+            return holds, ("superadditive",) + witness
+        return check(E)
+
+    def dense_pair(c1, c2):
+        holds, witness = _superadditive_over(
+            E, tuple(np.array([c]) for c in (c1, c2, c1 | c2))
+        )
+        if holds:
+            raise VerificationFailed(
+                f"the skeleton fails superadditivity at ({c1}, {c2}) and the table does not"
+            )
         return holds, witness
 
     properties = {}
@@ -625,7 +657,12 @@ def check_playability(E: EffFn) -> PlayabilityReport:
         properties[name] = holds
         if witness is not None:
             witnesses[name] = witness
-    semi, semi_witness = run(_check_semi_playable)
+    # the full predicates imply their proper-row and proper-union versions,
+    # so semi-playability needs a run of its own only for a witness
+    if all(properties[name] for name in SEMI_PLAYABLE_PARTS):
+        semi, semi_witness = True, None
+    else:
+        semi, semi_witness = run(_check_semi_playable)
     if semi_witness is not None:
         witnesses["semi_playable"] = semi_witness
     playable = all(properties[name] for name in PLAYABLE_PARTS)

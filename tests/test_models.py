@@ -151,16 +151,19 @@ def _model_formula_support(draw):
     n = draw(st.sampled_from([1, 2, 3, 63, 64, 127, 128]))
     size = draw(st.integers(1, 3 if n <= 3 else 2))
     # at most 1024 valuations, so the reference stays quick
-    max_props = min(2, int(math.log(1024, n + 1) + 1e-9) // size)
-    support = (1, 2)[: draw(st.integers(0, max_props))]
+    max_props = min(3, int(math.log(1024, n + 1) + 1e-9) // size)
+    # the support in any order (grid axis i is support[i]); a proposition
+    # the formula uses but the support leaves out is read from the model
+    order = draw(st.permutations((1, 2, 3)))
+    support = tuple(order[: draw(st.integers(0, max_props))])
     enriched = draw(st.booleans())
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     chain = Chain(n)
     if enriched:
-        model = random_enriched_model(rng, chain, size)
+        model = random_enriched_model(rng, chain, size, props=(1, 2, 3))
     else:
-        model = random_playable_model(rng, chain, size)
-    phi = random_formula(rng, 4, (1, 2), 2, chain, allow_outcome=enriched)
+        model = random_playable_model(rng, chain, size, props=(1, 2, 3))
+    phi = random_formula(rng, 4, (1, 2, 3), 2, chain, allow_outcome=enriched)
     return model, phi, support
 
 
@@ -189,7 +192,14 @@ def test_valuation_grid_is_product_order():
         expect = np.asarray(
             list(itertools.product(range(n + 1), repeat=cells)), dtype=np.int64
         ).reshape((n + 1) ** cells, cells)
-        got = np.hstack([grid[p] for p in props]) if props else np.empty((1, 0))
+        # an open grid: proposition i varies on lead axis i only
+        full = (size,) + ((n + 1) ** size,) * len(props)
+        for i, p in enumerate(props):
+            assert grid[p].shape == tuple(
+                length if axis in (0, i + 1) else 1 for axis, length in enumerate(full)
+            )
+        got = [np.broadcast_to(grid[p], full).reshape(size, -1).T for p in props]
+        got = np.hstack(got) if props else np.empty((1, 0))
         assert np.array_equal(got, expect)
         assert all(grid[p].dtype == _value_dtype(n) for p in props)
 

@@ -619,3 +619,33 @@ def test_dense_battery_budget():
         check_property(E, "superadditive")
     # the 6561-assessment table of the test above stays under it
     assert 9 * 3**16 <= tables._DENSE_CELL_BUDGET
+
+
+def test_skeleton_failure_rescanned_on_its_pair_alone():
+    # the Boolean game-form table on 9 outcomes with the empty coalition's
+    # row replaced by the grand coalition's, lifted to n = 2: homogeneous,
+    # and a full dense superadditivity scan (9 pairs x 3^18 cells) is over
+    # the budget, but the table fails exactly the pairs its skeleton fails
+    H = effectivity_table(random_game_form(random.Random(3), 2, 9), BOOL)
+    rows = H.rows().copy()
+    rows[0] = rows[-1]
+    E = lift_boolean(EffFn(BOOL, 2, H.outcomes, rows), Chain(2), check_input=False)
+    table = E.rows()
+    count = table.shape[1]
+    assert 9 * count * count > tables._DENSE_CELL_BUDGET
+    report = check_playability(E)
+    assert report.properties["homogeneous"]
+    assert not report.properties["superadditive"] and not report.semi_playable
+    digits = np.array(list(itertools.product(range(3), repeat=9)))
+    powers = 3 ** np.arange(8, -1, -1)
+    for c1, c2, fi, gi in (
+        report.witnesses["superadditive"],
+        report.witnesses["semi_playable"][1:],
+    ):
+        assert c1 & c2 == 0
+        # the first failing cell of the pair, row-major
+        for f in range(fi + 1):
+            meet = np.minimum(digits[f], digits) @ powers
+            bad = np.minimum(table[c1, f], table[c2]) > table[c1 | c2, meet]
+            assert bad.any() == (f == fi)
+        assert int(np.argmax(bad)) == gi
