@@ -4,9 +4,7 @@ from .chain import (
     Chain,
     TauTerm,
     TruthValue,
-    ceil_to_chain,
     synthesize_tau_term,
-    tau_threshold,
 )
 from .decide import (
     LOGIC_PN,
@@ -35,7 +33,6 @@ from .games import (
     GameForm,
     boolean_effectivity,
     effectivity_table,
-    from_social_choice,
     mv_effectivity,
 )
 from .models import (
@@ -62,7 +59,6 @@ from .tables import (
     boolean_skeleton,
     check_playability,
     check_property,
-    equal_by_skeleton,
     lift_boolean,
     synthesize_game_form,
 )
@@ -73,9 +69,7 @@ __all__ = [
     "Chain",
     "TruthValue",
     "TauTerm",
-    "tau_threshold",
     "synthesize_tau_term",
-    "ceil_to_chain",
     "FiniteMVAlgebra",
     "MVFilterView",
     "is_mv_filter",
@@ -90,14 +84,12 @@ __all__ = [
     "boolean_effectivity",
     "mv_effectivity",
     "effectivity_table",
-    "from_social_choice",
     "EffFn",
     "PlayabilityReport",
     "check_property",
     "check_playability",
     "boolean_skeleton",
     "lift_boolean",
-    "equal_by_skeleton",
     "synthesize_game_form",
     "LnModel",
     "EnrichedLnModel",

@@ -10,14 +10,12 @@ breadth-first search over function tables.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import ChainMismatch, IndexOutOfRange, InvalidInput, OutOfUnitInterval
+from .errors import ChainMismatch, IndexOutOfRange, InvalidInput
 
 TAU_OPLUS = "oplus"
 TAU_ODOT = "odot"
@@ -125,15 +123,8 @@ def tau_odot_num(num: int, n: int) -> int:
     return max(2 * num - n, 0)
 
 
-def tau_threshold(i: int, x: TruthValue) -> TruthValue:
-    """The step map sending x to 1 iff x >= i/n, else 0."""
-    n = x.chain.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"threshold index {i} outside 1..{n}")
-    return x.chain.top if x.num >= i else x.chain.bottom
-
-
 def tau_threshold_num(i: int, num: int, n: int) -> int:
+    """The step map sending num to n iff num >= i, else 0."""
     return n if num >= i else 0
 
 
@@ -157,7 +148,7 @@ class TauTerm:
 
 @lru_cache(maxsize=None)
 def synthesize_tau_term(chain: Chain, i: int) -> TauTerm:
-    """Shortest doubling-map composition whose table equals tau_threshold(i, .).
+    """Shortest doubling-map composition whose table equals tau_threshold_num(i, ., n).
 
     Breadth-first search over composite function tables on the chain; states
     are deduplicated by full table, so at most (n+1)^(n+1) states exist and
@@ -182,11 +173,3 @@ def synthesize_tau_term(chain: Chain, i: int) -> TauTerm:
                 seen.add(new_table)
                 queue.append((new_table, ops + (op,)))
     raise AssertionError(f"no doubling-map term reaches threshold {i}/{n}")
-
-
-def ceil_to_chain(r: Fraction | int, chain: Chain) -> TruthValue:
-    """Smallest chain element >= r, for an exact rational r in [0, 1]."""
-    r = Fraction(r)
-    if not 0 <= r <= 1:
-        raise OutOfUnitInterval(f"{r} outside [0, 1]")
-    return TruthValue(math.ceil(r * chain.n), chain)

@@ -402,13 +402,11 @@ def search_countermodel(
             raise BudgetExceeded(
                 f"countermodel tables at {size} states exceed the cell cap"
             )
-        if math.comb(len(full), size) > comb_cap:
-            # too many subsets; fall back to the whole survivor set
-            if len(full) <= max_states:
-                verdict = attempt(full)
-                if verdict is not None:
-                    return verdict
-            break
+        subsets = math.comb(len(full), size)
+        if subsets > comb_cap:
+            raise BudgetExceeded(
+                f"{subsets} subsets of {size} states exceed the cap {comb_cap}"
+            )
         for T in itertools.combinations(full, size):
             if all(sig[phi_pos] == chain.n for sig in T):
                 continue

@@ -17,10 +17,6 @@ class IndexOutOfRange(MveffError):
     """A threshold index i is outside 1..n."""
 
 
-class OutOfUnitInterval(MveffError):
-    """A rational outside [0, 1] was rounded to a chain."""
-
-
 class NotAnAlgebra(MveffError):
     """Operation tables of a claimed finite MV-algebra are not closed."""
 
@@ -43,10 +39,6 @@ class DialectViolation(MveffError):
 
 class UnknownProposition(MveffError):
     """A formula mentions a proposition the valuation does not cover."""
-
-
-class EmptyProfileSet(MveffError):
-    """A social choice correspondence was given no preference profiles."""
 
 
 class BudgetExceeded(MveffError):

@@ -9,9 +9,9 @@ a truly playable filtered model that evaluates every subformula exactly as
 the source model did.
 
 The definable vectors form the MV-subalgebra of the chain power generated
-by the subformula vectors, and are kept in closed form: classes with equal
-seed columns form a block, and a vector is definable exactly when it is
-constant on each block and a multiple of that block's step there.
+by the subformula vectors, and are kept in closed form: each class has a
+step, the gcd of n and its seed column, and a vector is definable exactly
+when it is a multiple of each class's step at that class.
 """
 
 from __future__ import annotations
@@ -120,37 +120,34 @@ def quotient(model: LnModel, mu: Formula) -> Quotient:
     )
 
 
-def definable_class_vectors(q: Quotient) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Class-level vectors definable from the subformula vectors, as
-    (block, step) pairs in first-seen order.
+def definable_class_vectors(q: Quotient) -> tuple[int, ...]:
+    """Each class's step, in class order: the class-level vectors definable
+    from the subformula vectors are those that are a multiple of each
+    class's step at that class.
 
     The definable vectors are the MV-subalgebra of L_n^classes generated by
-    the subformula vectors read at the representatives.  Classes with equal
-    seed columns form a block, and each block's step is the gcd of n and its
-    seed values.  A vector is definable exactly when it is constant on every
-    block and a multiple of the block's step there: a block's coordinate
-    generates the subalgebra L_(n/step), which embeds in L_n one way only,
-    and distinct blocks are independent by the Chinese remainder theorem.
+    the subformula vectors read at the representatives.  A class's step is
+    the gcd of n and its seed column: its coordinate generates the
+    subalgebra L_(n/step), which embeds in L_n one way only.  The classes of
+    a quotient have pairwise distinct seed columns, so their coordinates are
+    independent by the Chinese remainder theorem.
     """
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for c, j in enumerate(q.representatives):
-        column = tuple(vec[j] for _, vec in q.subformula_vectors)
-        blocks.setdefault(column, []).append(c)
+    n = q.source.n
     return tuple(
-        (tuple(block), math.gcd(q.source.n, *column))
-        for column, block in blocks.items()
+        math.gcd(n, *(vec[j] for _, vec in q.subformula_vectors))
+        for j in q.representatives
     )
 
 
-def _intermediate_tables(q: Quotient, blocks) -> list[EffFn]:
+def _intermediate_tables(q: Quotient, steps) -> list[EffFn]:
     """E* per class: the source value at the largest definable vector below f.
 
     E*(f) is the max of the source value over definable vectors below f.
     The source tables are playable, hence outcome-monotone, and definable
     vectors are closed under joins, so the max is taken at the largest one,
-    g*(f): on each block, the block minimum of f rounded down to a multiple
-    of the step.  Read at the source states, g*(f) is one index into the
-    source row, so every row is one gather.
+    g*(f): f rounded down to a multiple of each class's step.  Read at the
+    source states, g*(f) is one index into the source row, so every row is
+    one gather.
 
     The grand coalition's row is the dual of the empty coalition's row;
     every other row reads the source table of the canonical (first-seen)
@@ -165,11 +162,8 @@ def _intermediate_tables(q: Quotient, blocks) -> list[EffFn]:
     places = (n + 1) ** np.arange(model.num_states - 1, -1, -1, dtype=np.int64)
     weights = np.zeros(q.num_classes, dtype=np.int64)
     np.add.at(weights, np.asarray(q.class_map), places)
-    idx = np.zeros(geo.count, dtype=np.int64)
-    for block, step in blocks:
-        cols = list(block)
-        low = geo.tuples[:, cols].min(axis=1) // step * step
-        idx += low * int(weights[cols].sum())
+    steps = np.asarray(steps, dtype=np.int64)
+    idx = (geo.tuples // steps * steps) @ weights
     full = (1 << model.k) - 1
     tables = []
     for rep in q.representatives:
@@ -308,9 +302,9 @@ def enriched_filtration(model: EnrichedLnModel, mu: Formula) -> FiltrationResult
         raise PremiseViolated(f"[O] fails homogeneity, witness {witness!r}")
     base = playable_filtration(model, mu)
     q = base.quotient
-    # the Boolean definable vectors are the indicators of unions of blocks,
-    # so cv is forced exactly when its block holds a successor's class; the
-    # quotient's classes have distinct seed columns, so a block is one class
+    # every step divides n, so the Boolean definable vectors are the
+    # indicators of all sets of classes: cv is forced exactly when it is the
+    # class of a successor
     pairs = {
         (cu, q.class_map[v])
         for cu, rep in enumerate(q.representatives)

@@ -2,9 +2,11 @@
 
 A game form is players, per-player strategy counts, an ordered outcome set
 and a total outcome map stored flat in row-major profile order (player 1
-varies slowest).  Both the Boolean and the chain-valued effectivity of a
-coalition are computed by exhaustive max-min enumeration over joint
-strategies, which is the entire algorithmic content of the definition.
+varies slowest).  A coalition's effectivity at an assessment of the
+outcomes is one max-min over the profile hypercube: the min over the
+non-members' strategy axes, then the max over the members' axes.  The one
+reduction `_max_min` computes every Boolean and chain-valued effectivity,
+a single cell or a whole table.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .chain import Chain, TruthValue
 from .errors import (
     BadDocument,
     BudgetExceeded,
-    EmptyProfileSet,
     InvalidInput,
     check_document,
     check_field,
@@ -117,12 +118,18 @@ class GameForm:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-def _joint_strategies(form: GameForm, mask: int):
-    """All joint strategies of the coalition given by the bitmask."""
-    players = [i for i in range(form.k) if mask >> i & 1]
-    return players, list(
-        itertools.product(*(range(form.strategy_counts[i]) for i in players))
-    )
+def _max_min(values: np.ndarray, mask: int, k: int) -> np.ndarray:
+    """The coalition's max-min value of each row of a value cube.
+
+    values has one row axis and then one axis per player; the min runs over
+    the non-members' axes and then the max over the members' axes, so the
+    empty coalition's max and the grand coalition's min range over one
+    empty joint strategy.
+    """
+    out_axes = tuple(1 + i for i in range(k) if not mask >> i & 1)
+    reduced = values.min(axis=out_axes) if out_axes else values
+    in_axes = tuple(range(1, reduced.ndim))
+    return reduced.max(axis=in_axes) if in_axes else reduced
 
 
 def boolean_effectivity(form: GameForm, coalition: Coalition, target: Iterable[int]) -> bool:
@@ -135,32 +142,12 @@ def boolean_effectivity(form: GameForm, coalition: Coalition, target: Iterable[i
 def mv_effectivity(
     form: GameForm, chain: Chain, coalition: Coalition, f: Sequence[int]
 ) -> TruthValue:
-    """Exact max-min value of the coalition for the assessment f.
-
-    f lists numerators over the outcome set.  For the empty coalition the
-    outer max ranges over the single empty joint strategy; for the grand
-    coalition the inner min does.
-    """
+    """Exact max-min value of the coalition for the assessment f, which
+    lists numerators over the outcome set."""
     if len(f) != len(form.outcomes):
         raise InvalidInput("assessment length does not match the outcome set")
-    inside, inside_joints = _joint_strategies(form, coalition.mask)
-    outside, outside_joints = _joint_strategies(form, coalition.complement().mask)
-    profile = [0] * form.k
-    best = 0
-    for joint_in in inside_joints:
-        for i, s in zip(inside, joint_in):
-            profile[i] = s
-        worst = chain.n
-        for joint_out in outside_joints:
-            for i, s in zip(outside, joint_out):
-                profile[i] = s
-            worst = min(worst, f[form.outcome_of(profile)])
-            if worst == 0:
-                break
-        best = max(best, worst)
-        if best == chain.n:
-            break
-    return TruthValue(best, chain)
+    values = np.asarray(f)[form.outcome_array()][None]
+    return TruthValue(_max_min(values, coalition.mask, form.k)[0].item(), chain)
 
 
 def effectivity_table(
@@ -180,51 +167,9 @@ def effectivity_table(
         raise BudgetExceeded(f"{cells} table cells exceed budget {cell_budget}")
 
     assessments = _geometry(n, num_outcomes).tuples
-    outcome_cube = form.outcome_array()
     # value cube: one row per assessment, one axis per player
-    values = assessments[:, outcome_cube.reshape(-1)].reshape(
-        (len(assessments),) + outcome_cube.shape
-    )
+    values = assessments[:, form.outcome_array()]
     table = np.empty((1 << form.k, len(assessments)), dtype=_value_dtype(n))
-    all_axes = range(1, form.k + 1)
     for mask in range(1 << form.k):
-        out_axes = tuple(ax for ax in all_axes if not mask >> (ax - 1) & 1)
-        reduced = values.min(axis=out_axes) if out_axes else values
-        in_axes = tuple(range(1, reduced.ndim))
-        table[mask] = reduced.max(axis=in_axes) if in_axes else reduced
+        table[mask] = _max_min(values, mask, form.k)
     return EffFn(chain=chain, k=form.k, outcomes=form.outcomes, table=table)
-
-
-def from_social_choice(
-    base_outcomes: Sequence[str],
-    profiles: Sequence,
-    correspondence,
-    k: int = 2,
-) -> GameForm:
-    """Game form of a social choice correspondence.
-
-    Every player's strategy set is the supplied list of preference profiles;
-    the outcome set is the powerset of the base outcomes; the outcome map
-    applies the correspondence to the declared profile tuple.
-    """
-    if not profiles:
-        raise EmptyProfileSet("need at least one preference profile")
-    subsets = []
-    for size in range(len(base_outcomes) + 1):
-        for combo in itertools.combinations(range(len(base_outcomes)), size):
-            subsets.append(frozenset(base_outcomes[i] for i in combo))
-    names = tuple(
-        "{" + ",".join(sorted(s)) + "}" for s in subsets
-    )
-    index = {s: i for i, s in enumerate(subsets)}
-    outcome_map = []
-    for declared in itertools.product(profiles, repeat=k):
-        chosen = frozenset(correspondence(declared))
-        if chosen not in index:
-            raise InvalidInput(f"correspondence returned a non-subset: {chosen!r}")
-        outcome_map.append(index[chosen])
-    return GameForm(
-        strategy_counts=(len(profiles),) * k,
-        outcomes=names,
-        outcome_map=tuple(outcome_map),
-    )

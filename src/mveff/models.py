@@ -60,12 +60,6 @@ from .tables import EffFn, _value_dtype
 DEFAULT_VALUATION_BUDGET = 1 << 20
 
 
-def char_vector(members, size: int, n: int) -> tuple[int, ...]:
-    """Characteristic assessment of a state subset, valued in {0, 1}."""
-    member_set = set(members)
-    return tuple(n if j in member_set else 0 for j in range(size))
-
-
 @dataclass(frozen=True)
 class LnModel:
     """States, one effectivity table per state, and a valuation."""

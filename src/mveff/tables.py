@@ -119,14 +119,6 @@ def encode_assessment(f: Sequence[int], n: int) -> int:
     return idx
 
 
-def decode_assessment(idx: int, n: int, size: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(size):
-        digits.append(idx % (n + 1))
-        idx //= n + 1
-    return tuple(reversed(digits))
-
-
 class _Geometry:
     """Cached index arrays for assessments over a fixed (n, size)."""
 
@@ -161,12 +153,15 @@ class _Geometry:
         self._meet_idx = None
 
     def meet_blocks(self):
-        """The count x count meet index in row blocks, as (first row, block),
-        for a matrix larger than _MEET_MATRIX_CAP cells.
+        """The count x count meet index in row blocks, as (first row, block).
 
         block[i, gi] encodes the meet of assessments start + i and gi.  A
-        block holds at most _MEET_MATRIX_CAP cells (one row at least).
+        block holds at most _MEET_MATRIX_CAP cells (one row at least); a
+        matrix that fits is the cached meet_all(), as one block.
         """
+        if self.count * self.count <= _MEET_MATRIX_CAP:
+            yield 0, self.meet_all()
+            return
         step = max(1, _MEET_MATRIX_CAP // self.count)
         for start in range(0, self.count, step):
             yield start, self._meet_rows(start, min(start + step, self.count))
@@ -465,33 +460,23 @@ def _superadditive_violation(rows, geo, first, second, union):
     """First (pair, f, g), pairs outermost and then row-major, with
     E(c1,f) meet E(c2,g) above E(c1 | c2, f meet g), or None.
 
-    Pairs are compared in stacked chunks of at most _STACK_CAP cells, or one
-    pair per chunk when a pair alone is larger; a pair larger than
-    _MEET_MATRIX_CAP cells is compared in row blocks of the meet index.
+    Pairs are compared in chunks against each row block of the meet index.
+    A chunk stacks pairs up to _STACK_CAP cells only when the meet index is
+    one block, and holds one pair otherwise, so witnesses keep their order.
     """
-    count = geo.count
-    per_pair = count * count
-    if per_pair <= _MEET_MATRIX_CAP:
-        meet = geo.meet_all()
-        step = max(1, _STACK_CAP // per_pair)
-        for start in range(0, len(first), step):
-            chunk = slice(start, start + step)
-            lhs = np.minimum(
-                rows.take(first[chunk], axis=0)[:, :, None],
-                rows.take(second[chunk], axis=0)[:, None, :],
-            )
-            hit = _first(lhs > rows.take(union[chunk], axis=0).take(meet, axis=1))
+    per_pair = geo.count * geo.count
+    step = max(1, min(_STACK_CAP, _MEET_MATRIX_CAP) // per_pair)
+    for start in range(0, len(first), step):
+        chunk = slice(start, start + step)
+        first_rows = rows.take(first[chunk], axis=0)
+        second_rows = rows.take(second[chunk], axis=0)[:, None, :]
+        union_rows = rows.take(union[chunk], axis=0)
+        for low, meet in geo.meet_blocks():
+            lhs = np.minimum(first_rows[:, low : low + len(meet), None], second_rows)
+            hit = _first(lhs > union_rows.take(meet, axis=1))
             if hit is not None:
                 p, fi, gi = hit
-                return start + int(p), int(fi), int(gi)
-        return None
-    for p in range(len(first)):
-        union_row = rows[union[p]]
-        for start, meet in geo.meet_blocks():
-            lhs = np.minimum.outer(rows[first[p], start : start + len(meet)], rows[second[p]])
-            hit = _first(lhs > union_row.take(meet))
-            if hit is not None:
-                return p, start + int(hit[0]), int(hit[1])
+                return start + int(p), low + int(fi), int(gi)
     return None
 
 
@@ -719,22 +704,6 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     accepted = H.rows().take(geo.tau_bool_idx, axis=1)
     table = (accepted * levels).max(axis=1)
     return EffFn(chain=chain, k=H.k, outcomes=H.outcomes, table=table)
-
-
-def equal_by_skeleton(E: EffFn, other: EffFn, debug: bool = False) -> bool:
-    """Table equality decided on the Boolean skeletons alone.
-
-    Both inputs must be homogeneous; in debug mode the full tables are also
-    compared and must agree with the skeleton verdict.
-    """
-    for table in (E, other):
-        holds, _ = _check_homogeneous(table)
-        if not holds:
-            raise NotHomogeneous("skeleton comparison requires homogeneous tables")
-    verdict = boolean_skeleton(E) == boolean_skeleton(other)
-    if debug and (E == other) != verdict:
-        raise VerificationFailed("skeleton verdict disagrees with full-table equality")
-    return verdict
 
 
 # -- game-form synthesis -----------------------------------------------------

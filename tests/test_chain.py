@@ -1,22 +1,19 @@
 import itertools
 
 import pytest
-from fractions import Fraction
 
 from mveff.chain import (
     Chain,
     TauTerm,
     TruthValue,
-    ceil_to_chain,
     synthesize_tau_term,
-    tau_threshold,
+    tau_threshold_num,
 )
 from mveff.errors import (
     ChainMismatch,
     IndexOutOfRange,
     InvalidInput,
     MveffError,
-    OutOfUnitInterval,
 )
 
 
@@ -71,9 +68,9 @@ def test_tau_threshold_table():
     for i in range(1, 5):
         for v in c.elements():
             expected = c.top if v.num >= i else c.bottom
-            assert tau_threshold(i, v) == expected
+            assert tau_threshold_num(i, v.num, c.n) == expected.num
     with pytest.raises(IndexOutOfRange):
-        tau_threshold(5, c.value(1))
+        synthesize_tau_term(c, 5)
 
 
 def test_tau_term_synthesis_exact_tables():
@@ -95,16 +92,6 @@ def test_tau_term_minimality():
         for length in range(len(term)):
             for ops in itertools.product(("oplus", "odot"), repeat=length):
                 assert TauTerm(ops).table(c) != target
-
-
-def test_ceil_to_chain():
-    c = Chain(4)
-    assert ceil_to_chain(Fraction(1, 3), c).num == 2
-    assert ceil_to_chain(Fraction(1, 2), c).num == 2
-    assert ceil_to_chain(0, c).num == 0
-    assert ceil_to_chain(1, c).num == 4
-    with pytest.raises(OutOfUnitInterval):
-        ceil_to_chain(Fraction(3, 2), c)
 
 
 def test_order():

@@ -23,7 +23,7 @@ from mveff.decide import (
 )
 from mveff.errors import BudgetExceeded, DialectViolation
 from mveff.formulas import Implies, Neg, Top, parse
-from mveff.models import EnrichedLnModel, eval_vector, is_standard
+from mveff.models import EnrichedLnModel, LnModel, eval_vector, is_standard
 from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment, lift_boolean
 
 
@@ -231,6 +231,29 @@ def test_z_candidate_budget():
         search_countermodel(phi, chain=Chain(2))
     assert time.perf_counter() - start < 10
 
+
+def test_unsearched_bound_is_not_reported():
+    # 32 refuting survivors, but C(2048, 2) two-state subsets exceed the
+    # subset cap: the search raises instead of claiming bound 8
+    chain = Chain(1)
+    phi = parse(
+        "[{1}]p1 & [{2}]p2 & [{1}]p3 & [{2}]p4 & [{1}]p5 -> [N](p1 & p2 & p3 & p4 & p5)",
+        2,
+        chain=chain,
+    )
+    with pytest.raises(BudgetExceeded):
+        search_countermodel(phi, chain=chain, max_states=8)
+    # a 2-state countermodel exists: the 4-proposition one with p5 := p1
+    four = parse("[{1}]p1 & [{2}]p2 & [{1}]p3 & [{2}]p4 -> [N](p1 & p2 & p3 & p4)", 2, chain=chain)
+    found = search_countermodel(four, chain=chain)
+    assert found.status == "CountermodelFound"
+    M = found.model
+    valuation = dict(M.valuation)
+    valuation[5] = valuation[1]
+    model = LnModel(chain, M.states, M.eff, valuation)
+    assert model.num_states == 2
+    assert all(check_playability(E).truly_playable for E in model.eff)
+    assert min(eval_vector(model, phi)) < chain.n
 
 def _table_by_cells(z, gens, k, size, chain):
     """A witness's table built one cell at a time over sets of states, as

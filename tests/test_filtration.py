@@ -14,7 +14,6 @@ from mveff.corpus import (
 )
 from mveff.errors import NotPlayable, NotStandard
 from mveff.filtration import (
-    Quotient,
     definable_class_vectors,
     enriched_filtration,
     intermediate_filtration,
@@ -73,12 +72,16 @@ def test_intermediate_grand_row_is_dual():
             assert E.table[3][fi] == chain.n - E.table[0][neg_fi]
 
 
-def _closure(q):
+def _closure(q, classes=None):
     """Definable class vectors as a fixpoint: the seed vectors closed under
     pointwise negation, implication and both doubling maps, first-seen order.
+    Given classes, the vectors read at those classes alone: the operations
+    act pointwise, so this is the projection of the whole closure.
     """
     n = q.source.n
-    rep = q.representatives
+    if classes is None:
+        classes = range(q.num_classes)
+    rep = [q.representatives[c] for c in classes]
     seeds = [tuple(vec[j] for j in rep) for _, vec in q.subformula_vectors]
     seen = dict.fromkeys(seeds)
     frontier = list(seen)
@@ -102,16 +105,9 @@ def _closure(q):
     return tuple(seen)
 
 
-def _expand(blocks, n, size):
-    """Every vector constant on each block and a multiple of its step there."""
-    vectors = set()
-    for values in itertools.product(*(range(0, n + 1, step) for _, step in blocks)):
-        g = [None] * size
-        for (block, _), x in zip(blocks, values):
-            for c in block:
-                g[c] = x
-        vectors.add(tuple(g))
-    return vectors
+def _expand(steps, n):
+    """Every vector that is a multiple of each class's step at that class."""
+    return set(itertools.product(*(range(0, n + 1, step) for step in steps)))
 
 
 def test_intermediate_matches_direct_eq9():
@@ -138,28 +134,18 @@ def test_intermediate_matches_direct_eq9():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 4), st.booleans())
-def test_definable_blocks_match_closure(seed, n, size, synthetic):
-    # the (block, step) pairs expand to exactly the fixpoint closure, and
-    # the enriched relation keeps exactly the pairs whose target the
-    # closure's vectors force to 1 wherever they are 1 at every successor
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 4))
+def test_definable_blocks_match_closure(seed, n, size):
+    # the per-class steps expand to exactly the fixpoint closure, and the
+    # enriched relation keeps exactly the pairs whose target the closure's
+    # vectors force to 1 wherever they are 1 at every successor
     rng = random.Random(seed)
     M = random_enriched_model(rng, Chain(n), size)
-    if synthetic:
-        # seeds over a two-value palette repeat columns, so a block can
-        # hold several classes (a quotient's classes never share a column)
-        palette = rng.sample(range(n + 1), 2)
-        vectors = tuple(
-            (Prop(p), tuple(rng.choice(palette) for _ in range(size)))
-            for p in range(1, rng.randint(2, 4))
-        )
-        ids = tuple(range(size))
-        q = Quotient(M, Top(), ids, ids, vectors)
-    else:
-        q = quotient(M, random_formula(rng, 3, (1, 2), 2, Chain(n), allow_outcome=True))
+    q = quotient(M, random_formula(rng, 3, (1, 2), 2, Chain(n), allow_outcome=True))
     gamma = _closure(q)
-    blocks = definable_class_vectors(q)
-    assert _expand(blocks, n, q.num_classes) == set(gamma)
+    steps = definable_class_vectors(q)
+    assert len(steps) == q.num_classes
+    assert _expand(steps, n) == set(gamma)
 
     per_g = {
         (cu, cv)
@@ -171,16 +157,13 @@ def test_definable_blocks_match_closure(seed, n, size, synthetic):
             if all(g[q.class_map[v]] == n for v in M.successors(rep))
         )
     }
-    block_of = {c: block for block, _ in blocks for c in block}
-    by_block = {
-        (cu, cv)
+    by_class = {
+        (cu, q.class_map[v])
         for cu, rep in enumerate(q.representatives)
         for v in M.successors(rep)
-        for cv in block_of[q.class_map[v]]
     }
-    assert by_block == per_g
-    if not synthetic:
-        assert enriched_filtration(M, q.generator).model.R == per_g
+    assert by_class == per_g
+    assert enriched_filtration(M, q.generator).model.R == per_g
 
 
 def test_each_distinct_table_is_checked_once(monkeypatch):
@@ -246,7 +229,12 @@ def test_six_class_filtration_at_n4():
     result = playable_filtration(M, mu)
     q = result.quotient
     assert q.num_classes == 6
-    assert [step for _, step in definable_class_vectors(q)] == [2, 1, 1, 1, 1, 1]
+    steps = definable_class_vectors(q)
+    assert steps == (2, 1, 1, 1, 1, 1)
+    # the whole closure has 3 * 5^5 vectors; its projections on each pair
+    # of classes check every step and every pair's independence
+    for pair in itertools.combinations(range(6), 2):
+        assert set(_closure(q, pair)) == _expand([steps[c] for c in pair], 4)
     for E in result.model.eff:
         assert check_playability(E).truly_playable
     for phi in subformulas(mu):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from mveff.chain import Chain
+from mveff.corpus import random_formula
 from mveff.errors import DialectViolation, FormulaSyntaxError, UnknownPlayer
 from mveff.formulas import (
     Box,
@@ -146,3 +149,9 @@ def test_print_round_trip():
         assert parse(print_formula(phi), 2) == phi
     enriched = parse("[O](p1 -> p2)", 2, dialect="L+")
     assert parse(print_formula(enriched), 2, dialect="L+") == enriched
+    # seeded random kernel formulas, [O] included, over 2 and 3 players
+    for seed in range(60):
+        rng = random.Random(seed)
+        k = 2 + seed % 2
+        phi = random_formula(rng, 4, (1, 2, 3), k, Chain(2), allow_outcome=seed % 3 > 0)
+        assert parse(print_formula(phi), k, dialect="L+") == phi

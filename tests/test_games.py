@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,16 +6,34 @@ import pytest
 
 from mveff.chain import Chain
 from mveff.corpus import random_game_form
-from mveff.errors import BadDocument, BudgetExceeded, EmptyProfileSet
+from mveff.errors import BadDocument, BudgetExceeded
 from mveff.formulas import Coalition
 from mveff.games import (
     GameForm,
     boolean_effectivity,
     effectivity_table,
-    from_social_choice,
     mv_effectivity,
 )
 from mveff.tables import enumerate_assessments
+
+
+def _brute_max_min(g, mask, f, n):
+    """The displayed max-min, by walking every joint strategy of the
+    coalition and of its complement."""
+    inside = [i for i in range(g.k) if mask >> i & 1]
+    outside = [i for i in range(g.k) if not mask >> i & 1]
+    best = 0
+    for joint_in in itertools.product(*(range(g.strategy_counts[i]) for i in inside)):
+        worst = n
+        for joint_out in itertools.product(
+            *(range(g.strategy_counts[i]) for i in outside)
+        ):
+            profile = [0] * g.k
+            for i, s in zip(inside + outside, joint_in + joint_out):
+                profile[i] = s
+            worst = min(worst, f[g.outcome_of(profile)])
+        best = max(best, worst)
+    return best
 
 
 def _matching_pennies():
@@ -77,44 +96,25 @@ def test_boolean_effectivity_reads_the_boolean_table():
 def test_mv_effectivity_is_max_min():
     rng = random.Random(0)
     chain = Chain(3)
-    for _ in range(20):
-        g = random_game_form(rng, 2, 2)
-        for mask in range(4):
-            c = Coalition(mask, 2)
-            for f in enumerate_assessments(3, 2):
-                # brute-force the displayed max-min directly
-                best = 0
-                inside = [i for i in range(2) if mask >> i & 1]
-                outside = [i for i in range(2) if not mask >> i & 1]
-                import itertools
-
-                for joint_in in itertools.product(
-                    *(range(g.strategy_counts[i]) for i in inside)
-                ):
-                    worst = 3
-                    for joint_out in itertools.product(
-                        *(range(g.strategy_counts[i]) for i in outside)
-                    ):
-                        profile = [0, 0]
-                        for i, s in zip(inside, joint_in):
-                            profile[i] = s
-                        for i, s in zip(outside, joint_out):
-                            profile[i] = s
-                        worst = min(worst, f[g.outcome_of(profile)])
-                    best = max(best, worst)
-                assert mv_effectivity(g, chain, c, f).num == best
+    for k, outcomes, forms in ((2, 2, 20), (3, 2, 8)):
+        for _ in range(forms):
+            g = random_game_form(rng, k, outcomes)
+            for mask in range(1 << k):
+                c = Coalition(mask, k)
+                for f in enumerate_assessments(3, outcomes):
+                    assert mv_effectivity(g, chain, c, f).num == _brute_max_min(g, mask, f, 3)
 
 
 def test_effectivity_table_matches_pointwise():
     rng = random.Random(1)
     chain = Chain(2)
-    for _ in range(10):
-        g = random_game_form(rng, 2, 3)
-        E = effectivity_table(g, chain)
-        for mask in range(4):
-            c = Coalition(mask, 2)
-            for fi, f in enumerate(enumerate_assessments(2, 3)):
-                assert E.table[mask][fi] == mv_effectivity(g, chain, c, f).num
+    for k, outcomes, forms in ((2, 3, 10), (3, 3, 4)):
+        for _ in range(forms):
+            g = random_game_form(rng, k, outcomes)
+            E = effectivity_table(g, chain)
+            for mask in range(1 << k):
+                for fi, f in enumerate(enumerate_assessments(2, outcomes)):
+                    assert E.table[mask][fi] == _brute_max_min(g, mask, f, 2)
 
 
 def test_empty_coalition_single_empty_joint_strategy():
@@ -137,6 +137,11 @@ def test_document_round_trip():
     doc = json.loads(g.to_json())
     assert doc["kind"] == "game-form"
     assert GameForm.from_doc(doc) == g
+    rng = random.Random(3)
+    for k in (2, 3, 4):
+        for outcomes in (1, 3):
+            g = random_game_form(rng, k, outcomes)
+            assert GameForm.from_doc(json.loads(g.to_json())) == g
 
 
 def test_bad_game_form_documents():
@@ -156,19 +161,3 @@ def test_wrong_typed_game_form_fields():
     ):
         with pytest.raises(BadDocument):
             GameForm.from_doc({**doc, **bad})
-
-
-def test_from_social_choice():
-    profiles = ["ab", "ba"]
-
-    def correspondence(declared):
-        # pick the top outcome of player 1's declared ranking
-        return {declared[0][0]}
-
-    g = from_social_choice(["a", "b"], profiles, correspondence)
-    assert g.strategy_counts == (2, 2)
-    assert g.outcomes == ("{}", "{a}", "{b}", "{a,b}")
-    assert g.outcome_of((0, 1)) == g.outcomes.index("{a}")
-    assert g.outcome_of((1, 0)) == g.outcomes.index("{b}")
-    with pytest.raises(EmptyProfileSet):
-        from_social_choice(["a"], [], correspondence)

@@ -24,7 +24,6 @@ from mveff.models import (
     _valuation_grid,
     _value_dtype,
     b_family,
-    char_vector,
     check_axiom_schema,
     eval_formula,
     eval_vector,
@@ -223,11 +222,6 @@ def test_over_budget_grid_raises_before_allocating():
     assert peak < 1 << 20
 
 
-def test_char_vector():
-    assert char_vector({1}, 3, 2) == (0, 2, 0)
-    assert char_vector(set(), 2, 1) == (0, 0)
-
-
 def test_standard_relation_and_standardize():
     rng = random.Random(4)
     M = random_playable_model(rng, Chain(2), 3)
@@ -284,6 +278,14 @@ def test_model_document_round_trip():
     restored = LnModel.from_doc(doc2)
     assert isinstance(restored, EnrichedLnModel)
     assert restored == S
+    # seeded random enriched models over 2 and 3 players
+    for seed in range(20):
+        rng = random.Random(seed)
+        k = 2 + seed % 2
+        E = random_enriched_model(rng, Chain(1 + seed % 3), rng.randint(1, 3), k, (1, 2, 3))
+        restored = LnModel.from_doc(json.loads(E.to_json()))
+        assert isinstance(restored, EnrichedLnModel)
+        assert restored == E
 
 
 def test_bad_model_documents():

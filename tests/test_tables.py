@@ -33,10 +33,8 @@ from mveff.tables import (
     boolean_skeleton,
     check_playability,
     check_property,
-    decode_assessment,
     encode_assessment,
     enumerate_assessments,
-    equal_by_skeleton,
     lift_boolean,
     synthesize_game_form,
 )
@@ -52,9 +50,10 @@ def _game_table(seed=0, n=2, outcomes=2):
 def test_assessment_encoding_round_trip():
     for n in (1, 2, 3):
         for size in (1, 2, 3):
+            tuples = tables._geometry(n, size).tuples
             for fi, f in enumerate(enumerate_assessments(n, size)):
                 assert encode_assessment(f, n) == fi
-                assert decode_assessment(fi, n, size) == f
+                assert tuple(tuples[fi].tolist()) == f
 
 
 def test_geometry_tuples_follow_enumeration_order():
@@ -185,11 +184,12 @@ def test_skeleton_rejects_inhomogeneous_cells():
 
 
 def test_equal_by_skeleton():
+    # lifted tables are equal exactly when their Boolean skeletons are
     chain = Chain(2)
-    tables = [lift_boolean(H, chain) for H in playable_boolean_tables(2, 2)]
-    for i, E in enumerate(tables):
-        for j, F in enumerate(tables):
-            assert equal_by_skeleton(E, F, debug=True) == (i == j)
+    lifted = [lift_boolean(H, chain) for H in playable_boolean_tables(2, 2)]
+    for i, E in enumerate(lifted):
+        for j, F in enumerate(lifted):
+            assert (boolean_skeleton(E) == boolean_skeleton(F)) == (E == F) == (i == j)
 
 
 def test_synthesis_round_trip():
@@ -234,6 +234,10 @@ def test_document_round_trip():
     assert doc["kind"] == "effectivity"
     assert set(doc["table"]) == {"{}", "{1}", "{2}", "N"}
     assert EffFn.from_doc(doc) == E
+    rng = random.Random(4)
+    for _ in range(10):
+        E = random_eff_table(rng, Chain(rng.randint(1, 3)), rng.randint(1, 3), rng.choice((2, 3)))
+        assert EffFn.from_doc(json.loads(E.to_json())) == E
 
 
 def test_random_tables_playable_iff_all_parts():
@@ -588,13 +592,13 @@ def test_dense_battery_past_one_meet_block():
     assert not report.properties["homogeneous"]
     # every other row of the pair (empty, N) is that of a game-form table,
     # which is superadditive: the first violation lies in row fstar
-    f = decode_assessment(fstar, 2, 8)
+    assessments = tables._geometry(2, 8).tuples
     full = rows[3]
     gi = next(
         gi
         for gi in range(count)
         if min(rows[0][fstar], full[gi])
-        > full[encode_assessment(tuple(map(min, f, decode_assessment(gi, 2, 8))), 2)]
+        > full[encode_assessment(np.minimum(assessments[fstar], assessments[gi]), 2)]
     )
     assert report.witnesses["superadditive"] == (0, 3, fstar, gi)
 
