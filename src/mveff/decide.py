@@ -15,10 +15,9 @@ Each elimination round is one `_Round` over the surviving set T.  A set of
 T's states is an int with state j at bit |T| - 1 - j, which is also the
 index of its characteristic assessment in `enumerate_assessments` order, so
 a table row is one array expression.  The round builds the cuts of every
-modal node's argument and the atoms they partition T into once; since
-realizability reads a signature only at its modal nodes, it is decided once
-per distinct projection.  One search tries at most
-DEFAULT_VALUATION_BUDGET candidate sets Z before raising BudgetExceeded.
+modal node's argument once; since realizability reads a signature only at
+its modal nodes, it is decided once per distinct projection, by one
+closure at the largest set Z the empty coalition's row may have.
 """
 
 from __future__ import annotations
@@ -141,15 +140,13 @@ class _Signatures:
 class _Round:
     """Realizability over one elimination round's signature set T.
 
-    cuts[b][i - 1] is the set of states where b's argument is at least i/n;
-    `tries` counts the Z candidates of one search across its rounds.
+    cuts[b][i - 1] is the set of states where b's argument is at least i/n.
     """
 
-    def __init__(self, signatures, T, tries):
+    def __init__(self, signatures, T):
         self.signatures = signatures
         self.T = T
         self.size = len(T)
-        self.tries = tries
         n = signatures.chain.n
         index = signatures.index
         self.modal = signatures.boxes + signatures.oboxes
@@ -161,13 +158,6 @@ class _Round:
                 self._set(j for j, x in enumerate(column) if x >= i)
                 for i in range(1, n + 1)
             )
-        # states with equal membership in every cut, ordered by first state
-        atoms = {}
-        for j in range(self.size):
-            bit = self._set((j,))
-            profile = tuple(bool(cut & bit) for cuts in self.cuts.values() for cut in cuts)
-            atoms[profile] = atoms.get(profile, 0) | bit
-        self.atoms = tuple(atoms.values())
         self._decided = {}
 
     def _set(self, states) -> int:
@@ -180,22 +170,20 @@ class _Round:
             self._decided[key] = self._decide(dict(zip(self.modal, key)))
         return self._decided[key]
 
-    def _z_candidates(self):
-        """Unions of atoms, by count: how Z meets every cut is all any check
-        asks, so states of one atom are interchangeable."""
-        for count in range(1, len(self.atoms) + 1):
-            for combo in itertools.combinations(self.atoms, count):
-                yield functools.reduce(operator.or_, combo)
-
     def _decide(self, value):
-        """The first Z, with the least closed rows of the proper coalitions,
-        that meets every cell the modal values prescribe.
+        """The witness (Z, generators) with the largest Z and the least closed
+        rows of the proper coalitions that meet every cell the modal values
+        prescribe, or None.
 
         An exact chain value at a [C] node accepts its argument's cuts up to
         that level and rejects the ones above; the empty and grand
         coalitions are determined by Z, and the least closed rows can only
         help the rejected cells.  min over Z of an [O] argument is v exactly
-        when Z is inside cut v and not inside cut v + 1.
+        when Z is inside cut v and not inside cut v + 1.  Those conditions
+        bound Z from above by one set, and no other check gets harder as Z
+        grows: Z stays out of the rejected sets and meets the grand
+        coalition's accepted ones, and every closure term and grand-pair
+        meet can only grow.  So that largest Z is the one candidate.
         """
         k = self.signatures.players
         full_mask = (1 << k) - 1
@@ -207,40 +195,35 @@ class _Round:
                 (acc if value[b] >= i else rej)[b.coalition.mask].add(X)
         if any(acc[mask] & rej[mask] for mask in acc):
             return None
-        # Z lies inside every set the empty coalition accepts, and misses
-        # every set the grand coalition rejects
-        inside = functools.reduce(operator.and_, acc[0], everything)
-        inside &= ~functools.reduce(operator.or_, rej[full_mask], 0)
+        # the largest Z: inside every set the empty coalition accepts, and
+        # missing every set the grand coalition rejects
+        z = functools.reduce(operator.and_, acc[0], everything)
+        z &= ~functools.reduce(operator.or_, rej[full_mask], 0)
         outside = list(rej[0])  # Z lies inside none of these
         for b in self.signatures.oboxes:
             cuts = (everything, *self.cuts[b], 0)
-            inside &= cuts[value[b]]
+            z &= cuts[value[b]]
             outside.append(cuts[value[b] + 1])
+        if not z or any(z & X == z for X in outside):
+            return None
+        if not all(z & X for X in acc[full_mask]):
+            return None
         accepted = {mask: [everything, *acc[mask]] for mask in range(1, full_mask)}
-        for z in self._z_candidates():
-            if next(self.tries) > DEFAULT_VALUATION_BUDGET:
-                raise BudgetExceeded(
-                    f"more than {DEFAULT_VALUATION_BUDGET} Z candidates tried"
-                )
-            if z & ~inside or any(z & X == z for X in outside):
-                continue
-            if not all(z & X for X in acc[full_mask]):
-                continue
-            gens = _closure_generators(k, accepted, z)
-            if any(
-                any(g == 0 or any(X & g == g for X in rej[mask]) for g in sets)
-                for mask, sets in gens.items()
-            ):
-                continue
-            # superadditive pairs whose union is the grand coalition
-            if all(
-                g1 & g2 & z
-                for m1, sets in gens.items()
-                for g1 in sets
-                for g2 in gens[full_mask & ~m1]
-            ):
-                return z, gens
-        return None
+        gens = _closure_generators(k, accepted, z)
+        if any(
+            any(g == 0 or any(X & g == g for X in rej[mask]) for g in sets)
+            for mask, sets in gens.items()
+        ):
+            return None
+        # superadditive pairs whose union is the grand coalition
+        if not all(
+            g1 & g2 & z
+            for m1, sets in gens.items()
+            for g1 in sets
+            for g2 in gens[full_mask & ~m1]
+        ):
+            return None
+        return z, gens
 
     def state_table(self, witness) -> EffFn:
         """The Boolean table of one realized state, lifted to the chain.
@@ -354,12 +337,11 @@ def search_countermodel(
         raise InvalidInput(f"unknown strategy {strategy!r}")
 
     # greatest fixpoint of per-state realizability
-    tries = itertools.count(1)
     survivors = list(signatures.all())
     rounds = 0
     while True:
         rounds += 1
-        realizable = _Round(signatures, tuple(survivors), tries).realizable
+        realizable = _Round(signatures, tuple(survivors)).realizable
         kept = [sig for sig in survivors if realizable(sig) is not None]
         if len(kept) == len(survivors):
             break
@@ -385,7 +367,7 @@ def search_countermodel(
     comb_cap = 300_000
 
     def attempt(T):
-        round_ = _Round(signatures, T, tries)
+        round_ = _Round(signatures, T)
         if any(round_.realizable(sig) is None for sig in T):
             return None
         model = round_.model(logic)

@@ -144,9 +144,12 @@ def mv_effectivity(
 ) -> TruthValue:
     """Exact max-min value of the coalition for the assessment f, which
     lists numerators over the outcome set."""
-    if len(f) != len(form.outcomes):
+    f = np.asarray(f)
+    if f.shape != (len(form.outcomes),):
         raise InvalidInput("assessment length does not match the outcome set")
-    values = np.asarray(f)[form.outcome_array()][None]
+    if f.dtype.kind not in "biu" or f.min() < 0 or f.max() > chain.n:
+        raise InvalidInput("assessment entry outside the chain")
+    values = f[form.outcome_array()][None]
     return TruthValue(_max_min(values, coalition.mask, form.k)[0].item(), chain)
 
 

@@ -290,8 +290,13 @@ _DIGITS = "9" * 5000
         pytest.param(["decide", "1", "--players", "-1"], id="decide-negative-players"),
         pytest.param(["decide", _DEEP_NEGATION], id="decide-deep-negation"),
         pytest.param(
-            ["decide", "[{1}]p1 & [{2}]p2 & [{}]p3 -> [N](p1 & p2 & p3)", "--n", "2"],
-            id="decide-z-candidate-budget",
+            [
+                "decide",
+                "[{1}]p1 & [{2}]p2 & [{1}]p3 & [{2}]p4 & [{1}]p5 -> [N](p1 & p2 & p3 & p4 & p5)",
+                "--max-states",
+                "8",
+            ],
+            id="decide-presentation-subset-cap",
         ),
         pytest.param(["lift", "letter-key.json", "--n", "2"], id="lift-coalition-key"),
         pytest.param(["lift", "latin-1.json", "--n", "2"], id="lift-not-utf8"),

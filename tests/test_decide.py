@@ -18,6 +18,7 @@ from mveff.decide import (
     LOGIC_TPN,
     _Round,
     _Signatures,
+    _closure_generators,
     search_countermodel,
     soundness_suite,
 )
@@ -46,6 +47,15 @@ def test_axiom_instances_are_theorems():
     ):
         phi = parse(text, 2)
         verdict = search_countermodel(phi, max_states=10 ** 9, chain=Chain(1))
+        assert verdict.status == "TheoremByFiltrationBound", text
+    # ax4 with the empty coalition, at n=2
+    for text in (
+        "[{1}]p1 & [{}]p2 -> [{1}](p1 & p2)",
+        "[{}]p1 & [{2}]p2 -> [{2}](p1 & p2)",
+        "[{}]p1 & [{}]p2 -> [{}](p1 & p2)",
+    ):
+        phi = parse(text, 2, chain=Chain(2))
+        verdict = search_countermodel(phi, max_states=10 ** 9, chain=Chain(2))
         assert verdict.status == "TheoremByFiltrationBound", text
 
 
@@ -84,6 +94,10 @@ def test_tpn_axioms_are_theorems():
             phi, logic=LOGIC_TPN, max_states=10 ** 9, chain=Chain(1)
         )
         assert verdict.status == "TheoremByFiltrationBound", text
+    # ax8 at n=3: 1024 signatures
+    phi = parse("[{}](p1 -> p2) -> ([{}]p1 -> [{}]p2)", 2, chain=Chain(3), dialect="L+")
+    verdict = search_countermodel(phi, logic=LOGIC_TPN, max_states=10 ** 9, chain=Chain(3))
+    assert (verdict.status, verdict.bound) == ("TheoremByFiltrationBound", 65536)
 
 
 def test_outcome_modality_rejected_in_pn():
@@ -222,14 +236,16 @@ def test_signature_budget():
     assert time.perf_counter() - start < 5
 
 
-def test_z_candidate_budget():
-    # 2187 signatures at n = 2; the first round's 27 atoms would let each
-    # unrealizable projection walk 2^27 candidate sets Z
+def test_three_proposition_query_is_decided():
+    # 2187 signatures at n = 2, whose first round has 27 atoms: realizability
+    # is one closure per projection, not a walk over unions of atoms
     phi = parse("[{1}]p1 & [{2}]p2 & [{}]p3 -> [N](p1 & p2 & p3)", 2, chain=Chain(2))
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded):
-        search_countermodel(phi, chain=Chain(2))
+    verdict = search_countermodel(phi, chain=Chain(2))
     assert time.perf_counter() - start < 10
+    assert (verdict.status, verdict.bound) == ("NoCountermodelUpToBound", 8)
+    stats = verdict.stats
+    assert (stats["signatures"], stats["survivors"], stats["elimination_rounds"]) == (2187, 1944, 2)
 
 
 def test_unsearched_bound_is_not_reported():
@@ -293,7 +309,7 @@ def test_every_survivor_witness_realizes_its_signature():
             continue
         survivors = signatures.all()
         while True:
-            round_ = _Round(signatures, survivors, itertools.count(1))
+            round_ = _Round(signatures, survivors)
             kept = tuple(sig for sig in survivors if round_.realizable(sig) is not None)
             if len(kept) == len(survivors):
                 break
@@ -316,3 +332,62 @@ def test_every_survivor_witness_realizes_its_signature():
                 assert E.rows()[b.coalition.mask, cell] == sig[index[b]], (phi, b)
             checked += 1
     assert checked >= 100
+
+
+def _realizable_by_search(signatures, T, sig):
+    """Whether some non-empty Z over T, with the proper rows closed from the
+    prescribed accepted sets, gives a truly playable table with every [C]
+    and [O] value of sig: the reference for _Round's one-candidate test."""
+    chain, k, size = signatures.chain, signatures.players, len(T)
+    index = signatures.index
+    everything = (1 << size) - 1
+    members = [[j for j in range(size) if z >> (size - 1 - j) & 1] for z in range(everything + 1)]
+
+    def cut(f, i):
+        return sum(1 << (size - 1 - j) for j, t in enumerate(T) if t[index[f]] >= i)
+
+    accepted = {mask: [everything] for mask in range(1, (1 << k) - 1)}
+    for b in signatures.boxes:
+        if b.coalition.mask in accepted:
+            accepted[b.coalition.mask] += [cut(b.sub, i) for i in range(1, sig[index[b]] + 1)]
+    for z in range(1, everything + 1):
+        if any(
+            min(T[j][index[b.sub]] for j in members[z]) != sig[index[b]]
+            for b in signatures.oboxes
+        ):
+            continue
+        E = _table_by_cells(z, _closure_generators(k, accepted, z), k, size, chain)
+        if all(
+            E.rows()[b.coalition.mask, encode_assessment([t[index[b.sub]] for t in T], chain.n)]
+            == sig[index[b]]
+            for b in signatures.boxes
+        ) and check_playability(E).truly_playable:
+            return True
+    return False
+
+
+def test_decide_agrees_with_a_search_over_every_z():
+    # over random sets T of at most 8 signatures, a modal projection (of any
+    # signature, in T or not) is realizable exactly when some Z passes, not
+    # only the largest one
+    rng = random.Random(3)
+    decided = realizable = 0
+    for seed in range(60):
+        n, outcome = 1 + seed % 2, seed % 4 >= 2
+        chain = Chain(n)
+        phi = random_formula(random.Random(seed), 3, (1, 2), 2, chain, allow_outcome=outcome)
+        signatures = _Signatures(phi, chain, 2)
+        sigs = signatures.all()
+        if len(sigs) > 729 or not signatures.boxes + signatures.oboxes:
+            continue
+        T = tuple(rng.sample(sigs, min(len(sigs), rng.randint(1, 8))))
+        round_ = _Round(signatures, T)
+        projections = {}
+        for sig in sigs:
+            projections.setdefault(tuple(sig[i] for i in round_.modal_pos), sig)
+        for sig in rng.sample(list(projections.values()), min(len(projections), 8)):
+            found = round_.realizable(sig) is not None
+            assert found == _realizable_by_search(signatures, T, sig), (phi, T, sig)
+            decided += 1
+            realizable += found
+    assert decided >= 50 and 0 < realizable < decided

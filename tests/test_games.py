@@ -6,7 +6,7 @@ import pytest
 
 from mveff.chain import Chain
 from mveff.corpus import random_game_form
-from mveff.errors import BadDocument, BudgetExceeded
+from mveff.errors import BadDocument, BudgetExceeded, InvalidInput
 from mveff.formulas import Coalition
 from mveff.games import (
     GameForm,
@@ -103,6 +103,15 @@ def test_mv_effectivity_is_max_min():
                 c = Coalition(mask, k)
                 for f in enumerate_assessments(3, outcomes):
                     assert mv_effectivity(g, chain, c, f).num == _brute_max_min(g, mask, f, 3)
+
+
+@pytest.mark.parametrize("f", [(1.5, 2), (0, 7), (-1, 0), (0, None), (0, 1, 2), ((0, 1), (1, 0))])
+def test_mv_effectivity_rejects_assessments_off_the_chain(f):
+    # an entry that is not an int in 0..n is an input error even where the
+    # max-min would not land on it
+    g = _matching_pennies()
+    with pytest.raises(InvalidInput):
+        mv_effectivity(g, Chain(2), Coalition.empty(2), f)
 
 
 def test_effectivity_table_matches_pointwise():
