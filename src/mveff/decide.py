@@ -17,7 +17,10 @@ index of its characteristic assessment in `enumerate_assessments` order, so
 a table row is one array expression.  The round builds the cuts of every
 modal node's argument once; since realizability reads a signature only at
 its modal nodes, it is decided once per distinct projection, by one
-closure at the largest set Z the empty coalition's row may have.
+closure at the largest set Z the empty coalition's row may have.  The
+closure is one pass over the proper coalitions in increasing mask order:
+each row meets its two-part splits' rows, which are already closed, and
+then Z.
 """
 
 from __future__ import annotations
@@ -153,15 +156,14 @@ class _Round:
         self.modal_pos = tuple(index[b] for b in self.modal)
         self.cuts = {}
         for b in self.modal:
-            column = [sig[index[b.sub]] for sig in T]
+            pos = index[b.sub]
+            column = [sig[pos] for sig in T]
+            # state 0 is the leading digit: one base-2 parse per cut
             self.cuts[b] = tuple(
-                self._set(j for j, x in enumerate(column) if x >= i)
+                int("".join(["1" if x >= i else "0" for x in column]), 2)
                 for i in range(1, n + 1)
             )
         self._decided = {}
-
-    def _set(self, states) -> int:
-        return sum(1 << (self.size - 1 - j) for j in states)
 
     def realizable(self, sig):
         """The witness (Z, generators) of a state with this signature, or None."""
@@ -256,7 +258,7 @@ class _Round:
         if logic == LOGIC_TPN:
             pairs = frozenset(
                 (j, v) for j, (z, _) in enumerate(witnesses)
-                for v in range(self.size) if z & self._set((v,))
+                for v in range(self.size) if z >> (self.size - 1 - v) & 1
             )
             return EnrichedLnModel(signatures.chain, states, eff, valuation, pairs)
         return LnModel(signatures.chain, states, eff, valuation)
@@ -265,34 +267,27 @@ class _Round:
 def _closure_generators(k, accepted, z):
     """Minimal accepted sets per proper coalition, as antichain generators.
 
-    Rows start from the prescribed accepted sets (liveness included) and
-    close under disjoint superadditive intersections, the empty coalition's
-    generator Z included, so every generator g also brings g & Z; upward
-    closure stays implicit in the generator view.
+    Row C starts from its prescribed accepted sets (liveness included) and
+    is closed under superadditivity: it gains g1 & g2 for every split of C
+    into non-empty disjoint parts, and g & Z, Z being the empty coalition's
+    generator.  Both parts of a split are smaller masks than C, so one pass
+    in increasing mask order finds their rows already closed, and a split
+    into more parts is a two-part split of which one part is a union.
+    Meeting with Z is idempotent, so one meet after the splits closes the
+    row.  Upward closure stays implicit in the generator view; pruning each
+    row to its antichain loses nothing, since the minimal meets are meets
+    of minimal sets.
     """
-    full_mask = (1 << k) - 1
-    gens = {mask: set(sets) for mask, sets in accepted.items()}
-    gens[0] = {z}
-    changed = True
-    while changed:
-        changed = False
-        for m1 in gens:
-            for m2 in gens:
-                if m1 >= m2 or m1 & m2 or (m1 | m2) == full_mask:
-                    continue
-                target = gens[m1 | m2]
-                for g1 in list(gens[m1]):
-                    for g2 in list(gens[m2]):
-                        g = g1 & g2
-                        if g not in target:
-                            target.add(g)
-                            changed = True
-    del gens[0]
-    # prune to antichains for cheap membership tests
-    return {
-        mask: [g for g in sets if not any(h != g and h & g == h for h in sets)]
-        for mask, sets in gens.items()
-    }
+    gens = {}
+    for mask in range(1, (1 << k) - 1):
+        row = set(accepted[mask])
+        for part in range(1, mask):
+            rest = mask ^ part
+            if part & rest == 0 and part < rest:
+                row.update(g1 & g2 for g1 in gens[part] for g2 in gens[rest])
+        row = {g & z for g in row}
+        gens[mask] = [g for g in row if not any(h != g and h & g == h for h in row)]
+    return gens
 
 
 def _verify_countermodel(model, phi, state_idx, signatures, logic):

@@ -102,9 +102,13 @@ class LnModel:
         return len(self.states)
 
     def state_index(self, u) -> int:
-        if not isinstance(u, int) and u not in self.states:
-            raise InvalidInput(f"unknown state {u!r}")
-        return u if isinstance(u, int) else self.states.index(u)
+        """The index of a state given by name or by index (an int, not a bool)."""
+        if isinstance(u, int) and not isinstance(u, bool):
+            if 0 <= u < len(self.states):
+                return u
+        elif u in self.states:
+            return self.states.index(u)
+        raise InvalidInput(f"unknown state {u!r}")
 
     def prop_row(self, index: int) -> tuple[int, ...]:
         for p, row in self.valuation:
@@ -177,9 +181,6 @@ class EnrichedLnModel(LnModel):
         pairs = frozenset(
             (self.state_index(u), self.state_index(v)) for u, v in R
         )
-        for u, v in pairs:
-            if not (0 <= u < len(self.states) and 0 <= v < len(self.states)):
-                raise InvalidInput(f"relation pair ({u}, {v}) outside the state set")
         object.__setattr__(self, "R", pairs)
 
     def successors(self, u: int) -> tuple[int, ...]:

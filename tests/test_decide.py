@@ -24,7 +24,7 @@ from mveff.decide import (
 )
 from mveff.errors import BudgetExceeded, DialectViolation
 from mveff.formulas import Implies, Neg, Top, parse
-from mveff.models import EnrichedLnModel, LnModel, eval_vector, is_standard
+from mveff.models import EnrichedLnModel, LnModel, eval_vector, is_standard, pn_axioms
 from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment, lift_boolean
 
 
@@ -57,6 +57,31 @@ def test_axiom_instances_are_theorems():
         phi = parse(text, 2, chain=Chain(2))
         verdict = search_countermodel(phi, max_states=10 ** 9, chain=Chain(2))
         assert verdict.status == "TheoremByFiltrationBound", text
+
+
+def test_three_player_axiom_instances_are_theorems():
+    # with 3 players a proper coalition has two-part splits, so the closure
+    # meets rows of smaller coalitions
+    for n in (1, 2):
+        chain = Chain(n)
+        instances = pn_axioms(3, chain)
+        assert len(instances) == 52
+        for name, phi in instances:
+            verdict = search_countermodel(phi, max_states=10 ** 9, chain=chain, players=3)
+            assert verdict.status == "TheoremByFiltrationBound", (n, name)
+
+
+def test_three_player_countermodel_is_verified():
+    # two coalitions' abilities say nothing about a third player's
+    for n in (1, 2):
+        chain = Chain(n)
+        phi = parse("[{1}]p1 & [{2}]p2 -> [{3}](p1 & p2)", 3, chain=chain)
+        verdict = search_countermodel(phi, chain=chain, players=3)
+        assert verdict.status == "CountermodelFound"
+        M = verdict.model
+        assert (M.num_states, M.k) == (2, 3)
+        assert all(check_playability(E).truly_playable for E in M.eff)
+        assert eval_vector(M, phi)[M.state_index(verdict.state)] < n
 
 
 def test_bound_matters_for_certification():
@@ -334,6 +359,51 @@ def test_every_survivor_witness_realizes_its_signature():
     assert checked >= 100
 
 
+def _closure_by_fixpoint(k, accepted, z):
+    """The proper coalitions' rows closed by rerunning every disjoint pair of
+    rows, the empty coalition's {Z} included, until nothing changes: the
+    reference for the one-pass _closure_generators."""
+    full_mask = (1 << k) - 1
+    gens = {mask: set(sets) for mask, sets in accepted.items()}
+    gens[0] = {z}
+    changed = True
+    while changed:
+        changed = False
+        for m1 in gens:
+            for m2 in gens:
+                if m1 >= m2 or m1 & m2 or (m1 | m2) == full_mask:
+                    continue
+                target = gens[m1 | m2]
+                for g1 in list(gens[m1]):
+                    for g2 in list(gens[m2]):
+                        g = g1 & g2
+                        if g not in target:
+                            target.add(g)
+                            changed = True
+    del gens[0]
+    return {
+        mask: [g for g in sets if not any(h != g and h & g == h for h in sets)]
+        for mask, sets in gens.items()
+    }
+
+
+def test_one_pass_closure_equals_the_fixpoint():
+    rng = random.Random(5)
+    for _ in range(1500):
+        k, size = rng.choice((2, 3, 4)), rng.randint(1, 8)
+        everything = (1 << size) - 1
+        accepted = {
+            mask: [rng.randint(0, everything) for _ in range(rng.randint(0, 3))]
+            for mask in range(1, (1 << k) - 1)
+        }
+        z = rng.randint(1, everything)
+        one_pass = _closure_generators(k, accepted, z)
+        fixpoint = _closure_by_fixpoint(k, accepted, z)
+        assert one_pass.keys() == fixpoint.keys()
+        for mask in fixpoint:
+            assert sorted(one_pass[mask]) == sorted(fixpoint[mask]), (k, accepted, z)
+
+
 def _realizable_by_search(signatures, T, sig):
     """Whether some non-empty Z over T, with the proper rows closed from the
     prescribed accepted sets, gives a truly playable table with every [C]
@@ -356,7 +426,7 @@ def _realizable_by_search(signatures, T, sig):
             for b in signatures.oboxes
         ):
             continue
-        E = _table_by_cells(z, _closure_generators(k, accepted, z), k, size, chain)
+        E = _table_by_cells(z, _closure_by_fixpoint(k, accepted, z), k, size, chain)
         if all(
             E.rows()[b.coalition.mask, encode_assessment([t[index[b.sub]] for t in T], chain.n)]
             == sig[index[b]]
@@ -367,27 +437,30 @@ def _realizable_by_search(signatures, T, sig):
 
 
 def test_decide_agrees_with_a_search_over_every_z():
-    # over random sets T of at most 8 signatures, a modal projection (of any
+    # over random sets T of a few signatures, a modal projection (of any
     # signature, in T or not) is realizable exactly when some Z passes, not
-    # only the largest one
+    # only the largest one; with 3 players the closure meets two-part splits
     rng = random.Random(3)
-    decided = realizable = 0
-    for seed in range(60):
-        n, outcome = 1 + seed % 2, seed % 4 >= 2
-        chain = Chain(n)
-        phi = random_formula(random.Random(seed), 3, (1, 2), 2, chain, allow_outcome=outcome)
-        signatures = _Signatures(phi, chain, 2)
-        sigs = signatures.all()
-        if len(sigs) > 729 or not signatures.boxes + signatures.oboxes:
-            continue
-        T = tuple(rng.sample(sigs, min(len(sigs), rng.randint(1, 8))))
-        round_ = _Round(signatures, T)
-        projections = {}
-        for sig in sigs:
-            projections.setdefault(tuple(sig[i] for i in round_.modal_pos), sig)
-        for sig in rng.sample(list(projections.values()), min(len(projections), 8)):
-            found = round_.realizable(sig) is not None
-            assert found == _realizable_by_search(signatures, T, sig), (phi, T, sig)
-            decided += 1
-            realizable += found
-    assert decided >= 50 and 0 < realizable < decided
+    for players, max_size in ((2, 8), (3, 5)):
+        decided = realizable = 0
+        for seed in range(60):
+            n, outcome = 1 + seed % 2, seed % 4 >= 2
+            chain = Chain(n)
+            phi = random_formula(
+                random.Random(seed), 3, (1, 2), players, chain, allow_outcome=outcome
+            )
+            signatures = _Signatures(phi, chain, players)
+            sigs = signatures.all()
+            if len(sigs) > 729 or not signatures.boxes + signatures.oboxes:
+                continue
+            T = tuple(rng.sample(sigs, min(len(sigs), rng.randint(1, max_size))))
+            round_ = _Round(signatures, T)
+            projections = {}
+            for sig in sigs:
+                projections.setdefault(tuple(sig[i] for i in round_.modal_pos), sig)
+            for sig in rng.sample(list(projections.values()), min(len(projections), 8)):
+                found = round_.realizable(sig) is not None
+                assert found == _realizable_by_search(signatures, T, sig), (phi, T, sig)
+                decided += 1
+                realizable += found
+        assert decided >= 50 and 0 < realizable < decided, players

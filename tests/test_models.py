@@ -15,8 +15,10 @@ from mveff.errors import (
     BadDocument,
     BudgetExceeded,
     DialectViolation,
+    InvalidInput,
     UnknownProposition,
 )
+from mveff.filtration import quotient
 from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, parse
 from mveff.models import (
     EnrichedLnModel,
@@ -306,3 +308,20 @@ def test_wrong_typed_model_fields():
     ):
         with pytest.raises(BadDocument):
             LnModel.from_doc({**doc, **bad})
+
+
+def test_state_index_takes_only_a_name_or_an_index_in_range():
+    M = random_playable_model(random.Random(7), Chain(2), 3).with_valuation({1: (0, 1, 2)})
+    phi = parse("p1", 2)
+    assert [eval_formula(M, u, phi).num for u in (0, 1, 2, "s0", "s2")] == [0, 1, 2, 0, 2]
+    q = quotient(M, phi)
+    for bad in (-1, 3, 7, True, False, 1.0, "s3", None):
+        with pytest.raises(InvalidInput):
+            eval_formula(M, bad, phi)
+        with pytest.raises(InvalidInput):
+            q.class_of(bad)
+    E = random_enriched_model(random.Random(7), Chain(2), 3)
+    with pytest.raises(InvalidInput):
+        EnrichedLnModel(E.chain, E.states, E.eff, E.valuation, [(0, 3)])
+    with pytest.raises(InvalidInput):
+        EnrichedLnModel(E.chain, E.states, E.eff, E.valuation, [(-1, 0)])
