@@ -154,6 +154,12 @@ class _Round:
         index = signatures.index
         self.modal = signatures.boxes + signatures.oboxes
         self.modal_pos = tuple(index[b] for b in self.modal)
+        # the realizable key, built in C; itemgetter returns a bare item for
+        # one index and needs at least one, so those keys are built here
+        if len(self.modal_pos) > 1:
+            self._key = operator.itemgetter(*self.modal_pos)
+        else:
+            self._key = lambda sig: tuple(sig[i] for i in self.modal_pos)
         self.cuts = {}
         for b in self.modal:
             pos = index[b.sub]
@@ -167,7 +173,7 @@ class _Round:
 
     def realizable(self, sig):
         """The witness (Z, generators) of a state with this signature, or None."""
-        key = tuple(sig[i] for i in self.modal_pos)
+        key = self._key(sig)
         if key not in self._decided:
             self._decided[key] = self._decide(dict(zip(self.modal, key)))
         return self._decided[key]

@@ -47,6 +47,7 @@ from .formulas import (
     Neg,
     Prop,
     Top,
+    children,
     iff,
     meet,
     odot,
@@ -201,7 +202,9 @@ class EnrichedLnModel(LnModel):
 # -- evaluation --------------------------------------------------------------
 
 
-def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> dict:
+def _eval_nodes(
+    nodes, n: int, assign: dict, model: LnModel | None = None, root_only: bool = False
+) -> dict:
     """Value arrays of shape (states, *lead) for nodes listed children first.
 
     Each node is computed once from its children's arrays, held in
@@ -210,6 +213,8 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
     those of the assigned arrays (an open grid from _valuation_grid, none
     when nothing is assigned), and each node broadcasts over only the lead
     axes its children vary on.  Without a model there is a single state.
+    With root_only, each child's array is dropped once its last parent is
+    computed, so the result holds only the nodes that have no parent.
     """
     lead = next(iter(assign.values())).ndim - 1 if assign else 0
     size = model.num_states if model is not None else 1
@@ -220,7 +225,14 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
     # slower
     tops: dict[tuple, np.ndarray] = {}
     values: dict[Formula, np.ndarray] = {}
-    for node in nodes:
+    # released[i]: the children whose last parent is nodes[i], each once
+    # (p1 -> p1 lists its child twice)
+    released: dict[int, list] = {}
+    if root_only:
+        last = {child: i for i, node in enumerate(nodes) for child in children(node)}
+        for child, i in last.items():
+            released.setdefault(i, []).append(child)
+    for i, node in enumerate(nodes):
         if node in assign:
             out = assign[node]
         elif isinstance(node, Top):
@@ -230,7 +242,8 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
         elif isinstance(node, Neg):
             out = n - values[node.sub]
         elif isinstance(node, Implies):
-            out = n - values[node.left] + values[node.right]
+            out = values[node.right] - values[node.left]
+            out += n
             top = tops.get(out.shape)
             if top is None:
                 top = tops[out.shape] = np.full(out.shape, n, dtype=dtype)
@@ -256,12 +269,15 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None) -> di
         else:
             raise TypeError(f"unknown formula node {node!r}")
         values[node] = out
+        for child in released.get(i, ()):
+            del values[child]
     return values
 
 
 def eval_vector(model: LnModel, phi: Formula) -> tuple[int, ...]:
     """Numerator of the value of phi at every state."""
-    return tuple(_eval_nodes(subformulas(phi), model.n, {}, model)[phi].tolist())
+    values = _eval_nodes(subformulas(phi), model.n, {}, model, root_only=True)
+    return tuple(values[phi].tolist())
 
 
 def eval_formula(model: LnModel, u, phi: Formula) -> TruthValue:
@@ -313,7 +329,7 @@ def is_valid(
     size = model.num_states
     arrays = _valuation_grid(model.n, size, prop_support, budget)
     assign = {Prop(p): arrays[p] for p in prop_support}
-    bad = _eval_nodes(subformulas(phi), model.n, assign, model)[phi] < model.n
+    bad = _eval_nodes(subformulas(phi), model.n, assign, model, root_only=True)[phi] < model.n
     rows = bad.any(axis=0)
     if not rows.any():
         return True, None

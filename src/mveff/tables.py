@@ -7,13 +7,20 @@ signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
 `.table` is built only when asked for.
 
 Each playability predicate is one array expression over every coalition
-(or every coalition pair) at once, laid out in the order of its displayed
-quantifiers, so a C-order argmax of the failing cells is the first witness
-in that order.  Superadditivity compares a stack of disjoint coalition
-pairs against the meet index in chunks of bounded size, and refuses with
-BudgetExceeded a scan larger than _DENSE_CELL_BUDGET cells.  Principality
-has a closed form: the only possible generator is the set of coordinates
-that are top on every assessment the empty coalition accepts.
+at once, laid out in the order of its displayed quantifiers, so a C-order
+argmax of the failing cells is the first witness in that order.
+Principality has a closed form: the only possible generator is the set of
+coordinates that are top on every assessment the empty coalition accepts.
+
+Superadditivity, E(C1,f) meet E(C2,g) <= E(C1 | C2, f meet g) for disjoint
+C1 and C2, is decided on coordinate splits: (2n+1)^S triples (f, g, f meet
+g) per coalition pair, each coordinate top on both sides or given to one of
+f and g, instead of (n+1)^(2S) cells (f, g).  That is exact on
+outcome-monotone rows, and any other row adds strips through the cells that
+exceed its monotone minorant.  Pairs run in order up to the first that
+fails, whose witness comes from a dense scan of that pair alone, so every
+witness is the first failing (c1, c2, f, g) of a dense scan.  A check
+larger than _DENSE_CELL_BUDGET cells raises BudgetExceeded.
 
 `check_playability` first decides homogeneity on the full table.  A
 homogeneous table commutes with both doubling maps, hence with every cut
@@ -21,13 +28,10 @@ tau_i, so it is the lift of its Boolean skeleton and every predicate (built
 from <=, meet, negation and the constants) has the same verdict on the table
 and on the 2^S-assessment skeleton.  For n > 1 the battery therefore runs on
 the skeleton; a predicate that fails there runs again on the full table, so
-its witness is the first failing dense cell.  Superadditivity holds pair by
-pair on the table exactly when it holds on the skeleton, so its dense re-run
-scans only the first coalition pair the skeleton fails.  Non-homogeneous
-tables and Boolean tables run the battery on the full table.
-Semi-playability is run only for a witness: when the full outcome
-monotonicity, liveness, safety and superadditivity hold, so do their
-proper-row and proper-union versions.
+its witness is the first failing dense cell.  Non-homogeneous tables and
+Boolean tables run the battery on the full table.  Semi-playability is run
+only for a witness: when the full outcome monotonicity, liveness, safety and
+superadditivity hold, so do their proper-row and proper-union versions.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,16 +86,18 @@ PLAYABLE_PARTS = (
 # semi-playability, in the order _check_semi_playable tries them
 SEMI_PLAYABLE_PARTS = ("outcome_monotonic", "liveness", "safety", "superadditive")
 
-# cells of the meet index held in memory at once
+# cells of a meet index that is built whole and kept; a larger one is built
+# row by row as a scan needs it
 _MEET_MATRIX_CAP = 1 << 22
 
-# cells of the coalition-pair stack that superadditivity compares at once
-# (one pair at least): a chunk and its two same-sized temporaries stay under
-# 200 KB at int8, so stacking speeds up small tables without raising the
-# peak memory of large ones
-_STACK_CAP = 1 << 16
+# cells the superadditivity scan compares at once, split triples of a run of
+# coalition pairs or strip rows (one pair's or one row's at least): a step
+# and its same-sized temporaries stay under a few hundred KB, so the scan
+# does not raise the peak memory of large tables
+_SCAN_CAP = 1 << 16
 
-# cells one superadditivity scan may compare: pairs x (n+1)^(2S)
+# cells one superadditivity check may compare: split and strip cells of
+# every pair, and (n+1)^(2S) for the dense scan of a failing pair
 _DENSE_CELL_BUDGET = 1 << 31
 
 
@@ -150,43 +156,86 @@ class _Geometry:
             [(self.tuples >= i) @ bool_powers for i in range(1, n + 1)]
         )
 
+        # split triples: 2n + 1 choices of (f_j, g_j, h_j) per coordinate
+        self.split_count = (2 * n + 1) ** size
+
         self._meet_idx = None
-
-    def meet_blocks(self):
-        """The count x count meet index in row blocks, as (first row, block).
-
-        block[i, gi] encodes the meet of assessments start + i and gi.  A
-        block holds at most _MEET_MATRIX_CAP cells (one row at least); a
-        matrix that fits is the cached meet_all(), as one block.
-        """
-        if self.count * self.count <= _MEET_MATRIX_CAP:
-            yield 0, self.meet_all()
-            return
-        step = max(1, _MEET_MATRIX_CAP // self.count)
-        for start in range(0, self.count, step):
-            yield start, self._meet_rows(start, min(start + step, self.count))
+        self._splits = None
 
     def meet_all(self) -> np.ndarray:
         """The whole meet index, built once and kept."""
         if self._meet_idx is None:
-            self._meet_idx = self._meet_rows(0, self.count)
+            self._meet_idx = self._meet_rows(np.arange(self.count))
         return self._meet_idx
 
-    def _meet_rows(self, start: int, stop: int) -> np.ndarray:
-        """Meet index of assessments start..stop-1 against every assessment.
+    def meet_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Meet index of the assessments idx against every assessment."""
+        if self.count * self.count <= _MEET_MATRIX_CAP:
+            return self.meet_all()[idx]
+        return self._meet_rows(idx)
+
+    def _meet_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Meet index of the assessments idx against every assessment.
 
         Meets act digit by digit, so with an index split into leading and
         trailing digits, idx = hi * L + lo, the meet index is the sum of the
         two halves' meet indices, the leading one scaled by L.
         """
-        idx = np.arange(start, stop, dtype=np.int64)
+        idx = np.asarray(idx, dtype=np.int64)
         if self.size == 1:
             return np.minimum.outer(idx, np.arange(self.count, dtype=np.int64))
         high = _geometry(self.n, self.size // 2)
         low = _geometry(self.n, self.size - self.size // 2)
         hi = high.meet_all()[idx // low.count] * low.count
         lo = low.meet_all()[idx % low.count]
-        return (hi[:, :, None] + lo[:, None, :]).reshape(stop - start, self.count)
+        return (hi[:, :, None] + lo[:, None, :]).reshape(len(idx), self.count)
+
+    def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The split triples as index arrays (f, g, h), built once and kept.
+
+        On each coordinate j either f_j = g_j = h_j = n, or h_j < n and one
+        of f, g takes h_j there while the other takes n; so f meet g = h,
+        and every (f, g) lies below the triple of its own meet that gives
+        each coordinate to the smaller side.  The indices are held in the
+        narrowest unsigned type that covers count.
+        """
+        if self._splits is None:
+            n = self.n
+            below, top = np.arange(n), np.full(n, n)
+            options = np.array(
+                [np.r_[below, top, n], np.r_[top, below, n], np.r_[below, below, n]]
+            )
+            triples = np.zeros((3, 1), dtype=np.int64)
+            for _ in range(self.size):
+                triples = (triples[:, :, None] * (n + 1) + options[:, None, :]).reshape(3, -1)
+            triples = triples.astype(np.min_scalar_type(self.count - 1))
+            triples.flags.writeable = False
+            self._splits = tuple(triples)
+        return self._splits
+
+    def split_blocks(self, cap: int):
+        """The split triples in blocks of at most cap triples.
+
+        Triples that fit, or that have one coordinate, are the cached
+        splits(), as one block.  Larger sets are never held whole: as in
+        _meet_rows, a triple over leading and trailing digits is a leading
+        triple scaled by the trailing count plus a trailing triple, and a
+        block pairs a run of leading triples with every trailing one.
+        """
+        if self.split_count <= cap or self.size == 1:
+            yield self.splits()
+            return
+        tail = 1
+        while (2 * self.n + 1) ** (tail + 1) <= cap:
+            tail += 1
+        high = _geometry(self.n, self.size - tail).splits()
+        low = _geometry(self.n, tail)
+        step = max(1, cap // low.split_count)
+        for start in range(0, len(high[0]), step):
+            yield tuple(
+                (h[start : start + step, None].astype(np.int64) * low.count + l).ravel()
+                for h, l in zip(high, low.splits())
+            )
 
 
 @lru_cache(maxsize=None)
@@ -456,49 +505,113 @@ def _check_regular(E: EffFn):
     return False, (int(hit[0]), int(hit[1]))
 
 
-def _superadditive_violation(rows, geo, first, second, union):
-    """First (pair, f, g), pairs outermost and then row-major, with
-    E(c1,f) meet E(c2,g) above E(c1 | c2, f meet g), or None.
+def _monotone_minorant(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """m(C, f), the least E(C, f') over f' >= f: the largest outcome-monotone
+    table below rows, one suffix-minimum pass per outcome coordinate."""
+    low = rows.copy()
+    for j in range(geo.size):
+        # (masks, leading digits, digit j, trailing digits)
+        view = low.reshape(len(rows), -1, geo.n + 1, (geo.n + 1) ** (geo.size - 1 - j))
+        for d in range(geo.n - 1, -1, -1):
+            np.minimum(view[:, :, d], view[:, :, d + 1], out=view[:, :, d])
+    return low
 
-    Pairs are compared in chunks against each row block of the meet index.
-    A chunk stacks pairs up to _STACK_CAP cells only when the meet index is
-    one block, and holds one pair otherwise, so witnesses keep their order.
+
+def _first_failing_row(rows, geo, own, other, cells):
+    """First (f, g), f among cells in their order and then g row-major, with
+    E(own,f) meet E(other,g) above E(own | other, f meet g), or None.
+
+    The rows are compared in blocks of at most _SCAN_CAP cells.  Meet and
+    min are symmetric, so with own and other swapped this scans the columns
+    g in cells of the pair (other, own).
     """
-    per_pair = geo.count * geo.count
-    step = max(1, min(_STACK_CAP, _MEET_MATRIX_CAP) // per_pair)
-    for start in range(0, len(first), step):
-        chunk = slice(start, start + step)
-        first_rows = rows.take(first[chunk], axis=0)
-        second_rows = rows.take(second[chunk], axis=0)[:, None, :]
-        union_rows = rows.take(union[chunk], axis=0)
-        for low, meet in geo.meet_blocks():
-            lhs = np.minimum(first_rows[:, low : low + len(meet), None], second_rows)
-            hit = _first(lhs > union_rows.take(meet, axis=1))
-            if hit is not None:
-                p, fi, gi = hit
-                return start + int(p), low + int(fi), int(gi)
+    union = rows[own | other]
+    step = max(1, _SCAN_CAP // geo.count)
+    for start in range(0, len(cells), step):
+        f = cells[start : start + step]
+        lhs = np.minimum(rows[own, f][:, None], rows[other])
+        hit = _first(lhs > union.take(geo.meet_rows(f)))
+        if hit is not None:
+            return int(f[hit[0]]), int(hit[1])
     return None
 
 
-def _check_superadditive(E: EffFn, proper_unions_only=False):
-    return _superadditive_over(E, _pair_stack(E.k, proper_unions_only))
+def _failing_pair(rows, excess, geo, first, second, union):
+    """Index of the first pair with E(c1,f) meet E(c2,g) above
+    E(c1 | c2, f meet g) for some (f, g), or None.
+
+    excess marks the cells above their row's monotone minorant m (None:
+    none).  A pair holds exactly when it holds on the split triples and on
+    its strips, the rows of c1's excess cells and the columns of c2's: an
+    (f, g) with neither cell excess lies below a split triple (f', g') with
+    E(c1,f) = m(c1,f) <= m(c1,f') <= E(c1,f'), and likewise for g.  Each
+    block of split triples is gathered once for every row, then compared
+    pair run by pair run, up to the first pair known to fail: the pairs
+    behind it are never compared again.
+    """
+    stop = len(first)
+    for fi, gi, hi in geo.split_blocks(max(1, _SCAN_CAP // len(rows))):
+        rf, rg, rh = rows.take(fi, axis=1), rows.take(gi, axis=1), rows.take(hi, axis=1)
+        step = max(1, _SCAN_CAP // len(fi))
+        for start in range(0, stop, step):
+            run = slice(start, min(start + step, stop))
+            lhs = np.minimum(rf.take(first[run], axis=0), rg.take(second[run], axis=0))
+            failed = (lhs > rh.take(union[run], axis=0)).any(axis=1)
+            if failed.any():
+                stop = start + int(failed.argmax())
+                break
+    if excess is not None:
+        has_excess = excess.any(axis=1)
+        stripped = has_excess[first[:stop]] | has_excess[second[:stop]]
+        for p in np.flatnonzero(stripped).tolist():
+            c1, c2 = int(first[p]), int(second[p])
+            for own, other in ((c1, c2), (c2, c1)):
+                cells = np.flatnonzero(excess[own])
+                if _first_failing_row(rows, geo, own, other, cells) is not None:
+                    return p
+    return stop if stop < len(first) else None
 
 
-def _superadditive_over(E: EffFn, pairs):
-    """Superadditivity over a stack (first, second, union) of disjoint
-    coalition pairs, with the first failing (c1, c2, f, g) as witness."""
-    geo = E.geometry()
-    first, second, union = pairs
-    cells = len(first) * geo.count * geo.count
+def _check_budget(cells: int):
     if cells > _DENSE_CELL_BUDGET:
         raise BudgetExceeded(
             f"superadditivity scan of {cells} cells exceeds budget {_DENSE_CELL_BUDGET}"
         )
-    hit = _superadditive_violation(E.rows(), geo, first, second, union)
-    if hit is None:
+
+
+def _check_superadditive(E: EffFn, proper_unions_only=False, monotone=False):
+    """Superadditivity over the disjoint coalition pairs, optionally only
+    those with a proper union, with the first failing (c1, c2, f, g) as
+    witness.
+
+    monotone says that the rows a pair can take as c1 or c2 are known to be
+    outcome-monotone, so no minorant is built and there are no strips.  The
+    budget is checked on the split and strip cells of every pair before the
+    scan, and again with the dense cells of a failing pair.
+    """
+    geo = E.geometry()
+    rows = E.rows()
+    first, second, union = _pair_stack(E.k, proper_unions_only)
+    excess = None if monotone else rows > _monotone_minorant(rows, geo)
+    cells = len(first) * geo.split_count
+    if excess is not None:
+        per_row = excess.sum(axis=1)
+        if per_row.any():
+            cells += int(per_row[first].sum() + per_row[second].sum()) * geo.count
+        else:
+            excess = None
+    _check_budget(cells)
+    p = _failing_pair(rows, excess, geo, first, second, union)
+    if p is None:
         return True, None
-    p, fi, gi = hit
-    return False, (int(first[p]), int(second[p]), fi, gi)
+    _check_budget(cells + geo.count * geo.count)
+    c1, c2 = int(first[p]), int(second[p])
+    witness = _first_failing_row(rows, geo, c1, c2, np.arange(geo.count))
+    if witness is None:
+        raise VerificationFailed(
+            f"the split scan fails the pair ({c1}, {c2}) and the dense scan does not"
+        )
+    return False, (c1, c2) + witness
 
 
 def _check_coalition_monotonic(E: EffFn):
@@ -568,7 +681,8 @@ def _check_semi_playable(E: EffFn):
     ok, w = _check_safety(E, proper=True)
     if not ok:
         return False, ("safety",) + w
-    ok, w = _check_superadditive(E, proper_unions_only=True)
+    # a proper union has proper parts, whose rows are outcome-monotone here
+    ok, w = _check_superadditive(E, proper_unions_only=True, monotone=True)
     if not ok:
         return False, ("superadditive",) + w
     return True, None
@@ -612,33 +726,27 @@ def check_playability(E: EffFn) -> PlayabilityReport:
     homogeneous = _check_homogeneous(E)
     target = boolean_skeleton(E) if E.n > 1 and homogeneous[0] else E
 
-    def run(check):
+    def run(name, check):
         holds, witness = check(target)
         if witness is None or target is E:
             return holds, witness
-        # a homogeneous table fails exactly the superadditivity pairs its
-        # skeleton fails, so the dense scan needs only the skeleton's first
-        if check is _check_superadditive:
-            return dense_pair(*witness[:2])
-        if check is _check_semi_playable and witness[0] == "superadditive":
-            holds, witness = dense_pair(*witness[1:3])
-            return holds, ("superadditive",) + witness
-        return check(E)
-
-    def dense_pair(c1, c2):
-        holds, witness = _superadditive_over(
-            E, tuple(np.array([c]) for c in (c1, c2, c1 | c2))
-        )
-        if holds:
-            raise VerificationFailed(
-                f"the skeleton fails superadditivity at ({c1}, {c2}) and the table does not"
-            )
+        holds, witness = check(E)
+        if witness is None:
+            raise VerificationFailed(f"the skeleton fails {name} and the table does not")
         return holds, witness
 
     properties = {}
     witnesses = {}
     for name in PROPERTY_NAMES:
-        holds, witness = homogeneous if name == "homogeneous" else run(_CHECKS[name])
+        if name == "homogeneous":
+            holds, witness = homogeneous
+        elif name == "superadditive":
+            # outcome monotonicity is decided first, and spares the scan
+            # the monotone minorant of a table whose rows all have it
+            monotone = properties["outcome_monotonic"]
+            holds, witness = run(name, partial(_check_superadditive, monotone=monotone))
+        else:
+            holds, witness = run(name, _CHECKS[name])
         properties[name] = holds
         if witness is not None:
             witnesses[name] = witness
@@ -647,7 +755,7 @@ def check_playability(E: EffFn) -> PlayabilityReport:
     if all(properties[name] for name in SEMI_PLAYABLE_PARTS):
         semi, semi_witness = True, None
     else:
-        semi, semi_witness = run(_check_semi_playable)
+        semi, semi_witness = run("semi_playable", _check_semi_playable)
     if semi_witness is not None:
         witnesses["semi_playable"] = semi_witness
     playable = all(properties[name] for name in PLAYABLE_PARTS)

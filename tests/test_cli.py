@@ -13,6 +13,7 @@ from mveff.corpus import (
 )
 from mveff.games import effectivity_table
 from mveff.models import standardize
+from mveff.tables import EffFn
 
 
 @pytest.fixture()
@@ -173,10 +174,21 @@ def test_missing_file_exit_2(runner):
 
 
 def test_check_over_the_dense_budget_exit_2(runner, tmp_path):
-    # non-homogeneous, k = 2, n = 2, 9 outcomes: 9 pairs x 3^18 cells
+    # non-homogeneous, k = 2, n = 2, 9 outcomes: over the budget as a dense
+    # scan (9 pairs x 3^18 cells), decided on coordinate splits
     E = effectivity_table(random_game_form(random.Random(3), 2, 9), Chain(2))
     doc = E.to_doc()
     doc["table"]["{}"][-1] = 1
+    (tmp_path / "nine.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["check", str(tmp_path / "nine.json")])
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    assert report["properties"]["superadditive"] and not report["playable"]
+    # k = 10, 10 outcomes, every row accepting only the top assessment: the
+    # split scan alone is 3^10 pairs x 3^10 triples
+    top_only = [0] * (1 << 10)
+    top_only[-1] = 1
+    doc = EffFn(Chain(1), 10, [f"s{j}" for j in range(10)], [top_only] * (1 << 10)).to_doc()
     (tmp_path / "big.json").write_text(json.dumps(doc))
     result = runner.invoke(main, ["check", str(tmp_path / "big.json")])
     assert result.exit_code == 2

@@ -175,6 +175,19 @@ def test_evaluator_matches_recursive_reference(case):
     val = dict(model.valuation)
     assert eval_vector(model, phi) == _reference_vector(model, phi, val)
     assert is_valid(model, phi, support) == _reference_is_valid(model, phi, support)
+    # a node that lists one child twice
+    twice = Implies(phi, phi)
+    assert eval_vector(model, twice) == _reference_vector(model, twice, val)
+
+
+def test_evaluator_on_nodes_that_list_one_child_twice():
+    model = random_playable_model(random.Random(4), Chain(2), 3, props=(1, 2))
+    val = dict(model.valuation)
+    for text in ("p1 -> p1", "[{1}]p2 -> [{1}]p2", "~(p1 -> p1) -> (p2 -> p2)"):
+        phi = parse(text, 2)
+        assert eval_vector(model, phi) == _reference_vector(model, phi, val)
+        for support in ((), (1,), (2, 1)):
+            assert is_valid(model, phi, support) == _reference_is_valid(model, phi, support)
 
 
 def test_valuation_grid_is_product_order():

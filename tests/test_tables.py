@@ -505,12 +505,25 @@ def _game_form_table(draw, n, k, size):
 
 
 @st.composite
+def _uniform_table(draw, n, k, size):
+    """Every cell drawn on its own: most cells lie above the row's monotone
+    minorant, so the superadditivity scan runs long strips."""
+    count = (n + 1) ** size
+    rows = [
+        draw(st.lists(st.integers(0, n), min_size=count, max_size=count))
+        for _ in range(1 << k)
+    ]
+    return EffFn(Chain(n), k, state_names(size), rows)
+
+
+@st.composite
 def _battery_inputs(draw):
-    n = draw(st.integers(2, 5))
+    size = draw(st.integers(1, 4))
+    # up to 256 assessments, so the dense oracle stays quick
+    n = draw(st.integers(2, 5 if size < 4 else 3))
     k = draw(st.sampled_from((2, 3)))
-    size = draw(st.integers(1, 3))
-    style = draw(st.sampled_from(("upset", "perturbed upset", "game form")))
-    make = _game_form_table if style == "game form" else _upset_table
+    style = draw(st.sampled_from(("upset", "perturbed upset", "game form", "uniform")))
+    make = {"game form": _game_form_table, "uniform": _uniform_table}.get(style, _upset_table)
     E = draw(make(n, k, size))
     if style == "perturbed upset":
         table = [list(row) for row in E.table]
@@ -552,14 +565,14 @@ def _boolean_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_boolean_inputs(), st.data())
 def test_boolean_battery_matches_oracle_in_split_chunks(E, data):
-    # n = 1: no skeleton, the battery runs on the table itself.  The pair
-    # stack (27 pairs, 19 with a proper union) is cut into chunks of 2-5
-    # pairs and a cell remainder, or one pair per chunk in row blocks.
+    # n = 1: no skeleton, the battery runs on the table itself.  A scan cap
+    # of 1-300 cells cuts the split triples (up to 27) into blocks of one or
+    # more triples, the pairs (27, 19 with a proper union) into runs, and
+    # the strips into blocks of rows; the meet index is one block or rows.
     per_pair = len(E.table[0]) ** 2
-    pairs = data.draw(st.integers(2, 5))
-    stack_cap = pairs * per_pair + data.draw(st.integers(0, per_pair - 1))
+    scan_cap = data.draw(st.integers(1, 300))
     meet_cap = data.draw(st.sampled_from((1 << 22, per_pair - 1)))
-    with mock.patch.object(tables, "_STACK_CAP", stack_cap), mock.patch.object(
+    with mock.patch.object(tables, "_SCAN_CAP", scan_cap), mock.patch.object(
         tables, "_MEET_MATRIX_CAP", meet_cap
     ):
         assert check_playability(E).to_doc() == _dense_report(E)
@@ -603,26 +616,42 @@ def test_dense_battery_past_one_meet_block():
     assert report.witnesses["superadditive"] == (0, 3, fstar, gi)
 
 
-def _over_budget_table():
+def _nine_outcome_table():
     """A non-homogeneous k = 2, n = 2 table on 9 outcomes: its dense
-    superadditivity scan is 9 pairs x 3^18 cells."""
+    superadditivity scan would be 9 pairs x 3^18 cells."""
     E = effectivity_table(random_game_form(random.Random(3), 2, 9), Chain(2))
     rows = E.rows().copy()
     rows[0, -1] = 1  # a middle value at the top assessment
     return EffFn(E.chain, E.k, E.outcomes, rows)
 
 
+def _over_budget_table():
+    """k = 10, n = 1, 10 outcomes, every row accepting only the top
+    assessment: outcome-monotone, and its split scan is 3^10 pairs x 3^10
+    triples."""
+    rows = np.zeros((1 << 10, 1 << 10), dtype=np.int8)
+    rows[:, -1] = 1
+    return EffFn(BOOL, 10, state_names(10), rows)
+
+
 def test_dense_battery_budget():
-    E = _over_budget_table()
+    E = _nine_outcome_table()
     assert not check_property(E, "homogeneous").holds
     count = len(E.table[0])
     assert 9 * count * count > tables._DENSE_CELL_BUDGET
-    with pytest.raises(BudgetExceeded):
-        check_playability(E)
-    with pytest.raises(BudgetExceeded):
-        check_property(E, "superadditive")
-    # the 6561-assessment table of the test above stays under it
-    assert 9 * 3**16 <= tables._DENSE_CELL_BUDGET
+    # over the budget as a dense scan, but decided on coordinate splits
+    report = check_playability(E)
+    assert report.properties["superadditive"] and not report.playable
+    assert check_property(E, "superadditive").holds
+    assert tables._check_superadditive(E, proper_unions_only=True) == (True, None)
+    big = _over_budget_table()
+    assert 3**10 * 3**10 > tables._DENSE_CELL_BUDGET
+    # refused before the scan starts, with or without the monotone verdict
+    with mock.patch.object(tables, "_failing_pair", side_effect=AssertionError):
+        with pytest.raises(BudgetExceeded):
+            check_playability(big)
+        with pytest.raises(BudgetExceeded):
+            check_property(big, "superadditive")
 
 
 def test_skeleton_failure_rescanned_on_its_pair_alone():
