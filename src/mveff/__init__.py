@@ -58,6 +58,7 @@ from .tables import (
     PlayabilityReport,
     boolean_skeleton,
     check_playability,
+    check_playability_many,
     check_property,
     lift_boolean,
     synthesize_game_form,
@@ -88,6 +89,7 @@ __all__ = [
     "PlayabilityReport",
     "check_property",
     "check_playability",
+    "check_playability_many",
     "boolean_skeleton",
     "lift_boolean",
     "synthesize_game_form",

@@ -30,6 +30,7 @@ from .models import EnrichedLnModel, LnModel, eval_vector, is_standard
 from .tables import (
     EffFn,
     check_playability,
+    check_playability_many,
     check_property,
     lift_boolean,
     synthesize_game_form,
@@ -121,7 +122,8 @@ def cmd_check(input_file, properties, fmt):
     kind = doc.get("kind", "effectivity")
     if kind in ("model", "enriched-model"):
         model = LnModel.from_doc(doc)
-        results = {u: check_playability(E).to_doc() for u, E in zip(model.states, model.eff)}
+        reports = check_playability_many(model.eff)
+        results = {u: report.to_doc() for u, report in zip(model.states, reports)}
         out = {"kind": "model-check", "per_state": results}
         if isinstance(model, EnrichedLnModel):
             out["standard"] = is_standard(model)

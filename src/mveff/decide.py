@@ -63,7 +63,7 @@ from .models import (
     pn_axioms,
     tpn_axioms,
 )
-from .tables import BOOL_CHAIN, EffFn, check_playability, lift_boolean
+from .tables import BOOL_CHAIN, EffFn, check_playability_many, lift_boolean
 
 LOGIC_PN = "Pn"
 LOGIC_TPN = "TPn"
@@ -298,11 +298,9 @@ def _closure_generators(k, accepted, z):
 
 def _verify_countermodel(model, phi, state_idx, signatures, logic):
     """Double-entry bookkeeping: re-check the found model from scratch."""
-    for j, E in enumerate(model.eff):
-        if not check_playability(E).truly_playable:
-            raise VerificationFailed(
-                f"countermodel table at {model.states[j]} is not truly playable"
-            )
+    for state, report in zip(model.states, check_playability_many(model.eff)):
+        if not report.truly_playable:
+            raise VerificationFailed(f"countermodel table at {state} is not truly playable")
     if logic == LOGIC_TPN and not is_standard(model):
         raise VerificationFailed("countermodel is not a standard enriched model")
     if eval_vector(model, phi)[state_idx] >= model.n:

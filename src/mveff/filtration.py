@@ -41,10 +41,9 @@ from .models import (
 )
 from .tables import (
     EffFn,
-    PlayabilityReport,
     _geometry,
     boolean_skeleton,
-    check_playability,
+    check_playability_many,
     encode_assessment,
     lift_boolean,
 )
@@ -228,30 +227,28 @@ def _filtered_valuation(q: Quotient):
     }
 
 
-def _intermediate(model: LnModel, mu: Formula):
-    """The intermediate filtration, the Boolean skeleton of each of its
-    distinct tables (built once, for the check and for the lift), and the
-    playability report of every distinct table checked so far.
+def _intermediate(model: LnModel, mu: Formula, lift_chain=None):
+    """The intermediate filtration and the Boolean skeleton of each of its
+    distinct tables (built once, for the check and for the lift); with
+    lift_chain, also the lift of each distinct skeleton to that chain and
+    the lifts' playability reports.
 
-    Equal tables share a report, so each distinct table is checked once per
-    filtration call; at n = 1 a skeleton is its table, and its lift is too.
+    Each stage is one stacked playability check: the source tables, then
+    the skeletons and their lifts together.  A lift is checked on its
+    skeleton, the table checked beside it, so its battery runs once.
     """
-    reports: dict[EffFn, PlayabilityReport] = {}
-
-    def report(E):
-        if E not in reports:
-            reports[E] = check_playability(E)
-        return reports[E]
-
-    for E in model.eff:
-        if not report(E).playable:
-            raise NotPlayable("filtration requires a playable model")
+    if not all(report.playable for report in check_playability_many(model.eff)):
+        raise NotPlayable("filtration requires a playable model")
     q = quotient(model, mu)
     tables = _intermediate_tables(q, definable_class_vectors(q))
     skeletons = {E: boolean_skeleton(E, strict=False) for E in dict.fromkeys(tables)}
-    for H in skeletons.values():
-        if not report(H).playable:
-            raise VerificationFailed("intermediate skeleton is not playable")
+    distinct = tuple(dict.fromkeys(skeletons.values()))
+    lifts = {} if lift_chain is None else {
+        H: lift_boolean(H, lift_chain, check_input=False) for H in distinct
+    }
+    reports = check_playability_many(distinct + tuple(lifts.values()))
+    if not all(report.playable for report in reports[: len(distinct)]):
+        raise VerificationFailed("intermediate skeleton is not playable")
     filtered = LnModel(
         chain=model.chain,
         states=q.class_names(),
@@ -260,7 +257,7 @@ def _intermediate(model: LnModel, mu: Formula):
     )
     _verify_filtration_conditions(q, filtered)
     inter = FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE)
-    return inter, skeletons, report
+    return inter, skeletons, lifts, reports[len(distinct) :]
 
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
@@ -270,21 +267,16 @@ def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
 
 def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     """Lift of the intermediate skeleton: a truly playable filtration."""
-    inter, skeletons, report = _intermediate(model, mu)
+    inter, skeletons, lifts, reports = _intermediate(model, mu, model.chain)
     q = inter.quotient
-    lifts = {
-        H: lift_boolean(H, model.chain, check_input=False)
-        for H in dict.fromkeys(skeletons.values())
-    }
     filtered = LnModel(
         chain=model.chain,
         states=q.class_names(),
         eff=tuple(lifts[skeletons[E]] for E in inter.model.eff),
         valuation=_filtered_valuation(q),
     )
-    for E in lifts.values():
-        if not report(E).truly_playable:
-            raise VerificationFailed("lifted table is not truly playable")
+    if not all(report.truly_playable for report in reports):
+        raise VerificationFailed("lifted table is not truly playable")
     _verify_filtration_conditions(q, filtered)
     _verify_truth_transfer(q, filtered)
     return FiltrationResult(quotient=q, model=filtered, stage=STAGE_PLAYABLE)

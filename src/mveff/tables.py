@@ -6,32 +6,41 @@ The cells are one read-only array of shape (2^k, (n+1)^S) in the narrowest
 signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
 `.table` is built only when asked for.
 
-Each playability predicate is one array expression over every coalition
-at once, laid out in the order of its displayed quantifiers, so a C-order
-argmax of the failing cells is the first witness in that order.
-Principality has a closed form: the only possible generator is the set of
-coordinates that are top on every assessment the empty coalition accepts.
+Each playability predicate is one array expression over a stack of tables
+of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
+at once, laid out after the table axis in the order of its displayed
+quantifiers, so a C-order argmax over one table's cells is that table's
+first witness in that order.  Principality has a closed form: the only
+possible generator is the set of coordinates that are top on every
+assessment the empty coalition accepts.
 
 Superadditivity, E(C1,f) meet E(C2,g) <= E(C1 | C2, f meet g) for disjoint
 C1 and C2, is decided on coordinate splits: (2n+1)^S triples (f, g, f meet
 g) per coalition pair, each coordinate top on both sides or given to one of
 f and g, instead of (n+1)^(2S) cells (f, g).  That is exact on
 outcome-monotone rows, and any other row adds strips through the cells that
-exceed its monotone minorant.  Pairs run in order up to the first that
-fails, whose witness comes from a dense scan of that pair alone, so every
-witness is the first failing (c1, c2, f, g) of a dense scan.  A check
-larger than _DENSE_CELL_BUDGET cells raises BudgetExceeded.
+exceed its monotone minorant.  The split scan runs over the stack in chunks
+of _SCAN_CAP cells, and each table's pairs run in order up to the first
+that fails, whose witness comes from a dense scan of that pair alone, so
+every witness is the first failing (c1, c2, f, g) of a dense scan.  Strips
+and witness scans are per table, and so is the budget: a table whose check
+would compare more than _DENSE_CELL_BUDGET cells raises BudgetExceeded.
 
-`check_playability` first decides homogeneity on the full table.  A
-homogeneous table commutes with both doubling maps, hence with every cut
-tau_i, so it is the lift of its Boolean skeleton and every predicate (built
-from <=, meet, negation and the constants) has the same verdict on the table
-and on the 2^S-assessment skeleton.  For n > 1 the battery therefore runs on
-the skeleton; a predicate that fails there runs again on the full table, so
-its witness is the first failing dense cell.  Non-homogeneous tables and
-Boolean tables run the battery on the full table.  Semi-playability is run
-only for a witness: when the full outcome monotonicity, liveness, safety and
-superadditivity hold, so do their proper-row and proper-union versions.
+`check_playability_many` groups its tables by (n, k, S) and decides
+homogeneity on each group's stack.  A homogeneous table commutes with both
+doubling maps, hence with every cut tau_i, so it is the lift of its Boolean
+skeleton and every predicate (built from <=, meet, negation and the
+constants) has the same verdict on the table and on the 2^S-assessment
+skeleton.  For n > 1 the battery therefore runs on the skeletons, gathered
+for the whole stack at once; non-homogeneous tables and Boolean tables run
+it on themselves.  Equal targets run the battery once, all targets of one
+geometry in one stack, so a lift checked beside its skeleton costs only its
+homogeneity check.  A predicate that fails on a skeleton runs again on the
+full tables that own it, so its witness is the first failing dense cell.
+Semi-playability is run only for a witness: when the full outcome
+monotonicity, liveness, safety and superadditivity hold, so do their
+proper-row and proper-union versions.  `check_playability(E)` is the stack
+of one, with the same report.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +58,7 @@ from .errors import (
     BadDocument,
     BudgetExceeded,
     InvalidInput,
+    MveffError,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
@@ -86,15 +96,16 @@ PLAYABLE_PARTS = (
 # semi-playability, in the order _check_semi_playable tries them
 SEMI_PLAYABLE_PARTS = ("outcome_monotonic", "liveness", "safety", "superadditive")
 
-# cells of a meet index that is built whole and kept; a larger one is built
-# row by row as a scan needs it
-_MEET_MATRIX_CAP = 1 << 22
-
 # cells the superadditivity scan compares at once, split triples of a run of
 # coalition pairs or strip rows (one pair's or one row's at least): a step
 # and its same-sized temporaries stay under a few hundred KB, so the scan
 # does not raise the peak memory of large tables
 _SCAN_CAP = 1 << 16
+
+# cells of a meet index that is built whole and kept (tables of up to 256
+# assessments); a larger one is built row by row as a scan needs it, so a
+# check keeps no index larger than one scan step
+_MEET_MATRIX_CAP = _SCAN_CAP
 
 # cells one superadditivity check may compare: split and strip cells of
 # every pair, and (n+1)^(2S) for the dense scan of a failing pair
@@ -179,14 +190,16 @@ class _Geometry:
 
         Meets act digit by digit, so with an index split into leading and
         trailing digits, idx = hi * L + lo, the meet index is the sum of the
-        two halves' meet indices, the leading one scaled by L.
+        two halves' meet indices, the leading one scaled by L.  It is held
+        in the narrowest unsigned type that covers count.
         """
         idx = np.asarray(idx, dtype=np.int64)
+        dtype = np.min_scalar_type(self.count - 1)
         if self.size == 1:
-            return np.minimum.outer(idx, np.arange(self.count, dtype=np.int64))
+            return np.minimum.outer(idx, np.arange(self.count)).astype(dtype)
         high = _geometry(self.n, self.size // 2)
         low = _geometry(self.n, self.size - self.size // 2)
-        hi = high.meet_all()[idx // low.count] * low.count
+        hi = high.meet_all()[idx // low.count].astype(dtype) * low.count
         lo = low.meet_all()[idx % low.count]
         return (hi[:, :, None] + lo[:, None, :]).reshape(len(idx), self.count)
 
@@ -412,18 +425,47 @@ class EffFn:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-# -- individual property checks ---------------------------------------------
+# -- the playability battery -------------------------------------------------
 #
-# Each check stacks its comparisons in the order of its quantifiers (masks
-# outermost) and reads the first failing cell with a C-order argmax.
+# Every predicate takes a stack of tables of one geometry and returns one
+# verdict per table: (holds, witness), or the MveffError its check raised,
+# which the report of that table raises.
 
 
-def _first(bad: np.ndarray):
-    """Unravelled index of the first True cell of bad, or None."""
-    hit = int(bad.argmax())
-    if not bad.flat[hit]:
+def _first(bad: np.ndarray) -> list | None:
+    """Per table (leading index) of bad, the unravelled index of its first
+    True cell over the other axes, or None; None when no table has one."""
+    if not bad.any():
         return None
-    return np.unravel_index(hit, bad.shape)
+    if len(bad) == 1:
+        return [_unravel(int(bad.argmax()), bad.shape[1:])]
+    flat = bad.reshape(len(bad), -1)
+    return [
+        _unravel(hit, bad.shape[1:]) if flat[t, hit] else None
+        for t, hit in enumerate(flat.argmax(axis=1).tolist())
+    ]
+
+
+def _unravel(index: int, shape: tuple) -> list:
+    """The C-order coordinates of a flat index, as ints."""
+    cell = []
+    for size in reversed(shape):
+        index, digit = divmod(index, size)
+        cell.append(digit)
+    return cell[::-1]
+
+
+def _verdicts(bad: np.ndarray, witness) -> list:
+    """(holds, witness) per table of bad; witness() turns the first failing
+    cell's index into the reported witness."""
+    if not bad.any():
+        return [(True, None)] * len(bad)
+    return [(True, None) if hit is None else (False, witness(*hit)) for hit in _first(bad)]
+
+
+def _subset(rows: np.ndarray, idx: list) -> np.ndarray:
+    """The tables idx (increasing) of a stack, not copied when that is all."""
+    return rows if len(idx) == len(rows) else rows[idx]
 
 
 def _disjoint_mask_pairs(k: int):
@@ -442,7 +484,8 @@ def _disjoint_mask_pairs(k: int):
 def _pair_stack(k: int, proper_unions_only: bool):
     """The disjoint pairs in _disjoint_mask_pairs order, as three index
     arrays (first, second, union); optionally without the pairs whose
-    union is the grand coalition."""
+    union is the grand coalition.  Also, per mask, the number of pairs it
+    is a side of."""
     full = (1 << k) - 1
     pairs = np.array(
         [
@@ -453,7 +496,8 @@ def _pair_stack(k: int, proper_unions_only: bool):
         dtype=np.int64,
     ).reshape(-1, 2)
     first, second = pairs.T
-    return first, second, first | second
+    sides = np.bincount(first, minlength=1 << k) + np.bincount(second, minlength=1 << k)
+    return first, second, first | second, sides
 
 
 @lru_cache(maxsize=None)
@@ -469,40 +513,26 @@ def _cover_pairs(k: int):
     return tuple(np.array(side, dtype=np.int64) for side in zip(*pairs))
 
 
-def _rows(E: EffFn, proper: bool) -> np.ndarray:
-    """The table's rows, without the grand coalition's (the last) if proper."""
-    return E.rows()[:-1] if proper else E.rows()
+def _players(rows: np.ndarray) -> int:
+    return rows.shape[1].bit_length() - 1
 
 
-def _check_outcome_monotonic(E: EffFn, proper=False):
-    geo = E.geometry()
-    rows = _rows(E, proper)
-    # (masks, coordinates, assessments)
-    hit = _first(rows[:, None, :] < rows.take(geo.dec_idx, axis=1))
-    if hit is None:
-        return True, None
-    mask, j, fi = hit
-    return False, (int(mask), int(fi), int(geo.dec_idx[j, fi]))
+def _check_outcome_monotonic(rows, geo):
+    # (tables, masks, coordinates, assessments)
+    bad = rows[:, :, None, :] < rows.take(geo.dec_idx, axis=2)
+    return _verdicts(bad, lambda mask, j, fi: (mask, fi, int(geo.dec_idx[j, fi])))
 
 
-def _check_n_maximal(E: EffFn):
-    geo = E.geometry()
-    rows = E.rows()
-    full = (1 << E.k) - 1
-    hit = _first(E.n - rows[0].take(geo.neg_idx) > rows[full])
-    if hit is None:
-        return True, None
-    return False, (full, int(hit[0]))
+def _check_n_maximal(rows, geo):
+    full = rows.shape[1] - 1
+    bad = geo.n - rows[:, 0].take(geo.neg_idx, axis=1) > rows[:, full]
+    return _verdicts(bad, lambda fi: (full, fi))
 
 
-def _check_regular(E: EffFn):
-    geo = E.geometry()
-    rows = E.rows()
+def _check_regular(rows, geo):
     # the complement of mask is full - mask, so complements run in reverse
-    hit = _first(rows > E.n - rows[::-1].take(geo.neg_idx, axis=1))
-    if hit is None:
-        return True, None
-    return False, (int(hit[0]), int(hit[1]))
+    bad = rows > geo.n - rows[:, ::-1].take(geo.neg_idx, axis=2)
+    return _verdicts(bad, lambda mask, fi: (mask, fi))
 
 
 def _monotone_minorant(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
@@ -510,16 +540,17 @@ def _monotone_minorant(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
     table below rows, one suffix-minimum pass per outcome coordinate."""
     low = rows.copy()
     for j in range(geo.size):
-        # (masks, leading digits, digit j, trailing digits)
-        view = low.reshape(len(rows), -1, geo.n + 1, (geo.n + 1) ** (geo.size - 1 - j))
+        # (rows and leading digits, digit j, trailing digits)
+        view = low.reshape(-1, geo.n + 1, (geo.n + 1) ** (geo.size - 1 - j))
         for d in range(geo.n - 1, -1, -1):
-            np.minimum(view[:, :, d], view[:, :, d + 1], out=view[:, :, d])
+            np.minimum(view[:, d], view[:, d + 1], out=view[:, d])
     return low
 
 
 def _first_failing_row(rows, geo, own, other, cells):
     """First (f, g), f among cells in their order and then g row-major, with
-    E(own,f) meet E(other,g) above E(own | other, f meet g), or None.
+    E(own,f) meet E(other,g) above E(own | other, f meet g) in one table's
+    rows, or None.
 
     The rows are compared in blocks of at most _SCAN_CAP cells.  Meet and
     min are symmetric, so with own and other swapped this scans the columns
@@ -530,162 +561,204 @@ def _first_failing_row(rows, geo, own, other, cells):
     for start in range(0, len(cells), step):
         f = cells[start : start + step]
         lhs = np.minimum(rows[own, f][:, None], rows[other])
-        hit = _first(lhs > union.take(geo.meet_rows(f)))
-        if hit is not None:
-            return int(f[hit[0]]), int(hit[1])
+        hits = _first((lhs > union.take(geo.meet_rows(f)))[None])
+        if hits is not None:
+            return int(f[hits[0][0]]), hits[0][1]
     return None
 
 
-def _failing_pair(rows, excess, geo, first, second, union):
-    """Index of the first pair with E(c1,f) meet E(c2,g) above
-    E(c1 | c2, f meet g) for some (f, g), or None.
+def _failing_pairs(rows, excess, geo, first, second, union):
+    """Per table of the stack, the index of its first pair with E(c1,f)
+    meet E(c2,g) above E(c1 | c2, f meet g) for some (f, g), or None.
 
-    excess marks the cells above their row's monotone minorant m (None:
-    none).  A pair holds exactly when it holds on the split triples and on
-    its strips, the rows of c1's excess cells and the columns of c2's: an
-    (f, g) with neither cell excess lies below a split triple (f', g') with
-    E(c1,f) = m(c1,f) <= m(c1,f') <= E(c1,f'), and likewise for g.  Each
-    block of split triples is gathered once for every row, then compared
-    pair run by pair run, up to the first pair known to fail: the pairs
-    behind it are never compared again.
+    excess[t] marks table t's cells above their row's monotone minorant m
+    (None: none).  A pair holds exactly when it holds on the split triples
+    and on its strips, the rows of c1's excess cells and the columns of
+    c2's: an (f, g) with neither cell excess lies below a split triple
+    (f', g') with E(c1,f) = m(c1,f) <= m(c1,f') <= E(c1,f'), and likewise
+    for g.  The tables are scanned in chunks whose every split triple fits
+    _SCAN_CAP cells, or one by one in blocks of triples when one table's do
+    not.  Each block is gathered once for every row of its chunk, then
+    compared pair run by pair run, up to each table's first pair known to
+    fail: the pairs behind it are never compared again for that table.
+    Strips stay per table.
     """
-    stop = len(first)
-    for fi, gi, hi in geo.split_blocks(max(1, _SCAN_CAP // len(rows))):
-        rf, rg, rh = rows.take(fi, axis=1), rows.take(gi, axis=1), rows.take(hi, axis=1)
-        step = max(1, _SCAN_CAP // len(fi))
-        for start in range(0, stop, step):
-            run = slice(start, min(start + step, stop))
-            lhs = np.minimum(rf.take(first[run], axis=0), rg.take(second[run], axis=0))
-            failed = (lhs > rh.take(union[run], axis=0)).any(axis=1)
-            if failed.any():
-                stop = start + int(failed.argmax())
-                break
-    if excess is not None:
-        has_excess = excess.any(axis=1)
-        stripped = has_excess[first[:stop]] | has_excess[second[:stop]]
+    masks = rows.shape[1]
+    stops = [len(first)] * len(rows)
+    chunk = max(1, _SCAN_CAP // (masks * geo.split_count))
+    for lo in range(0, len(rows), chunk):
+        part = rows if chunk >= len(rows) else rows[lo : lo + chunk]
+        stop = stops[lo : lo + chunk]
+        for fi, gi, hi in geo.split_blocks(max(1, _SCAN_CAP // (len(part) * masks))):
+            rf, rg, rh = part.take(fi, axis=2), part.take(gi, axis=2), part.take(hi, axis=2)
+            step = max(1, _SCAN_CAP // (len(part) * len(fi)))
+            start, end = 0, max(stop)
+            while start < end:
+                run = slice(start, min(start + step, end))
+                lhs = np.minimum(rf.take(first[run], axis=1), rg.take(second[run], axis=1))
+                hits = _first((lhs > rh.take(union[run], axis=1)).any(axis=2))
+                if hits is not None:
+                    for t, hit in enumerate(hits):
+                        if hit is not None:
+                            stop[t] = min(stop[t], start + hit[0])
+                    end = max(stop)
+                start += step
+        stops[lo : lo + chunk] = stop
+    for t, over in enumerate(excess):
+        if over is None:
+            continue
+        table = rows[t]
+        has_excess = over.any(axis=1)
+        stripped = has_excess[first[: stops[t]]] | has_excess[second[: stops[t]]]
         for p in np.flatnonzero(stripped).tolist():
             c1, c2 = int(first[p]), int(second[p])
-            for own, other in ((c1, c2), (c2, c1)):
-                cells = np.flatnonzero(excess[own])
-                if _first_failing_row(rows, geo, own, other, cells) is not None:
-                    return p
-    return stop if stop < len(first) else None
+            if any(
+                _first_failing_row(table, geo, own, other, np.flatnonzero(over[own]))
+                is not None
+                for own, other in ((c1, c2), (c2, c1))
+            ):
+                stops[t] = p
+                break
+    for t, stop in enumerate(stops):
+        if stop == len(first):
+            stops[t] = None
+    return stops
 
 
-def _check_budget(cells: int):
-    if cells > _DENSE_CELL_BUDGET:
-        raise BudgetExceeded(
-            f"superadditivity scan of {cells} cells exceeds budget {_DENSE_CELL_BUDGET}"
-        )
+def _over_budget(cells: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"superadditivity scan of {cells} cells exceeds budget {_DENSE_CELL_BUDGET}"
+    )
 
 
-def _check_superadditive(E: EffFn, proper_unions_only=False, monotone=False):
+def _check_superadditive(rows, geo, proper_unions_only=False, monotone=None):
     """Superadditivity over the disjoint coalition pairs, optionally only
-    those with a proper union, with the first failing (c1, c2, f, g) as
-    witness.
+    those with a proper union, with each table's first failing (c1, c2, f,
+    g) as witness.
 
-    monotone says that the rows a pair can take as c1 or c2 are known to be
-    outcome-monotone, so no minorant is built and there are no strips.  The
-    budget is checked on the split and strip cells of every pair before the
-    scan, and again with the dense cells of a failing pair.
+    monotone[t] says that the rows a pair of table t can take as c1 or c2
+    are known to be outcome-monotone, so no minorant is built and there are
+    no strips (None: known for no table).  The budget is counted per table,
+    on the split and strip cells of every pair before the scan and again
+    with the dense cells of a failing pair; a table over it gets
+    BudgetExceeded as its verdict.
     """
-    geo = E.geometry()
-    rows = E.rows()
-    first, second, union = _pair_stack(E.k, proper_unions_only)
-    excess = None if monotone else rows > _monotone_minorant(rows, geo)
-    cells = len(first) * geo.split_count
-    if excess is not None:
-        per_row = excess.sum(axis=1)
-        if per_row.any():
-            cells += int(per_row[first].sum() + per_row[second].sum()) * geo.count
+    first, second, union, sides = _pair_stack(_players(rows), proper_unions_only)
+    cells = [len(first) * geo.split_count] * len(rows)
+    excess = [None] * len(rows)
+    if monotone is None:
+        rough = list(range(len(rows)))
+    elif all(monotone):
+        rough = []
+    else:
+        rough = [t for t, known in enumerate(monotone) if not known]
+    if rough:
+        sub = _subset(rows, rough)
+        above = sub > _monotone_minorant(sub, geo)
+        strips = above.sum(axis=2) @ sides * geo.count
+        for t, over, strip_cells in zip(rough, above, strips.tolist()):
+            if strip_cells:
+                excess[t] = over
+                cells[t] += strip_cells
+    verdicts = [(True, None)] * len(rows)
+    scan = []
+    for t, c in enumerate(cells):
+        if c > _DENSE_CELL_BUDGET:
+            verdicts[t] = _over_budget(c)
         else:
-            excess = None
-    _check_budget(cells)
-    p = _failing_pair(rows, excess, geo, first, second, union)
-    if p is None:
-        return True, None
-    _check_budget(cells + geo.count * geo.count)
-    c1, c2 = int(first[p]), int(second[p])
-    witness = _first_failing_row(rows, geo, c1, c2, np.arange(geo.count))
-    if witness is None:
-        raise VerificationFailed(
-            f"the split scan fails the pair ({c1}, {c2}) and the dense scan does not"
-        )
-    return False, (c1, c2) + witness
+            scan.append(t)
+    if not scan:
+        return verdicts
+    if len(scan) < len(rows):
+        excess = [excess[t] for t in scan]
+    pairs = _failing_pairs(_subset(rows, scan), excess, geo, first, second, union)
+    for t, p in zip(scan, pairs):
+        if p is None:
+            continue
+        if cells[t] + geo.count * geo.count > _DENSE_CELL_BUDGET:
+            verdicts[t] = _over_budget(cells[t] + geo.count * geo.count)
+            continue
+        c1, c2 = int(first[p]), int(second[p])
+        witness = _first_failing_row(rows[t], geo, c1, c2, np.arange(geo.count))
+        if witness is None:
+            verdicts[t] = VerificationFailed(
+                f"the split scan fails the pair ({c1}, {c2}) and the dense scan does not"
+            )
+        else:
+            verdicts[t] = (False, (c1, c2) + witness)
+    return verdicts
 
 
-def _check_coalition_monotonic(E: EffFn):
-    rows = E.rows()
-    smaller, bigger = _cover_pairs(E.k)
-    hit = _first(rows.take(smaller, axis=0) > rows.take(bigger, axis=0))
-    if hit is None:
-        return True, None
-    p, fi = hit
-    return False, (int(smaller[p]), int(bigger[p]), int(fi))
+def _check_coalition_monotonic(rows, geo):
+    smaller, bigger = _cover_pairs(_players(rows))
+    bad = rows.take(smaller, axis=1) > rows.take(bigger, axis=1)
+    return _verdicts(bad, lambda p, fi: (int(smaller[p]), int(bigger[p]), fi))
 
 
-def _check_homogeneous(E: EffFn):
-    geo = E.geometry()
-    rows = E.rows()
-    # (masks, oplus then odot, assessments)
-    expected = np.minimum(np.maximum(2 * rows[:, None, :] - geo.double_shift, 0), E.n)
-    hit = _first(rows.take(geo.double_idx, axis=1) != expected)
-    if hit is None:
-        return True, None
-    mask, which, fi = hit
-    return False, (int(mask), int(fi), ("oplus", "odot")[which])
+def _check_homogeneous(rows, geo):
+    # (tables, masks, oplus then odot, assessments)
+    expected = np.minimum(np.maximum(2 * rows[:, :, None, :] - geo.double_shift, 0), geo.n)
+    bad = rows.take(geo.double_idx, axis=2) != expected
+    return _verdicts(bad, lambda mask, which, fi: (mask, fi, ("oplus", "odot")[which]))
 
 
-def _check_liveness(E: EffFn, proper=False):
-    top = E.geometry().count - 1
-    hit = _first(_rows(E, proper)[:, top] != E.n)
-    if hit is None:
-        return True, None
-    return False, (int(hit[0]), top)
+def _check_liveness(rows, geo):
+    top = geo.count - 1
+    return _verdicts(rows[:, :, top] != geo.n, lambda mask: (mask, top))
 
 
-def _check_safety(E: EffFn, proper=False):
-    hit = _first(_rows(E, proper)[:, 0] != 0)
-    if hit is None:
-        return True, None
-    return False, (int(hit[0]), 0)
+def _check_safety(rows, geo):
+    return _verdicts(rows[:, :, 0] != 0, lambda mask: (mask, 0))
 
 
-def _forced_range(E: EffFn) -> np.ndarray:
-    """Mask of the outcomes top on every assessment the empty coalition
-    accepts (all of them when it accepts none)."""
-    return E.geometry().on_top[E.rows()[0] == E.n].all(axis=0)
+def _forced_range(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """Per table, the mask of the outcomes top on every assessment its
+    empty coalition accepts (all of them when it accepts none)."""
+    return ~((rows[:, 0] == geo.n) @ ~geo.on_top)
 
 
-def _check_principal(E: EffFn):
+def _check_principal(rows, geo):
     """Whether the empty coalition's accepted set is a principal upset.
 
     The n-fold odot power of any generator g is the characteristic vector
     of its top-valued coordinates, so candidates reduce to outcome subsets.
     A subset G generates the accepted set A only if every member of A is
     top on G, and the assessment that is top exactly on G is in A; so the
-    one candidate is _forced_range(E) (all outcomes when A is empty, whose
+    one candidate is _forced_range (all outcomes when A is empty, whose
     upset holds the top assessment).
     """
-    upset = E.geometry().on_top[:, _forced_range(E)].all(axis=1)
-    return bool(np.array_equal(upset, E.rows()[0] == E.n)), None
+    upset = ~(_forced_range(rows, geo) @ ~geo.on_top.T)
+    holds = (upset == (rows[:, 0] == geo.n)).all(axis=1)
+    return [(h, None) for h in holds.tolist()]
 
 
-def _check_semi_playable(E: EffFn):
-    ok, w = _check_outcome_monotonic(E, proper=True)
-    if not ok:
-        return False, ("outcome_monotonic",) + w
-    ok, w = _check_liveness(E, proper=True)
-    if not ok:
-        return False, ("liveness",) + w
-    ok, w = _check_safety(E, proper=True)
-    if not ok:
-        return False, ("safety",) + w
+def _check_semi_playable(rows, geo):
+    proper = rows[:, :-1]
+    verdicts = [None] * len(rows)
+    pending = list(range(len(rows)))
+    for name, check in (
+        ("outcome_monotonic", _check_outcome_monotonic),
+        ("liveness", _check_liveness),
+        ("safety", _check_safety),
+    ):
+        failed = False
+        for t, (holds, witness) in zip(pending, check(_subset(proper, pending), geo)):
+            if not holds:
+                verdicts[t] = (False, (name,) + witness)
+                failed = True
+        if failed:
+            pending = [t for t in pending if verdicts[t] is None]
+            if not pending:
+                return verdicts
     # a proper union has proper parts, whose rows are outcome-monotone here
-    ok, w = _check_superadditive(E, proper_unions_only=True, monotone=True)
-    if not ok:
-        return False, ("superadditive",) + w
-    return True, None
+    scanned = _check_superadditive(
+        _subset(rows, pending), geo, proper_unions_only=True, monotone=[True] * len(pending)
+    )
+    for t, verdict in zip(pending, scanned):
+        if isinstance(verdict, tuple) and not verdict[0]:
+            verdict = (False, ("superadditive",) + verdict[1])
+        verdicts[t] = verdict
+    return verdicts
 
 
 _CHECKS = {
@@ -701,6 +774,47 @@ _CHECKS = {
     "semi_playable": _check_semi_playable,
 }
 
+# the predicates of a report, in the order a loop over tables runs them
+_REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
+
+
+def _run(name, rows, geo, found):
+    """One predicate on a stack, given the verdicts found so far: name ->
+    one verdict per table of the stack."""
+    if name == "superadditive":
+        # outcome monotonicity is decided first, and spares the scan the
+        # monotone minorant of a table whose rows all have it
+        monotone = [holds for holds, _ in found["outcome_monotonic"]]
+        return _check_superadditive(rows, geo, monotone=monotone)
+    return _CHECKS[name](rows, geo)
+
+
+def _battery(rows, geo):
+    """Every predicate but homogeneity on a stack of tables of one geometry:
+    name -> one verdict per table."""
+    found = {}
+    for name in PROPERTY_NAMES:
+        if name != "homogeneous":
+            found[name] = _run(name, rows, geo, found)
+    # the full predicates imply their proper-row and proper-union versions,
+    # so semi-playability needs a run of its own only for a witness; a table
+    # whose superadditivity check raised raises before it in a loop
+    semi = found["semi_playable"] = [(True, None)] * len(rows)
+    idx = [
+        t
+        for t, verdict in enumerate(found["superadditive"])
+        if isinstance(verdict, tuple)
+        and not all(found[name][t][0] for name in SEMI_PLAYABLE_PARTS)
+    ]
+    if idx:
+        for t, verdict in zip(idx, _check_semi_playable(_subset(rows, idx), geo)):
+            semi[t] = verdict
+    return found
+
+
+def _stack(arrays) -> np.ndarray:
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
 
 def check_property(E: EffFn, which: str) -> PropertyCheck:
     """Decide one playability predicate, with a witness cell on failure."""
@@ -712,52 +826,91 @@ def check_property(E: EffFn, which: str) -> PropertyCheck:
         return PropertyCheck("truly_playable", report.truly_playable)
     if which not in _CHECKS:
         raise InvalidInput(f"unknown property {which!r}")
-    holds, witness = _CHECKS[which](E)
-    return PropertyCheck(which, holds, witness)
+    verdict = _CHECKS[which](E.rows()[None], E.geometry())[0]
+    if isinstance(verdict, MveffError):
+        raise verdict
+    return PropertyCheck(which, *verdict)
 
 
 def check_playability(E: EffFn) -> PlayabilityReport:
-    """Run every predicate and aggregate the playability verdicts.
+    """Run every predicate and aggregate the playability verdicts."""
+    return check_playability_many((E,))[0]
 
-    A homogeneous table with n > 1 is checked on its Boolean skeleton, which
-    gives the same verdicts; a predicate that fails there is run again on the
-    table itself for its witness.
+
+def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
+    """The playability report of each table, checked as stacks of tables.
+
+    Tables are grouped by (n, k, S), and homogeneity is decided on each
+    group's stack.  A homogeneous table with n > 1 is checked on its Boolean
+    skeleton, which gives the same verdicts; every other table on itself.
+    Equal targets run the battery once, all targets of one geometry in one
+    stack, and a predicate that fails on a skeleton runs again on the full
+    tables that own it, for their witnesses.  Where checks raise, the call
+    raises the error of the first such table in input order, as a loop over
+    check_playability would.
     """
-    homogeneous = _check_homogeneous(E)
-    target = boolean_skeleton(E) if E.n > 1 and homogeneous[0] else E
+    own = [None] * len(tables)  # per table: its homogeneity and rerun verdicts
+    place = [None] * len(tables)  # per table: (its target's verdicts, target index)
+    targets = {}  # target geometry -> {target cells: (target rows, owners)}
+    lifted = []  # the tables checked on their skeletons
+    groups = {}
+    for i, E in enumerate(tables):
+        groups.setdefault((E.n, E.k, E.num_outcomes), []).append(i)
+    for (n, k, size), idx in groups.items():
+        geo = _geometry(n, size)
+        rows = _stack([tables[i].rows() for i in idx])
+        homogeneous = _check_homogeneous(rows, geo)
+        skeletons = None
+        for t, i in enumerate(idx):
+            own[i] = {"homogeneous": homogeneous[t]}
+            if n > 1 and homogeneous[t][0]:
+                if skeletons is None:
+                    skeletons = (rows.take(geo.idempotent_idx, axis=2) == n).view(
+                        _value_dtype(BOOL_CHAIN.n)
+                    )
+                target, key = skeletons[t], (BOOL_CHAIN.n, k, size)
+                lifted.append(i)
+            else:
+                target, key = rows[t], (n, k, size)
+            unique = targets.setdefault(key, {})
+            unique.setdefault(target.tobytes(), (target, []))[1].append(i)
+    for (n, k, size), unique in targets.items():
+        found = _battery(_stack([target for target, _ in unique.values()]), _geometry(n, size))
+        for t, (_, owners) in enumerate(unique.values()):
+            for i in owners:
+                place[i] = found, t
+    # a predicate that fails on a skeleton runs again on the full table, so
+    # each witness is the first failing dense cell
+    again = {}
+    for i in lifted:
+        found, t = place[i]
+        for name, column in found.items():
+            verdict = column[t]
+            if isinstance(verdict, tuple) and verdict[1] is not None:
+                again.setdefault((name, tables[i].n, tables[i].num_outcomes), []).append(i)
+    for (name, n, size), idx in again.items():
+        rows = _stack([tables[i].rows() for i in idx])
+        # outcome monotonicity holds on a table exactly when on its skeleton
+        found = {"outcome_monotonic": [place[i][0]["outcome_monotonic"][place[i][1]] for i in idx]}
+        for i, verdict in zip(idx, _run(name, rows, _geometry(n, size), found)):
+            if isinstance(verdict, tuple) and verdict[1] is None:
+                verdict = VerificationFailed(f"the skeleton fails {name} and the table does not")
+            own[i][name] = verdict
+    return [_report(own[i], *place[i]) for i in range(len(tables))]
 
-    def run(name, check):
-        holds, witness = check(target)
-        if witness is None or target is E:
-            return holds, witness
-        holds, witness = check(E)
-        if witness is None:
-            raise VerificationFailed(f"the skeleton fails {name} and the table does not")
-        return holds, witness
 
-    properties = {}
-    witnesses = {}
-    for name in PROPERTY_NAMES:
-        if name == "homogeneous":
-            holds, witness = homogeneous
-        elif name == "superadditive":
-            # outcome monotonicity is decided first, and spares the scan
-            # the monotone minorant of a table whose rows all have it
-            monotone = properties["outcome_monotonic"]
-            holds, witness = run(name, partial(_check_superadditive, monotone=monotone))
-        else:
-            holds, witness = run(name, _CHECKS[name])
-        properties[name] = holds
+def _report(own: dict, found: dict, t: int) -> PlayabilityReport:
+    """The report of one table from its own verdicts and its target's; the
+    first check in loop order that raised raises here."""
+    properties, witnesses = {}, {}
+    for name in _REPORT_ORDER:
+        verdict = own[name] if name in own else found[name][t]
+        if isinstance(verdict, MveffError):
+            raise verdict
+        properties[name], witness = verdict
         if witness is not None:
             witnesses[name] = witness
-    # the full predicates imply their proper-row and proper-union versions,
-    # so semi-playability needs a run of its own only for a witness
-    if all(properties[name] for name in SEMI_PLAYABLE_PARTS):
-        semi, semi_witness = True, None
-    else:
-        semi, semi_witness = run("semi_playable", _check_semi_playable)
-    if semi_witness is not None:
-        witnesses["semi_playable"] = semi_witness
+    semi = properties.pop("semi_playable")
     playable = all(properties[name] for name in PLAYABLE_PARTS)
     return PlayabilityReport(
         properties=properties,
@@ -783,9 +936,9 @@ def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
     idem = E.geometry().idempotent_idx
     values = E.rows().take(idem, axis=1)
     if strict:
-        hit = _first((values != 0) & (values != E.n))
-        if hit is not None:
-            mask, j = (int(x) for x in hit)
+        hits = _first(((values != 0) & (values != E.n))[None])
+        if hits is not None:
+            mask, j = hits[0]
             raise NotHomogeneous(
                 f"skeleton cell (coalition {mask}, assessment {int(idem[j])}) "
                 f"has value {int(values[mask, j])}/{E.n}"
@@ -840,7 +993,7 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
     if not report.truly_playable:
         raise NotTrulyPlayable("synthesis requires a truly playable table")
     H = boolean_skeleton(E)
-    targets = np.flatnonzero(_forced_range(H)).tolist()
+    targets = np.flatnonzero(_forced_range(H.rows()[None], H.geometry())[0]).tolist()
     if not targets:
         raise NotTrulyPlayable("empty forced range; the table violates safety")
 

@@ -19,10 +19,11 @@ from mveff.decide import (
     _Round,
     _Signatures,
     _closure_generators,
+    _verify_countermodel,
     search_countermodel,
     soundness_suite,
 )
-from mveff.errors import BudgetExceeded, DialectViolation
+from mveff.errors import BudgetExceeded, DialectViolation, VerificationFailed
 from mveff.formulas import Implies, Neg, Top, parse
 from mveff.models import EnrichedLnModel, LnModel, eval_vector, is_standard, pn_axioms
 from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment, lift_boolean
@@ -208,6 +209,15 @@ except VerificationFailed:
 else:
     print("accepted")
 """
+
+
+def test_countermodel_verification_names_the_first_unplayable_state():
+    base = random_playable_model(random.Random(4), Chain(1), 3)
+    # every coalition accepts the empty set: safety fails
+    bad = EffFn(Chain(1), 2, base.states, [[1] * 8] * 4)
+    model = LnModel(Chain(1), base.states, (base.eff[0], bad, bad), dict(base.valuation))
+    with pytest.raises(VerificationFailed, match=f"table at {base.states[1]} is not"):
+        _verify_countermodel(model, parse("p1", 2), 0, None, LOGIC_PN)
 
 
 def test_countermodel_verification_survives_optimize():

@@ -1,18 +1,22 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mveff import filtration
+import mveff
+from mveff import filtration, tables
 from mveff.chain import Chain, tau_odot_num, tau_oplus_num
 from mveff.corpus import (
     random_enriched_model,
     random_formula,
     random_playable_model,
 )
-from mveff.errors import NotPlayable, NotStandard
+from mveff.errors import NotPlayable, NotStandard, VerificationFailed
 from mveff.filtration import (
     definable_class_vectors,
     enriched_filtration,
@@ -26,6 +30,7 @@ from mveff.tables import (
     EffFn,
     boolean_skeleton,
     check_playability,
+    check_playability_many,
     encode_assessment,
     lift_boolean,
 )
@@ -167,29 +172,40 @@ def test_definable_blocks_match_closure(seed, n, size):
 
 
 def test_each_distinct_table_is_checked_once(monkeypatch):
-    # at n = 1 a skeleton is its table and so is its lift
+    # at n = 1 a skeleton is its table and so is its lift; at n = 2 a lift
+    # is checked on its skeleton, the table checked beside it
     mu = parse("[{1}]p1 -> p2", 2)
+    regular = tables._CHECKS["regular"]
     for n in (2, 1):
         chain = Chain(n)
         base = random_playable_model(random.Random(8), chain, 4)
         # two pairs of equal tables
         M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
         expect = playable_filtration(M, mu)
-        tables = intermediate_filtration(M, mu).model.eff
-        built = {boolean_skeleton(E, strict=False) for E in tables}
-        checked = []
+        inter = intermediate_filtration(M, mu).model.eff
+        built = {boolean_skeleton(E, strict=False) for E in inter}
+        calls, stacks = [], []
 
-        def counting_check(E):
-            checked.append(E)
-            return check_playability(E)
+        def counting_many(stack):
+            calls.append(tuple(stack))
+            return check_playability_many(stack)
 
-        monkeypatch.setattr(filtration, "check_playability", counting_check)
+        def counting_regular(rows, geo):
+            stacks.append(len(rows))
+            return regular(rows, geo)
+
+        monkeypatch.setattr(filtration, "check_playability_many", counting_many)
+        monkeypatch.setitem(tables._CHECKS, "regular", counting_regular)
         result = playable_filtration(M, mu)
         monkeypatch.undo()
         assert result == expect
-        assert len(checked) == len(set(checked))
+        # one stacked check of the source tables, one of skeletons and lifts
+        assert len(calls) == 2
+        assert set(calls[0]) == set(M.eff)
         # every table built still gets a verdict
-        assert set(M.eff) | built | set(result.model.eff) <= set(checked)
+        assert built | set(result.model.eff) <= set(calls[1])
+        # the battery runs once per call, on each distinct skeleton once
+        assert stacks == [len({boolean_skeleton(E) for E in M.eff}), len(built)]
 
 
 def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
@@ -241,6 +257,52 @@ def test_six_class_filtration_at_n4():
         src = eval_vector(M, phi)
         dst = eval_vector(result.model, phi)
         assert all(dst[q.class_map[j]] == src[j] for j in range(M.num_states))
+
+
+_BROKEN_LIFT = """
+import random
+
+from mveff import filtration
+from mveff.chain import Chain
+from mveff.corpus import random_playable_model
+from mveff.formulas import parse
+from mveff.tables import EffFn, lift_boolean
+
+
+def broken_lift(H, chain, check_input=True):
+    # the lift with the grand coalition's top cell lowered: not live
+    rows = lift_boolean(H, chain, check_input).rows().copy()
+    rows[-1, -1] -= 1
+    return EffFn(chain, H.k, H.outcomes, rows)
+
+
+filtration.lift_boolean = broken_lift
+M = random_playable_model(random.Random(5), Chain(2), 4)
+filtration.playable_filtration(M, parse("[{1}]p1 -> p2", 2))
+"""
+
+
+def test_broken_lift_is_refused(monkeypatch):
+    # the script replaces filtration.lift_boolean; monkeypatch puts it back
+    monkeypatch.setattr(filtration, "lift_boolean", lift_boolean)
+    with pytest.raises(VerificationFailed, match="lifted table is not truly playable"):
+        exec(_BROKEN_LIFT, {})
+
+
+def test_broken_lift_is_refused_under_optimize():
+    # the stacked check of the lifts is no bare assert: -O keeps it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mveff.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_LIFT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "VerificationFailed: lifted table is not truly playable" in proc.stderr
 
 
 def test_filtration_requires_playable():

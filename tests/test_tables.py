@@ -32,6 +32,7 @@ from mveff.tables import (
     PlayabilityReport,
     boolean_skeleton,
     check_playability,
+    check_playability_many,
     check_property,
     encode_assessment,
     enumerate_assessments,
@@ -208,11 +209,12 @@ def test_forced_range_is_the_intersection_of_accepted_sets():
             if value == 1
         ]
         forced = set.intersection(*accepted)
-        assert set(np.flatnonzero(tables._forced_range(H)).tolist()) == forced
+        forced_range = tables._forced_range(H.rows()[None], H.geometry())[0]
+        assert set(np.flatnonzero(forced_range).tolist()) == forced
         assert synthesize_game_form(H).range_of_outcomes() == forced
     # an empty coalition that accepts nothing forces nothing away
     nothing = EffFn(BOOL, 2, state_names(2), [[0, 0, 0, 0]] * 4)
-    assert tables._forced_range(nothing).tolist() == [True, True]
+    assert tables._forced_range(nothing.rows()[None], nothing.geometry()).tolist() == [[True, True]]
 
 
 def test_synthesis_rejects_non_truly_playable():
@@ -517,11 +519,17 @@ def _uniform_table(draw, n, k, size):
 
 
 @st.composite
-def _battery_inputs(draw):
+def _battery_geometry(draw):
+    """(n, k, size) with up to 256 assessments, so the dense oracle stays
+    quick."""
     size = draw(st.integers(1, 4))
-    # up to 256 assessments, so the dense oracle stays quick
     n = draw(st.integers(2, 5 if size < 4 else 3))
-    k = draw(st.sampled_from((2, 3)))
+    return n, draw(st.sampled_from((2, 3))), size
+
+
+@st.composite
+def _battery_inputs(draw, geometry=_battery_geometry()):
+    n, k, size = draw(geometry)
     style = draw(st.sampled_from(("upset", "perturbed upset", "game form", "uniform")))
     make = {"game form": _game_form_table, "uniform": _uniform_table}.get(style, _upset_table)
     E = draw(make(n, k, size))
@@ -538,6 +546,55 @@ def _battery_inputs(draw):
 @given(_battery_inputs())
 def test_playability_report_matches_dense_battery(E):
     assert check_playability(E).to_doc() == _dense_report(E)
+
+
+@st.composite
+def _battery_stacks(draw):
+    """1-6 tables of one geometry in mixed styles, some of them repeated."""
+    geometry = st.just(draw(_battery_geometry()))
+    distinct = draw(st.lists(_battery_inputs(geometry), min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_battery_stacks(), st.sampled_from((300, tables._SCAN_CAP)))
+def test_stacked_reports_match_single_and_dense(stack, scan_cap):
+    # a scan cap of 300 cells puts one table, or a few, in each chunk
+    dense = {E: _dense_report(E) for E in stack}
+    expected = [dense[E] for E in stack]
+    with mock.patch.object(tables, "_SCAN_CAP", scan_cap):
+        assert [report.to_doc() for report in check_playability_many(stack)] == expected
+        assert [check_playability(E).to_doc() for E in stack] == expected
+
+
+def test_mixed_geometries_keep_input_order():
+    rng = random.Random(11)
+    perturbed = [list(row) for row in _game_table(2, n=2, outcomes=3).table]
+    perturbed[0][-1] = 1  # not homogeneous, not superadditive in general
+    stack = [
+        _game_table(0, n=2, outcomes=2),
+        _game_table(1, n=1, outcomes=3),
+        EffFn(Chain(2), 2, state_names(3), perturbed),
+        effectivity_table(random_game_form(rng, 3, 2), Chain(3)),
+        random_eff_table(rng, Chain(2), 3, 2),
+        _game_table(0, n=2, outcomes=2),
+        _game_table(1, n=1, outcomes=3),
+    ]
+    reports = check_playability_many(stack)
+    assert [r.to_doc() for r in reports] == [check_playability(E).to_doc() for E in stack]
+    assert len({r.truly_playable for r in reports}) == 2
+    assert check_playability_many([]) == []
+
+
+def test_stack_raises_the_first_tables_error(monkeypatch):
+    # a k = 2 Boolean table compares 9 x 3^S split cells: 81 on two
+    # outcomes, under a budget of 100, and 243 and 729 on three and four
+    ok, small, large = (_game_table(0, n=1, outcomes=size) for size in (2, 3, 4))
+    monkeypatch.setattr(tables, "_DENSE_CELL_BUDGET", 100)
+    for stack, cells in (([ok, small, large], 243), ([large, ok, small], 729)):
+        with pytest.raises(BudgetExceeded, match=f"scan of {cells} cells"):
+            check_playability_many(stack)
+    assert check_playability_many([ok])[0].truly_playable
 
 
 @st.composite
@@ -643,11 +700,12 @@ def test_dense_battery_budget():
     report = check_playability(E)
     assert report.properties["superadditive"] and not report.playable
     assert check_property(E, "superadditive").holds
-    assert tables._check_superadditive(E, proper_unions_only=True) == (True, None)
+    proper = tables._check_superadditive(E.rows()[None], E.geometry(), proper_unions_only=True)
+    assert proper == [(True, None)]
     big = _over_budget_table()
     assert 3**10 * 3**10 > tables._DENSE_CELL_BUDGET
     # refused before the scan starts, with or without the monotone verdict
-    with mock.patch.object(tables, "_failing_pair", side_effect=AssertionError):
+    with mock.patch.object(tables, "_failing_pairs", side_effect=AssertionError):
         with pytest.raises(BudgetExceeded):
             check_playability(big)
         with pytest.raises(BudgetExceeded):
@@ -682,3 +740,25 @@ def test_skeleton_failure_rescanned_on_its_pair_alone():
             bad = np.minimum(table[c1, f], table[c2]) > table[c1 | c2, meet]
             assert bad.any() == (f == fi)
         assert int(np.argmax(bad)) == gi
+
+
+def test_strips_keep_no_meet_index_past_256_assessments():
+    # the Boolean game-form table on 11 outcomes with the grand coalition's
+    # top cell lowered: every other cell of that row is above its monotone
+    # minorant, so the pairs with N scan long strips
+    H = effectivity_table(random_game_form(random.Random(3), 2, 11), BOOL)
+    rows = H.rows().copy()
+    rows[-1, -1] = 0
+    E = EffFn(BOOL, 2, H.outcomes, rows)
+    geo = tables._geometry(1, 11)
+    with mock.patch.object(geo, "_meet_idx", None):
+        report = check_playability(E)
+        assert geo._meet_idx is None
+    # the same report from the whole index, built and kept as before
+    with mock.patch.object(tables, "_MEET_MATRIX_CAP", 1 << 22), mock.patch.object(
+        geo, "_meet_idx", None
+    ):
+        whole = check_playability(E)
+        assert geo._meet_idx is not None and geo._meet_idx.dtype == np.uint16
+    assert report.to_doc() == whole.to_doc()
+    assert report.witnesses["superadditive"] == (1, 2, 2047, 2047)
