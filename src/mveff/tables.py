@@ -15,16 +15,15 @@ possible generator is the set of coordinates that are top on every
 assessment the empty coalition accepts.
 
 Superadditivity, E(C1,f) meet E(C2,g) <= E(C1 | C2, f meet g) for disjoint
-C1 and C2, is decided on coordinate splits: (2n+1)^S triples (f, g, f meet
-g) per coalition pair, each coordinate top on both sides or given to one of
-f and g, instead of (n+1)^(2S) cells (f, g).  That is exact on
-outcome-monotone rows, and any other row adds strips through the cells that
-exceed its monotone minorant.  The split scan runs over the stack in chunks
-of _SCAN_CAP cells, and each table's pairs run in order up to the first
-that fails, whose witness comes from a dense scan of that pair alone, so
-every witness is the first failing (c1, c2, f, g) of a dense scan.  Strips
-and witness scans are per table, and so is the budget: a table whose check
-would compare more than _DENSE_CELL_BUDGET cells raises BudgetExceeded.
+C1 and C2, is one exact count per coalition pair of the levels v and pairs
+(f, g) with E(C1,f) meet E(C2,g) >= v > E(C1 | C2, f meet g).  Zeta
+transforms (sums over the assessments above or below each one) and a Moebius
+inverse turn that meet-convolution into sums of pointwise products, n
+(n+1)^S cells per pair instead of (n+1)^(2S).  The witness is the first
+failing pair's first failing (f, g) row-major, as a dense scan reports it:
+one more transform counts the failing g of each row f, and a scan of the
+first failing row gives g.  A table whose check would touch more than
+_DENSE_CELL_BUDGET cells raises BudgetExceeded before any pair is built.
 
 `check_playability_many` groups its tables by (n, k, S) and decides
 homogeneity on each group's stack.  A homogeneous table commutes with both
@@ -48,7 +47,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,19 +95,18 @@ PLAYABLE_PARTS = (
 # semi-playability, in the order _check_semi_playable tries them
 SEMI_PLAYABLE_PARTS = ("outcome_monotonic", "liveness", "safety", "superadditive")
 
-# cells the superadditivity scan compares at once, split triples of a run of
-# coalition pairs or strip rows (one pair's or one row's at least): a step
-# and its same-sized temporaries stay under a few hundred KB, so the scan
-# does not raise the peak memory of large tables
+# cells the superadditivity count multiplies at once, the transformed rows of
+# a run of coalition pairs (one pair's at least)
 _SCAN_CAP = 1 << 16
 
-# cells of a meet index that is built whole and kept (tables of up to 256
-# assessments); a larger one is built row by row as a scan needs it, so a
-# check keeps no index larger than one scan step
-_MEET_MATRIX_CAP = _SCAN_CAP
+# assessments a transform contracts in one matrix product: the outcome
+# coordinates go in blocks of at most this many assessments (one coordinate
+# at least), so the transforms of a small table are one product each
+_BLOCK_CAP = 64
 
-# cells one superadditivity check may compare: split and strip cells of
-# every pair, and (n+1)^(2S) for the dense scan of a failing pair
+# cells one superadditivity check may touch: the multiply-adds of its two
+# transforms, and the products of every coalition pair at each level and
+# assessment
 _DENSE_CELL_BUDGET = 1 << 31
 
 
@@ -166,89 +164,12 @@ class _Geometry:
         self.tau_bool_idx = np.stack(
             [(self.tuples >= i) @ bool_powers for i in range(1, n + 1)]
         )
-
-        # split triples: 2n + 1 choices of (f_j, g_j, h_j) per coordinate
-        self.split_count = (2 * n + 1) ** size
-
-        self._meet_idx = None
-        self._splits = None
-
-    def meet_all(self) -> np.ndarray:
-        """The whole meet index, built once and kept."""
-        if self._meet_idx is None:
-            self._meet_idx = self._meet_rows(np.arange(self.count))
-        return self._meet_idx
-
-    def meet_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Meet index of the assessments idx against every assessment."""
-        if self.count * self.count <= _MEET_MATRIX_CAP:
-            return self.meet_all()[idx]
-        return self._meet_rows(idx)
-
-    def _meet_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Meet index of the assessments idx against every assessment.
-
-        Meets act digit by digit, so with an index split into leading and
-        trailing digits, idx = hi * L + lo, the meet index is the sum of the
-        two halves' meet indices, the leading one scaled by L.  It is held
-        in the narrowest unsigned type that covers count.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        dtype = np.min_scalar_type(self.count - 1)
-        if self.size == 1:
-            return np.minimum.outer(idx, np.arange(self.count)).astype(dtype)
-        high = _geometry(self.n, self.size // 2)
-        low = _geometry(self.n, self.size - self.size // 2)
-        hi = high.meet_all()[idx // low.count].astype(dtype) * low.count
-        lo = low.meet_all()[idx % low.count]
-        return (hi[:, :, None] + lo[:, None, :]).reshape(len(idx), self.count)
-
-    def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The split triples as index arrays (f, g, h), built once and kept.
-
-        On each coordinate j either f_j = g_j = h_j = n, or h_j < n and one
-        of f, g takes h_j there while the other takes n; so f meet g = h,
-        and every (f, g) lies below the triple of its own meet that gives
-        each coordinate to the smaller side.  The indices are held in the
-        narrowest unsigned type that covers count.
-        """
-        if self._splits is None:
-            n = self.n
-            below, top = np.arange(n), np.full(n, n)
-            options = np.array(
-                [np.r_[below, top, n], np.r_[top, below, n], np.r_[below, below, n]]
-            )
-            triples = np.zeros((3, 1), dtype=np.int64)
-            for _ in range(self.size):
-                triples = (triples[:, :, None] * (n + 1) + options[:, None, :]).reshape(3, -1)
-            triples = triples.astype(np.min_scalar_type(self.count - 1))
-            triples.flags.writeable = False
-            self._splits = tuple(triples)
-        return self._splits
-
-    def split_blocks(self, cap: int):
-        """The split triples in blocks of at most cap triples.
-
-        Triples that fit, or that have one coordinate, are the cached
-        splits(), as one block.  Larger sets are never held whole: as in
-        _meet_rows, a triple over leading and trailing digits is a leading
-        triple scaled by the trailing count plus a trailing triple, and a
-        block pairs a run of leading triples with every trailing one.
-        """
-        if self.split_count <= cap or self.size == 1:
-            yield self.splits()
-            return
-        tail = 1
-        while (2 * self.n + 1) ** (tail + 1) <= cap:
-            tail += 1
-        high = _geometry(self.n, self.size - tail).splits()
-        low = _geometry(self.n, tail)
-        step = max(1, cap // low.split_count)
-        for start in range(0, len(high[0]), step):
-            yield tuple(
-                (h[start : start + step, None].astype(np.int64) * low.count + l).ravel()
-                for h, l in zip(high, low.splits())
-            )
+        # the widths of the blocks of coordinates a transform contracts
+        # together, first block first
+        width = 1
+        while (n + 1) ** (width + 1) <= _BLOCK_CAP:
+            width += 1
+        self.blocks = [width] * (size // width) + [size % width] * (size % width > 0)
 
 
 @lru_cache(maxsize=None)
@@ -484,8 +405,7 @@ def _disjoint_mask_pairs(k: int):
 def _pair_stack(k: int, proper_unions_only: bool):
     """The disjoint pairs in _disjoint_mask_pairs order, as three index
     arrays (first, second, union); optionally without the pairs whose
-    union is the grand coalition.  Also, per mask, the number of pairs it
-    is a side of."""
+    union is the grand coalition."""
     full = (1 << k) - 1
     pairs = np.array(
         [
@@ -496,8 +416,7 @@ def _pair_stack(k: int, proper_unions_only: bool):
         dtype=np.int64,
     ).reshape(-1, 2)
     first, second = pairs.T
-    sides = np.bincount(first, minlength=1 << k) + np.bincount(second, minlength=1 << k)
-    return first, second, first | second, sides
+    return first, second, first | second
 
 
 @lru_cache(maxsize=None)
@@ -535,158 +454,105 @@ def _check_regular(rows, geo):
     return _verdicts(bad, lambda mask, fi: (mask, fi))
 
 
-def _monotone_minorant(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
-    """m(C, f), the least E(C, f') over f' >= f: the largest outcome-monotone
-    table below rows, one suffix-minimum pass per outcome coordinate."""
-    low = rows.copy()
-    for j in range(geo.size):
-        # (rows and leading digits, digit j, trailing digits)
-        view = low.reshape(-1, geo.n + 1, (geo.n + 1) ** (geo.size - 1 - j))
-        for d in range(geo.n - 1, -1, -1):
-            np.minimum(view[:, d], view[:, d + 1], out=view[:, d])
-    return low
+@lru_cache(maxsize=None)
+def _block_matrices(n: int, width: int, kinds: tuple, dtype: type) -> np.ndarray:
+    """Per kind, its matrix on width outcome coordinates, transposed to act
+    from the right and stacked in dtype: the Kronecker power of its matrix
+    on the n + 1 digits of one coordinate, the sum over the digits >= or <=
+    each one, or the inverse of the latter.  uint64 wraps the -1 entries,
+    so its products stay exact mod 2^64."""
+    ones = np.ones((n + 1, n + 1), dtype=np.int64)
+    chain = {
+        "zeta_up": np.triu(ones),
+        "zeta_down": np.tril(ones),
+        "mobius_down": np.eye(n + 1, dtype=np.int64) - np.eye(n + 1, k=-1, dtype=np.int64),
+    }
+    stack = np.stack([reduce(np.kron, [chain[kind]] * width) for kind in kinds])
+    return stack.transpose(0, 2, 1).astype(dtype)
 
 
-def _first_failing_row(rows, geo, own, other, cells):
-    """First (f, g), f among cells in their order and then g row-major, with
-    E(own,f) meet E(other,g) above E(own | other, f meet g) in one table's
-    rows, or None.
-
-    The rows are compared in blocks of at most _SCAN_CAP cells.  Meet and
-    min are symmetric, so with own and other swapped this scans the columns
-    g in cells of the pair (other, own).
-    """
-    union = rows[own | other]
-    step = max(1, _SCAN_CAP // geo.count)
-    for start in range(0, len(cells), step):
-        f = cells[start : start + step]
-        lhs = np.minimum(rows[own, f][:, None], rows[other])
-        hits = _first((lhs > union.take(geo.meet_rows(f)))[None])
-        if hits is not None:
-            return int(f[hits[0][0]]), hits[0][1]
-    return None
+def _transform(cells: np.ndarray, geo: _Geometry, kinds: tuple) -> np.ndarray:
+    """kinds[w] applied to cells[w] over the assessments, (kinds, assessments,
+    rest) to (kinds, rest, assessments): one matrix product per block of
+    coordinates, from the first, each moving its block's digits to the back."""
+    for width in geo.blocks:
+        mats = _block_matrices(geo.n, width, kinds, cells.dtype.type)
+        cells = cells.reshape(len(kinds), len(mats[0]), -1).transpose(0, 2, 1) @ mats
+    return cells.reshape(len(kinds), -1, geo.count)
 
 
-def _failing_pairs(rows, excess, geo, first, second, union):
-    """Per table of the stack, the index of its first pair with E(c1,f)
-    meet E(c2,g) above E(c1 | c2, f meet g) for some (f, g), or None.
-
-    excess[t] marks table t's cells above their row's monotone minorant m
-    (None: none).  A pair holds exactly when it holds on the split triples
-    and on its strips, the rows of c1's excess cells and the columns of
-    c2's: an (f, g) with neither cell excess lies below a split triple
-    (f', g') with E(c1,f) = m(c1,f) <= m(c1,f') <= E(c1,f'), and likewise
-    for g.  The tables are scanned in chunks whose every split triple fits
-    _SCAN_CAP cells, or one by one in blocks of triples when one table's do
-    not.  Each block is gathered once for every row of its chunk, then
-    compared pair run by pair run, up to each table's first pair known to
-    fail: the pairs behind it are never compared again for that table.
-    Strips stay per table.
-    """
-    masks = rows.shape[1]
-    stops = [len(first)] * len(rows)
-    chunk = max(1, _SCAN_CAP // (masks * geo.split_count))
-    for lo in range(0, len(rows), chunk):
-        part = rows if chunk >= len(rows) else rows[lo : lo + chunk]
-        stop = stops[lo : lo + chunk]
-        for fi, gi, hi in geo.split_blocks(max(1, _SCAN_CAP // (len(part) * masks))):
-            rf, rg, rh = part.take(fi, axis=2), part.take(gi, axis=2), part.take(hi, axis=2)
-            step = max(1, _SCAN_CAP // (len(part) * len(fi)))
-            start, end = 0, max(stop)
-            while start < end:
-                run = slice(start, min(start + step, end))
-                lhs = np.minimum(rf.take(first[run], axis=1), rg.take(second[run], axis=1))
-                hits = _first((lhs > rh.take(union[run], axis=1)).any(axis=2))
-                if hits is not None:
-                    for t, hit in enumerate(hits):
-                        if hit is not None:
-                            stop[t] = min(stop[t], start + hit[0])
-                    end = max(stop)
-                start += step
-        stops[lo : lo + chunk] = stop
-    for t, over in enumerate(excess):
-        if over is None:
-            continue
-        table = rows[t]
-        has_excess = over.any(axis=1)
-        stripped = has_excess[first[: stops[t]]] | has_excess[second[: stops[t]]]
-        for p in np.flatnonzero(stripped).tolist():
-            c1, c2 = int(first[p]), int(second[p])
-            if any(
-                _first_failing_row(table, geo, own, other, np.flatnonzero(over[own]))
-                is not None
-                for own, other in ((c1, c2), (c2, c1))
-            ):
-                stops[t] = p
-                break
-    for t, stop in enumerate(stops):
-        if stop == len(first):
-            stops[t] = None
-    return stops
-
-
-def _over_budget(cells: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"superadditivity scan of {cells} cells exceeds budget {_DENSE_CELL_BUDGET}"
-    )
-
-
-def _check_superadditive(rows, geo, proper_unions_only=False, monotone=None):
+def _check_superadditive(rows, geo, proper_unions_only=False):
     """Superadditivity over the disjoint coalition pairs, optionally only
     those with a proper union, with each table's first failing (c1, c2, f,
     g) as witness.
 
-    monotone[t] says that the rows a pair of table t can take as c1 or c2
-    are known to be outcome-monotone, so no minorant is built and there are
-    no strips (None: known for no table).  The budget is counted per table,
-    on the split and strip cells of every pair before the scan and again
-    with the dense cells of a failing pair; a table over it gets
-    BudgetExceeded as its verdict.
+    At each level v = 1..n let a(C, f) = [E(C, f) >= v], Z(C) the sum of a
+    over the assessments >= h, and beta(C) the Moebius inverse of [E(C, h)
+    < v] over the assessments <= h.  As h <= f meet g exactly when h <= f
+    and h <= g, the sum over v and h of beta(c1 | c2, h) Z(c1, h) Z(c2, h)
+    counts the (v, f, g) with E(c1, f) meet E(c2, g) >= v > E(c1 | c2, f
+    meet g), and a pair holds exactly when that count is 0.  The transforms
+    run in float64, exact as each partial sum is an integer of size at most
+    (n+1)^S times the assessments of a block, under 2^28 within the budget;
+    the count runs in uint64, where it is below n (n+1)^(2S) < 2^64, so its
+    value mod 2^64 is exact.
     """
-    first, second, union, sides = _pair_stack(_players(rows), proper_unions_only)
-    cells = [len(first) * geo.split_count] * len(rows)
-    excess = [None] * len(rows)
-    if monotone is None:
-        rough = list(range(len(rows)))
-    elif all(monotone):
-        rough = []
-    else:
-        rough = [t for t, known in enumerate(monotone) if not known]
-    if rough:
-        sub = _subset(rows, rough)
-        above = sub > _monotone_minorant(sub, geo)
-        strips = above.sum(axis=2) @ sides * geo.count
-        for t, over, strip_cells in zip(rough, above, strips.tolist()):
-            if strip_cells:
-                excess[t] = over
-                cells[t] += strip_cells
+    k = _players(rows)
+    pairs = 3**k - (1 << k if proper_unions_only else 0)
+    length = geo.n * geo.count  # levels x assessments of one transformed row
+    cost = (2 * rows.shape[1] * sum((geo.n + 1) ** c for c in geo.blocks) + pairs) * length
+    if cost > _DENSE_CELL_BUDGET:
+        over = f"superadditivity count of {cost} cells exceeds budget {_DENSE_CELL_BUDGET}"
+        return [BudgetExceeded(over)] * len(rows)
+    first, second, union = _pair_stack(k, proper_unions_only)
+    # (assessments, masks, tables, levels)
+    above = rows.T[..., None] >= np.arange(1, geo.n + 1, dtype=rows.dtype)
+    cells = np.array((above, ~above), dtype=np.float64).reshape(2, geo.count, -1)
+    cells = _transform(cells, geo, ("zeta_up", "mobius_down")).astype(np.int64)
+    # (masks, tables, levels and assessments)
+    up, beta = cells.view(np.uint64).reshape(2, rows.shape[1], len(rows), length)
     verdicts = [(True, None)] * len(rows)
-    scan = []
-    for t, c in enumerate(cells):
-        if c > _DENSE_CELL_BUDGET:
-            verdicts[t] = _over_budget(c)
-        else:
-            scan.append(t)
-    if not scan:
-        return verdicts
-    if len(scan) < len(rows):
-        excess = [excess[t] for t in scan]
-    pairs = _failing_pairs(_subset(rows, scan), excess, geo, first, second, union)
-    for t, p in zip(scan, pairs):
-        if p is None:
-            continue
-        if cells[t] + geo.count * geo.count > _DENSE_CELL_BUDGET:
-            verdicts[t] = _over_budget(cells[t] + geo.count * geo.count)
-            continue
-        c1, c2 = int(first[p]), int(second[p])
-        witness = _first_failing_row(rows[t], geo, c1, c2, np.arange(geo.count))
-        if witness is None:
-            verdicts[t] = VerificationFailed(
-                f"the split scan fails the pair ({c1}, {c2}) and the dense scan does not"
-            )
-        else:
-            verdicts[t] = (False, (c1, c2) + witness)
+    step = max(1, _SCAN_CAP // (length * len(rows)))
+    for start in range(0, pairs, step):
+        run = slice(start, start + step)
+        product = up.take(first[run], axis=0) * up.take(second[run], axis=0)
+        product *= beta.take(union[run], axis=0)
+        counts = product.sum(axis=2).T
+        if np.count_nonzero(counts):
+            for t, hit in enumerate(_first(counts != 0)):
+                if hit is not None and verdicts[t] == (True, None):
+                    c1, c2 = int(first[start + hit[0]]), int(second[start + hit[0]])
+                    verdicts[t] = _superadditivity_witness(
+                        rows[t], geo, up[c2, t], beta[c1 | c2, t], c1, c2
+                    )
+            if (True, None) not in verdicts:
+                break
     return verdicts
+
+
+def _superadditivity_witness(table, geo, up, beta, c1, c2):
+    """The verdict of one table whose pair (c1, c2) fails, with its first
+    failing (f, g) row-major, from Z(c2) and beta(c1 | c2) of
+    _check_superadditive.
+
+    The sum of beta(c1 | c2) Z(c2) over the assessments <= f counts, per
+    level v, the g with E(c2, g) >= v > E(c1 | c2, f meet g), so the first
+    f with E(c1, f) >= v and a nonzero count at some level v is the witness
+    row, and a scan of that row alone gives its first g.
+    """
+    cells = (beta * up).reshape(geo.n, geo.count).T[None]
+    counts = _transform(cells, geo, ("zeta_down",))[0]
+    above = table[c1] >= np.arange(1, geo.n + 1, dtype=table.dtype)[:, None]
+    rows_hit = (above & (counts != 0)).any(axis=0)
+    if rows_hit.any():
+        f = int(rows_hit.argmax())
+        meet = np.minimum(geo.tuples[f], geo.tuples) @ geo.powers
+        bad = np.minimum(table[c1, f], table[c2]) > table[c1 | c2, meet]
+        if bad.any():
+            return False, (c1, c2, f, int(bad.argmax()))
+    return VerificationFailed(
+        f"the count fails the pair ({c1}, {c2}) and its witness row does not"
+    )
 
 
 def _check_coalition_monotonic(rows, geo):
@@ -750,10 +616,7 @@ def _check_semi_playable(rows, geo):
             pending = [t for t in pending if verdicts[t] is None]
             if not pending:
                 return verdicts
-    # a proper union has proper parts, whose rows are outcome-monotone here
-    scanned = _check_superadditive(
-        _subset(rows, pending), geo, proper_unions_only=True, monotone=[True] * len(pending)
-    )
+    scanned = _check_superadditive(_subset(rows, pending), geo, proper_unions_only=True)
     for t, verdict in zip(pending, scanned):
         if isinstance(verdict, tuple) and not verdict[0]:
             verdict = (False, ("superadditive",) + verdict[1])
@@ -778,24 +641,13 @@ _CHECKS = {
 _REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
 
 
-def _run(name, rows, geo, found):
-    """One predicate on a stack, given the verdicts found so far: name ->
-    one verdict per table of the stack."""
-    if name == "superadditive":
-        # outcome monotonicity is decided first, and spares the scan the
-        # monotone minorant of a table whose rows all have it
-        monotone = [holds for holds, _ in found["outcome_monotonic"]]
-        return _check_superadditive(rows, geo, monotone=monotone)
-    return _CHECKS[name](rows, geo)
-
-
 def _battery(rows, geo):
     """Every predicate but homogeneity on a stack of tables of one geometry:
     name -> one verdict per table."""
     found = {}
     for name in PROPERTY_NAMES:
         if name != "homogeneous":
-            found[name] = _run(name, rows, geo, found)
+            found[name] = _CHECKS[name](rows, geo)
     # the full predicates imply their proper-row and proper-union versions,
     # so semi-playability needs a run of its own only for a witness; a table
     # whose superadditivity check raised raises before it in a loop
@@ -890,9 +742,7 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
                 again.setdefault((name, tables[i].n, tables[i].num_outcomes), []).append(i)
     for (name, n, size), idx in again.items():
         rows = _stack([tables[i].rows() for i in idx])
-        # outcome monotonicity holds on a table exactly when on its skeleton
-        found = {"outcome_monotonic": [place[i][0]["outcome_monotonic"][place[i][1]] for i in idx]}
-        for i, verdict in zip(idx, _run(name, rows, _geometry(n, size), found)):
+        for i, verdict in zip(idx, _CHECKS[name](rows, _geometry(n, size))):
             if isinstance(verdict, tuple) and verdict[1] is None:
                 verdict = VerificationFailed(f"the skeleton fails {name} and the table does not")
             own[i][name] = verdict

@@ -175,7 +175,7 @@ def test_missing_file_exit_2(runner):
 
 def test_check_over_the_dense_budget_exit_2(runner, tmp_path):
     # non-homogeneous, k = 2, n = 2, 9 outcomes: over the budget as a dense
-    # scan (9 pairs x 3^18 cells), decided on coordinate splits
+    # scan (9 pairs x 3^18 cells), decided by the superadditivity count
     E = effectivity_table(random_game_form(random.Random(3), 2, 9), Chain(2))
     doc = E.to_doc()
     doc["table"]["{}"][-1] = 1
@@ -184,15 +184,32 @@ def test_check_over_the_dense_budget_exit_2(runner, tmp_path):
     assert result.exit_code == 1
     report = json.loads(result.output)
     assert report["properties"]["superadditive"] and not report["playable"]
-    # k = 10, 10 outcomes, every row accepting only the top assessment: the
-    # split scan alone is 3^10 pairs x 3^10 triples
-    top_only = [0] * (1 << 10)
-    top_only[-1] = 1
-    doc = EffFn(Chain(1), 10, [f"s{j}" for j in range(10)], [top_only] * (1 << 10)).to_doc()
+    # k = 2, n = 700, one outcome, a middle value at the top: each transform
+    # multiplies 701 x 701 chain matrices, (2 x 4 x 701 + 9) x 700 x 701
+    # cells in all
+    rows = [[0] * 700 + [700] for _ in range(4)]
+    rows[0][-1] = 1
+    doc = EffFn(Chain(700), 2, ["s0"], rows).to_doc()
     (tmp_path / "big.json").write_text(json.dumps(doc))
     result = runner.invoke(main, ["check", str(tmp_path / "big.json")])
     assert result.exit_code == 2
     assert "budget" in result.output
+
+
+def test_check_failing_ten_outcome_table_exit_1(runner, tmp_path):
+    # k = 2, n = 2, 10 outcomes, the empty coalition's last cell below top
+    # raised: a dense witness scan of its failing pair would be 3^20 cells
+    E = effectivity_table(random_game_form(random.Random(3), 2, 10), Chain(2))
+    doc = E.to_doc()
+    row = doc["table"]["{}"]
+    row[max(i for i, value in enumerate(row) if value < 2)] += 1
+    (tmp_path / "ten.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, ["check", str(tmp_path / "ten.json")])
+    assert result.exit_code == 1
+    report = json.loads(result.output)
+    assert not report["properties"]["superadditive"]
+    c1, c2, fi, gi = report["witnesses"]["superadditive"]
+    assert c1 & c2 == 0 and fi < len(row) and gi < len(row)
 
 
 def test_document_missing_key_exit_2(runner, workdir):

@@ -508,8 +508,8 @@ def _game_form_table(draw, n, k, size):
 
 @st.composite
 def _uniform_table(draw, n, k, size):
-    """Every cell drawn on its own: most cells lie above the row's monotone
-    minorant, so the superadditivity scan runs long strips."""
+    """Every cell drawn on its own: rows far from outcome-monotone, which
+    most pairs of coalitions fail."""
     count = (n + 1) ** size
     rows = [
         draw(st.lists(st.integers(0, n), min_size=count, max_size=count))
@@ -559,7 +559,8 @@ def _battery_stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(_battery_stacks(), st.sampled_from((300, tables._SCAN_CAP)))
 def test_stacked_reports_match_single_and_dense(stack, scan_cap):
-    # a scan cap of 300 cells puts one table, or a few, in each chunk
+    # a scan cap of 300 cells cuts the coalition pairs into runs of one or a
+    # few, for the whole stack
     dense = {E: _dense_report(E) for E in stack}
     expected = [dense[E] for E in stack]
     with mock.patch.object(tables, "_SCAN_CAP", scan_cap):
@@ -587,12 +588,14 @@ def test_mixed_geometries_keep_input_order():
 
 
 def test_stack_raises_the_first_tables_error(monkeypatch):
-    # a k = 2 Boolean table compares 9 x 3^S split cells: 81 on two
-    # outcomes, under a budget of 100, and 243 and 729 on three and four
+    # a k = 2 Boolean table on S outcomes counts (2 x 4 x 2^S + 9) x 2^S
+    # cells (each transform is one product over all 2^S assessments, then 9
+    # pairs): 164 on two outcomes, under a budget of 200, and 584 and 2192
+    # on three and four
     ok, small, large = (_game_table(0, n=1, outcomes=size) for size in (2, 3, 4))
-    monkeypatch.setattr(tables, "_DENSE_CELL_BUDGET", 100)
-    for stack, cells in (([ok, small, large], 243), ([large, ok, small], 729)):
-        with pytest.raises(BudgetExceeded, match=f"scan of {cells} cells"):
+    monkeypatch.setattr(tables, "_DENSE_CELL_BUDGET", 200)
+    for stack, cells in (([ok, small, large], 584), ([large, ok, small], 2192)):
+        with pytest.raises(BudgetExceeded, match=f"count of {cells} cells"):
             check_playability_many(stack)
     assert check_playability_many([ok])[0].truly_playable
 
@@ -623,15 +626,10 @@ def _boolean_inputs(draw):
 @given(_boolean_inputs(), st.data())
 def test_boolean_battery_matches_oracle_in_split_chunks(E, data):
     # n = 1: no skeleton, the battery runs on the table itself.  A scan cap
-    # of 1-300 cells cuts the split triples (up to 27) into blocks of one or
-    # more triples, the pairs (27, 19 with a proper union) into runs, and
-    # the strips into blocks of rows; the meet index is one block or rows.
-    per_pair = len(E.table[0]) ** 2
+    # of 1-300 cells cuts the pairs (27, 19 with a proper union) into runs
+    # of one pair or more.
     scan_cap = data.draw(st.integers(1, 300))
-    meet_cap = data.draw(st.sampled_from((1 << 22, per_pair - 1)))
-    with mock.patch.object(tables, "_SCAN_CAP", scan_cap), mock.patch.object(
-        tables, "_MEET_MATRIX_CAP", meet_cap
-    ):
+    with mock.patch.object(tables, "_SCAN_CAP", scan_cap):
         assert check_playability(E).to_doc() == _dense_report(E)
         assert _battery_report(E) == _dense_report(E)
 
@@ -643,17 +641,73 @@ def test_superadditivity_blocks_match_one_block(monkeypatch):
         for _ in range(40)
     ]
     expected = [_dense_report(E) for E in inputs]
-    # one pair per chunk, in row blocks of the meet index
-    monkeypatch.setattr(tables, "_MEET_MATRIX_CAP", 50)
+    # one coalition pair per run
+    monkeypatch.setattr(tables, "_SCAN_CAP", 1)
     assert [_battery_report(E) for E in inputs] == expected
     assert [check_playability(E).to_doc() for E in inputs] == expected
 
 
-def test_dense_battery_past_one_meet_block():
-    # 3^8 = 6561 assessments: the meet index spans several blocks
+def _brute_transform(x, n, size, kind):
+    """The transform of one row x over the assessments, cell by cell."""
+    tuples = list(enumerate_assessments(n, size))
+    if kind in ("zeta_up", "zeta_down"):
+        sign = 1 if kind == "zeta_up" else -1
+        return [
+            sum(x[j] for j, g in enumerate(tuples) if all(sign * (b - a) >= 0 for a, b in zip(f, g)))
+            for f in tuples
+        ]
+    # the Moebius function of a product of chains: (-1)^|f - g| when f - g
+    # is a 0/1 vector, else 0
+    return [
+        sum(
+            (-1) ** sum(np.subtract(f, g)) * x[j]
+            for j, g in enumerate(tuples)
+            if all(0 <= a - b <= 1 for a, b in zip(f, g))
+        )
+        for f in tuples
+    ]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("size", (1, 2, 3, 4))
+@pytest.mark.parametrize("block_cap", (1, 9, tables._BLOCK_CAP))
+def test_transforms_match_brute_force_sums(n, size, block_cap):
+    # block caps of 1 and 9 put one coordinate, or a few, in each product
+    with mock.patch.object(tables, "_BLOCK_CAP", block_cap):
+        geo = tables._Geometry(n, size)
+    count = geo.count
+    rng = np.random.default_rng(n * 10 + size)
+    x = rng.integers(-3, 4, (2, count))
+    kinds = ("zeta_up", "zeta_down", "mobius_down")
+    # (kinds, assessments, rows) -> (kinds, rows, assessments)
+    cells = np.broadcast_to(x.T, (3, count, 2)).astype(np.float64)
+    out = tables._transform(cells, geo, kinds)
+    assert out.shape == (3, 2, count)
+    for w, kind in enumerate(kinds):
+        for r in range(2):
+            assert out[w, r].tolist() == _brute_transform(x[r].tolist(), n, size, kind)
+    # the Moebius transform inverts the downward sum, also in wrapping uint64
+    for dtype in (np.float64, np.uint64):
+        down = tables._transform(x.T.astype(dtype)[None], geo, ("zeta_down",))
+        back = tables._transform(down.transpose(0, 2, 1), geo, ("mobius_down",))
+        assert (back[0] == x.astype(dtype)).all()
+
+
+def test_budget_refuses_before_enumerating_pairs():
+    # 20 players, one outcome: 2^20 rows of two cells, but 3^20 coalition
+    # pairs, about 3.5e9, which _pair_stack would build in Python
+    rows = np.zeros((1 << 20, 2), dtype=np.int8)
+    rows[:, 1] = 1
+    E = EffFn(BOOL, 20, ["s0"], rows)
+    with mock.patch.object(tables, "_pair_stack", side_effect=AssertionError):
+        with pytest.raises(BudgetExceeded, match="superadditivity count"):
+            check_property(E, "superadditive")
+
+
+def test_dense_battery_on_eight_outcomes():
+    # 3^8 = 6561 assessments
     E = effectivity_table(random_game_form(random.Random(3), 2, 8), Chain(2))
     count = len(E.table[0])
-    assert count * count > tables._MEET_MATRIX_CAP
     fstar = count - 2
     rows = [list(row) for row in E.table]
     rows[0][fstar] += 1  # breaks homogeneity, so the dense battery runs
@@ -683,12 +737,13 @@ def _nine_outcome_table():
 
 
 def _over_budget_table():
-    """k = 10, n = 1, 10 outcomes, every row accepting only the top
-    assessment: outcome-monotone, and its split scan is 3^10 pairs x 3^10
-    triples."""
-    rows = np.zeros((1 << 10, 1 << 10), dtype=np.int8)
-    rows[:, -1] = 1
-    return EffFn(BOOL, 10, state_names(10), rows)
+    """k = 2, n = 700, one outcome, with a middle value at the top: not
+    homogeneous, and its count is over the budget, (2 x 4 x 701 + 9) x 700
+    x 701 cells, as each transform multiplies 701 x 701 chain matrices."""
+    rows = np.zeros((4, 701), dtype=np.int16)
+    rows[:, -1] = 700
+    rows[0, -1] = 1
+    return EffFn(Chain(700), 2, ["s0"], rows)
 
 
 def test_dense_battery_budget():
@@ -696,16 +751,18 @@ def test_dense_battery_budget():
     assert not check_property(E, "homogeneous").holds
     count = len(E.table[0])
     assert 9 * count * count > tables._DENSE_CELL_BUDGET
-    # over the budget as a dense scan, but decided on coordinate splits
+    # over the budget as a dense scan, but decided by the count
     report = check_playability(E)
     assert report.properties["superadditive"] and not report.playable
     assert check_property(E, "superadditive").holds
     proper = tables._check_superadditive(E.rows()[None], E.geometry(), proper_unions_only=True)
     assert proper == [(True, None)]
     big = _over_budget_table()
-    assert 3**10 * 3**10 > tables._DENSE_CELL_BUDGET
-    # refused before the scan starts, with or without the monotone verdict
-    with mock.patch.object(tables, "_failing_pairs", side_effect=AssertionError):
+    assert (2 * 4 * 701 + 9) * 700 * 701 > tables._DENSE_CELL_BUDGET
+    # refused before the pairs are built or anything is transformed
+    with mock.patch.object(tables, "_pair_stack", side_effect=AssertionError), mock.patch.object(
+        tables, "_transform", side_effect=AssertionError
+    ):
         with pytest.raises(BudgetExceeded):
             check_playability(big)
         with pytest.raises(BudgetExceeded):
@@ -742,23 +799,44 @@ def test_skeleton_failure_rescanned_on_its_pair_alone():
         assert int(np.argmax(bad)) == gi
 
 
-def test_strips_keep_no_meet_index_past_256_assessments():
+def test_lowered_top_cell_witness_on_eleven_outcomes():
     # the Boolean game-form table on 11 outcomes with the grand coalition's
-    # top cell lowered: every other cell of that row is above its monotone
-    # minorant, so the pairs with N scan long strips
+    # top cell lowered: every pair with N fails at the top assessment
     H = effectivity_table(random_game_form(random.Random(3), 2, 11), BOOL)
     rows = H.rows().copy()
     rows[-1, -1] = 0
     E = EffFn(BOOL, 2, H.outcomes, rows)
-    geo = tables._geometry(1, 11)
-    with mock.patch.object(geo, "_meet_idx", None):
-        report = check_playability(E)
-        assert geo._meet_idx is None
-    # the same report from the whole index, built and kept as before
-    with mock.patch.object(tables, "_MEET_MATRIX_CAP", 1 << 22), mock.patch.object(
-        geo, "_meet_idx", None
-    ):
-        whole = check_playability(E)
-        assert geo._meet_idx is not None and geo._meet_idx.dtype == np.uint16
-    assert report.to_doc() == whole.to_doc()
+    report = check_playability(E)
     assert report.witnesses["superadditive"] == (1, 2, 2047, 2047)
+
+
+def _raised_table(size):
+    """The k = 2, n = 2 game-form table on size outcomes with the empty
+    coalition's last cell below top raised by one, which superadditivity
+    with N fails."""
+    E = effectivity_table(random_game_form(random.Random(3), 2, size), Chain(2))
+    rows = E.rows().copy()
+    rows[0, np.flatnonzero(rows[0] < 2)[-1]] += 1
+    return EffFn(E.chain, E.k, E.outcomes, rows)
+
+
+@pytest.mark.parametrize("size", (9, 10))
+def test_raised_table_gets_the_first_witness_of_its_row(size):
+    # a dense witness scan of the failing pair would be 3^18 and 3^20 cells
+    E = _raised_table(size)
+    table = E.rows()
+    report = check_playability(E)
+    assert not report.properties["superadditive"] and not report.semi_playable
+    geo = E.geometry()
+    for c1, c2, fi, gi in (
+        report.witnesses["superadditive"],
+        report.witnesses["semi_playable"][1:],
+    ):
+        assert c1 & c2 == 0
+        meet = np.minimum(geo.tuples[fi], geo.tuples) @ geo.powers
+        bad = np.minimum(table[c1, fi], table[c2]) > table[c1 | c2, meet]
+        # the witness fails, and nothing before it in its row does
+        assert bad[gi] and not bad[:gi].any()
+    if size == 9:
+        # as a dense scan of the pair reports it
+        assert report.witnesses["superadditive"] == (0, 3, 19681, 2)
