@@ -79,11 +79,11 @@ class LnModel:
         else:
             valuation = tuple(sorted((p, tuple(row)) for p, row in valuation))
         object.__setattr__(self, "valuation", valuation)
-        if len(self.eff) != len(self.states):
-            raise InvalidInput("need one effectivity table per state")
+        if not self.states or len(self.eff) != len(self.states):
+            raise InvalidInput("need at least one state and one effectivity table per state")
         for E in self.eff:
-            if E.chain != chain or E.outcomes != self.states:
-                raise InvalidInput("every table must share the model's chain and states")
+            if E.chain != chain or E.outcomes != self.states or E.k != self.eff[0].k:
+                raise InvalidInput("every table must share the model's chain, states and players")
         for p, row in self.valuation:
             if len(row) != len(self.states):
                 raise InvalidInput(f"valuation row for p{p} has wrong length")

@@ -19,11 +19,20 @@ C1 and C2, is one exact count per coalition pair of the levels v and pairs
 (f, g) with E(C1,f) meet E(C2,g) >= v > E(C1 | C2, f meet g).  Zeta
 transforms (sums over the assessments above or below each one) and a Moebius
 inverse turn that meet-convolution into sums of pointwise products, n
-(n+1)^S cells per pair instead of (n+1)^(2S).  The witness is the first
-failing pair's first failing (f, g) row-major, as a dense scan reports it:
-one more transform counts the failing g of each row f, and a scan of the
-first failing row gives g.  A table whose check would touch more than
-_DENSE_CELL_BUDGET cells raises BudgetExceeded before any pair is built.
+(n+1)^S cells per pair instead of (n+1)^(2S).  One count of every pair gives
+each table's first failing pair and its first failing pair with a proper
+union.  The witness is a failing pair's first failing (f, g) row-major, as a
+dense scan reports it: one more transform counts the failing g of each row
+f, and a scan of the first failing row gives g.  A table whose check would
+touch more than _DENSE_CELL_BUDGET cells raises BudgetExceeded before any
+pair is built.
+
+Semi-playability is outcome monotonicity, liveness and safety on the proper
+coalitions and superadditivity on the pairs with a proper union.  It is read
+from the full verdicts: the row predicates list their witnesses with masks
+outermost and the grand coalition last, so one fails on a proper row exactly
+when its first witness's mask is not the grand coalition's, and the
+superadditivity count already holds the proper-union scope.
 
 `check_playability_many` groups its tables by (n, k, S) and decides
 homogeneity on each group's stack.  A homogeneous table commutes with both
@@ -36,10 +45,7 @@ it on themselves.  Equal targets run the battery once, all targets of one
 geometry in one stack, so a lift checked beside its skeleton costs only its
 homogeneity check.  A predicate that fails on a skeleton runs again on the
 full tables that own it, so its witness is the first failing dense cell.
-Semi-playability is run only for a witness: when the full outcome
-monotonicity, liveness, safety and superadditivity hold, so do their
-proper-row and proper-union versions.  `check_playability(E)` is the stack
-of one, with the same report.
+`check_playability(E)` is the stack of one, with the same report.
 """
 
 from __future__ import annotations
@@ -90,10 +96,6 @@ PLAYABLE_PARTS = (
     "liveness",
     "safety",
 )
-
-# the predicates whose proper-row or proper-union versions make up
-# semi-playability, in the order _check_semi_playable tries them
-SEMI_PLAYABLE_PARTS = ("outcome_monotonic", "liveness", "safety", "superadditive")
 
 # cells the superadditivity count multiplies at once, the transformed rows of
 # a run of coalition pairs (one pair's at least)
@@ -296,9 +298,6 @@ class EffFn:
     def value_num(self, mask: int, f: Sequence[int]) -> int:
         return int(self._rows[mask, encode_assessment(f, self.n)])
 
-    def coalitions(self) -> Iterable[Coalition]:
-        return (Coalition(mask, self.k) for mask in range(1 << self.k))
-
     # -- documents ----------------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -384,38 +383,19 @@ def _verdicts(bad: np.ndarray, witness) -> list:
     return [(True, None) if hit is None else (False, witness(*hit)) for hit in _first(bad)]
 
 
-def _subset(rows: np.ndarray, idx: list) -> np.ndarray:
-    """The tables idx (increasing) of a stack, not copied when that is all."""
-    return rows if len(idx) == len(rows) else rows[idx]
-
-
-def _disjoint_mask_pairs(k: int):
-    full = (1 << k) - 1
-    for c1 in range(1 << k):
-        rest = full & ~c1
-        c2 = rest
-        while True:
-            yield c1, c2
-            if c2 == 0:
-                break
-            c2 = (c2 - 1) & rest
-
-
 @lru_cache(maxsize=None)
-def _pair_stack(k: int, proper_unions_only: bool):
-    """The disjoint pairs in _disjoint_mask_pairs order, as three index
-    arrays (first, second, union); optionally without the pairs whose
-    union is the grand coalition."""
-    full = (1 << k) - 1
-    pairs = np.array(
-        [
-            pair
-            for pair in _disjoint_mask_pairs(k)
-            if not (proper_unions_only and pair[0] | pair[1] == full)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 2)
-    first, second = pairs.T
+def _pair_stack(k: int):
+    """The disjoint coalition pairs, c1 increasing and then c2 decreasing
+    over the submasks of the rest, as three index arrays (first, second,
+    union)."""
+    full, pairs = (1 << k) - 1, []
+    for c1 in range(1 << k):
+        c2 = rest = full & ~c1
+        pairs.append((c1, c2))
+        while c2:
+            c2 = (c2 - 1) & rest
+            pairs.append((c1, c2))
+    first, second = np.array(pairs, dtype=np.int64).T
     return first, second, first | second
 
 
@@ -481,10 +461,9 @@ def _transform(cells: np.ndarray, geo: _Geometry, kinds: tuple) -> np.ndarray:
     return cells.reshape(len(kinds), -1, geo.count)
 
 
-def _check_superadditive(rows, geo, proper_unions_only=False):
-    """Superadditivity over the disjoint coalition pairs, optionally only
-    those with a proper union, with each table's first failing (c1, c2, f,
-    g) as witness.
+def _count_pairs(rows, geo):
+    """Superadditivity's exact count over the disjoint coalition pairs, read
+    in both of its scopes: every pair, and the pairs with a proper union.
 
     At each level v = 1..n let a(C, f) = [E(C, f) >= v], Z(C) the sum of a
     over the assessments >= h, and beta(C) the Moebius inverse of [E(C, h)
@@ -496,38 +475,55 @@ def _check_superadditive(rows, geo, proper_unions_only=False):
     (n+1)^S times the assessments of a block, under 2^28 within the budget;
     the count runs in uint64, where it is below n (n+1)^(2S) < 2^64, so its
     value mod 2^64 is exact.
+
+    Returns (hits, verdict): per table (p, q), the _pair_stack indices of
+    its first failing pair and of its first failing pair with a proper
+    union, None where there is none, and verdict(t, p), table t's verdict
+    on pair p, computed once per (t, p): (True, None) for p None, or the
+    BudgetExceeded of an over-budget count.
     """
     k = _players(rows)
-    pairs = 3**k - (1 << k if proper_unions_only else 0)
     length = geo.n * geo.count  # levels x assessments of one transformed row
-    cost = (2 * rows.shape[1] * sum((geo.n + 1) ** c for c in geo.blocks) + pairs) * length
+    cost = (2 * rows.shape[1] * sum((geo.n + 1) ** c for c in geo.blocks) + 3**k) * length
     if cost > _DENSE_CELL_BUDGET:
         over = f"superadditivity count of {cost} cells exceeds budget {_DENSE_CELL_BUDGET}"
-        return [BudgetExceeded(over)] * len(rows)
-    first, second, union = _pair_stack(k, proper_unions_only)
+        return [(None, None)] * len(rows), lambda t, p: BudgetExceeded(over)
+    first, second, union = _pair_stack(k)
     # (assessments, masks, tables, levels)
     above = rows.T[..., None] >= np.arange(1, geo.n + 1, dtype=rows.dtype)
     cells = np.array((above, ~above), dtype=np.float64).reshape(2, geo.count, -1)
     cells = _transform(cells, geo, ("zeta_up", "mobius_down")).astype(np.int64)
     # (masks, tables, levels and assessments)
     up, beta = cells.view(np.uint64).reshape(2, rows.shape[1], len(rows), length)
-    verdicts = [(True, None)] * len(rows)
+    # (pairs, tables), in runs of pairs that bound the product temporaries
     step = max(1, _SCAN_CAP // (length * len(rows)))
-    for start in range(0, pairs, step):
+    counts = []
+    for start in range(0, len(first), step):
         run = slice(start, start + step)
         product = up.take(first[run], axis=0) * up.take(second[run], axis=0)
         product *= beta.take(union[run], axis=0)
-        counts = product.sum(axis=2).T
-        if np.count_nonzero(counts):
-            for t, hit in enumerate(_first(counts != 0)):
-                if hit is not None and verdicts[t] == (True, None):
-                    c1, c2 = int(first[start + hit[0]]), int(second[start + hit[0]])
-                    verdicts[t] = _superadditivity_witness(
-                        rows[t], geo, up[c2, t], beta[c1 | c2, t], c1, c2
-                    )
-            if (True, None) not in verdicts:
-                break
-    return verdicts
+        counts.append(product.sum(axis=2))
+    counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
+    if not np.count_nonzero(counts):
+        return [(None, None)] * len(rows), lambda t, p: (True, None)
+
+    @lru_cache(maxsize=None)
+    def verdict(t, p):
+        if p is None:
+            return True, None
+        c1, c2 = int(first[p]), int(second[p])
+        return _superadditivity_witness(rows[t], geo, up[c2, t], beta[c1 | c2, t], c1, c2)
+
+    bad = counts.T != 0
+    scopes = _first(bad), _first(bad & (union != (1 << k) - 1)) or [None] * len(rows)
+    return [tuple(hit and hit[0] for hit in pair) for pair in zip(*scopes)], verdict
+
+
+def _check_superadditive(rows, geo):
+    """Superadditivity over the disjoint coalition pairs, with each table's
+    first failing (c1, c2, f, g) as witness."""
+    hits, verdict = _count_pairs(rows, geo)
+    return [verdict(t, p) for t, (p, _) in enumerate(hits)]
 
 
 def _superadditivity_witness(table, geo, up, beta, c1, c2):
@@ -598,30 +594,31 @@ def _check_principal(rows, geo):
     return [(h, None) for h in holds.tolist()]
 
 
-def _check_semi_playable(rows, geo):
-    proper = rows[:, :-1]
-    verdicts = [None] * len(rows)
-    pending = list(range(len(rows)))
-    for name, check in (
-        ("outcome_monotonic", _check_outcome_monotonic),
-        ("liveness", _check_liveness),
-        ("safety", _check_safety),
-    ):
-        failed = False
-        for t, (holds, witness) in zip(pending, check(_subset(proper, pending), geo)):
-            if not holds:
+def _semi_playable(found, full, count) -> list:
+    """Per table, semi-playability read from the full verdicts in found, as
+    the module docstring says; full is the grand coalition's mask, and
+    count() gives the stack's _count_pairs result, asked for only when some
+    table passes the proper rows."""
+    verdicts = [None] * len(found["safety"])
+    for name in ("outcome_monotonic", "liveness", "safety"):
+        for t, (holds, witness) in enumerate(found[name]):
+            if not holds and witness[0] != full and verdicts[t] is None:
                 verdicts[t] = (False, (name,) + witness)
-                failed = True
-        if failed:
-            pending = [t for t in pending if verdicts[t] is None]
-            if not pending:
-                return verdicts
-    scanned = _check_superadditive(_subset(rows, pending), geo, proper_unions_only=True)
-    for t, verdict in zip(pending, scanned):
-        if isinstance(verdict, tuple) and not verdict[0]:
-            verdict = (False, ("superadditive",) + verdict[1])
-        verdicts[t] = verdict
+    if None in verdicts:
+        hits, verdict = count()
+        for t, (_, q) in enumerate(hits):
+            if verdicts[t] is None:
+                scanned = verdicts[t] = verdict(t, q)
+                if isinstance(scanned, tuple) and not scanned[0]:
+                    verdicts[t] = (False, ("superadditive",) + scanned[1])
     return verdicts
+
+
+def _check_semi_playable(rows, geo):
+    found = {
+        name: _CHECKS[name](rows, geo) for name in ("outcome_monotonic", "liveness", "safety")
+    }
+    return _semi_playable(found, rows.shape[1] - 1, lambda: _count_pairs(rows, geo))
 
 
 _CHECKS = {
@@ -643,24 +640,16 @@ _REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
 
 def _battery(rows, geo):
     """Every predicate but homogeneity on a stack of tables of one geometry:
-    name -> one verdict per table."""
+    name -> one verdict per table.  One superadditivity count answers both
+    superadditivity and semi-playability."""
+    hits, verdict = counted = _count_pairs(rows, geo)
     found = {}
     for name in PROPERTY_NAMES:
-        if name != "homogeneous":
+        if name == "superadditive":
+            found[name] = [verdict(t, p) for t, (p, _) in enumerate(hits)]
+        elif name != "homogeneous":
             found[name] = _CHECKS[name](rows, geo)
-    # the full predicates imply their proper-row and proper-union versions,
-    # so semi-playability needs a run of its own only for a witness; a table
-    # whose superadditivity check raised raises before it in a loop
-    semi = found["semi_playable"] = [(True, None)] * len(rows)
-    idx = [
-        t
-        for t, verdict in enumerate(found["superadditive"])
-        if isinstance(verdict, tuple)
-        and not all(found[name][t][0] for name in SEMI_PLAYABLE_PARTS)
-    ]
-    if idx:
-        for t, verdict in zip(idx, _check_semi_playable(_subset(rows, idx), geo)):
-            semi[t] = verdict
+    found["semi_playable"] = _semi_playable(found, rows.shape[1] - 1, lambda: counted)
     return found
 
 
@@ -739,10 +728,10 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
         for name, column in found.items():
             verdict = column[t]
             if isinstance(verdict, tuple) and verdict[1] is not None:
-                again.setdefault((name, tables[i].n, tables[i].num_outcomes), []).append(i)
-    for (name, n, size), idx in again.items():
+                again.setdefault((name, tables[i].k, tables[i].geometry()), []).append(i)
+    for (name, _, geo), idx in again.items():
         rows = _stack([tables[i].rows() for i in idx])
-        for i, verdict in zip(idx, _CHECKS[name](rows, _geometry(n, size))):
+        for i, verdict in zip(idx, _CHECKS[name](rows, geo)):
             if isinstance(verdict, tuple) and verdict[1] is None:
                 verdict = VerificationFailed(f"the skeleton fails {name} and the table does not")
             own[i][name] = verdict

@@ -275,6 +275,11 @@ def malformed(workdir):
     edit("model.json", "long-name.json", lambda d: d["val"]["s0"].update({"p" + _DIGITS: 1}))
     edit("emodel.json", "unknown-r-state.json", lambda d: d["R"].append(["s0", "nope"]))
     edit("emodel.json", "r-triple.json", lambda d: d["R"].append(["s0", "s1", "s2"]))
+    three = random_playable_model(random.Random(1), Chain(2), 3, k=3).to_doc()["E"]["s1"]
+    edit("model.json", "mixed-players.json", lambda d: d["E"].update(s1=three))
+    (workdir / "no-states.json").write_text(
+        '{"kind": "model", "n": 1, "states": [], "E": {}, "val": {}}'
+    )
     (workdir / "latin-1.json").write_bytes(b'{"kind": "game-form", "outcomes": ["\xe9"]}')
     (workdir / "invalid.json").write_text('{"kind": ')
     (workdir / "deep.json").write_text("[" * 100_000)
@@ -299,6 +304,11 @@ _DIGITS = "9" * 5000
         pytest.param(["check", "same-key.json"], id="check-repeated-coalition-key"),
         pytest.param(["check", "r-triple.json"], id="check-r-triple"),
         pytest.param(["check", "deep.json"], id="check-deep-json"),
+        pytest.param(["check", "mixed-players.json"], id="check-mixed-players"),
+        pytest.param(["check", "no-states.json"], id="check-no-states"),
+        pytest.param(["eval", "mixed-players.json", "[{1}]p1"], id="eval-mixed-players"),
+        pytest.param(["eval", "no-states.json", "p1"], id="eval-no-states"),
+        pytest.param(["filter", "no-states.json", "p1"], id="filter-no-states"),
         pytest.param(["eval", "model.json", "p1", "--state", "nope"], id="eval-unknown-state"),
         pytest.param(["eval", "valuation-name.json", "p1"], id="eval-valuation-name"),
         pytest.param(["eval", "model.json", _DEEP_NEGATION], id="eval-deep-negation"),

@@ -311,6 +311,18 @@ def test_bad_model_documents():
         LnModel.from_doc({key: value for key, value in doc.items() if key != "val"})
 
 
+def test_model_needs_states_of_one_player_count():
+    M = random_playable_model(random.Random(7), Chain(2), 3)
+    three = random_playable_model(random.Random(7), Chain(2), 3, k=3)
+    with pytest.raises(InvalidInput, match="chain, states and players"):
+        LnModel(M.chain, M.states, (M.eff[0], three.eff[1], M.eff[2]), dict(M.valuation))
+    with pytest.raises(InvalidInput, match="at least one state"):
+        LnModel(M.chain, (), (), {})
+    doc = {"kind": "model", "n": 1, "states": [], "E": {}, "val": {}}
+    with pytest.raises(InvalidInput, match="at least one state"):
+        LnModel.from_doc(doc)
+
+
 def test_wrong_typed_model_fields():
     doc = random_playable_model(random.Random(7), Chain(2), 3).to_doc()
     for bad in (

@@ -626,8 +626,7 @@ def _boolean_inputs(draw):
 @given(_boolean_inputs(), st.data())
 def test_boolean_battery_matches_oracle_in_split_chunks(E, data):
     # n = 1: no skeleton, the battery runs on the table itself.  A scan cap
-    # of 1-300 cells cuts the pairs (27, 19 with a proper union) into runs
-    # of one pair or more.
+    # of 1-300 cells cuts the 27 pairs into runs of one pair or more.
     scan_cap = data.draw(st.integers(1, 300))
     with mock.patch.object(tables, "_SCAN_CAP", scan_cap):
         assert check_playability(E).to_doc() == _dense_report(E)
@@ -755,8 +754,9 @@ def test_dense_battery_budget():
     report = check_playability(E)
     assert report.properties["superadditive"] and not report.playable
     assert check_property(E, "superadditive").holds
-    proper = tables._check_superadditive(E.rows()[None], E.geometry(), proper_unions_only=True)
-    assert proper == [(True, None)]
+    # and so are the pairs with a proper union, semi-playability's scope
+    hits, verdict = tables._count_pairs(E.rows()[None], E.geometry())
+    assert [verdict(t, q) for t, (_, q) in enumerate(hits)] == [(True, None)]
     big = _over_budget_table()
     assert (2 * 4 * 701 + 9) * 700 * 701 > tables._DENSE_CELL_BUDGET
     # refused before the pairs are built or anything is transformed
@@ -840,3 +840,45 @@ def test_raised_table_gets_the_first_witness_of_its_row(size):
     if size == 9:
         # as a dense scan of the pair reports it
         assert report.witnesses["superadditive"] == (0, 3, 19681, 2)
+
+
+def test_one_count_answers_both_pair_scopes():
+    # the first failing pair, (empty, N), has the grand union, so the
+    # proper-union scope of semi-playability reports a later pair of the
+    # same count
+    E = _raised_table(9)
+    with mock.patch.object(tables, "_transform", wraps=tables._transform) as transform:
+        report = check_playability(E)
+    assert report.witnesses["superadditive"][:2] == (0, 3)
+    assert report.witnesses["semi_playable"][:3] == ("superadditive", 0, 2)
+    kinds = [call.args[2] for call in transform.call_args_list]
+    assert kinds.count(("zeta_up", "mobius_down")) == 1
+    # one witness transform per reported pair
+    assert kinds.count(("zeta_down",)) == 2
+
+
+def test_semi_playable_on_failing_proper_rows_runs_no_count():
+    # coalition {1} accepts every assessment, the bottom one too
+    E = _game_table(3, n=2, outcomes=3)
+    rows = E.rows().copy()
+    rows[1] = 2
+    E = EffFn(E.chain, E.k, E.outcomes, rows)
+    with mock.patch.object(tables, "_transform", side_effect=AssertionError):
+        check = check_property(E, "semi_playable")
+    assert not check.holds and check.witness == ("safety", 1, 0)
+
+
+def test_stacked_skeleton_reruns_keep_player_counts_apart():
+    # lifted tables of 2 and 3 players whose grand coalition accepts only
+    # the top: both fail N-maximality on their skeletons, and each reruns
+    # on its own full table
+    stack = []
+    for k in (2, 3):
+        H = effectivity_table(random_game_form(random.Random(1), k, 2), BOOL)
+        rows = H.rows().copy()
+        rows[-1] = 0
+        rows[-1, -1] = 1
+        stack.append(lift_boolean(EffFn(BOOL, k, H.outcomes, rows), Chain(2), check_input=False))
+    single = [check_playability(E).to_doc() for E in stack]
+    assert not any(doc["properties"]["N_maximal"] for doc in single)
+    assert [report.to_doc() for report in check_playability_many(stack)] == single
