@@ -213,26 +213,14 @@ def cmd_synthesize(effectivity_file, budget_strategies, fmt):
 @click.option("--n", default=1, show_default=True)
 @click.option("--players", default=2, show_default=True)
 @click.option("--max-states", default=8, show_default=True)
-@click.option(
-    "--strategy",
-    type=click.Choice(["exhaustive", "randomized"]),
-    default="exhaustive",
-)
-@click.option("--seed", default=0, show_default=True)
 @_format_option
-def cmd_decide(formula_text, logic, n, players, max_states, strategy, seed, fmt):
+def cmd_decide(formula_text, logic, n, players, max_states, fmt):
     """Countermodel search; exit 1 when a countermodel is found."""
     chain = Chain(n)
     dialect = DIALECT_LPLUS if logic == LOGIC_TPN else DIALECT_L
     phi = parse(formula_text, players, dialect=dialect, chain=chain)
     verdict = search_countermodel(
-        phi,
-        logic=logic,
-        max_states=max_states,
-        strategy=strategy,
-        chain=chain,
-        players=players,
-        seed=seed,
+        phi, logic=logic, max_states=max_states, chain=chain, players=players
     )
     _emit(verdict.to_doc(), fmt)
     sys.exit(1 if verdict.model is not None else 0)

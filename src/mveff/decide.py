@@ -30,13 +30,11 @@ import itertools
 import json
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chain import Chain
-from .corpus import random_enriched_model, random_playable_model
 from .errors import BudgetExceeded, DialectViolation, InvalidInput, VerificationFailed
 from .formulas import (
     Box,
@@ -311,11 +309,8 @@ def search_countermodel(
     phi: Formula,
     logic: str = LOGIC_PN,
     max_states: int = 8,
-    strategy: str = "exhaustive",
     chain: Chain | None = None,
     players: int = 2,
-    seed: int = 0,
-    samples: int = 200,
 ) -> DecisionVerdict:
     """Look for a bounded countermodel of phi, or certify there is none."""
     if chain is None:
@@ -330,11 +325,6 @@ def search_countermodel(
     bound = (chain.n + 1) ** len(signatures.subs)
     phi_pos = signatures.index[phi]
 
-    if strategy == "randomized":
-        return _randomized_search(phi, logic, max_states, chain, players, seed, samples, bound)
-    if strategy != "exhaustive":
-        raise InvalidInput(f"unknown strategy {strategy!r}")
-
     # greatest fixpoint of per-state realizability
     survivors = list(signatures.all())
     rounds = 0
@@ -348,6 +338,8 @@ def search_countermodel(
         if not survivors:
             break
     refuting = [sig for sig in survivors if sig[phi_pos] < chain.n]
+    # "strategy" is a key of the verdict document's format, kept for its
+    # readers; it names this search
     stats = {
         "strategy": "exhaustive",
         "signatures": (chain.n + 1) ** len(signatures.free),
@@ -394,28 +386,6 @@ def search_countermodel(
             verdict = attempt(T)
             if verdict is not None:
                 return verdict
-    return DecisionVerdict(STATUS_NO_COUNTERMODEL, max_states, stats=stats)
-
-
-def _randomized_search(phi, logic, max_states, chain, players, seed, samples, bound):
-    from .formulas import propositions
-
-    rng = random.Random(seed)
-    props = propositions(phi) or (1,)
-    for trial in range(samples):
-        num_states = rng.randint(1, max_states)
-        if logic == LOGIC_TPN:
-            model = random_enriched_model(rng, chain, num_states, players, props)
-        else:
-            model = random_playable_model(rng, chain, num_states, players, props)
-        values = eval_vector(model, phi)
-        for j, v in enumerate(values):
-            if v < chain.n:
-                stats = {"strategy": "randomized", "seed": seed, "trials": trial + 1}
-                return DecisionVerdict(
-                    STATUS_COUNTERMODEL, bound, model, model.states[j], stats
-                )
-    stats = {"strategy": "randomized", "seed": seed, "trials": samples}
     return DecisionVerdict(STATUS_NO_COUNTERMODEL, max_states, stats=stats)
 
 

@@ -69,10 +69,6 @@ class NotStandard(MveffError):
     """Enriched filtration requires a standard model."""
 
 
-class PremiseViolated(MveffError):
-    """The [O]-homogeneity premise of the enriched truth transfer fails."""
-
-
 class BadDocument(MveffError):
     """A JSON document is not an object at the top level, is of another
     kind, lacks a required key, holds a field of the wrong type, or names

@@ -73,6 +73,7 @@ from .errors import (
     check_field,
 )
 from .formulas import Coalition
+from .games import DEFAULT_CELL_BUDGET, GameForm, effectivity_table
 
 BOOL_CHAIN = Chain(1)
 
@@ -789,7 +790,9 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     """The canonical chain-valued extension of a playable Boolean table.
 
     E(C, f) is the largest i/n whose thresholded assessment the Boolean
-    table accepts; an empty index set gives 0.
+    table accepts; an empty index set gives 0.  A lift of more than
+    DEFAULT_CELL_BUDGET cells, the effectivity table's budget, raises
+    BudgetExceeded before anything is built.
     """
     if H.n != 1:
         raise InvalidInput("lift expects a Boolean (two-valued) table")
@@ -798,6 +801,9 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     if chain.n == 1:
         return H
     n = chain.n
+    cells = (n + 1) ** H.num_outcomes * (1 << H.k)
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"{cells} lifted table cells exceed budget {DEFAULT_CELL_BUDGET}")
     geo = _geometry(n, H.num_outcomes)
     levels = np.arange(1, n + 1, dtype=_value_dtype(n))[:, None]
     # (masks, i, assessments): i where tau_i(f) is accepted, else 0
@@ -826,8 +832,6 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
     profile count.  The first Boolean match is verified against the full
     chain-valued table before being returned.
     """
-    from .games import GameForm, effectivity_table
-
     report = check_playability(E)
     if not report.truly_playable:
         raise NotTrulyPlayable("synthesis requires a truly playable table")

@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import mveff.cli
 from mveff.chain import Chain
 from mveff.cli import main
 from mveff.corpus import (
@@ -337,8 +341,11 @@ _DIGITS = "9" * 5000
             ],
             id="decide-presentation-subset-cap",
         ),
+        pytest.param(["decide", "[{}]p1 -> p1", "--strategy", "randomized"], id="decide-no-strategy"),
+        pytest.param(["decide", "[{}]p1 -> p1", "--seed", "5"], id="decide-no-seed"),
         pytest.param(["lift", "letter-key.json", "--n", "2"], id="lift-coalition-key"),
         pytest.param(["lift", "latin-1.json", "--n", "2"], id="lift-not-utf8"),
+        pytest.param(["lift", "bool.json", "--n", "100000"], id="lift-cell-budget"),
     ],
 )
 def test_malformed_input_exit_2(runner, malformed, args):
@@ -346,8 +353,24 @@ def test_malformed_input_exit_2(runner, malformed, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # not an escaped error
-    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+    # a library error is one "error:" line; click refuses an unknown option
+    # with its usage text, which ends in one "Error:" line
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("error:") or lines[-1].startswith("Error: No such option")
+    assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_cli_import_leaves_out_the_corpus():
+    # the generators of random models are test and demo inputs only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mveff.cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = "import sys, mveff.cli; print('mveff.corpus' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
 
 
 def test_deep_nesting_message(runner, workdir):

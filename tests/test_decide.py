@@ -132,33 +132,34 @@ def test_outcome_modality_rejected_in_pn():
 
 
 def test_exhaustive_agrees_with_random_model_sampling():
-    # differential oracle at n=1 and n=2: random playable models never
-    # refute a certified theorem, and certified countermodels exist when
-    # sampling finds one
-    for n in (1, 2):
-        chain = Chain(n)
-        rng = random.Random(12)
-        for _ in range(25):
-            phi = random_formula(rng, 3, (1, 2), 2, chain)
-            verdict = search_countermodel(phi, max_states=10 ** 9, chain=chain)
-            sampler = random.Random(99)
-            sampled = False
-            for _ in range(150):
-                M = random_playable_model(sampler, chain, sampler.randint(1, 3))
-                if any(v < n for v in eval_vector(M, phi)):
-                    sampled = True
-                    break
-            if sampled:
-                assert verdict.status == "CountermodelFound"
-            if verdict.status == "TheoremByFiltrationBound":
-                assert not sampled
-
-
-def test_randomized_strategy_reproducible():
-    phi = parse("[{}]p1 -> p1", 2)
-    v1 = search_countermodel(phi, strategy="randomized", max_states=3, seed=5)
-    v2 = search_countermodel(phi, strategy="randomized", max_states=3, seed=5)
-    assert v1.to_json() == v2.to_json()
+    # differential oracle at n=1 and n=2, in Pn on random playable models
+    # and in TPn on random standard enriched models with [O] formulas:
+    # sampled models never refute a certified theorem, and certified
+    # countermodels exist when sampling finds one
+    outcomes = []
+    for logic, sample in ((LOGIC_PN, random_playable_model), (LOGIC_TPN, random_enriched_model)):
+        for n in (1, 2):
+            chain = Chain(n)
+            rng = random.Random(12)
+            for _ in range(25):
+                phi = random_formula(rng, 3, (1, 2), 2, chain, allow_outcome=logic == LOGIC_TPN)
+                verdict = search_countermodel(phi, logic=logic, max_states=10 ** 9, chain=chain)
+                sampler = random.Random(99)
+                sampled = False
+                for _ in range(150):
+                    M = sample(sampler, chain, sampler.randint(1, 3))
+                    if any(v < n for v in eval_vector(M, phi)):
+                        sampled = True
+                        break
+                if sampled:
+                    assert verdict.status == "CountermodelFound"
+                if verdict.status == "TheoremByFiltrationBound":
+                    assert not sampled
+                outcomes.append((logic, verdict.status, sampled))
+    # each logic meets both sampled refutations and certified theorems
+    for logic in (LOGIC_PN, LOGIC_TPN):
+        assert (logic, "CountermodelFound", True) in outcomes
+        assert (logic, "TheoremByFiltrationBound", False) in outcomes
 
 
 def test_verdict_document():

@@ -24,8 +24,8 @@ from mveff.filtration import (
     playable_filtration,
     quotient,
 )
-from mveff.formulas import Box, Implies, Neg, Prop, Top, parse, subformulas
-from mveff.models import LnModel, eval_vector, is_standard
+from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, iff, oplus, parse, subformulas
+from mveff.models import EnrichedLnModel, LnModel, check_axiom_schema, eval_vector, is_standard
 from mveff.tables import (
     EffFn,
     boolean_skeleton,
@@ -377,6 +377,23 @@ def test_enriched_filtration_standard_and_transfers():
             for u, v in M.R:
                 if u in q.representatives:
                     assert (q.class_map[u], q.class_map[v]) in result.model.R
+
+
+def test_outcome_modality_commutes_with_doubling():
+    # [O] is a min over successors and doubling is monotone, so the
+    # homogeneity premise of the enriched truth transfer holds on every
+    # enriched model, with any relation R, standard or not
+    rng = random.Random(21)
+    p = Prop(1)
+    premise = iff(oplus(BoxO(p), BoxO(p)), BoxO(oplus(p, p)))
+    standard = 0
+    for _ in range(300):
+        base = random_playable_model(rng, Chain(rng.randint(1, 5)), rng.randint(1, 4))
+        R = [(u, v) for u in base.states for v in base.states if rng.random() < 0.4]
+        M = EnrichedLnModel(base.chain, base.states, base.eff, base.valuation, R)
+        standard += is_standard(M)
+        assert check_axiom_schema(M, premise) == (True, None)
+    assert 0 < standard < 300
 
 
 def test_class_map_document():

@@ -161,6 +161,18 @@ def test_lift_is_identity_on_boolean():
     assert lift_boolean(H, BOOL) is H
 
 
+def test_lift_cell_budget():
+    # k = 2, 9 outcomes: 4 x 4^9 = 2^20 cells at n = 3 is the effectivity
+    # budget exactly; 4 x 5^9 at n = 4 is over it and raises before any
+    # geometry is built
+    H = effectivity_table(random_game_form(random.Random(2), 2, 9), BOOL)
+    assert lift_boolean(H, Chain(3)).rows().size == 1 << 20
+    tables._geometry.cache_clear()
+    with pytest.raises(BudgetExceeded, match="7812500 lifted table cells"):
+        lift_boolean(H, Chain(4), check_input=False)
+    assert tables._geometry.cache_info().currsize == 0
+
+
 def test_lift_requires_playable_input():
     table = [[0, 0, 0, 1]] * 4
     table[0] = [0, 1, 1, 1]  # empty coalition stronger than N: not N-maximal
