@@ -262,8 +262,10 @@ def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     return _intermediate(model, mu)[0]
 
 
-def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
-    """Lift of the intermediate skeleton: a truly playable filtration."""
+def _playable(model: LnModel, mu: Formula):
+    """The quotient and the lifted model of the playable filtration, with
+    every check but truth transfer, which each public filtration runs once
+    on the model it returns."""
     inter, skeletons, lifts, reports = _intermediate(model, mu, model.chain)
     q = inter.quotient
     filtered = LnModel(
@@ -275,6 +277,12 @@ def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     if not all(report.truly_playable for report in reports):
         raise VerificationFailed("lifted table is not truly playable")
     _verify_filtration_conditions(q, filtered)
+    return q, filtered
+
+
+def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
+    """Lift of the intermediate skeleton: a truly playable filtration."""
+    q, filtered = _playable(model, mu)
     _verify_truth_transfer(q, filtered)
     return FiltrationResult(quotient=q, model=filtered, stage=STAGE_PLAYABLE)
 
@@ -286,8 +294,7 @@ def enriched_filtration(model: EnrichedLnModel, mu: Formula) -> FiltrationResult
     # [O] is a min over successors and x -> min(2x, n) is monotone, so
     # [O](p (+) p) <-> [O]p (+) [O]p holds on every enriched model: the truth
     # transfer's homogeneity premise needs no check
-    base = playable_filtration(model, mu)
-    q = base.quotient
+    q, base = _playable(model, mu)
     # every step divides n, so the Boolean definable vectors are the
     # indicators of all sets of classes: cv is forced exactly when it is the
     # class of a successor
@@ -298,9 +305,9 @@ def enriched_filtration(model: EnrichedLnModel, mu: Formula) -> FiltrationResult
     }
     filtered = EnrichedLnModel(
         chain=model.chain,
-        states=base.model.states,
-        eff=base.model.eff,
-        valuation=dict(base.model.valuation),
+        states=base.states,
+        eff=base.eff,
+        valuation=base.valuation,
         R=frozenset(pairs),
     )
     # condition (3), read at canonical representatives: their outgoing

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from .chain import TAU_OPLUS, Chain, synthesize_tau_term
 from .errors import DialectViolation, FormulaSyntaxError, InvalidInput, UnknownPlayer, read_int
@@ -257,7 +258,13 @@ def substitute(phi: Formula, prop: Prop, repl: Formula) -> Formula:
 
 def propositions(phi: Formula) -> tuple[int, ...]:
     """Sorted indices of the propositions occurring in phi."""
-    return tuple(sorted({f.index for f in subformulas(phi) if isinstance(f, Prop)}))
+    return propositions_among(subformulas(phi))
+
+
+def propositions_among(nodes: Iterable[Formula]) -> tuple[int, ...]:
+    """Sorted indices of the propositions among nodes, such as the
+    subformulas of a formula already walked."""
+    return tuple(sorted({f.index for f in nodes if isinstance(f, Prop)}))
 
 
 def uses_outcome_modality(phi: Formula) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .formulas import (
     meet,
     odot,
     oplus,
-    propositions,
+    propositions_among,
     subformulas,
     tau_formula,
 )
@@ -202,19 +203,72 @@ class EnrichedLnModel(LnModel):
 # -- evaluation --------------------------------------------------------------
 
 
-def _eval_nodes(
-    nodes, n: int, assign: dict, model: LnModel | None = None, root_only: bool = False
-) -> dict:
-    """Value arrays of shape (states, *lead) for nodes listed children first.
+def _lattice(node):
+    """(np.maximum, a, b) for the desugared join (a -> b) -> b, (np.minimum,
+    a, b) for the desugared meet ~(~a | ~b), and None for any other node.
 
-    Each node is computed once from its children's arrays, held in
-    _value_dtype(n).  A node in assign takes its array from there; any other
-    proposition, [C] or [O] node is read from the model.  The lead axes are
-    those of the assigned arrays (an open grid from _valuation_grid, none
-    when nothing is assigned), and each node broadcasts over only the lead
-    axes its children vary on.  Without a model there is a single state.
-    With root_only, each child's array is dropped once its last parent is
-    computed, so the result holds only the nodes that have no parent.
+    In a Lukasiewicz chain (a -> b) -> b is max(a, b), so ~(~a | ~b) is
+    min(a, b).  The repeated operand is matched by identity, as join and
+    meet build it; an equal but distinct one takes the long path, which
+    gives the same values.
+    """
+    if isinstance(node, Implies):
+        left = node.left
+        if isinstance(left, Implies) and left.right is node.right:
+            return np.maximum, left.left, node.right
+    elif isinstance(node, Neg) and isinstance(node.sub, Implies):
+        join = _lattice(node.sub)
+        if join is not None and isinstance(join[1], Neg) and isinstance(join[2], Neg):
+            return np.minimum, join[1].sub, join[2].sub
+    return None
+
+
+def _plan(nodes, keep, assign: dict):
+    """The nodes that the kept ones need, children first; per position in
+    that order, the _lattice of a lattice node, and the nodes not kept
+    whose last reader is there, each once (p1 -> p1 reads p1 twice)."""
+    # needed[node]: None for a kept node, else the position of its last
+    # reader counted from the end of order
+    needed = dict.fromkeys(keep)
+    order, lattices = [], {}
+    for node in reversed(nodes):
+        if node not in needed:
+            continue
+        if node in assign:
+            reads = ()
+        elif (lattice := _lattice(node)) is not None:
+            lattices[len(order)] = lattice
+            reads = lattice[1:]
+        else:
+            reads = children(node)
+        for read in reads:
+            if read not in needed:
+                needed[read] = len(order)
+        order.append(node)
+    last = len(order) - 1
+    released: dict[int, list] = {}
+    for read, i in needed.items():
+        if i is not None:
+            released.setdefault(last - i, []).append(read)
+    return order[::-1], {last - i: lattice for i, lattice in lattices.items()}, released
+
+
+def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=None) -> dict:
+    """Value arrays of shape (states, *lead) of the kept nodes, from nodes
+    listed children first.
+
+    keep names the nodes the caller reads, every node when None.  Only the
+    nodes they need are computed, each once, in _value_dtype(n), and an
+    array that is not kept is dropped after its last reader.  Where that
+    skips nodes, a desugared join or meet is one pass, the max or min of its
+    two operands (see _lattice), and its inner nodes are computed only when
+    another node or the caller reads them; with every node kept, each is
+    computed from its children.  A node in assign takes its array from
+    there; any other proposition, [C] or [O] node is read from the model.
+    The lead axes are those of the assigned arrays (an open grid from
+    _valuation_grid, none when nothing is assigned), and each node
+    broadcasts over only the lead axes its operands vary on.  Without a
+    model there is a single state.
     """
     lead = next(iter(assign.values())).ndim - 1 if assign else 0
     size = model.num_states if model is not None else 1
@@ -225,20 +279,17 @@ def _eval_nodes(
     # slower
     tops: dict[tuple, np.ndarray] = {}
     values: dict[Formula, np.ndarray] = {}
-    # released[i]: the children whose last parent is nodes[i], each once
-    # (p1 -> p1 lists its child twice)
-    released: dict[int, list] = {}
-    if root_only:
-        last = {child: i for i, node in enumerate(nodes) for child in children(node)}
-        for child, i in last.items():
-            released.setdefault(i, []).append(child)
-    for i, node in enumerate(nodes):
+    order, lattices, released = (nodes, {}, {}) if keep is None else _plan(nodes, keep, assign)
+    for i, node in enumerate(order):
         if node in assign:
             out = assign[node]
         elif isinstance(node, Top):
             out = np.full(const, n, dtype=dtype)
         elif isinstance(node, Prop):
             out = np.asarray(model.prop_row(node.index), dtype=dtype).reshape(const)
+        elif lattices and i in lattices:
+            op, a, b = lattices[i]
+            out = op(values[a], values[b])
         elif isinstance(node, Neg):
             out = n - values[node.sub]
         elif isinstance(node, Implies):
@@ -269,14 +320,14 @@ def _eval_nodes(
         else:
             raise TypeError(f"unknown formula node {node!r}")
         values[node] = out
-        for child in released.get(i, ()):
-            del values[child]
+        for read in released.get(i, ()):
+            del values[read]
     return values
 
 
 def eval_vector(model: LnModel, phi: Formula) -> tuple[int, ...]:
     """Numerator of the value of phi at every state."""
-    values = _eval_nodes(subformulas(phi), model.n, {}, model, root_only=True)
+    values = _eval_nodes(subformulas(phi), model.n, {}, model, keep=(phi,))
     return tuple(values[phi].tolist())
 
 
@@ -286,6 +337,16 @@ def eval_formula(model: LnModel, u, phi: Formula) -> TruthValue:
 
 def is_true(model: LnModel, phi: Formula) -> bool:
     return all(v == model.n for v in eval_vector(model, phi))
+
+
+@lru_cache(maxsize=None)
+def _state_tuples(n: int, size: int) -> np.ndarray:
+    """Every tuple of values on size states, one per column, in
+    itertools.product order, in _value_dtype(n) and read-only: the valuation
+    grid's rows, built once per (n, size)."""
+    rows = np.indices((n + 1,) * size, dtype=_value_dtype(n)).reshape(size, -1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
@@ -305,7 +366,9 @@ def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
         raise BudgetExceeded(
             f"{total} candidate valuations exceed budget {budget}"
         )
-    rows = np.indices((n + 1,) * size, dtype=_value_dtype(n)).reshape(size, -1)
+    if not props:
+        return {}
+    rows = _state_tuples(n, size)
     return {
         p: rows.reshape((size,) + (1,) * i + (-1,) + (1,) * (len(props) - 1 - i))
         for i, p in enumerate(props)
@@ -321,15 +384,23 @@ def is_valid(
     """Truth of phi under every valuation of the supported propositions.
 
     Returns (verdict, counterexample); the counterexample is the first
-    falsifying (valuation dict, state index) in enumeration order.
+    falsifying (valuation dict, state index) in enumeration order.  An
+    implication a -> b that is not a desugared join is valid where a <= b,
+    so its a and b are evaluated and compared once, in place of the three
+    passes of the implication and a test against n.
     """
+    nodes = subformulas(phi)
     if prop_support is None:
-        prop_support = propositions(phi)
+        prop_support = propositions_among(nodes)
     prop_support = list(prop_support)
     size = model.num_states
     arrays = _valuation_grid(model.n, size, prop_support, budget)
     assign = {Prop(p): arrays[p] for p in prop_support}
-    bad = _eval_nodes(subformulas(phi), model.n, assign, model, root_only=True)[phi] < model.n
+    if isinstance(phi, Implies) and _lattice(phi) is None:
+        values = _eval_nodes(nodes, model.n, assign, model, keep=(phi.left, phi.right))
+        bad = values[phi.left] > values[phi.right]
+    else:
+        bad = _eval_nodes(nodes, model.n, assign, model, keep=(phi,))[phi] < model.n
     rows = bad.any(axis=0)
     if not rows.any():
         return True, None
@@ -347,16 +418,16 @@ def is_valid(
 
 
 def standard_relation(model: LnModel) -> frozenset:
-    """The relation induced by the empty coalition's effectivity."""
+    """The relation induced by the empty coalition's effectivity: u R v
+    exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
+    top elsewhere.  Every (u, v) is read in one gather."""
     n = model.n
     size = model.num_states
-    pairs = set()
-    for u in range(size):
-        for v in range(size):
-            neg_char = tuple(0 if j == v else n for j in range(size))
-            if model.eff[u].value_num(0, neg_char) == 0:
-                pairs.add((u, v))
-    return frozenset(pairs)
+    # the encoded not chi_v: the top assessment less n at v's place value
+    top = (n + 1) ** size - 1
+    idx = [top - n * (n + 1) ** (size - 1 - v) for v in range(size)]
+    us, vs = np.nonzero(np.stack([E.rows()[0] for E in model.eff]).take(idx, axis=1) == 0)
+    return frozenset(zip(us.tolist(), vs.tolist()))
 
 
 def is_standard(model: EnrichedLnModel) -> bool:
@@ -450,4 +521,4 @@ def check_axiom_schema(model: LnModel, schema: Formula, budget=DEFAULT_VALUATION
     The schema's propositions play the role of schema variables; validity
     over every valuation of them is exactly schema validity on the model.
     """
-    return is_valid(model, schema, propositions(schema), budget)
+    return is_valid(model, schema, budget=budget)

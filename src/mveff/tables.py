@@ -43,8 +43,9 @@ skeleton.  For n > 1 the battery therefore runs on the skeletons, gathered
 for the whole stack at once; non-homogeneous tables and Boolean tables run
 it on themselves.  Equal targets run the battery once, all targets of one
 geometry in one stack, so a lift checked beside its skeleton costs only its
-homogeneity check.  A predicate that fails on a skeleton runs again on the
-full tables that own it, so its witness is the first failing dense cell.
+homogeneity check.  A table whose skeleton fails a predicate runs the
+battery again on itself, all such tables of one geometry in one stack, so
+each failing predicate's witness is the first failing dense cell.
 `check_playability(E)` is the stack of one, with the same report.
 """
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,17 +163,26 @@ class _Geometry:
         self.double_shift = np.array([[0], [n]], dtype=_value_dtype(n))
         # the idempotent assessments, which index a Boolean skeleton
         self.idempotent_idx = np.flatnonzero((self.tuples % n == 0).all(axis=1))
-        # tau_bool_idx[i-1, fi]: the i/n-thresholded assessment, in base 2
-        bool_powers = 2 ** np.arange(size - 1, -1, -1, dtype=np.int64)
-        self.tau_bool_idx = np.stack(
-            [(self.tuples >= i) @ bool_powers for i in range(1, n + 1)]
-        )
         # the widths of the blocks of coordinates a transform contracts
         # together, first block first
         width = 1
         while (n + 1) ** (width + 1) <= _BLOCK_CAP:
             width += 1
         self.blocks = [width] * (size // width) + [size % width] * (size % width > 0)
+
+    @cached_property
+    def lift_index(self) -> tuple:
+        """(cuts, levels) for lift_boolean, built on first use: the lift of a
+        Boolean table H is max over r of levels[r, f] H(C, cuts[r, f]), the
+        cut in base 2 at its level.  A threshold cut [f >= i] only changes at
+        a value of f, so the rows are the cut [f >= f_j] at level f_j for
+        each coordinate j, and the empty cut at level n where max f < n."""
+        n, tuples = self.n, self.tuples
+        bool_powers = 2 ** np.arange(self.size - 1, -1, -1, dtype=np.int64)
+        cuts = np.stack([(tuples >= level[:, None]) @ bool_powers for level in tuples.T])
+        cuts = np.vstack((cuts, np.zeros(self.count, dtype=np.int64)))
+        levels = np.vstack((tuples.T, np.where(tuples.max(axis=1) < n, n, 0)))
+        return cuts, levels.astype(_value_dtype(n))
 
 
 @lru_cache(maxsize=None)
@@ -686,8 +696,8 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
     group's stack.  A homogeneous table with n > 1 is checked on its Boolean
     skeleton, which gives the same verdicts; every other table on itself.
     Equal targets run the battery once, all targets of one geometry in one
-    stack, and a predicate that fails on a skeleton runs again on the full
-    tables that own it, for their witnesses.  Where checks raise, the call
+    stack, and the tables whose skeleton fails a predicate run the battery
+    again on themselves, for their witnesses.  Where checks raise, the call
     raises the error of the first such table in input order, as a loop over
     check_playability would.
     """
@@ -721,21 +731,29 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t
-    # a predicate that fails on a skeleton runs again on the full table, so
-    # each witness is the first failing dense cell
-    again = {}
+    # a table whose skeleton fails a predicate runs the battery again, so
+    # each such witness is the first failing dense cell
+    failing, again = {}, {}
     for i in lifted:
         found, t = place[i]
-        for name, column in found.items():
-            verdict = column[t]
-            if isinstance(verdict, tuple) and verdict[1] is not None:
-                again.setdefault((name, tables[i].k, tables[i].geometry()), []).append(i)
-    for (name, _, geo), idx in again.items():
-        rows = _stack([tables[i].rows() for i in idx])
-        for i, verdict in zip(idx, _CHECKS[name](rows, geo)):
-            if isinstance(verdict, tuple) and verdict[1] is None:
-                verdict = VerificationFailed(f"the skeleton fails {name} and the table does not")
-            own[i][name] = verdict
+        names = [
+            name
+            for name, column in found.items()
+            if isinstance(column[t], tuple) and column[t][1] is not None
+        ]
+        if names:
+            failing[i] = names
+            again.setdefault((tables[i].k, tables[i].geometry()), []).append(i)
+    for (_, geo), idx in again.items():
+        found = _battery(_stack([tables[i].rows() for i in idx]), geo)
+        for t, i in enumerate(idx):
+            for name in failing[i]:
+                verdict = found[name][t]
+                if isinstance(verdict, tuple) and verdict[1] is None:
+                    verdict = VerificationFailed(
+                        f"the skeleton fails {name} and the table does not"
+                    )
+                own[i][name] = verdict
     return [_report(own[i], *place[i]) for i in range(len(tables))]
 
 
@@ -790,9 +808,11 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     """The canonical chain-valued extension of a playable Boolean table.
 
     E(C, f) is the largest i/n whose thresholded assessment the Boolean
-    table accepts; an empty index set gives 0.  A lift of more than
-    DEFAULT_CELL_BUDGET cells, the effectivity table's budget, raises
-    BudgetExceeded before anything is built.
+    table accepts; an empty index set gives 0.  It is one gather of S + 1
+    rows per coalition (_Geometry.lift_index), so its memory is linear in
+    the lifted table.  A lift of more than DEFAULT_CELL_BUDGET cells, the
+    effectivity table's budget, raises BudgetExceeded before anything is
+    built.
     """
     if H.n != 1:
         raise InvalidInput("lift expects a Boolean (two-valued) table")
@@ -804,11 +824,9 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     cells = (n + 1) ** H.num_outcomes * (1 << H.k)
     if cells > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(f"{cells} lifted table cells exceed budget {DEFAULT_CELL_BUDGET}")
-    geo = _geometry(n, H.num_outcomes)
-    levels = np.arange(1, n + 1, dtype=_value_dtype(n))[:, None]
-    # (masks, i, assessments): i where tau_i(f) is accepted, else 0
-    accepted = H.rows().take(geo.tau_bool_idx, axis=1)
-    table = (accepted * levels).max(axis=1)
+    cuts, levels = _geometry(n, H.num_outcomes).lift_index
+    # (masks, rows, assessments): the level where the cut is accepted, else 0
+    table = (H.rows().take(cuts, axis=1) * levels).max(axis=1)
     return EffFn(chain=chain, k=H.k, outcomes=H.outcomes, table=table)
 
 

@@ -15,7 +15,7 @@ from mveff.corpus import (
     random_game_form,
     random_playable_model,
 )
-from mveff.games import effectivity_table
+from mveff.games import GameForm, effectivity_table
 from mveff.models import standardize
 from mveff.tables import EffFn
 
@@ -371,6 +371,48 @@ def test_cli_import_leaves_out_the_corpus():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+_ONE_OUTCOME_FORM = {
+    "kind": "game-form", "players": 2, "strategies": [1, 1], "outcomes": ["a"], "o": ["a"]
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["effectivity", "form.json", "--n", "200000"],
+        ["lift", "bool1.json", "--n", "200000"],
+        ["lift", "bool2.json", "--n", "511"],
+    ),
+    ids=("effectivity-one-outcome", "lift-one-outcome", "lift-two-outcomes"),
+)
+def test_large_chain_fits_a_memory_limit(tmp_path, args):
+    # 800 004 and 2^20 cells, under the cell budget: building them takes
+    # memory linear in the table, so they run under a 1 GiB address-space
+    # limit set in the child alone
+    resource = pytest.importorskip("resource")
+    (tmp_path / "form.json").write_text(json.dumps(_ONE_OUTCOME_FORM))
+    one = effectivity_table(GameForm.from_doc(_ONE_OUTCOME_FORM), Chain(1))
+    (tmp_path / "bool1.json").write_text(one.to_json())
+    (tmp_path / "bool2.json").write_text(playable_boolean_tables()[2].to_json())
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mveff.cli.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **threads}
+    out = subprocess.run(
+        [sys.executable, "-m", "mveff.cli", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=cap, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    n = int(args[-1])
+    assert len(doc["table"]["N"]) == (n + 1) ** len(doc["outcomes"])
 
 
 def test_deep_nesting_message(runner, workdir):

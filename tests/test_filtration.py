@@ -333,6 +333,28 @@ def test_playable_filtration_truth_transfer():
                 assert check_playability(E).truly_playable
 
 
+def test_each_filtration_checks_truth_transfer_once(monkeypatch):
+    # the enriched filtration checks every subformula on the model it
+    # returns, which covers the playable stage's [O]-free check
+    rng = random.Random(9)
+    chain = Chain(2)
+    M = random_enriched_model(rng, chain, 3)
+    mu = parse("[O](p1 & p2) -> [{1}]~p1", 2, dialect="L+", chain=chain)
+    checked = []
+    real = filtration._verify_truth_transfer
+
+    def counting(q, model):
+        checked.append(model)
+        real(q, model)
+
+    monkeypatch.setattr(filtration, "_verify_truth_transfer", counting)
+    for filtrate in (playable_filtration, enriched_filtration):
+        checked.clear()
+        result = filtrate(M, mu)
+        assert checked == [result.model]
+    assert isinstance(checked[0], EnrichedLnModel)
+
+
 def test_boxed_cells_agree_exactly():
     # Boxed subformulas of the generator name cells where the filtered
     # table must reproduce the source values on the nose

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -19,10 +20,11 @@ from mveff.errors import (
     UnknownProposition,
 )
 from mveff.filtration import quotient
-from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, parse
+from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, join, meet, parse, subformulas
 from mveff.models import (
     EnrichedLnModel,
     LnModel,
+    _eval_nodes,
     _valuation_grid,
     _value_dtype,
     b_family,
@@ -165,19 +167,59 @@ def _model_formula_support(draw):
     else:
         model = random_playable_model(rng, chain, size, props=(1, 2, 3))
     phi = random_formula(rng, 4, (1, 2, 3), 2, chain, allow_outcome=enriched)
-    return model, phi, support
+    psi = random_formula(rng, 2, (1, 2, 3), 2, chain, allow_outcome=enriched)
+    return model, phi, psi, support
+
+
+def _lattice_heavy(phi, psi):
+    """Formulas built from phi and psi with | and &, whose inner desugared
+    nodes the evaluator may skip."""
+    return (
+        join(phi, psi),
+        meet(phi, psi),
+        meet(join(phi, psi), meet(psi, join(phi, Neg(psi)))),
+        # the meet's inner ~phi, and its inner join, read by another node
+        Implies(meet(phi, psi), Neg(phi)),
+        Implies(meet(phi, psi), join(Neg(phi), Neg(psi))),
+        # a join spelled with two equal but distinct objects for b
+        Implies(Implies(phi, psi), copy.deepcopy(psi)),
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(_model_formula_support())
 def test_evaluator_matches_recursive_reference(case):
-    model, phi, support = case
+    model, phi, psi, support = case
     val = dict(model.valuation)
     assert eval_vector(model, phi) == _reference_vector(model, phi, val)
     assert is_valid(model, phi, support) == _reference_is_valid(model, phi, support)
     # a node that lists one child twice
     twice = Implies(phi, phi)
     assert eval_vector(model, twice) == _reference_vector(model, twice, val)
+    # join and implication roots too, witness included
+    for chi in _lattice_heavy(phi, psi):
+        assert eval_vector(model, chi) == _reference_vector(model, chi, val)
+        assert is_valid(model, chi, support) == _reference_is_valid(model, chi, support)
+
+
+def test_eval_nodes_returns_exactly_the_kept_nodes():
+    rng = random.Random(8)
+    chain = Chain(2)
+    for _ in range(40):
+        model = random_enriched_model(rng, chain, rng.randint(1, 3), props=(1, 2))
+        phi = random_formula(rng, 3, (1, 2), 2, chain, allow_outcome=True)
+        psi = random_formula(rng, 2, (1, 2), 2, chain, allow_outcome=True)
+        val = dict(model.valuation)
+        for chi in _lattice_heavy(phi, psi):
+            nodes = subformulas(chi)
+            every = _eval_nodes(nodes, chain.n, {}, model)
+            assert list(every) == list(nodes)
+            for keep in ((chi,), rng.sample(nodes, rng.randint(1, len(nodes))), ()):
+                kept = _eval_nodes(nodes, chain.n, {}, model, keep=keep)
+                assert set(kept) == set(keep)
+                for node in keep:
+                    assert np.array_equal(kept[node], every[node])
+                    assert tuple(kept[node].tolist()) == _reference_vector(model, node, val)
 
 
 def test_evaluator_on_nodes_that_list_one_child_twice():
@@ -246,6 +288,26 @@ def test_standard_relation_and_standardize():
     # empty R is standard only if the computed relation is empty
     bare = EnrichedLnModel(M.chain, M.states, M.eff, dict(M.valuation), frozenset())
     assert is_standard(bare) == (standard_relation(M) == frozenset())
+
+
+def test_standard_relation_reads_the_empty_coalition_at_each_negated_indicator():
+    rng = random.Random(9)
+    for _ in range(60):
+        n, size = rng.randint(1, 3), rng.randint(1, 4)
+        chain = Chain(n)
+        states = tuple(f"s{j}" for j in range(size))
+        # arbitrary tables, not only playable ones
+        cells = lambda: [[rng.randint(0, n) for _ in range((n + 1) ** size)] for _ in range(4)]
+        M = LnModel(chain, states, [EffFn(chain, 2, states, cells()) for _ in states], {})
+        expect = {
+            (u, v)
+            for u in range(size)
+            for v in range(size)
+            if M.eff[u].value_num(0, tuple(0 if j == v else n for j in range(size))) == 0
+        }
+        got = standard_relation(M)
+        assert got == expect
+        assert all(type(x) is int for pair in got for x in pair)
 
 
 def test_axiom_schemata_on_playable_models():

@@ -161,6 +161,31 @@ def test_lift_is_identity_on_boolean():
     assert lift_boolean(H, BOOL) is H
 
 
+def _reference_lift(H, n):
+    """E(C, f) = the largest i/n whose threshold cut of f H accepts, else 0."""
+    cut = lambda f, i: encode_assessment([int(x >= i) for x in f], 1)
+    return [
+        [
+            max([i for i in range(1, n + 1) if row[cut(f, i)]], default=0)
+            for f in itertools.product(range(n + 1), repeat=H.num_outcomes)
+        ]
+        for row in H.rows().tolist()
+    ]
+
+
+def test_lift_matches_threshold_definition():
+    # random Boolean tables, unsafe and unplayable ones too, lifted unchecked
+    rng = random.Random(4)
+    for _ in range(150):
+        n, k, size = rng.choice((2, 3, 5, 64)), rng.randint(2, 3), rng.randint(1, 3)
+        if n == 64:
+            size = 1
+        rows = [[rng.randint(0, 1) for _ in range(1 << size)] for _ in range(1 << k)]
+        H = EffFn(BOOL, k, state_names(size), rows)
+        E = lift_boolean(H, Chain(n), check_input=False)
+        assert E.rows().tolist() == _reference_lift(H, n)
+
+
 def test_lift_cell_budget():
     # k = 2, 9 outcomes: 4 x 4^9 = 2^20 cells at n = 3 is the effectivity
     # budget exactly; 4 x 5^9 at n = 4 is over it and raises before any
@@ -867,6 +892,26 @@ def test_one_count_answers_both_pair_scopes():
     assert kinds.count(("zeta_up", "mobius_down")) == 1
     # one witness transform per reported pair
     assert kinds.count(("zeta_down",)) == 2
+
+
+def test_lifted_table_reruns_one_count_for_both_pair_scopes():
+    # the Boolean game-form table on 6 outcomes with the empty coalition's
+    # row replaced by the grand coalition's, lifted to n = 2: its skeleton
+    # fails superadditivity and semi-playability, and the full table's
+    # rerun counts its pairs once for both
+    H = effectivity_table(random_game_form(random.Random(3), 2, 6), BOOL)
+    rows = H.rows().copy()
+    rows[0] = rows[-1]
+    E = lift_boolean(EffFn(BOOL, 2, H.outcomes, rows), Chain(2), check_input=False)
+    with mock.patch.object(tables, "_transform", wraps=tables._transform) as transform:
+        report = check_playability(E)
+    assert report.properties["homogeneous"]
+    assert report.witnesses["superadditive"] == (0, 3, 3, 27)
+    assert report.witnesses["semi_playable"] == ("superadditive", 0, 2, 3, 27)
+    full = [call.args[2] for call in transform.call_args_list if call.args[1].count == 729]
+    assert full.count(("zeta_up", "mobius_down")) == 1
+    # one witness transform per reported pair
+    assert full.count(("zeta_down",)) == 2
 
 
 def test_semi_playable_on_failing_proper_rows_runs_no_count():
