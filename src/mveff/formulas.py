@@ -204,13 +204,17 @@ def nfold_oplus(count: int, phi: Formula) -> Formula:
     return out
 
 
+def doubled(ops: tuple[str, ...], phi: Formula) -> Formula:
+    """phi under the doubling maps ops (TAU_OPLUS or TAU_ODOT), first
+    applied first, as a TauTerm applies them."""
+    for op in ops:
+        phi = oplus(phi, phi) if op == TAU_OPLUS else odot(phi, phi)
+    return phi
+
+
 def tau_formula(i: int, chain: Chain, phi: Formula) -> Formula:
     """Expand the threshold map at i/n into doubling maps on the formula."""
-    term = synthesize_tau_term(chain, i)
-    out = phi
-    for op in term.ops:
-        out = oplus(out, out) if op == TAU_OPLUS else odot(out, out)
-    return out
+    return doubled(synthesize_tau_term(chain, i).ops, phi)
 
 
 # -- structural utilities ---------------------------------------------------

@@ -17,6 +17,10 @@ quantified proposition.  Arrays hold their values in the narrowest signed
 integer type that covers the evaluator's intermediates [-n, 2n] (int8 up to
 n = 63), and the budget on the (n+1)^(P*S) joint valuations is checked
 before anything is allocated.
+
+check_axiom_schema decides the Pn and B axiom instances by frame
+correspondence, one predicate on the stacked tables of all states, and any
+other formula, or an instance whose predicate fails, on that grid.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import Chain, TruthValue
+from .chain import TAU_ODOT, TAU_OPLUS, Chain, TruthValue, synthesize_tau_term
 from .errors import (
     BadDocument,
     BudgetExceeded,
@@ -49,15 +53,20 @@ from .formulas import (
     Prop,
     Top,
     children,
+    doubled,
     iff,
     meet,
-    odot,
-    oplus,
     propositions_among,
     subformulas,
-    tau_formula,
 )
-from .tables import EffFn, _value_dtype
+from .tables import (
+    EffFn,
+    _check_regular,
+    _check_safety,
+    _value_dtype,
+    commutes_with_doublings,
+    superadditive_on_pair,
+)
 
 DEFAULT_VALUATION_BUDGET = 1 << 20
 
@@ -300,6 +309,11 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
                 top = tops[out.shape] = np.full(out.shape, n, dtype=dtype)
             np.minimum(out, top, out=out)
         elif isinstance(node, Box):
+            if node.coalition.k != model.k:
+                raise InvalidInput(
+                    f"[{node.coalition}] is a coalition of {node.coalition.k} players "
+                    f"and the model has {model.k}"
+                )
             # the argument's assessment index per valuation, last state
             # fastest, in the narrowest signed type that holds (n+1)^size
             sub = values[node.sub]
@@ -450,38 +464,38 @@ _P = Prop(1)
 _Q = Prop(2)
 
 
+def _commutation(C: Coalition, ops, p: Formula) -> Formula:
+    """[C] commutes with the doubling maps ops: ax1[C] for (odot,), ax2[C]
+    for (oplus,) and B[C, i] for the term of tau_i."""
+    return iff(Box(C, doubled(ops, p)), doubled(ops, Box(C, p)))
+
+
+def _ax3(C: Coalition) -> Formula:
+    return Neg(Box(C, Neg(Top())))
+
+
+def _ax4(C1: Coalition, C2: Coalition, p: Formula, q: Formula) -> Formula:
+    return Implies(meet(Box(C1, p), Box(C2, q)), Box(C1.union(C2), meet(p, q)))
+
+
+def _ax5(k: int, p: Formula) -> Formula:
+    return Implies(Box(Coalition.empty(k), p), Neg(Box(Coalition.grand(k), Neg(p))))
+
+
 def pn_axioms(k: int, chain: Chain):
     """Named instances of the playable-logic axiom schemata for k players."""
     out = []
     for mask in range(1 << k):
         C = Coalition(mask, k)
-        out.append(
-            (f"ax1[{C}]", iff(Box(C, odot(_P, _P)), odot(Box(C, _P), Box(C, _P))))
-        )
-        out.append(
-            (f"ax2[{C}]", iff(Box(C, oplus(_P, _P)), oplus(Box(C, _P), Box(C, _P))))
-        )
-        out.append((f"ax3[{C}]", Neg(Box(C, Neg(Top())))))
+        out.append((f"ax1[{C}]", _commutation(C, (TAU_ODOT,), _P)))
+        out.append((f"ax2[{C}]", _commutation(C, (TAU_OPLUS,), _P)))
+        out.append((f"ax3[{C}]", _ax3(C)))
     for m1 in range(1 << k):
         for m2 in range(1 << k):
-            if m1 & m2:
-                continue
-            C1, C2 = Coalition(m1, k), Coalition(m2, k)
-            out.append(
-                (
-                    f"ax4[{C1},{C2}]",
-                    Implies(
-                        meet(Box(C1, _P), Box(C2, _Q)),
-                        Box(C1.union(C2), meet(_P, _Q)),
-                    ),
-                )
-            )
-    out.append(
-        (
-            "ax5",
-            Implies(Box(Coalition.empty(k), _P), Neg(Box(Coalition.grand(k), Neg(_P)))),
-        )
-    )
+            if not m1 & m2:
+                C1, C2 = Coalition(m1, k), Coalition(m2, k)
+                out.append((f"ax4[{C1},{C2}]", _ax4(C1, C2, _P, _Q)))
+    out.append(("ax5", _ax5(k, _P)))
     return out
 
 
@@ -491,12 +505,7 @@ def b_family(k: int, chain: Chain):
     for mask in range(1 << k):
         C = Coalition(mask, k)
         for i in range(1, chain.n + 1):
-            out.append(
-                (
-                    f"B[{C},{i}]",
-                    iff(Box(C, tau_formula(i, chain, _P)), tau_formula(i, chain, Box(C, _P))),
-                )
-            )
+            out.append((f"B[{C},{i}]", _commutation(C, synthesize_tau_term(chain, i).ops, _P)))
     return out
 
 
@@ -515,10 +524,87 @@ def tpn_axioms(k: int, chain: Chain):
     ]
 
 
+def _doublings(phi: Formula):
+    """(ops, base) such that phi == doubled(ops, base) and base is no
+    doubling.  The two operands of each doubling are compared as it is
+    read, which takes one step when they are one node, as doubled and the
+    parser's tau(i) build them."""
+    ops = []
+    while True:
+        match phi:
+            case Implies(Neg(sub), other) if sub == other:  # oplus(sub, sub)
+                ops.append(TAU_OPLUS)
+            case Neg(Implies(sub, Neg(other))) if sub == other:  # odot(sub, sub)
+                ops.append(TAU_ODOT)
+            case _:
+                return tuple(reversed(ops)), phi
+        phi = sub
+
+
+def _correspondent(phi: Formula, k: int):
+    """The table predicate equivalent to the validity of phi, as a function
+    of the stacked tables of every state and their geometry, when phi is
+    one of the instances below with coalitions of k players and bare
+    propositions; None for any other formula.  The coalitions, propositions
+    and doubling maps are read off phi, and phi counts only when the
+    instance rebuilt from them is == phi (a commutation is compared one
+    side at a time)."""
+    match phi:
+        case Neg(Box(C, _)) if C.k == k and phi == _ax3(C):
+            # E(C, 0) = 0: safety on row C
+            return lambda rows, geo: all(h for h, _ in _check_safety(rows[:, [C.mask]], geo))
+        case Implies(Box(_, Prop() as p), _) if phi == _ax5(k, p):
+            # E({}, f) + E(N, ~f) <= n: regularity of the two-row stack of {}
+            # and N, in which each row is the other's complement
+            return lambda rows, geo: all(h for h, _ in _check_regular(rows[:, [0, -1]], geo))
+        case Implies(
+            Neg(Implies(Implies(Neg(Box(C1, Prop() as p)), Neg(Box(C2, Prop() as q))), _)), _
+        ) if (
+            C1.k == C2.k == k and not C1.mask & C2.mask and p != q and phi == _ax4(C1, C2, p, q)
+        ):
+            # superadditivity on the pair (C1, C2) alone: as p and q vary
+            # apart, every pair (f, g) of assessments is reached
+            return lambda rows, geo: superadditive_on_pair(rows, geo, C1.mask, C2.mask)
+        case Neg(Implies(Implies(Box(C, sub) as a, b), _)) if C.k == k and phi == iff(a, b):
+            # _commutation(C, ops, p), each side compared by _doublings: a
+            # fresh instance would share no node with phi, and == between the
+            # two doubles its work with every doubling
+            ops, p = _doublings(sub)
+            if isinstance(p, Prop) and _doublings(b) == (ops, Box(C, p)):
+                # E(C, g(f)) = g(E(C, f)) for the doubling composite g: iff
+                # is top exactly where its two sides are equal
+                return lambda rows, geo: commutes_with_doublings(rows[:, [C.mask]], geo, ops)
+    return None
+
+
 def check_axiom_schema(model: LnModel, schema: Formula, budget=DEFAULT_VALUATION_BUDGET):
     """Validate one schema on one model, quantifying its variables.
 
     The schema's propositions play the role of schema variables; validity
     over every valuation of them is exactly schema validity on the model.
+
+    Each instance of depth one below is decided by frame correspondence,
+    one predicate on the tables of all states (Pauly 2002 for two values),
+    when its coalitions have the model's k players and its propositions are
+    bare, two distinct ones for ax4:
+
+    - ax1[C], ax2[C], B[C, i], and [C] commuting with any composite g of
+      the doubling maps: E(C, g(f)) = g(E(C, f));
+    - ax3[C]: E(C, 0) = 0;
+    - ax4[C1, C2]: superadditivity on that one pair, from its count;
+    - ax5: E({}, f) + E(N, ~f) <= n, regularity on the pair ({}, N).
+
+    Where that predicate holds the result is (True, None) and no valuation
+    is enumerated.  Every other formula, the TPn axioms among them, and
+    every instance whose predicate fails or is over its own budget, is
+    decided by is_valid over the (n+1)^(P*S) valuations, which also gives
+    the witness; budget bounds that grid alone.
     """
+    predicate = _correspondent(schema, model.k)
+    if predicate is not None:
+        try:
+            if predicate(np.stack([E.rows() for E in model.eff]), model.eff[0].geometry()):
+                return True, None
+        except BudgetExceeded:
+            pass  # the count is over its budget: the grid decides within its own
     return is_valid(model, schema, budget=budget)

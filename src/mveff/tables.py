@@ -45,7 +45,9 @@ it on themselves.  Equal targets run the battery once, all targets of one
 geometry in one stack, so a lift checked beside its skeleton costs only its
 homogeneity check.  A table whose skeleton fails a predicate runs the
 battery again on itself, all such tables of one geometry in one stack, so
-each failing predicate's witness is the first failing dense cell.
+each failing predicate's witness is the first failing dense cell; a
+skeleton's superadditivity witness is computed only when a Boolean table
+equal to it reports it.
 `check_playability(E)` is the stack of one, with the same report.
 """
 
@@ -59,7 +61,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chain import Chain
+from .chain import TAU_ODOT, TAU_OPLUS, Chain, TauTerm
 from .errors import (
     BadDocument,
     BudgetExceeded,
@@ -472,9 +474,12 @@ def _transform(cells: np.ndarray, geo: _Geometry, kinds: tuple) -> np.ndarray:
     return cells.reshape(len(kinds), -1, geo.count)
 
 
-def _count_pairs(rows, geo):
-    """Superadditivity's exact count over the disjoint coalition pairs, read
-    in both of its scopes: every pair, and the pairs with a proper union.
+def _pair_counts(rows, geo, pairs=None):
+    """Superadditivity's exact count on each (pair, table).  pairs is three
+    index arrays (first, second, union) into the rows of each table, pair p
+    being two disjoint coalitions and their union; None means every
+    disjoint pair of the table's coalitions (_pair_stack), listed only once
+    the budget is checked.
 
     At each level v = 1..n let a(C, f) = [E(C, f) >= v], Z(C) the sum of a
     over the assessments >= h, and beta(C) the Moebius inverse of [E(C, h)
@@ -487,24 +492,24 @@ def _count_pairs(rows, geo):
     the count runs in uint64, where it is below n (n+1)^(2S) < 2^64, so its
     value mod 2^64 is exact.
 
-    Returns (hits, verdict): per table (p, q), the _pair_stack indices of
-    its first failing pair and of its first failing pair with a proper
-    union, None where there is none, and verdict(t, p), table t's verdict
-    on pair p, computed once per (t, p): (True, None) for p None, or the
-    BudgetExceeded of an over-budget count.
+    Returns (up, beta, counts): Z and beta per (row, table), levels and
+    assessments flat, and the counts per (pair, table).  Raises
+    BudgetExceeded when the transforms of every row and the products of
+    every pair would touch more than _DENSE_CELL_BUDGET cells.
     """
-    k = _players(rows)
     length = geo.n * geo.count  # levels x assessments of one transformed row
-    cost = (2 * rows.shape[1] * sum((geo.n + 1) ** c for c in geo.blocks) + 3**k) * length
+    count = 3 ** _players(rows) if pairs is None else len(pairs[0])
+    cost = (2 * rows.shape[1] * sum((geo.n + 1) ** c for c in geo.blocks) + count) * length
     if cost > _DENSE_CELL_BUDGET:
-        over = f"superadditivity count of {cost} cells exceeds budget {_DENSE_CELL_BUDGET}"
-        return [(None, None)] * len(rows), lambda t, p: BudgetExceeded(over)
-    first, second, union = _pair_stack(k)
-    # (assessments, masks, tables, levels)
+        raise BudgetExceeded(
+            f"superadditivity count of {cost} cells exceeds budget {_DENSE_CELL_BUDGET}"
+        )
+    first, second, union = _pair_stack(_players(rows)) if pairs is None else pairs
+    # (assessments, rows, tables, levels)
     above = rows.T[..., None] >= np.arange(1, geo.n + 1, dtype=rows.dtype)
     cells = np.array((above, ~above), dtype=np.float64).reshape(2, geo.count, -1)
     cells = _transform(cells, geo, ("zeta_up", "mobius_down")).astype(np.int64)
-    # (masks, tables, levels and assessments)
+    # (rows, tables, levels and assessments)
     up, beta = cells.view(np.uint64).reshape(2, rows.shape[1], len(rows), length)
     # (pairs, tables), in runs of pairs that bound the product temporaries
     step = max(1, _SCAN_CAP // (length * len(rows)))
@@ -514,7 +519,27 @@ def _count_pairs(rows, geo):
         product = up.take(first[run], axis=0) * up.take(second[run], axis=0)
         product *= beta.take(union[run], axis=0)
         counts.append(product.sum(axis=2))
-    counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
+    return up, beta, counts[0] if len(counts) == 1 else np.concatenate(counts)
+
+
+def _count_pairs(rows, geo, witnessed=None):
+    """Superadditivity's count over the disjoint coalition pairs, read in
+    both of its scopes: every pair, and the pairs with a proper union.
+
+    Returns (hits, verdict): per table (p, q), the _pair_stack indices of
+    its first failing pair and of its first failing pair with a proper
+    union, None where there is none, and verdict(t, p), table t's verdict
+    on pair p, computed once per (t, p): (True, None) for p None, or the
+    BudgetExceeded of an over-budget count.  A table t whose witnessed[t]
+    is false fails with the pair (c1, c2) alone as its witness, and its
+    witness transform is not run.
+    """
+    try:
+        up, beta, counts = _pair_counts(rows, geo)
+    except BudgetExceeded as over:
+        return [(None, None)] * len(rows), lambda t, p, over=over: over
+    k = _players(rows)
+    first, second, union = _pair_stack(k)
     if not np.count_nonzero(counts):
         return [(None, None)] * len(rows), lambda t, p: (True, None)
 
@@ -523,6 +548,8 @@ def _count_pairs(rows, geo):
         if p is None:
             return True, None
         c1, c2 = int(first[p]), int(second[p])
+        if witnessed is not None and not witnessed[t]:
+            return False, (c1, c2)
         return _superadditivity_witness(rows[t], geo, up[c2, t], beta[c1 | c2, t], c1, c2)
 
     bad = counts.T != 0
@@ -535,6 +562,14 @@ def _check_superadditive(rows, geo):
     first failing (c1, c2, f, g) as witness."""
     hits, verdict = _count_pairs(rows, geo)
     return [verdict(t, p) for t, (p, _) in enumerate(hits)]
+
+
+def superadditive_on_pair(rows, geo, c1: int, c2: int) -> bool:
+    """Whether every table of the stack is superadditive on the one
+    disjoint pair (c1, c2): _pair_counts on the three rows it reads.
+    Raises BudgetExceeded as that count does."""
+    pair = tuple(np.array([i]) for i in range(3))
+    return not _pair_counts(rows[:, [c1, c2, c1 | c2]], geo, pair)[2].any()
 
 
 def _superadditivity_witness(table, geo, up, beta, c1, c2):
@@ -573,6 +608,18 @@ def _check_homogeneous(rows, geo):
     expected = np.minimum(np.maximum(2 * rows[:, :, None, :] - geo.double_shift, 0), geo.n)
     bad = rows.take(geo.double_idx, axis=2) != expected
     return _verdicts(bad, lambda mask, which, fi: (mask, fi, ("oplus", "odot")[which]))
+
+
+def commutes_with_doublings(rows, geo, ops) -> bool:
+    """Whether every row of the stack commutes with the composite g of the
+    doubling maps ops, first applied first: E(C, g(f)) = g(E(C, f)).  g on
+    assessments is composed from the index maps _check_homogeneous reads,
+    and g on values is the TauTerm's table."""
+    idx = np.arange(geo.count)
+    for op in ops:
+        idx = geo.double_idx[(TAU_OPLUS, TAU_ODOT).index(op)].take(idx)
+    g = np.array(TauTerm(ops).table(Chain(geo.n)), dtype=rows.dtype)
+    return np.array_equal(rows.take(idx, axis=-1), g.take(rows))
 
 
 def _check_liveness(rows, geo):
@@ -649,11 +696,12 @@ _CHECKS = {
 _REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
 
 
-def _battery(rows, geo):
+def _battery(rows, geo, witnessed=None):
     """Every predicate but homogeneity on a stack of tables of one geometry:
     name -> one verdict per table.  One superadditivity count answers both
-    superadditivity and semi-playability."""
-    hits, verdict = counted = _count_pairs(rows, geo)
+    superadditivity and semi-playability; witnessed is as _count_pairs
+    takes it."""
+    hits, verdict = counted = _count_pairs(rows, geo, witnessed)
     found = {}
     for name in PROPERTY_NAMES:
         if name == "superadditive":
@@ -727,7 +775,13 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
             unique = targets.setdefault(key, {})
             unique.setdefault(target.tobytes(), (target, []))[1].append(i)
     for (n, k, size), unique in targets.items():
-        found = _battery(_stack([target for target, _ in unique.values()]), _geometry(n, size))
+        # an owner of the target's own n reports the target's verdicts; a
+        # lifted owner reruns on itself where its skeleton fails, so a
+        # target owned only by lifted tables needs no witness transform
+        witnessed = [any(tables[i].n == n for i in owners) for _, owners in unique.values()]
+        found = _battery(
+            _stack([target for target, _ in unique.values()]), _geometry(n, size), witnessed
+        )
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t

@@ -4,12 +4,14 @@ import json
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mveff import models
 from mveff.chain import Chain
 from mveff.corpus import random_enriched_model, random_formula, random_playable_model
 from mveff.errors import (
@@ -20,10 +22,27 @@ from mveff.errors import (
     UnknownProposition,
 )
 from mveff.filtration import quotient
-from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, join, meet, parse, subformulas
+from mveff.formulas import (
+    Box,
+    BoxO,
+    Coalition,
+    Implies,
+    Neg,
+    Prop,
+    Top,
+    iff,
+    join,
+    meet,
+    odot,
+    oplus,
+    parse,
+    subformulas,
+    substitute,
+)
 from mveff.models import (
     EnrichedLnModel,
     LnModel,
+    _ax4,
     _eval_nodes,
     _valuation_grid,
     _value_dtype,
@@ -341,6 +360,93 @@ def test_axiom_five_fails_without_n_maximality():
     ax5 = dict(pn_axioms(2, chain))["ax5"]
     holds, witness = check_axiom_schema(M, ax5)
     assert not holds and witness is not None
+
+
+def _oracle_model(rng, k, n, size, perturbed):
+    """Uniformly random tables, or a playable model with one cell changed."""
+    chain = Chain(n)
+    if not perturbed:
+        states = tuple(f"s{j}" for j in range(size))
+        cells = lambda: [[rng.randint(0, n) for _ in range((n + 1) ** size)] for _ in range(1 << k)]
+        return LnModel(chain, states, [EffFn(chain, k, states, cells()) for _ in states], {})
+    M = random_playable_model(rng, chain, size, k=k)
+    eff = list(M.eff)
+    u = rng.randrange(size)
+    rows = eff[u].rows().copy()
+    rows[rng.randrange(1 << k), rng.randrange(rows.shape[1])] = rng.randint(0, n)
+    eff[u] = EffFn(chain, k, M.states, rows)
+    return LnModel(chain, M.states, eff, {})
+
+
+def _renamed(phi):
+    return substitute(substitute(phi, Prop(1), Prop(4)), Prop(2), Prop(7))
+
+
+def test_axiom_correspondence_agrees_with_the_grid():
+    # every Pn and B instance, renamed or not, is decided by its table
+    # predicate where valid and by the grid where not; near misses, which
+    # no predicate decides, always run the grid
+    rng = random.Random(20)
+    p1, p2 = Prop(1), Prop(2)
+    invalid = 0
+    for k, n, size in itertools.product((2, 3), (1, 2, 3), (1, 2, 3)):
+        M = _oracle_model(rng, k, n, size, perturbed=(k + n + size) % 2)
+        named = [phi for _, phi in pn_axioms(k, M.chain) + b_family(k, M.chain)]
+        C = Coalition(rng.randrange(1 << k), k)
+        C1, C2 = Coalition.of([1], k), Coalition.of([2], k)
+        ax4 = _ax4(C1, C2, p1, p2)
+        ax1 = (Box(C, odot(p1, p1)), odot(Box(C, p1), Box(C, p1)))
+        near = [
+            substitute(ax4, p2, p1),
+            _ax4(C1, Coalition.grand(k), p1, p2),  # overlapping
+            Implies(ax4.left, Box(C1.union(C2), join(p1, p2))),
+            Neg(Box(C, p1)),  # ax3 over p1
+            Implies(Box(Coalition.of([1], k), p1), Neg(Box(Coalition.grand(k), Neg(p1)))),
+            odot(Implies(*ax1), Implies(*ax1)),  # one direction of ax1, twice
+            iff(Box(C, odot(p1, p1)), odot(Box(C, p2), Box(C, p2))),
+            iff(Box(C, odot(Neg(p1), Neg(p1))), odot(Box(C, Neg(p1)), Box(C, Neg(p1)))),
+            # a doubling of two different operands, on either side
+            iff(Box(C, oplus(p1, p2)), oplus(Box(C, p1), Box(C, p1))),
+            iff(Box(C, odot(p1, p1)), odot(Box(C, p1), Box(C, p2))),
+        ]
+        for phi in named + [_renamed(phi) for phi in named] + near:
+            expected = is_valid(M, phi)
+            with mock.patch.object(models, "is_valid", wraps=models.is_valid) as grid:
+                assert check_axiom_schema(M, phi) == expected, phi
+            if phi in near:
+                assert grid.called, phi
+            else:
+                assert grid.called == (expected != (True, None)), phi
+                invalid += grid.called
+    assert invalid > 500
+
+
+@pytest.mark.parametrize("size", [7, 8])
+def test_superadditivity_instance_past_the_grid_budget(size):
+    # 3^(2 size) valuations exceed the grid's 2^20: the one-pair count
+    # decides a valid instance, and a failing one still reaches the grid
+    M = random_playable_model(random.Random(4), Chain(2), size)
+    ax4 = dict(pn_axioms(2, M.chain))["ax4[{1},{2}]"]
+    with mock.patch.object(models, "is_valid", side_effect=AssertionError):
+        assert check_axiom_schema(M, ax4) == (True, None)
+    rows = M.eff[0].rows().copy()
+    rows[3] = 0  # the grand coalition accepts only the top assessment
+    rows[3, -1] = 2
+    eff = (EffFn(M.chain, 2, M.states, rows),) + M.eff[1:]
+    with pytest.raises(BudgetExceeded):
+        check_axiom_schema(LnModel(M.chain, M.states, eff, {}), ax4)
+
+
+def test_coalition_for_another_player_count_is_invalid_input():
+    M = random_playable_model(random.Random(4), Chain(2), 3)
+    # [{3}] and the 3-player [N] read rows the 2-player tables lack, and
+    # [{1,2}] of 3 players is not the 2-player grand coalition
+    for text in ("[{3}]p1", "[N]p1", "[{1,2}]p1"):
+        with pytest.raises(InvalidInput, match="3 players"):
+            eval_vector(M, parse(text, 3))
+    ax4 = parse("[{1}]p1 & [{2}]p2 -> [{1,2}](p1 & p2)", 3)
+    with pytest.raises(InvalidInput, match="3 players"):
+        check_axiom_schema(M, ax4)
 
 
 def test_model_document_round_trip():

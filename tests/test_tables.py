@@ -912,6 +912,9 @@ def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     assert full.count(("zeta_up", "mobius_down")) == 1
     # one witness transform per reported pair
     assert full.count(("zeta_down",)) == 2
+    # the skeleton's count runs, but no table reports its witnesses
+    skeleton = [call.args[2] for call in transform.call_args_list if call.args[1].count == 64]
+    assert skeleton == [("zeta_up", "mobius_down")]
 
 
 def test_semi_playable_on_failing_proper_rows_runs_no_count():
