@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import re
 import sys
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,82 +88,98 @@ class Coalition:
         return "{" + ",".join(str(p) for p in self.members()) + "}"
 
 
+# the one live node per key (class, *fields), held weakly
+_INTERNED: dict[tuple, weakref.KeyedRef] = {}
+# reentrant: a release can run inside a build, when building frees a node
+_INTERN_LOCK = threading.RLock()
+
+
+def _release(ref):
+    with _INTERN_LOCK:
+        if _INTERNED.get(ref.key) is ref:
+            del _INTERNED[ref.key]
+
+
 class Formula:
-    """Base class of the kernel AST nodes."""
+    """Base class of the kernel AST nodes.
 
-    __slots__ = ()
+    Nodes are hash-consed: constructing a node returns the one live node of
+    its class and fields, so == and hash are identity.  A node is immutable,
+    and pickling or copying it gives back that same node.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
+        with _INTERN_LOCK:
+            # another thread may have built the node since the lookup
+            ref = _INTERNED.get(key)
+            node = None if ref is None else ref()
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    object.__setattr__(node, name, value)
+                _INTERNED[key] = weakref.KeyedRef(node, _release, key)
+            return node
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    __slots__ = ()
+    __slots__ = __match_args__ = ()
 
     def __str__(self):
         return "1"
 
 
-def _hash_once(cls):
-    """Keep the dataclass's structural hash, computed once per node.
-
-    The desugared connectives repeat an operand (a | b is (a -> b) -> b),
-    so a recursive hash that is not kept doubles in cost with every level
-    of an n-ary join or meet chain.
-    """
-    structural = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_hash_once
-@dataclass(frozen=True)
 class Prop(Formula):
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
     def __str__(self):
         return f"p{self.index}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Neg(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
     def __str__(self):
         return f"~{self.sub}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
     def __str__(self):
         return f"({self.left} -> {self.right})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Box(Formula):
-    coalition: Coalition
-    sub: Formula
+    __slots__ = __match_args__ = ("coalition", "sub")
 
     def __str__(self):
         return f"[{self.coalition}]{self.sub}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class BoxO(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
     def __str__(self):
         return f"[O]{self.sub}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,7 +48,7 @@ class GameForm:
             raise InvalidInput("a game form needs at least 1 outcome")
         if any(m < 1 for m in self.strategy_counts):
             raise InvalidInput("strategy sets must be nonempty")
-        expected = int(np.prod(self.strategy_counts))
+        expected = math.prod(self.strategy_counts)
         if len(self.outcome_map) != expected:
             raise InvalidInput(
                 f"outcome map has {len(self.outcome_map)} entries, expected {expected}"

@@ -217,9 +217,8 @@ def _lattice(node):
     a, b) for the desugared meet ~(~a | ~b), and None for any other node.
 
     In a Lukasiewicz chain (a -> b) -> b is max(a, b), so ~(~a | ~b) is
-    min(a, b).  The repeated operand is matched by identity, as join and
-    meet build it; an equal but distinct one takes the long path, which
-    gives the same values.
+    min(a, b).  The repeated operand is matched by identity, which for
+    hash-consed nodes is equality.
     """
     if isinstance(node, Implies):
         left = node.left
@@ -233,12 +232,13 @@ def _lattice(node):
 
 
 def _plan(nodes, keep, assign: dict):
-    """The nodes that the kept ones need, children first; per position in
-    that order, the _lattice of a lattice node, and the nodes not kept
-    whose last reader is there, each once (p1 -> p1 reads p1 twice)."""
+    """The nodes that the kept ones (every node when keep is None) need,
+    children first; per position in that order, the _lattice of a lattice
+    node, and the nodes not kept whose last reader is there, each once
+    (p1 -> p1 reads p1 twice)."""
     # needed[node]: None for a kept node, else the position of its last
     # reader counted from the end of order
-    needed = dict.fromkeys(keep)
+    needed = dict.fromkeys(nodes if keep is None else keep)
     order, lattices = [], {}
     for node in reversed(nodes):
         if node not in needed:
@@ -268,11 +268,10 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
 
     keep names the nodes the caller reads, every node when None.  Only the
     nodes they need are computed, each once, in _value_dtype(n), and an
-    array that is not kept is dropped after its last reader.  Where that
-    skips nodes, a desugared join or meet is one pass, the max or min of its
-    two operands (see _lattice), and its inner nodes are computed only when
-    another node or the caller reads them; with every node kept, each is
-    computed from its children.  A node in assign takes its array from
+    array that is not kept is dropped after its last reader.  A desugared
+    join or meet is one pass, the max or min of its two operands (see
+    _lattice), and its inner nodes are computed only when another node or
+    the caller reads them.  A node in assign takes its array from
     there; any other proposition, [C] or [O] node is read from the model.
     The lead axes are those of the assigned arrays (an open grid from
     _valuation_grid, none when nothing is assigned), and each node
@@ -288,7 +287,7 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
     # slower
     tops: dict[tuple, np.ndarray] = {}
     values: dict[Formula, np.ndarray] = {}
-    order, lattices, released = (nodes, {}, {}) if keep is None else _plan(nodes, keep, assign)
+    order, lattices, released = _plan(nodes, keep, assign)
     for i, node in enumerate(order):
         if node in assign:
             out = assign[node]
@@ -296,7 +295,7 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
             out = np.full(const, n, dtype=dtype)
         elif isinstance(node, Prop):
             out = np.asarray(model.prop_row(node.index), dtype=dtype).reshape(const)
-        elif lattices and i in lattices:
+        elif i in lattices:
             op, a, b = lattices[i]
             out = op(values[a], values[b])
         elif isinstance(node, Neg):
@@ -526,9 +525,7 @@ def tpn_axioms(k: int, chain: Chain):
 
 def _doublings(phi: Formula):
     """(ops, base) such that phi == doubled(ops, base) and base is no
-    doubling.  The two operands of each doubling are compared as it is
-    read, which takes one step when they are one node, as doubled and the
-    parser's tau(i) build them."""
+    doubling."""
     ops = []
     while True:
         match phi:
@@ -547,8 +544,7 @@ def _correspondent(phi: Formula, k: int):
     one of the instances below with coalitions of k players and bare
     propositions; None for any other formula.  The coalitions, propositions
     and doubling maps are read off phi, and phi counts only when the
-    instance rebuilt from them is == phi (a commutation is compared one
-    side at a time)."""
+    instance rebuilt from them is == phi."""
     match phi:
         case Neg(Box(C, _)) if C.k == k and phi == _ax3(C):
             # E(C, 0) = 0: safety on row C
@@ -565,19 +561,16 @@ def _correspondent(phi: Formula, k: int):
             # superadditivity on the pair (C1, C2) alone: as p and q vary
             # apart, every pair (f, g) of assessments is reached
             return lambda rows, geo: superadditive_on_pair(rows, geo, C1.mask, C2.mask)
-        case Neg(Implies(Implies(Box(C, sub) as a, b), _)) if C.k == k and phi == iff(a, b):
-            # _commutation(C, ops, p), each side compared by _doublings: a
-            # fresh instance would share no node with phi, and == between the
-            # two doubles its work with every doubling
+        case Neg(Implies(Implies(Box(C, sub), _), _)) if C.k == k:
             ops, p = _doublings(sub)
-            if isinstance(p, Prop) and _doublings(b) == (ops, Box(C, p)):
+            if isinstance(p, Prop) and phi == _commutation(C, ops, p):
                 # E(C, g(f)) = g(E(C, f)) for the doubling composite g: iff
                 # is top exactly where its two sides are equal
                 return lambda rows, geo: commutes_with_doublings(rows[:, [C.mask]], geo, ops)
     return None
 
 
-def check_axiom_schema(model: LnModel, schema: Formula, budget=DEFAULT_VALUATION_BUDGET):
+def check_axiom_schema(model: LnModel, schema: Formula):
     """Validate one schema on one model, quantifying its variables.
 
     The schema's propositions play the role of schema variables; validity
@@ -598,7 +591,7 @@ def check_axiom_schema(model: LnModel, schema: Formula, budget=DEFAULT_VALUATION
     is enumerated.  Every other formula, the TPn axioms among them, and
     every instance whose predicate fails or is over its own budget, is
     decided by is_valid over the (n+1)^(P*S) valuations, which also gives
-    the witness; budget bounds that grid alone.
+    the witness.
     """
     predicate = _correspondent(schema, model.k)
     if predicate is not None:
@@ -607,4 +600,4 @@ def check_axiom_schema(model: LnModel, schema: Formula, budget=DEFAULT_VALUATION
                 return True, None
         except BudgetExceeded:
             pass  # the count is over its budget: the grid decides within its own
-    return is_valid(model, schema, budget=budget)
+    return is_valid(model, schema)

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
@@ -890,7 +891,7 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
 def _strategy_shapes(k: int, budget: int):
     shapes = sorted(
         itertools.product(range(1, budget + 1), repeat=k),
-        key=lambda shape: (int(np.prod(shape)), shape),
+        key=lambda shape: (math.prod(shape), shape),
     )
     return shapes
 
@@ -913,7 +914,7 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
         raise NotTrulyPlayable("empty forced range; the table violates safety")
 
     for shape in _strategy_shapes(H.k, budget):
-        num_profiles = int(np.prod(shape))
+        num_profiles = math.prod(shape)
         for outcome_map in itertools.product(targets, repeat=num_profiles):
             if set(outcome_map) != set(targets):
                 continue  # the range of o must be exactly the forced set

@@ -284,6 +284,11 @@ def malformed(workdir):
     (workdir / "no-states.json").write_text(
         '{"kind": "model", "n": 1, "states": [], "E": {}, "val": {}}'
     )
+    # 2^64 profiles: a product in int64 wraps to 0, and the empty map matched it
+    (workdir / "profile-overflow.json").write_text(json.dumps({
+        "kind": "game-form", "players": 2, "strategies": [1 << 32, 1 << 32],
+        "outcomes": ["a"], "o": [],
+    }))
     (workdir / "latin-1.json").write_bytes(b'{"kind": "game-form", "outcomes": ["\xe9"]}')
     (workdir / "invalid.json").write_text('{"kind": ')
     (workdir / "deep.json").write_text("[" * 100_000)
@@ -302,6 +307,7 @@ _DIGITS = "9" * 5000
     [
         pytest.param(["effectivity", "latin-1.json"], id="effectivity-not-utf8"),
         pytest.param(["effectivity", "invalid.json"], id="effectivity-invalid-json"),
+        pytest.param(["effectivity", "profile-overflow.json"], id="effectivity-profile-overflow"),
         pytest.param(["check", "negative-players.json"], id="check-negative-players"),
         pytest.param(["check", "letter-key.json"], id="check-coalition-key"),
         pytest.param(["check", "extra-key.json"], id="check-extra-coalition-key"),

@@ -1,9 +1,17 @@
+import copy
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import mveff.formulas
 from mveff.chain import Chain
-from mveff.corpus import random_formula
+from mveff.corpus import random_formula, random_playable_model
 from mveff.errors import DialectViolation, FormulaSyntaxError, UnknownPlayer
 from mveff.formulas import (
     Box,
@@ -13,6 +21,7 @@ from mveff.formulas import (
     Neg,
     Prop,
     TOP,
+    Top,
     bottom,
     iff,
     meet,
@@ -155,3 +164,116 @@ def test_print_round_trip():
         k = 2 + seed % 2
         phi = random_formula(rng, 4, (1, 2, 3), k, Chain(2), allow_outcome=seed % 3 > 0)
         assert parse(print_formula(phi), k, dialect="L+") == phi
+
+
+# -- hash-consing --------------------------------------------------------------
+
+
+def _fresh_formulas(seed, count, props):
+    rng = random.Random(seed)
+    return [random_formula(rng, 6, props, 2, Chain(2), allow_outcome=True) for _ in range(count)]
+
+
+def test_equal_structure_is_one_node():
+    # each node kind, built twice from separately built parts
+    for build in (
+        lambda: Top(),
+        lambda: Prop(3),
+        lambda: Neg(Prop(3)),
+        lambda: Implies(Prop(1), Neg(Prop(2))),
+        lambda: Box(Coalition.of([1], 2), Prop(1)),
+        lambda: BoxO(Implies(Prop(1), TOP)),
+    ):
+        assert build() is build()
+    assert Coalition.of([2], 3) is not Coalition.of([2], 3)
+    assert Box(Coalition.of([2], 3), TOP) is Box(Coalition(2, 3), TOP)
+    assert Top() is TOP
+    assert parse("[{1}]p1 & [{2}]p2 -> [N](p1 & p2)", 2) is parse(
+        "[{1}]p1 & [{2}]p2 -> [N](p1 & p2)", 2
+    )
+    assert Prop(1) is not Prop(2) and Neg(Prop(1)) != Prop(1)
+    assert repr(Implies(Prop(1), TOP)) == "Implies(left=Prop(index=1), right=Top())"
+
+
+def test_pickle_and_copies_return_the_canonical_node():
+    for phi in _fresh_formulas(4, 20, (1, 2, 3)) + [TOP, Box(Coalition.grand(2), Prop(1))]:
+        assert pickle.loads(pickle.dumps(phi)) is phi
+        assert copy.copy(phi) is phi
+        assert copy.deepcopy(phi) is phi
+
+
+def test_nodes_are_immutable():
+    phi = Implies(Prop(1), Prop(2))
+    with pytest.raises(AttributeError):
+        phi.left = Prop(3)
+    with pytest.raises(AttributeError):
+        del phi.right
+    with pytest.raises(AttributeError):
+        Prop(1).index = 2
+    assert phi.left is Prop(1)
+
+
+def test_intern_table_releases_dead_nodes():
+    gc.collect()
+    before = len(mveff.formulas._INTERNED)
+    batch = _fresh_formulas(5, 300, (201, 202, 203))
+    assert len(mveff.formulas._INTERNED) > before
+    del batch
+    gc.collect()
+    assert len(mveff.formulas._INTERNED) == before
+
+
+def test_threads_building_the_same_formulas_share_nodes():
+    # propositions no other test builds, so every thread misses the table
+    # for the same keys; a tiny switch interval makes the threads interleave
+    threads, results = 8, {}
+    barrier = threading.Barrier(threads)
+
+    def build(t):
+        barrier.wait()
+        results[t] = _fresh_formulas(6, 300, (301, 302, 303))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and len(results) == threads
+    for t in range(1, threads):
+        assert all(a is b for a, b in zip(results[0], results[t]))
+
+
+def test_documents_do_not_depend_on_the_hash_seed(tmp_path):
+    # node hashes are addresses, so iterating a set of nodes would make
+    # output vary from process to process
+    model = random_playable_model(random.Random(5), Chain(2), 4, props=(1, 2))
+    (tmp_path / "model.json").write_text(model.to_json())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mveff.formulas.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    commands = (
+        ["filter", "model.json", "[{1}]p1 & [{2}]p2 -> [N](p1 & p2)"],
+        ["decide", "[{1}]p1 | p2 -> [{2}]p1", "--n", "2"],
+    )
+    outputs = {}
+    for seed in ("0", "123"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            "PYTHONHASHSEED": seed,
+        }
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "mveff.cli", *args],
+                cwd=tmp_path, env=env, capture_output=True,
+            )
+            for args in commands
+        ]
+        outputs[seed] = [(run.returncode, run.stdout) for run in runs]
+    # a filtered model, and a countermodel (exit 1)
+    assert [code for code, _ in outputs["0"]] == [0, 1]
+    assert outputs["0"] == outputs["123"]

@@ -200,7 +200,7 @@ def _lattice_heavy(phi, psi):
         # the meet's inner ~phi, and its inner join, read by another node
         Implies(meet(phi, psi), Neg(phi)),
         Implies(meet(phi, psi), join(Neg(phi), Neg(psi))),
-        # a join spelled with two equal but distinct objects for b
+        # a join whose second b is a deep copy, which is the same node
         Implies(Implies(phi, psi), copy.deepcopy(psi)),
     )
 
@@ -209,6 +209,7 @@ def _lattice_heavy(phi, psi):
 @given(_model_formula_support())
 def test_evaluator_matches_recursive_reference(case):
     model, phi, psi, support = case
+    assert copy.deepcopy(psi) is psi
     val = dict(model.valuation)
     assert eval_vector(model, phi) == _reference_vector(model, phi, val)
     assert is_valid(model, phi, support) == _reference_is_valid(model, phi, support)
