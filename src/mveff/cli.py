@@ -78,7 +78,8 @@ _format_option = click.option(
 class _Main(click.Group):
     """The command group, and the one place an error becomes exit 2.  A
     RecursionError can only come from a deeply nested formula: _read_doc
-    turns one from a deeply nested document into a BadDocument."""
+    turns one from a deeply nested document into a BadDocument.  A
+    MemoryError is an allocation within a budget the machine cannot hold."""
 
     def invoke(self, ctx):
         try:
@@ -87,6 +88,8 @@ class _Main(click.Group):
             message = str(exc)
         except RecursionError:
             message = "formula nested too deeply"
+        except MemoryError as exc:
+            message = str(exc) or "out of memory"
         click.echo(f"error: {message}", err=True)
         ctx.exit(2)
 

@@ -7,7 +7,6 @@ is what makes the downstream reports byte-stable.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ from .formulas import (
 )
 from .games import GameForm, effectivity_table
 from .models import EnrichedLnModel, LnModel, standardize
-from .tables import BOOL_CHAIN, EffFn, _strategy_shapes, check_playability
+from .tables import BOOL_CHAIN, EffFn, check_playability, game_form_maps
 
 BOOL = BOOL_CHAIN
 
@@ -37,18 +36,11 @@ def state_names(count: int) -> tuple[str, ...]:
 
 
 def all_game_forms(k: int, max_strategies: int, num_outcomes: int):
-    """Every game form up to the strategy cap.
-
-    Shapes are visited by increasing profile count; within a shape the
-    outcome maps run in lexicographic order.
-    """
+    """Every game form up to the strategy cap, in the order of
+    tables.game_form_maps."""
     outcomes = state_names(num_outcomes)
-    for shape in _strategy_shapes(k, max_strategies):
-        num_profiles = math.prod(shape)
-        for outcome_map in itertools.product(range(num_outcomes), repeat=num_profiles):
-            yield GameForm(
-                strategy_counts=shape, outcomes=outcomes, outcome_map=outcome_map
-            )
+    for shape, outcome_map in game_form_maps(k, max_strategies, range(num_outcomes)):
+        yield GameForm(strategy_counts=shape, outcomes=outcomes, outcome_map=outcome_map)
 
 
 @lru_cache(maxsize=None)

@@ -155,9 +155,8 @@ def _intermediate_tables(q: Quotient, steps) -> list[EffFn]:
     n = model.n
     geo = _geometry(n, q.num_classes)
     # a class's weight in a source index: the place values of its members
-    places = (n + 1) ** np.arange(model.num_states - 1, -1, -1, dtype=np.int64)
     weights = np.zeros(q.num_classes, dtype=np.int64)
-    np.add.at(weights, np.asarray(q.class_map), places)
+    np.add.at(weights, np.asarray(q.class_map), _geometry(n, model.num_states).powers)
     steps = np.asarray(steps, dtype=np.int64)
     idx = (geo.tuples // steps * steps) @ weights
     full = (1 << model.k) - 1

@@ -326,7 +326,7 @@ def _tokenize(text: str):
     tokens = []
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
+        if match is None:
             if text[pos:].strip() == "":
                 break
             raise FormulaSyntaxError(f"unexpected input {text[pos:pos + 8]!r}", pos)
@@ -337,17 +337,17 @@ def _tokenize(text: str):
     return tokens
 
 
-# binding strength, loosest first; all right-associative
-_BINARY = {"iff": 1, "implies": 2, "or": 3, "and": 4, "oplus": 5, "odot": 6}
-
-_BINARY_BUILD = {
-    "iff": iff,
-    "implies": Implies,
-    "or": join,
-    "and": meet,
-    "oplus": oplus,
-    "odot": odot,
+# token -> (binding strength, builder), loosest first; all right-associative
+_BINARY = {
+    "iff": (1, iff),
+    "implies": (2, Implies),
+    "or": (3, join),
+    "and": (4, meet),
+    "oplus": (5, oplus),
+    "odot": (6, odot),
 }
+
+_TIGHTEST = max(level for level, _ in _BINARY.values())
 
 
 class _Parser:
@@ -374,14 +374,14 @@ class _Parser:
         return phi
 
     def binary(self, level: int) -> Formula:
-        if level > max(_BINARY.values()):
+        if level > _TIGHTEST:
             return self.unary()
         left = self.binary(level + 1)
-        kind, _, _ = self.peek()
-        if kind in _BINARY and _BINARY[kind] == level:
+        op = _BINARY.get(self.peek()[0])
+        if op is not None and op[0] == level:
             self.advance()
             right = self.binary(level)  # right-associative
-            return _BINARY_BUILD[kind](left, right)
+            return op[1](left, right)
         return left
 
     def unary(self) -> Formula:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,8 +62,11 @@ from .tables import (
     EffFn,
     _check_regular,
     _check_safety,
+    _geometry,
     _value_dtype,
+    assessment_columns,
     commutes_with_doublings,
+    encode_assessments,
     superadditive_on_pair,
 )
 
@@ -313,13 +315,8 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
                     f"[{node.coalition}] is a coalition of {node.coalition.k} players "
                     f"and the model has {model.k}"
                 )
-            # the argument's assessment index per valuation, last state
-            # fastest, in the narrowest signed type that holds (n+1)^size
-            sub = values[node.sub]
-            idx = np.zeros(sub.shape[1:], dtype=np.min_scalar_type(-1 - (n + 1) ** size))
-            for j in range(size):
-                idx *= n + 1
-                idx += sub[j]
+            # the argument's assessment index per valuation
+            idx = encode_assessments(values[node.sub], n)
             mask = node.coalition.mask
             rows = np.stack([E.rows()[mask] for E in model.eff])
             out = np.take(rows, idx, axis=1)
@@ -352,16 +349,6 @@ def is_true(model: LnModel, phi: Formula) -> bool:
     return all(v == model.n for v in eval_vector(model, phi))
 
 
-@lru_cache(maxsize=None)
-def _state_tuples(n: int, size: int) -> np.ndarray:
-    """Every tuple of values on size states, one per column, in
-    itertools.product order, in _value_dtype(n) and read-only: the valuation
-    grid's rows, built once per (n, size)."""
-    rows = np.indices((n + 1,) * size, dtype=_value_dtype(n)).reshape(size, -1)
-    rows.flags.writeable = False
-    return rows
-
-
 def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
     """An open grid over every joint valuation of props, in _value_dtype(n).
 
@@ -371,7 +358,10 @@ def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
     together in C order over the lead axes, the valuations run in
     itertools.product order over the cells (proposition, state), last cell
     fastest.  The budget on every joint valuation is checked before anything
-    is allocated.
+    is allocated.  Every proposition shares one array of the V tuples,
+    tables.assessment_columns built anew in _value_dtype(n) on each call
+    and held by no geometry, so a one-state grid at a large n costs V
+    narrow cells.
     """
     props = list(props)
     total = (n + 1) ** (len(props) * size)
@@ -381,7 +371,7 @@ def _valuation_grid(n: int, size: int, props, budget: int) -> dict:
         )
     if not props:
         return {}
-    rows = _state_tuples(n, size)
+    rows = assessment_columns(n, size, _value_dtype(n))
     return {
         p: rows.reshape((size,) + (1,) * i + (-1,) + (1,) * (len(props) - 1 - i))
         for i, p in enumerate(props)
@@ -434,11 +424,9 @@ def standard_relation(model: LnModel) -> frozenset:
     """The relation induced by the empty coalition's effectivity: u R v
     exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
     top elsewhere.  Every (u, v) is read in one gather."""
-    n = model.n
-    size = model.num_states
+    geo = _geometry(model.n, model.num_states)
     # the encoded not chi_v: the top assessment less n at v's place value
-    top = (n + 1) ** size - 1
-    idx = [top - n * (n + 1) ** (size - 1 - v) for v in range(size)]
+    idx = geo.count - 1 - model.n * geo.powers
     us, vs = np.nonzero(np.stack([E.rows()[0] for E in model.eff]).take(idx, axis=1) == 0)
     return frozenset(zip(us.tolist(), vs.tolist()))
 

@@ -141,6 +141,23 @@ def encode_assessment(f: Sequence[int], n: int) -> int:
     return idx
 
 
+def encode_assessments(values: np.ndarray, n: int) -> np.ndarray:
+    """encode_assessment of every column of values, whose first axis runs
+    over the outcomes, in the narrowest signed type that holds (n+1)^size."""
+    size = len(values)
+    idx = np.zeros(values.shape[1:], dtype=np.min_scalar_type(-1 - (n + 1) ** size))
+    for j in range(size):
+        idx *= n + 1
+        idx += values[j]
+    return idx
+
+
+def assessment_columns(n: int, size: int, dtype) -> np.ndarray:
+    """Every assessment over size outcomes as one column of a (size,
+    (n+1)^size) array in dtype, in enumerate_assessments order."""
+    return np.indices((n + 1,) * size, dtype=dtype).reshape(size, -1)
+
+
 class _Geometry:
     """Cached index arrays for assessments over a fixed (n, size)."""
 
@@ -149,7 +166,7 @@ class _Geometry:
         self.size = size
         self.count = (n + 1) ** size
         # every assessment in enumerate_assessments order, shared read-only
-        self.tuples = np.indices((n + 1,) * size, dtype=np.int64).reshape(size, -1).T
+        self.tuples = assessment_columns(n, size, np.int64).T
         self.tuples.flags.writeable = False
         powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
         self.powers = powers
@@ -558,13 +575,6 @@ def _count_pairs(rows, geo, witnessed=None):
     return [tuple(hit and hit[0] for hit in pair) for pair in zip(*scopes)], verdict
 
 
-def _check_superadditive(rows, geo):
-    """Superadditivity over the disjoint coalition pairs, with each table's
-    first failing (c1, c2, f, g) as witness."""
-    hits, verdict = _count_pairs(rows, geo)
-    return [verdict(t, p) for t, (p, _) in enumerate(hits)]
-
-
 def superadditive_on_pair(rows, geo, c1: int, c2: int) -> bool:
     """Whether every table of the stack is superadditive on the one
     disjoint pair (c1, c2): _pair_counts on the three rows it reads.
@@ -575,8 +585,7 @@ def superadditive_on_pair(rows, geo, c1: int, c2: int) -> bool:
 
 def _superadditivity_witness(table, geo, up, beta, c1, c2):
     """The verdict of one table whose pair (c1, c2) fails, with its first
-    failing (f, g) row-major, from Z(c2) and beta(c1 | c2) of
-    _check_superadditive.
+    failing (f, g) row-major, from Z(c2) and beta(c1 | c2) of _pair_counts.
 
     The sum of beta(c1 | c2) Z(c2) over the assessments <= f counts, per
     level v, the g with E(c2, g) >= v > E(c1 | c2, f meet g), so the first
@@ -653,13 +662,17 @@ def _check_principal(rows, geo):
     return [(h, None) for h in holds.tolist()]
 
 
+# the row predicates semi-playability reads, in the order it reads them
+_SEMI_ROWS = ("outcome_monotonic", "liveness", "safety")
+
+
 def _semi_playable(found, full, count) -> list:
     """Per table, semi-playability read from the full verdicts in found, as
     the module docstring says; full is the grand coalition's mask, and
     count() gives the stack's _count_pairs result, asked for only when some
     table passes the proper rows."""
     verdicts = [None] * len(found["safety"])
-    for name in ("outcome_monotonic", "liveness", "safety"):
+    for name in _SEMI_ROWS:
         for t, (holds, witness) in enumerate(found[name]):
             if not holds and witness[0] != full and verdicts[t] is None:
                 verdicts[t] = (False, (name,) + witness)
@@ -673,43 +686,45 @@ def _semi_playable(found, full, count) -> list:
     return verdicts
 
 
-def _check_semi_playable(rows, geo):
-    found = {
-        name: _CHECKS[name](rows, geo) for name in ("outcome_monotonic", "liveness", "safety")
-    }
-    return _semi_playable(found, rows.shape[1] - 1, lambda: _count_pairs(rows, geo))
-
-
+# the row predicates, each one array expression over the stack
 _CHECKS = {
     "outcome_monotonic": _check_outcome_monotonic,
     "N_maximal": _check_n_maximal,
     "regular": _check_regular,
-    "superadditive": _check_superadditive,
     "coalition_monotonic": _check_coalition_monotonic,
     "homogeneous": _check_homogeneous,
     "liveness": _check_liveness,
     "safety": _check_safety,
     "principal": _check_principal,
-    "semi_playable": _check_semi_playable,
 }
 
 # the predicates of a report, in the order a loop over tables runs them
 _REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
 
+# the battery's default: homogeneity is decided by check_playability_many
+_BATTERY = tuple(name for name in _REPORT_ORDER if name != "homogeneous")
 
-def _battery(rows, geo, witnessed=None):
-    """Every predicate but homogeneity on a stack of tables of one geometry:
-    name -> one verdict per table.  One superadditivity count answers both
-    superadditivity and semi-playability; witnessed is as _count_pairs
-    takes it."""
-    hits, verdict = counted = _count_pairs(rows, geo, witnessed)
-    found = {}
-    for name in PROPERTY_NAMES:
-        if name == "superadditive":
-            found[name] = [verdict(t, p) for t, (p, _) in enumerate(hits)]
-        elif name != "homogeneous":
-            found[name] = _CHECKS[name](rows, geo)
-    found["semi_playable"] = _semi_playable(found, rows.shape[1] - 1, lambda: counted)
+
+def _battery(rows, geo, names=_BATTERY, witnessed=None):
+    """The named predicates of _REPORT_ORDER on a stack of tables of one
+    geometry: name -> one verdict per table.  The superadditivity count
+    runs only when superadditivity or semi-playability reads it, and one
+    count answers both; semi-playability runs it only when some table
+    passes the proper rows.  witnessed is as _count_pairs takes it."""
+    semi = "semi_playable" in names
+    found = {
+        name: check(rows, geo)
+        for name, check in _CHECKS.items()
+        if name in names or semi and name in _SEMI_ROWS
+    }
+    counted = None
+    if "superadditive" in names:
+        hits, verdict = counted = _count_pairs(rows, geo, witnessed)
+        found["superadditive"] = [verdict(t, p) for t, (p, _) in enumerate(hits)]
+    if semi:
+        found["semi_playable"] = _semi_playable(
+            found, rows.shape[1] - 1, lambda: counted or _count_pairs(rows, geo, witnessed)
+        )
     return found
 
 
@@ -718,16 +733,14 @@ def _stack(arrays) -> np.ndarray:
 
 
 def check_property(E: EffFn, which: str) -> PropertyCheck:
-    """Decide one playability predicate, with a witness cell on failure."""
-    if which == "playable":
-        report = check_playability(E)
-        return PropertyCheck("playable", report.playable)
-    if which == "truly_playable":
-        report = check_playability(E)
-        return PropertyCheck("truly_playable", report.truly_playable)
-    if which not in _CHECKS:
+    """Decide one playability predicate, with a witness cell on failure:
+    the battery run on the table and that predicate alone.  playable and
+    truly_playable are read from the full report."""
+    if which in ("playable", "truly_playable"):
+        return PropertyCheck(which, getattr(check_playability(E), which))
+    if which not in _REPORT_ORDER:
         raise InvalidInput(f"unknown property {which!r}")
-    verdict = _CHECKS[which](E.rows()[None], E.geometry())[0]
+    verdict = _battery(E.rows()[None], E.geometry(), (which,))[which][0]
     if isinstance(verdict, MveffError):
         raise verdict
     return PropertyCheck(which, *verdict)
@@ -780,9 +793,8 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
         # lifted owner reruns on itself where its skeleton fails, so a
         # target owned only by lifted tables needs no witness transform
         witnessed = [any(tables[i].n == n for i in owners) for _, owners in unique.values()]
-        found = _battery(
-            _stack([target for target, _ in unique.values()]), _geometry(n, size), witnessed
-        )
+        stack = _stack([target for target, _ in unique.values()])
+        found = _battery(stack, _geometry(n, size), witnessed=witnessed)
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t
@@ -888,12 +900,21 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
 # -- game-form synthesis -----------------------------------------------------
 
 
-def _strategy_shapes(k: int, budget: int):
+def game_form_maps(k: int, budget: int, outcomes: Sequence):
+    """Every (strategy counts, outcome map) of k players with at most budget
+    strategies each: strategy counts by increasing profile count and then
+    in order, and within one the outcome maps over outcomes in lexicographic
+    order.  Raises BudgetExceeded before any strategy counts are built when
+    there are more than DEFAULT_CELL_BUDGET of them."""
+    if budget**k > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"{budget}^{k} strategy counts exceed budget {DEFAULT_CELL_BUDGET}")
     shapes = sorted(
         itertools.product(range(1, budget + 1), repeat=k),
         key=lambda shape: (math.prod(shape), shape),
     )
-    return shapes
+    for shape in shapes:
+        for outcome_map in itertools.product(outcomes, repeat=math.prod(shape)):
+            yield shape, outcome_map
 
 
 def synthesize_game_form(E: EffFn, budget: int = 3):
@@ -901,9 +922,11 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
 
     The search reduces the problem to the Boolean skeleton, restricts
     outcome maps to the forced range (the intersection of the empty
-    coalition's accepted sets), and tries strategy shapes in increasing
-    profile count.  The first Boolean match is verified against the full
-    chain-valued table before being returned.
+    coalition's accepted sets) and to maps onto all of it, and tries the
+    game forms of game_form_maps in its order.  The first Boolean match is
+    verified against the full chain-valued table before being returned.
+    Raises SynthesisBudgetExceeded when no form within the budget matches,
+    and BudgetExceeded when budget^k strategy counts are too many to try.
     """
     report = check_playability(E)
     if not report.truly_playable:
@@ -912,21 +935,12 @@ def synthesize_game_form(E: EffFn, budget: int = 3):
     targets = np.flatnonzero(_forced_range(H.rows()[None], H.geometry())[0]).tolist()
     if not targets:
         raise NotTrulyPlayable("empty forced range; the table violates safety")
-
-    for shape in _strategy_shapes(H.k, budget):
-        num_profiles = math.prod(shape)
-        for outcome_map in itertools.product(targets, repeat=num_profiles):
-            if set(outcome_map) != set(targets):
-                continue  # the range of o must be exactly the forced set
-            form = GameForm(
-                strategy_counts=shape,
-                outcomes=H.outcomes,
-                outcome_map=outcome_map,
-            )
-            if effectivity_table(form, BOOL_CHAIN) == H:
-                candidate = effectivity_table(form, E.chain)
-                if candidate == E:
-                    return form
+    for shape, outcome_map in game_form_maps(H.k, budget, targets):
+        if set(outcome_map) != set(targets):
+            continue  # the range of o must be exactly the forced set
+        form = GameForm(strategy_counts=shape, outcomes=H.outcomes, outcome_map=outcome_map)
+        if effectivity_table(form, BOOL_CHAIN) == H and effectivity_table(form, E.chain) == E:
+            return form
     raise SynthesisBudgetExceeded(
         f"no realizing game form with per-player strategy counts <= {budget}"
     )

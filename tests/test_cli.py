@@ -395,13 +395,44 @@ _ONE_OUTCOME_FORM = {
 )
 def test_large_chain_fits_a_memory_limit(tmp_path, args):
     # 800 004 and 2^20 cells, under the cell budget: building them takes
-    # memory linear in the table, so they run under a 1 GiB address-space
-    # limit set in the child alone
-    resource = pytest.importorskip("resource")
+    # memory linear in the table
     (tmp_path / "form.json").write_text(json.dumps(_ONE_OUTCOME_FORM))
     one = effectivity_table(GameForm.from_doc(_ONE_OUTCOME_FORM), Chain(1))
     (tmp_path / "bool1.json").write_text(one.to_json())
     (tmp_path / "bool2.json").write_text(playable_boolean_tables()[2].to_json())
+    out = _run_under_memory_limit(tmp_path, args)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    n = int(args[-1])
+    assert len(doc["table"]["N"]) == (n + 1) ** len(doc["outcomes"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["synthesize", "eff.json", "--budget-strategies", "5000"],
+        ["effectivity", "form.json", "--n", "1000", "--budget-cells", "10000000000"],
+    ),
+    ids=("synthesize-strategy-budget", "effectivity-out-of-memory"),
+)
+def test_over_memory_exit_2(tmp_path, args):
+    # 5000^2 strategy counts are refused before any is built; the 4 * 1001^3
+    # cells are within the cell budget given, but their arrays are not
+    # within the memory limit
+    form = random_game_form(random.Random(0), 2, 2)
+    (tmp_path / "eff.json").write_text(effectivity_table(form, Chain(2)).to_json())
+    (tmp_path / "form.json").write_text(random_game_form(random.Random(0), 2, 3).to_json())
+    out = _run_under_memory_limit(tmp_path, args)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    if args[0] == "synthesize":
+        assert "strategy counts exceed budget" in out.stderr
+
+
+def _run_under_memory_limit(tmp_path, args):
+    """The CLI run in a child process under a 1 GiB address-space limit set
+    in the child alone."""
+    resource = pytest.importorskip("resource")
     limit = 1 << 30
 
     def cap():
@@ -411,14 +442,10 @@ def test_large_chain_fits_a_memory_limit(tmp_path, args):
     path = os.environ.get("PYTHONPATH")
     threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **threads}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mveff.cli", *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=cap, timeout=300,
     )
-    assert out.returncode == 0, out.stderr
-    doc = json.loads(out.stdout)
-    n = int(args[-1])
-    assert len(doc["table"]["N"]) == (n + 1) ** len(doc["outcomes"])
 
 
 def test_deep_nesting_message(runner, workdir):

@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mveff.formulas
 from mveff.chain import Chain
@@ -164,6 +166,28 @@ def test_print_round_trip():
         k = 2 + seed % 2
         phi = random_formula(rng, 4, (1, 2, 3), k, Chain(2), allow_outcome=seed % 3 > 0)
         assert parse(print_formula(phi), k, dialect="L+") == phi
+
+
+def _kernel_formulas(k):
+    """Any kernel formula of k players, [O] included."""
+    coalitions = st.builds(Coalition, st.integers(0, (1 << k) - 1), st.just(k))
+    leaves = st.just(TOP) | st.builds(Prop, st.integers(0, 5))
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(Neg, sub)
+        | st.builds(Implies, sub, sub)
+        | st.builds(Box, coalitions, sub)
+        | st.builds(BoxO, sub),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), _kernel_formulas(k))))
+def test_print_round_trip_of_any_formula(case):
+    # nodes are hash-consed, so the parse is the very node printed
+    k, phi = case
+    assert parse(print_formula(phi), k, dialect="L+") is phi
 
 
 # -- hash-consing --------------------------------------------------------------

@@ -1,8 +1,11 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mveff.chain import Chain
 from mveff.corpus import random_game_form
@@ -151,6 +154,24 @@ def test_document_round_trip():
         for outcomes in (1, 3):
             g = random_game_form(rng, k, outcomes)
             assert GameForm.from_doc(json.loads(g.to_json())) == g
+
+
+@st.composite
+def _game_forms(draw):
+    """Any game form of 2 to 3 players, 1 to 3 strategies each, and 1 to 3
+    outcomes."""
+    counts = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    size = draw(st.integers(1, 3))
+    outcomes = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
+    profiles = math.prod(counts)
+    omap = draw(st.lists(st.integers(0, size - 1), min_size=profiles, max_size=profiles))
+    return GameForm(strategy_counts=counts, outcomes=tuple(outcomes), outcome_map=tuple(omap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_game_forms())
+def test_document_round_trip_of_any_game_form(g):
+    assert GameForm.from_doc(json.loads(g.to_json())) == g
 
 
 def test_bad_game_form_documents():

@@ -472,6 +472,32 @@ def test_model_document_round_trip():
         assert restored == E
 
 
+@st.composite
+def _models(draw):
+    """Any model of n 1 to 3, k 2 to 3, 1 to 3 states and up to 3
+    propositions, enriched with any relation or not."""
+    n, k, size = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    states = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
+    cells = st.lists(st.integers(0, n), min_size=(n + 1) ** size, max_size=(n + 1) ** size)
+    table = st.lists(cells, min_size=1 << k, max_size=1 << k)
+    eff = [EffFn(Chain(n), k, states, draw(table)) for _ in states]
+    row = st.lists(st.integers(0, n), min_size=size, max_size=size)
+    valuation = draw(st.dictionaries(st.integers(0, 5), row, max_size=3))
+    model = LnModel(Chain(n), states, eff, valuation)
+    if not draw(st.booleans()):
+        return model
+    R = draw(st.sets(st.tuples(st.sampled_from(states), st.sampled_from(states))))
+    return EnrichedLnModel(Chain(n), states, eff, valuation, R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models())
+def test_document_round_trip_of_any_model(M):
+    restored = LnModel.from_doc(json.loads(M.to_json()))
+    assert type(restored) is type(M)
+    assert restored == M
+
+
 def test_bad_model_documents():
     doc = random_playable_model(random.Random(7), Chain(2), 3).to_doc()
     with pytest.raises(BadDocument):

@@ -265,6 +265,10 @@ def test_synthesis_budget():
     E = _game_table(0, n=1)
     with pytest.raises(SynthesisBudgetExceeded):
         synthesize_game_form(E, budget=0)
+    # 1025^2 strategy counts are over DEFAULT_CELL_BUDGET: refused before
+    # any is built, though a realizing form has far fewer
+    with pytest.raises(BudgetExceeded, match="1025\\^2 strategy counts"):
+        synthesize_game_form(E, budget=1025)
 
 
 def test_document_round_trip():
@@ -277,6 +281,21 @@ def test_document_round_trip():
     for _ in range(10):
         E = random_eff_table(rng, Chain(rng.randint(1, 3)), rng.randint(1, 3), rng.choice((2, 3)))
         assert EffFn.from_doc(json.loads(E.to_json())) == E
+
+
+@st.composite
+def _tables(draw):
+    """Any table of n 1 to 3, k 2 to 3 and 1 to 3 outcomes."""
+    n, k, size = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    outcomes = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
+    cells = st.lists(st.integers(0, n), min_size=(n + 1) ** size, max_size=(n + 1) ** size)
+    return EffFn(Chain(n), k, outcomes, draw(st.lists(cells, min_size=1 << k, max_size=1 << k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables())
+def test_document_round_trip_of_any_table(E):
+    assert EffFn.from_doc(json.loads(E.to_json())) == E
 
 
 def test_random_tables_playable_iff_all_parts():
