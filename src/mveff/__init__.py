@@ -59,6 +59,7 @@ from .tables import (
     boolean_skeleton,
     check_playability,
     check_playability_many,
+    check_properties,
     check_property,
     lift_boolean,
     synthesize_game_form,
@@ -88,6 +89,7 @@ __all__ = [
     "EffFn",
     "PlayabilityReport",
     "check_property",
+    "check_properties",
     "check_playability",
     "check_playability_many",
     "boolean_skeleton",

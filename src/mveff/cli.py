@@ -31,7 +31,7 @@ from .tables import (
     EffFn,
     check_playability,
     check_playability_many,
-    check_property,
+    check_properties,
     lift_boolean,
     synthesize_game_form,
 )
@@ -135,12 +135,10 @@ def cmd_check(input_file, properties, fmt):
     else:
         E = EffFn.from_doc(doc)
         if properties:
+            checks = check_properties(E, properties)
             out = {"kind": "property-check"}
-            verdict = True
-            for prop in properties:
-                check = check_property(E, prop)
-                out[prop] = check.holds
-                verdict = verdict and check.holds
+            out.update((check.name, check.holds) for check in checks)
+            verdict = all(check.holds for check in checks)
         else:
             report = check_playability(E)
             out = report.to_doc()

@@ -88,8 +88,16 @@ class Coalition:
         return "{" + ",".join(str(p) for p in self.members()) + "}"
 
 
+class _InternRef(weakref.ref):
+    """A weak reference to an interned node that also holds the node's key.
+    The key is set after construction, so no Python-level __new__ or
+    __init__ runs (weakref.KeyedRef has both)."""
+
+    __slots__ = ("key",)
+
+
 # the one live node per key (class, *fields), held weakly
-_INTERNED: dict[tuple, weakref.KeyedRef] = {}
+_INTERNED: dict[tuple, _InternRef] = {}
 # reentrant: a release can run inside a build, when building frees a node
 _INTERN_LOCK = threading.RLock()
 
@@ -127,7 +135,9 @@ class Formula:
                 node = object.__new__(cls)
                 for name, value in zip(cls.__slots__, fields):
                     object.__setattr__(node, name, value)
-                _INTERNED[key] = weakref.KeyedRef(node, _release, key)
+                ref = _InternRef(node, _release)
+                ref.key = key
+                _INTERNED[key] = ref
             return node
 
     def __setattr__(self, name, *value):

@@ -18,9 +18,12 @@ integer type that covers the evaluator's intermediates [-n, 2n] (int8 up to
 n = 63), and the budget on the (n+1)^(P*S) joint valuations is checked
 before anything is allocated.
 
-check_axiom_schema decides the Pn and B axiom instances by frame
-correspondence, one predicate on the stacked tables of all states, and any
-other formula, or an instance whose predicate fails, on that grid.
+check_axiom_schema decides the Pn, B and TPn axiom instances and the
+modal rule conclusions of the soundness suite by frame correspondence, one
+predicate on the stacked tables of all states (and the relation R for
+[O]), and any other formula, or an instance whose predicate fails, on that
+grid.  Superadditivity on one pair, the costliest predicate, is counted on
+the Boolean skeletons of the three rows it reads when they are homogeneous.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ from .formulas import (
 )
 from .tables import (
     EffFn,
+    _check_liveness,
+    _check_outcome_monotonic,
     _check_regular,
     _check_safety,
     _geometry,
@@ -420,15 +425,31 @@ def is_valid(
 # -- standard frames ---------------------------------------------------------
 
 
+def _row_relation(rows: np.ndarray, geo) -> frozenset:
+    """The (u, v) with rows[u] = 0 at not chi_v, which is 0 at v and top
+    elsewhere, for one row per state; every (u, v) is read in one gather."""
+    # the encoded not chi_v: the top assessment less n at v's place value
+    idx = geo.count - 1 - geo.n * geo.powers
+    us, vs = np.nonzero(rows.take(idx, axis=1) == 0)
+    return frozenset(zip(us.tolist(), vs.tolist()))
+
+
+def _rows_are_minima(rows: np.ndarray, geo, R) -> bool:
+    """Whether rows[u], one row per state, is f -> min over R(u) of f at
+    every state u, which is n where u has no successor."""
+    for u, row in enumerate(rows):
+        successors = [v for w, v in R if w == u]
+        if not np.array_equal(row, geo.tuples[:, successors].min(axis=1, initial=geo.n)):
+            return False
+    return True
+
+
 def standard_relation(model: LnModel) -> frozenset:
     """The relation induced by the empty coalition's effectivity: u R v
     exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
-    top elsewhere.  Every (u, v) is read in one gather."""
+    top elsewhere."""
     geo = _geometry(model.n, model.num_states)
-    # the encoded not chi_v: the top assessment less n at v's place value
-    idx = geo.count - 1 - model.n * geo.powers
-    us, vs = np.nonzero(np.stack([E.rows()[0] for E in model.eff]).take(idx, axis=1) == 0)
-    return frozenset(zip(us.tolist(), vs.tolist()))
+    return _row_relation(np.stack([E.rows()[0] for E in model.eff]), geo)
 
 
 def is_standard(model: EnrichedLnModel) -> bool:
@@ -496,19 +517,17 @@ def b_family(k: int, chain: Chain):
     return out
 
 
+def _ax7(C: Coalition, p: Formula) -> Formula:
+    return iff(BoxO(p), Box(C, p))
+
+
+def _ax8(C: Coalition, p: Formula, q: Formula) -> Formula:
+    return Implies(Box(C, Implies(p, q)), Implies(Box(C, p), Box(C, q)))
+
+
 def tpn_axioms(k: int, chain: Chain):
     empty = Coalition.empty(k)
-    return [
-        ("ax6", BoxO(Top())),
-        ("ax7", iff(BoxO(_P), Box(empty, _P))),
-        (
-            "ax8",
-            Implies(
-                Box(empty, Implies(_P, _Q)),
-                Implies(Box(empty, _P), Box(empty, _Q)),
-            ),
-        ),
-    ]
+    return [("ax6", BoxO(Top())), ("ax7", _ax7(empty, _P)), ("ax8", _ax8(empty, _P, _Q))]
 
 
 def _doublings(phi: Formula):
@@ -526,21 +545,26 @@ def _doublings(phi: Formula):
         phi = sub
 
 
+def _all_hold(verdicts) -> bool:
+    return all(holds for holds, _ in verdicts)
+
+
 def _correspondent(phi: Formula, k: int):
     """The table predicate equivalent to the validity of phi, as a function
-    of the stacked tables of every state and their geometry, when phi is
-    one of the instances below with coalitions of k players and bare
-    propositions; None for any other formula.  The coalitions, propositions
-    and doubling maps are read off phi, and phi counts only when the
-    instance rebuilt from them is == phi."""
+    of the stacked tables of every state, their geometry and the model,
+    when phi is one of the instances below with coalitions of k players and
+    bare propositions; None for any other formula.  The coalitions,
+    propositions and doubling maps are read off phi, and phi counts only
+    when the instance rebuilt from them is == phi.  The predicate of a K
+    instance only implies its validity."""
     match phi:
         case Neg(Box(C, _)) if C.k == k and phi == _ax3(C):
             # E(C, 0) = 0: safety on row C
-            return lambda rows, geo: all(h for h, _ in _check_safety(rows[:, [C.mask]], geo))
+            return lambda rows, geo, model: _all_hold(_check_safety(rows[:, [C.mask]], geo))
         case Implies(Box(_, Prop() as p), _) if phi == _ax5(k, p):
             # E({}, f) + E(N, ~f) <= n: regularity of the two-row stack of {}
             # and N, in which each row is the other's complement
-            return lambda rows, geo: all(h for h, _ in _check_regular(rows[:, [0, -1]], geo))
+            return lambda rows, geo, model: _all_hold(_check_regular(rows[:, [0, -1]], geo))
         case Implies(
             Neg(Implies(Implies(Neg(Box(C1, Prop() as p)), Neg(Box(C2, Prop() as q))), _)), _
         ) if (
@@ -548,13 +572,47 @@ def _correspondent(phi: Formula, k: int):
         ):
             # superadditivity on the pair (C1, C2) alone: as p and q vary
             # apart, every pair (f, g) of assessments is reached
-            return lambda rows, geo: superadditive_on_pair(rows, geo, C1.mask, C2.mask)
+            return lambda rows, geo, model: superadditive_on_pair(rows, geo, C1.mask, C2.mask)
         case Neg(Implies(Implies(Box(C, sub), _), _)) if C.k == k:
             ops, p = _doublings(sub)
             if isinstance(p, Prop) and phi == _commutation(C, ops, p):
                 # E(C, g(f)) = g(E(C, f)) for the doubling composite g: iff
                 # is top exactly where its two sides are equal
-                return lambda rows, geo: commutes_with_doublings(rows[:, [C.mask]], geo, ops)
+                return lambda rows, geo, model: commutes_with_doublings(
+                    rows[:, [C.mask]], geo, ops
+                )
+        case BoxO(Top()):
+            # a min over no successors is n: valid on every enriched model
+            return lambda rows, geo, model: isinstance(model, EnrichedLnModel)
+        case Neg(Implies(Implies(BoxO(Prop() as p), Box(C, _)), _)) if (
+            C.k == k and phi == _ax7(C, p)
+        ):
+            # E_u(C, f) = min over R(u) of f, as [O] reads it
+            return lambda rows, geo, model: isinstance(model, EnrichedLnModel) and (
+                _rows_are_minima(rows[:, C.mask], geo, model.R)
+            )
+        case Implies(Box(C, Implies(Prop() as p, Prop() as q)), _) if (
+            C.k == k and phi == _ax8(C, p, q)
+        ):
+            # K holds for a row that is a min over a set of states, as [O]
+            # is; that set can only be the v with E_u(C, not chi_v) = 0, so
+            # the relation is read off the row itself
+            return lambda rows, geo, model: _rows_are_minima(
+                rows[:, C.mask], geo, _row_relation(rows[:, C.mask], geo)
+            )
+        case Implies(Box(C, Neg(Implies(Implies(Neg(Prop() as p), Neg(Prop() as q)), _))), _) if (
+            C.k == k and p != q and phi == Implies(Box(C, meet(p, q)), Box(C, p))
+        ):
+            # the monotonicity rule's conclusion: as p and q vary apart,
+            # every g <= f is f meet g, so this is outcome monotonicity of
+            # row C
+            return lambda rows, geo, model: _all_hold(
+                _check_outcome_monotonic(rows[:, [C.mask]], geo)
+            )
+        case Box(C, Implies(Prop() as p, _)) if C.k == k and phi == Box(C, Implies(p, p)):
+            # the necessitation rule's conclusion: p -> p is top, so this is
+            # E(C, top) = n, liveness of row C
+            return lambda rows, geo, model: _all_hold(_check_liveness(rows[:, [C.mask]], geo))
     return None
 
 
@@ -567,24 +625,34 @@ def check_axiom_schema(model: LnModel, schema: Formula):
     Each instance of depth one below is decided by frame correspondence,
     one predicate on the tables of all states (Pauly 2002 for two values),
     when its coalitions have the model's k players and its propositions are
-    bare, two distinct ones for ax4:
+    bare, two distinct ones for ax4 and the monotonicity conclusion:
 
     - ax1[C], ax2[C], B[C, i], and [C] commuting with any composite g of
       the doubling maps: E(C, g(f)) = g(E(C, f));
     - ax3[C]: E(C, 0) = 0;
-    - ax4[C1, C2]: superadditivity on that one pair, from its count;
-    - ax5: E({}, f) + E(N, ~f) <= n, regularity on the pair ({}, N).
+    - ax4[C1, C2]: superadditivity on that one pair, from its count, on the
+      Boolean skeletons of its three rows when they are homogeneous;
+    - ax5: E({}, f) + E(N, ~f) <= n, regularity on the pair ({}, N);
+    - ax6, [O]1: the model is enriched;
+    - ax7, [O]p <-> [C]p: the model is enriched and E_u(C, f) = min over
+      R(u) of f at every state u;
+    - ax8, K for [C]: E_u(C, f) = min over some set of states of f at
+      every u, a condition that implies K but that K does not imply;
+    - [C](p & q) -> [C]p, the monotonicity rule's conclusion: outcome
+      monotonicity of row C;
+    - [C](p -> p), the necessitation rule's conclusion: E(C, top) = n.
 
     Where that predicate holds the result is (True, None) and no valuation
-    is enumerated.  Every other formula, the TPn axioms among them, and
-    every instance whose predicate fails or is over its own budget, is
-    decided by is_valid over the (n+1)^(P*S) valuations, which also gives
-    the witness.
+    is enumerated.  Every other formula, and every instance whose predicate
+    fails or is over its own budget, is decided by is_valid over the
+    (n+1)^(P*S) valuations, which also gives the witness (or raises
+    DialectViolation for [O] on a model that is not enriched).
     """
     predicate = _correspondent(schema, model.k)
     if predicate is not None:
         try:
-            if predicate(np.stack([E.rows() for E in model.eff]), model.eff[0].geometry()):
+            rows = np.stack([E.rows() for E in model.eff])
+            if predicate(rows, model.eff[0].geometry(), model):
                 return True, None
         except BudgetExceeded:
             pass  # the count is over its budget: the grid decides within its own

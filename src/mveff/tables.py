@@ -53,9 +53,9 @@ equal to it reports it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
@@ -578,9 +578,18 @@ def _count_pairs(rows, geo, witnessed=None):
 def superadditive_on_pair(rows, geo, c1: int, c2: int) -> bool:
     """Whether every table of the stack is superadditive on the one
     disjoint pair (c1, c2): _pair_counts on the three rows it reads.
-    Raises BudgetExceeded as that count does."""
+
+    For n > 1, when those three rows of every table are homogeneous, the
+    count runs on their Boolean skeletons, one level over 2^S assessments:
+    a homogeneous row commutes with every cut tau_i, so the inequality holds
+    at every level exactly when it holds on the Boolean cuts.  Any other
+    stack is counted dense.  Raises BudgetExceeded as that count does.
+    """
     pair = tuple(np.array([i]) for i in range(3))
-    return not _pair_counts(rows[:, [c1, c2, c1 | c2]], geo, pair)[2].any()
+    rows = rows[:, [c1, c2, c1 | c2]]
+    if geo.n > 1 and all(h for h, _ in _check_homogeneous(rows, geo)):
+        rows, geo = _skeleton_cells(rows, geo), _geometry(BOOL_CHAIN.n, geo.size)
+    return not _pair_counts(rows, geo, pair)[2].any()
 
 
 def _superadditivity_witness(table, geo, up, beta, c1, c2):
@@ -733,17 +742,30 @@ def _stack(arrays) -> np.ndarray:
 
 
 def check_property(E: EffFn, which: str) -> PropertyCheck:
-    """Decide one playability predicate, with a witness cell on failure:
-    the battery run on the table and that predicate alone.  playable and
-    truly_playable are read from the full report."""
-    if which in ("playable", "truly_playable"):
-        return PropertyCheck(which, getattr(check_playability(E), which))
-    if which not in _REPORT_ORDER:
-        raise InvalidInput(f"unknown property {which!r}")
-    verdict = _battery(E.rows()[None], E.geometry(), (which,))[which][0]
-    if isinstance(verdict, MveffError):
-        raise verdict
-    return PropertyCheck(which, *verdict)
+    """Decide one playability predicate, with a witness cell on failure."""
+    return check_properties(E, (which,))[0]
+
+
+def check_properties(E: EffFn, names: Sequence[str]) -> list[PropertyCheck]:
+    """Decide the named playability predicates, each with a witness cell on
+    failure, in the order named: one battery run on the table for every
+    predicate of the report, and one full report for playable and
+    truly_playable.  Raises the error of the first name in order that is
+    unknown or whose check raised."""
+    found = _battery(E.rows()[None], E.geometry(), tuple(set(names) & set(_REPORT_ORDER)))
+    report, checks = None, []
+    for which in names:
+        if which in ("playable", "truly_playable"):
+            report = report or check_playability(E)
+            checks.append(PropertyCheck(which, getattr(report, which)))
+            continue
+        if which not in _REPORT_ORDER:
+            raise InvalidInput(f"unknown property {which!r}")
+        verdict = found[which][0]
+        if isinstance(verdict, MveffError):
+            raise verdict
+        checks.append(PropertyCheck(which, *verdict))
+    return checks
 
 
 def check_playability(E: EffFn) -> PlayabilityReport:
@@ -779,9 +801,7 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
             own[i] = {"homogeneous": homogeneous[t]}
             if n > 1 and homogeneous[t][0]:
                 if skeletons is None:
-                    skeletons = (rows.take(geo.idempotent_idx, axis=2) == n).view(
-                        _value_dtype(BOOL_CHAIN.n)
-                    )
+                    skeletons = _skeleton_cells(rows, geo)
                 target, key = skeletons[t], (BOOL_CHAIN.n, k, size)
                 lifted.append(i)
             else:
@@ -849,6 +869,12 @@ def _report(own: dict, found: dict, t: int) -> PlayabilityReport:
 # -- skeleton, lift, equality -----------------------------------------------
 
 
+def _skeleton_cells(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """The Boolean skeleton of every row of rows, in _value_dtype(1): its
+    cells on the idempotent assessments, 1 where top."""
+    return (rows.take(geo.idempotent_idx, axis=-1) == geo.n).view(_value_dtype(BOOL_CHAIN.n))
+
+
 def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
     """Restriction of the table to idempotent assessments, as a two-valued table.
 
@@ -858,17 +884,18 @@ def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
     """
     if E.n == 1:
         return E
-    idem = E.geometry().idempotent_idx
-    values = E.rows().take(idem, axis=1)
+    geo = E.geometry()
     if strict:
+        values = E.rows().take(geo.idempotent_idx, axis=1)
         hits = _first(((values != 0) & (values != E.n))[None])
         if hits is not None:
             mask, j = hits[0]
             raise NotHomogeneous(
-                f"skeleton cell (coalition {mask}, assessment {int(idem[j])}) "
+                f"skeleton cell (coalition {mask}, assessment {int(geo.idempotent_idx[j])}) "
                 f"has value {int(values[mask, j])}/{E.n}"
             )
-    return EffFn(chain=BOOL_CHAIN, k=E.k, outcomes=E.outcomes, table=values == E.n)
+    table = _skeleton_cells(E.rows(), geo)
+    return EffFn(chain=BOOL_CHAIN, k=E.k, outcomes=E.outcomes, table=table)
 
 
 def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
@@ -904,17 +931,25 @@ def game_form_maps(k: int, budget: int, outcomes: Sequence):
     """Every (strategy counts, outcome map) of k players with at most budget
     strategies each: strategy counts by increasing profile count and then
     in order, and within one the outcome maps over outcomes in lexicographic
-    order.  Raises BudgetExceeded before any strategy counts are built when
-    there are more than DEFAULT_CELL_BUDGET of them."""
+    order.  The strategy counts are generated as they are reached, so the
+    first form costs no more than its own.  Raises BudgetExceeded before any
+    strategy counts are built when there are more than DEFAULT_CELL_BUDGET
+    of them."""
     if budget**k > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(f"{budget}^{k} strategy counts exceed budget {DEFAULT_CELL_BUDGET}")
-    shapes = sorted(
-        itertools.product(range(1, budget + 1), repeat=k),
-        key=lambda shape: (math.prod(shape), shape),
-    )
-    for shape in shapes:
-        for outcome_map in itertools.product(outcomes, repeat=math.prod(shape)):
+    # a heap of (profile count, strategy counts) pops them in order, and
+    # each is pushed by one parent: itself with its last count above 1
+    # lowered by one, so counts are raised at or after that place only
+    heap = [(1, (1,) * k)] if budget > 0 else []
+    while heap:
+        count, shape = heapq.heappop(heap)
+        for outcome_map in itertools.product(outcomes, repeat=count):
             yield shape, outcome_map
+        last = max((i for i, s in enumerate(shape) if s > 1), default=0)
+        for i in range(last, k):
+            if shape[i] < budget:
+                raised = shape[:i] + (shape[i] + 1,) + shape[i + 1 :]
+                heapq.heappush(heap, (count // shape[i] * (shape[i] + 1), raised))
 
 
 def synthesize_game_form(E: EffFn, budget: int = 3):

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
 import mveff.cli
+from mveff import tables
 from mveff.chain import Chain
 from mveff.cli import main
 from mveff.corpus import (
@@ -62,6 +64,21 @@ def test_check_command_specific_properties(runner, workdir):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["regular"] is True and doc["principal"] is True
+
+
+def test_check_properties_share_one_battery(runner, workdir):
+    # one battery for every named predicate and one report for playable and
+    # truly_playable: two superadditivity counts, one of them the report's
+    args = ["playable", "truly_playable", "superadditive", "semi_playable", "playable"]
+    with mock.patch.object(
+        tables, "check_playability_many", wraps=tables.check_playability_many
+    ) as reports, mock.patch.object(tables, "_pair_counts", wraps=tables._pair_counts) as counts:
+        result = runner.invoke(main, ["check", str(workdir / "eff.json"), *args])
+    assert result.exit_code == 0
+    assert result.output == json.dumps(
+        {"kind": "property-check", **dict.fromkeys(args, True)}, indent=2, sort_keys=True
+    ) + "\n"
+    assert reports.call_count == 1 and counts.call_count == 2
 
 
 def test_check_failure_exit_code(runner, workdir):
@@ -198,6 +215,14 @@ def test_check_over_the_dense_budget_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["check", str(tmp_path / "big.json")])
     assert result.exit_code == 2
     assert "budget" in result.output
+    # named properties raise the first error in the order named
+    for names, message in (
+        (["regular", "superadditive", "sideways"], "budget"),
+        (["regular", "sideways", "superadditive"], "unknown property"),
+        (["regular", "playable", "sideways"], "budget"),
+    ):
+        result = runner.invoke(main, ["check", str(tmp_path / "big.json"), *names])
+        assert result.exit_code == 2 and message in result.output, names
 
 
 def test_check_failing_ten_outcome_table_exit_1(runner, tmp_path):

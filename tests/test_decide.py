@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mveff
+from mveff import models
 
 from mveff.chain import Chain
 from mveff.corpus import random_enriched_model, random_formula, random_playable_model
@@ -25,7 +27,14 @@ from mveff.decide import (
 )
 from mveff.errors import BudgetExceeded, DialectViolation, VerificationFailed
 from mveff.formulas import Implies, Neg, Top, parse
-from mveff.models import EnrichedLnModel, LnModel, eval_vector, is_standard, pn_axioms
+from mveff.models import (
+    EnrichedLnModel,
+    LnModel,
+    eval_vector,
+    is_standard,
+    pn_axioms,
+    standardize,
+)
 from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment, lift_boolean
 
 
@@ -182,6 +191,23 @@ def test_soundness_suite_reports():
     report2 = soundness_suite(LOGIC_TPN, emodels, chain)
     assert report2["failures"] == []
     assert report2["rules"]["necessitation"] == "pass"
+
+
+def test_soundness_suite_past_the_grid_budget():
+    # 8 states at n = 2: 3^16 valuations of two propositions exceed the
+    # grid's budget, yet every axiom and rule is decided without the grid;
+    # [O] on a model that is not enriched still raises
+    chain = Chain(2)
+    M = random_playable_model(random.Random(4), chain, 8)
+    runs = ((LOGIC_PN, M), (LOGIC_PN, standardize(M)), (LOGIC_TPN, standardize(M)))
+    with mock.patch.object(models, "is_valid", side_effect=AssertionError):
+        for logic, model in runs:
+            report = soundness_suite(logic, [model], chain)
+            assert set(report["axioms"].values()) == {"pass"}, logic
+            assert set(report["rules"].values()) == {"pass"}, logic
+            assert len(report["rules"]) == (4 if logic == LOGIC_TPN else 3)
+    with pytest.raises(DialectViolation):
+        soundness_suite(LOGIC_TPN, [M], chain)
 
 
 def test_ax4_with_the_empty_coalition_has_no_countermodel():

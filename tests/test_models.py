@@ -43,6 +43,8 @@ from mveff.models import (
     EnrichedLnModel,
     LnModel,
     _ax4,
+    _ax7,
+    _ax8,
     _eval_nodes,
     _valuation_grid,
     _value_dtype,
@@ -58,7 +60,7 @@ from mveff.models import (
     standardize,
     tpn_axioms,
 )
-from mveff.tables import EffFn
+from mveff.tables import EffFn, enumerate_assessments
 
 
 def _single_state_model(n=2, val=1):
@@ -383,13 +385,57 @@ def _renamed(phi):
     return substitute(substitute(phi, Prop(1), Prop(4)), Prop(2), Prop(7))
 
 
+def _oracle_enriched_model(rng, k, n, size, perturbed):
+    """A standardized playable model, or one with a table cell changed or
+    one pair of R toggled."""
+    M = random_enriched_model(rng, Chain(n), size, k, props=())
+    if not perturbed:
+        return M
+    eff, R = list(M.eff), set(M.R)
+    if rng.random() < 0.5:
+        u = rng.randrange(size)
+        rows = eff[u].rows().copy()
+        mask = rng.choice((0, rng.randrange(1 << k)))
+        rows[mask, rng.randrange(rows.shape[1])] = rng.randint(0, n)
+        eff[u] = EffFn(M.chain, k, M.states, rows)
+    else:
+        R ^= {(rng.randrange(size), rng.randrange(size))}
+    return EnrichedLnModel(M.chain, M.states, eff, {}, R)
+
+
+def _rows_are_minima(M, C):
+    """Whether each state's row C is f -> the min of f over the v at which
+    that row is 0 on not chi_v, from the definition: the condition the K
+    instance for [C] is decided by."""
+    n, size = M.n, M.num_states
+    for E in M.eff:
+        hits = [
+            v
+            for v in range(size)
+            if E.value_num(C.mask, tuple(0 if w == v else n for w in range(size))) == 0
+        ]
+        for f in enumerate_assessments(n, size):
+            if E.value_num(C.mask, f) != min((f[v] for v in hits), default=n):
+                return False
+    return True
+
+
+def _verdict_or_dialect_error(check, M, phi):
+    try:
+        return check(M, phi)
+    except DialectViolation:
+        return DialectViolation
+
+
 def test_axiom_correspondence_agrees_with_the_grid():
-    # every Pn and B instance, renamed or not, is decided by its table
-    # predicate where valid and by the grid where not; near misses, which
-    # no predicate decides, always run the grid
-    rng = random.Random(20)
+    # every Pn, B and TPn instance and modal rule conclusion, renamed or
+    # not, is decided by its table predicate where valid and by the grid
+    # where not; the K instance (ax8) runs the grid exactly where its row
+    # condition fails; near misses, which no predicate decides, always run
+    # the grid; [O] on a model that is not enriched is the grid's error
+    rng, tpn_rng = random.Random(20), random.Random(21)
     p1, p2 = Prop(1), Prop(2)
-    invalid = 0
+    invalid = tpn_grid_runs = tpn_decided = 0
     for k, n, size in itertools.product((2, 3), (1, 2, 3), (1, 2, 3)):
         M = _oracle_model(rng, k, n, size, perturbed=(k + n + size) % 2)
         named = [phi for _, phi in pn_axioms(k, M.chain) + b_family(k, M.chain)]
@@ -419,7 +465,49 @@ def test_axiom_correspondence_agrees_with_the_grid():
             else:
                 assert grid.called == (expected != (True, None)), phi
                 invalid += grid.called
+
+        empty, grand = Coalition.empty(k), Coalition.grand(k)
+        named = [phi for _, phi in tpn_axioms(k, M.chain)] + [
+            Implies(Box(C, meet(p1, p2)), Box(C, p1)),  # monotonicity
+            Box(C, Implies(p1, p1)),  # necessitation
+            _ax7(C, p1),
+            _ax8(C, p1, p2),
+        ]
+        named += [_renamed(phi) for phi in named]
+        # the K instances, each with the coalition whose rows decide it
+        k_rows = {
+            phi: D for D in (empty, C) for phi in (_ax8(D, p1, p2), _renamed(_ax8(D, p1, p2)))
+        }
+        near = [
+            Implies(Box(C, meet(p1, p1)), Box(C, p1)),
+            Implies(Box(C, meet(p1, p2)), Box(C, p2)),
+            Box(C, Implies(p1, p2)),
+            Box(C, Implies(p1, Neg(Neg(p1)))),
+            BoxO(Neg(Neg(Top()))),
+            iff(BoxO(p1), Box(empty, p2)),
+            iff(Box(empty, p1), BoxO(p1)),
+            Implies(Box(empty, Implies(p1, p2)), Implies(Box(grand, p1), Box(grand, p2))),
+        ]
+        tpn_models = [
+            _oracle_model(tpn_rng, k, n, size, perturbed=(k + n + size) % 2),
+            _oracle_enriched_model(tpn_rng, k, n, size, perturbed=False),
+            _oracle_enriched_model(tpn_rng, k, n, size, perturbed=True),
+        ]
+        for M in tpn_models:
+            for phi in named + near:
+                expected = _verdict_or_dialect_error(is_valid, M, phi)
+                with mock.patch.object(models, "is_valid", wraps=models.is_valid) as grid:
+                    assert _verdict_or_dialect_error(check_axiom_schema, M, phi) == expected, phi
+                if phi in near or expected is DialectViolation:
+                    assert grid.called, phi
+                elif phi in k_rows:
+                    assert grid.called != _rows_are_minima(M, k_rows[phi]), phi
+                else:
+                    assert grid.called == (expected != (True, None)), phi
+                tpn_grid_runs += grid.called and phi not in near
+                tpn_decided += not grid.called
     assert invalid > 500
+    assert tpn_grid_runs > 100 and tpn_decided > 300
 
 
 @pytest.mark.parametrize("size", [7, 8])
@@ -436,6 +524,16 @@ def test_superadditivity_instance_past_the_grid_budget(size):
     eff = (EffFn(M.chain, 2, M.states, rows),) + M.eff[1:]
     with pytest.raises(BudgetExceeded):
         check_axiom_schema(LnModel(M.chain, M.states, eff, {}), ax4)
+
+
+def test_superadditivity_instance_on_a_long_chain():
+    # n = 60 on 3 states: 61^6 valuations exceed the grid's budget and the
+    # dense count exceeds its own, but the three rows are homogeneous, so
+    # their Boolean skeletons decide the instance
+    M = random_playable_model(random.Random(1), Chain(60), 3)
+    ax4 = dict(pn_axioms(2, M.chain))["ax4[{1},{2}]"]
+    with mock.patch.object(models, "is_valid", side_effect=AssertionError):
+        assert check_axiom_schema(M, ax4) == (True, None)
 
 
 def test_coalition_for_another_player_count_is_invalid_input():

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mveff import tables
-from mveff.chain import Chain
+from mveff.chain import TAU_ODOT, TAU_OPLUS, Chain
 from mveff.corpus import (
     playable_boolean_tables,
     random_eff_table,
@@ -36,6 +38,7 @@ from mveff.tables import (
     check_property,
     encode_assessment,
     enumerate_assessments,
+    game_form_maps,
     lift_boolean,
     synthesize_game_form,
 )
@@ -269,6 +272,34 @@ def test_synthesis_budget():
     # any is built, though a realizing form has far fewer
     with pytest.raises(BudgetExceeded, match="1025\\^2 strategy counts"):
         synthesize_game_form(E, budget=1025)
+
+
+def test_game_form_maps_keep_the_sorted_order():
+    for k, budget in itertools.product((1, 2, 3), range(7)):
+        shapes = sorted(
+            itertools.product(range(1, budget + 1), repeat=k),
+            key=lambda shape: (math.prod(shape), shape),
+        )
+        assert [shape for shape, _ in game_form_maps(k, budget, "a")] == shapes
+        expected = (
+            (shape, outcome_map)
+            for shape in shapes
+            for outcome_map in itertools.product("ab", repeat=math.prod(shape))
+        )
+        got = game_form_maps(k, budget, "ab")
+        assert list(itertools.islice(got, 300)) == list(itertools.islice(expected, 300))
+
+
+def test_first_game_form_map_starts_at_once():
+    # 1024^2 strategy counts are within the cap; the first form is reached
+    # without building the others
+    tracemalloc.start()
+    try:
+        assert next(game_form_maps(2, 1024, [0])) == ((1, 1), (0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_document_round_trip():
@@ -823,6 +854,42 @@ def test_dense_battery_budget():
             check_playability(big)
         with pytest.raises(BudgetExceeded):
             check_property(big, "superadditive")
+
+
+@st.composite
+def _pair_stacks(draw):
+    """A stack of 1-4 homogeneous tables of one geometry, n 2 or 3 and k 2
+    or 3, game-form tables or lifted upsets, perhaps with cells changed, and
+    a disjoint pair (c1, c2)."""
+    n, k = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3)))
+    size = draw(st.integers(1, 3))
+    make = st.sampled_from((_game_form_table, _upset_table))
+    stack = np.stack(
+        [draw(draw(make)(n, k, size)).rows() for _ in range(draw(st.integers(1, 4)))]
+    )
+    c1 = draw(st.integers(0, (1 << k) - 1))
+    c2 = draw(st.sampled_from([m for m in range(1 << k) if not m & c1]))
+    for _ in range(draw(st.integers(0, 2))):
+        t = draw(st.integers(0, len(stack) - 1))
+        mask = draw(st.sampled_from((c1, c2, c1 | c2, draw(st.integers(0, (1 << k) - 1)))))
+        stack[t, mask, draw(st.integers(0, stack.shape[2] - 1))] = draw(st.integers(0, n))
+    return stack, tables._geometry(n, size), c1, c2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_stacks())
+def test_superadditive_on_pair_matches_the_dense_count(case):
+    rows, geo, c1, c2 = case
+    three = rows[:, [c1, c2, c1 | c2]]
+    pair = tuple(np.array([i]) for i in range(3))
+    dense = not tables._pair_counts(three, geo, pair)[2].any()
+    homogeneous = all(
+        tables.commutes_with_doublings(three, geo, (op,)) for op in (TAU_OPLUS, TAU_ODOT)
+    )
+    with mock.patch.object(tables, "_pair_counts", wraps=tables._pair_counts) as count:
+        assert tables.superadditive_on_pair(rows, geo, c1, c2) == dense
+    (call,) = count.call_args_list
+    assert (call.args[1].n == 1) == homogeneous
 
 
 def test_skeleton_failure_rescanned_on_its_pair_alone():
