@@ -15,7 +15,7 @@ import click
 
 from .chain import Chain
 from .decide import LOGIC_PN, LOGIC_TPN, search_countermodel
-from .errors import BadDocument, MveffError, check_document
+from .errors import BadDocument, BudgetExceeded, MveffError, check_document
 from .filtration import (
     STAGE_ENRICHED,
     STAGE_INTERMEDIATE,
@@ -107,7 +107,14 @@ def main():
 def cmd_effectivity(game_form_file, n, budget_cells, fmt):
     """Full effectivity table of a game form document."""
     form = GameForm.from_doc(_read_doc(game_form_file))
-    table = effectivity_table(form, Chain(n), cell_budget=budget_cells)
+    chain = Chain(n)
+    # the document is dense: its cells count against the budget, and are
+    # built under it
+    cells = (n + 1) ** len(form.outcomes) << form.k
+    if cells > budget_cells:
+        raise BudgetExceeded(f"{cells} table cells exceed budget {budget_cells}")
+    table = effectivity_table(form, chain, cell_budget=budget_cells)
+    table._cells(budget_cells)
     _emit(table.to_doc(), fmt)
 
 

@@ -6,7 +6,9 @@ varies slowest).  A coalition's effectivity at an assessment of the
 outcomes is one max-min over the profile hypercube: the min over the
 non-members' strategy axes, then the max over the members' axes.  The one
 reduction `_max_min` computes every Boolean and chain-valued effectivity,
-a single cell or a whole table.
+a single cell or a whole table.  A whole table is computed at n = 1: max
+and min commute with every threshold cut, so the chain-valued table is the
+lift of the Boolean one, and it is held as that skeleton.
 """
 
 from __future__ import annotations
@@ -159,21 +161,24 @@ def effectivity_table(
 ):
     """Full chain-valued effectivity table of the game form.
 
-    Evaluates every (coalition, assessment) cell by the max-min rule, done
-    as vectorized axis reductions over the profile hypercube.
+    Max and min commute with every threshold cut, so the table is the lift
+    of the game form's Boolean table (tables.lift_boolean), and it is held
+    as that skeleton: every (coalition, Boolean assessment) cell by the
+    max-min rule, done as vectorized axis reductions over the profile
+    hypercube.  The chain-valued cells are built from it on first use
+    (EffFn.rows).  cell_budget bounds the 2^k x 2^S cells built here.
     """
-    from .tables import EffFn, _geometry, _value_dtype
+    from .tables import BOOL_CHAIN, _geometry, _lifted, _value_dtype
 
-    n = chain.n
     num_outcomes = len(form.outcomes)
-    cells = (n + 1) ** num_outcomes * (1 << form.k)
+    cells = (1 << num_outcomes) * (1 << form.k)
     if cells > cell_budget:
         raise BudgetExceeded(f"{cells} table cells exceed budget {cell_budget}")
 
-    assessments = _geometry(n, num_outcomes).tuples
+    assessments = _geometry(BOOL_CHAIN.n, num_outcomes).tuples
     # value cube: one row per assessment, one axis per player
     values = assessments[:, form.outcome_array()]
-    table = np.empty((1 << form.k, len(assessments)), dtype=_value_dtype(n))
+    skeleton = np.empty((1 << form.k, len(assessments)), dtype=_value_dtype(BOOL_CHAIN.n))
     for mask in range(1 << form.k):
-        table[mask] = _max_min(values, mask, form.k)
-    return EffFn(chain=chain, k=form.k, outcomes=form.outcomes, table=table)
+        skeleton[mask] = _max_min(values, mask, form.k)
+    return _lifted(chain, form.k, form.outcomes, skeleton)

@@ -1,10 +1,15 @@
 """Chain-valued effectivity functions as explicit tables.
 
-An EffFn stores one value for every (coalition, assessment) cell, with
+An EffFn has one value for every (coalition, assessment) cell, with
 assessments over the ordered outcome set encoded as base-(n+1) integers.
 The cells are one read-only array of shape (2^k, (n+1)^S) in the narrowest
 signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
-`.table` is built only when asked for.
+`.table` is built only when asked for.  A homogeneous table is the lift of
+its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments,
+and the lift of an outcome-monotone Boolean table is homogeneous.  So a
+game form's table and the lift of such a table are held as that skeleton,
+and their cells are built on first use, under DEFAULT_CELL_BUDGET; a table
+held either way compares, hashes, pickles and prints as its cells.
 
 Each playability predicate is one array expression over a stack of tables
 of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
@@ -34,21 +39,25 @@ outermost and the grand coalition last, so one fails on a proper row exactly
 when its first witness's mask is not the grand coalition's, and the
 superadditivity count already holds the proper-union scope.
 
-`check_playability_many` groups its tables by (n, k, S) and decides
-homogeneity on each group's stack.  A homogeneous table commutes with both
-doubling maps, hence with every cut tau_i, so it is the lift of its Boolean
-skeleton and every predicate (built from <=, meet, negation and the
-constants) has the same verdict on the table and on the 2^S-assessment
-skeleton.  For n > 1 the battery therefore runs on the skeletons, gathered
-for the whole stack at once; non-homogeneous tables and Boolean tables run
-it on themselves.  Equal targets run the battery once, all targets of one
-geometry in one stack, so a lift checked beside its skeleton costs only its
-homogeneity check.  A table whose skeleton fails a predicate runs the
-battery again on itself, all such tables of one geometry in one stack, so
-each failing predicate's witness is the first failing dense cell; a
-skeleton's superadditivity witness is computed only when a Boolean table
-equal to it reports it.
-`check_playability(E)` is the stack of one, with the same report.
+`check_playability_many` decides homogeneity only where it is not known:
+a table held as its skeleton is homogeneous by construction and a Boolean
+table by definition; the other tables are grouped by (n, k, S) and checked
+on each group's stack.  A homogeneous table commutes with both doubling
+maps, hence with every cut tau_i, so it is the lift of its Boolean skeleton
+and every predicate (built from <=, meet, negation and the constants) has
+the same verdict on the table and on the 2^S-assessment skeleton.  For
+n > 1 the battery therefore runs on the skeletons, a held one as it is and
+the others gathered for the whole stack at once; non-homogeneous tables
+and Boolean tables run it on themselves.  Equal targets run the battery
+once, all targets of one geometry in one stack, so a lift checked beside
+its skeleton costs nothing more.  A table whose skeleton fails a predicate
+runs that predicate again on its cells, all such tables of one geometry in
+one stack, so each witness is the first failing dense cell; a skeleton's
+superadditivity witness is computed only when a Boolean table equal to it
+reports it.  The check builds no other table's cells.
+`check_playability(E)` is the stack of one, with the same report, and
+`check_properties` reads the named predicates off that report when it makes
+one, or else runs the same stacked check on those predicates alone.
 """
 
 from __future__ import annotations
@@ -243,11 +252,15 @@ class EffFn:
 
     rows()[mask, f_index] is the numerator of the value of the coalition
     with that bitmask at the encoded assessment; `table` is the same cells
-    as a tuple of tuples of ints.  Instances are immutable and compare and
-    hash by (chain, k, outcomes, cells).
+    as a tuple of tuples of ints.  A table is held as its cells, or, when it
+    is the lift of an outcome-monotone Boolean table (a game form's table,
+    lift_boolean), as that Boolean skeleton, whose lift's cells rows()
+    builds on first use.
+    A Boolean table is its own skeleton.  Instances are immutable and
+    compare and hash by (chain, k, outcomes, cells), however they are held.
     """
 
-    __slots__ = ("chain", "k", "outcomes", "_rows", "_table", "_hash")
+    __slots__ = ("chain", "k", "outcomes", "_skeleton", "_rows", "_table", "_hash")
 
     def __init__(self, chain: Chain, k: int, outcomes, table):
         """table: nested sequences or an array of shape (2^k, (n+1)^S)."""
@@ -264,20 +277,14 @@ class EffFn:
             raise InvalidInput("table entry outside the chain")
         rows = rows.astype(_value_dtype(chain.n))
         rows.flags.writeable = False
-        for name, value in (
-            ("chain", chain),
-            ("k", k),
-            ("outcomes", outcomes),
-            ("_rows", rows),
-            ("_table", None),
-            ("_hash", None),
-        ):
-            object.__setattr__(self, name, value)
+        _hold(self, chain, k, outcomes, rows if chain.n == 1 else None, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EffFn is immutable; cannot set {name!r}")
 
     def __reduce__(self):
+        if self._skeleton is not None:
+            return (_lifted, (self.chain, self.k, self.outcomes, self._skeleton))
         return (EffFn, (self.chain, self.k, self.outcomes, self._rows))
 
     def __eq__(self, other):
@@ -286,29 +293,43 @@ class EffFn:
         if not isinstance(other, EffFn):
             return NotImplemented
         # equal chains, players and outcomes fix the shape and the dtype
-        return (
-            self.chain == other.chain
-            and self.k == other.k
-            and self.outcomes == other.outcomes
-            and self._rows.tobytes() == other._rows.tobytes()
-        )
+        if (self.chain, self.k, self.outcomes) != (other.chain, other.k, other.outcomes):
+            return False
+        if self._rows is not None and other._rows is not None:
+            return self._rows.tobytes() == other._rows.tobytes()
+        if self._skeleton is not None and other._skeleton is not None:
+            return self._skeleton.tobytes() == other._skeleton.tobytes()
+        # a lift and a table held as cells: the skeletons first
+        return self._key() == other._key() and self.rows().tobytes() == other.rows().tobytes()
 
     def __hash__(self):
         if self._hash is None:
-            key = (self.chain, self.k, self.outcomes, self._rows.tobytes())
+            key = (self.chain, self.k, self.outcomes, self._key())
             object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
+    def _key(self) -> bytes:
+        """The cells on the idempotent assessments, 1 where top: the
+        skeleton of a lift, which equal tables share, so a lift hashes
+        without building its cells."""
+        if self._skeleton is not None:
+            return self._skeleton.tobytes()
+        return _skeleton_cells(self._rows, self.geometry()).tobytes()
+
     def __repr__(self):
+        try:
+            table = self.table
+        except BudgetExceeded:  # a lift whose cells are over the budget
+            return f"lift_boolean({boolean_skeleton(self)!r}, {self.chain!r})"
         return (
             f"EffFn(chain={self.chain!r}, k={self.k!r}, "
-            f"outcomes={self.outcomes!r}, table={self.table!r})"
+            f"outcomes={self.outcomes!r}, table={table!r})"
         )
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         if self._table is None:
-            object.__setattr__(self, "_table", tuple(map(tuple, self._rows.tolist())))
+            object.__setattr__(self, "_table", tuple(map(tuple, self.rows().tolist())))
         return self._table
 
     @property
@@ -323,11 +344,29 @@ class EffFn:
         return _geometry(self.n, self.num_outcomes)
 
     def rows(self) -> np.ndarray:
-        """The cells, read-only, in _value_dtype(n)."""
+        """The cells, read-only, in _value_dtype(n); a lift's are built on
+        first use, under DEFAULT_CELL_BUDGET."""
+        return self._cells(DEFAULT_CELL_BUDGET)
+
+    def _cells(self, budget: int) -> np.ndarray:
+        """The cells, kept once built.  A lift's E(C, f) is the largest level
+        whose threshold cut of f its skeleton accepts: one gather of S + 1
+        cut rows per coalition (_Geometry.lift_index), so its memory is
+        linear in the cells.  Raises BudgetExceeded before anything is built
+        when a lift has more than budget cells."""
+        if self._rows is None:
+            cells = (self.n + 1) ** self.num_outcomes << self.k
+            if cells > budget:
+                raise BudgetExceeded(f"{cells} lifted table cells exceed budget {budget}")
+            cuts, levels = self.geometry().lift_index
+            # (masks, rows, assessments): the level where the cut is accepted, else 0
+            rows = (self._skeleton.take(cuts, axis=1) * levels).max(axis=1)
+            rows.flags.writeable = False
+            object.__setattr__(self, "_rows", rows)
         return self._rows
 
     def value_num(self, mask: int, f: Sequence[int]) -> int:
-        return int(self._rows[mask, encode_assessment(f, self.n)])
+        return int(self.rows()[mask, encode_assessment(f, self.n)])
 
     # -- documents ----------------------------------------------------------
 
@@ -339,7 +378,7 @@ class EffFn:
             "outcomes": list(self.outcomes),
             "table": {
                 str(Coalition(mask, self.k)): row
-                for mask, row in enumerate(self._rows.tolist())
+                for mask, row in enumerate(self.rows().tolist())
             },
         }
 
@@ -374,6 +413,33 @@ class EffFn:
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
+
+
+def _hold(E: EffFn, chain, k, outcomes, skeleton, rows) -> EffFn:
+    """Set E's fields: its skeleton when it is a lift (a Boolean table's is
+    its rows), and its cells once built."""
+    for name, value in (
+        ("chain", chain),
+        ("k", k),
+        ("outcomes", outcomes),
+        ("_skeleton", skeleton),
+        ("_rows", rows),
+        ("_table", None),
+        ("_hash", None),
+    ):
+        object.__setattr__(E, name, value)
+    return E
+
+
+def _lifted(chain: Chain, k: int, outcomes, skeleton: np.ndarray) -> EffFn:
+    """The lift of a Boolean skeleton to the chain, held as that skeleton:
+    its cells (2^k, 2^S) in _value_dtype(1), 0 or 1, unchecked.  For n > 1
+    the skeleton must be outcome-monotone, so that the lift is homogeneous
+    (lift_boolean)."""
+    skeleton.flags.writeable = False
+    return _hold(
+        object.__new__(EffFn), chain, k, tuple(outcomes), skeleton, skeleton if chain.n == 1 else None
+    )
 
 
 # -- the playability battery -------------------------------------------------
@@ -710,11 +776,8 @@ _CHECKS = {
 # the predicates of a report, in the order a loop over tables runs them
 _REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
 
-# the battery's default: homogeneity is decided by check_playability_many
-_BATTERY = tuple(name for name in _REPORT_ORDER if name != "homogeneous")
 
-
-def _battery(rows, geo, names=_BATTERY, witnessed=None):
+def _battery(rows, geo, names, witnessed=None):
     """The named predicates of _REPORT_ORDER on a stack of tables of one
     geometry: name -> one verdict per table.  The superadditivity count
     runs only when superadditivity or semi-playability reads it, and one
@@ -748,20 +811,32 @@ def check_property(E: EffFn, which: str) -> PropertyCheck:
 
 def check_properties(E: EffFn, names: Sequence[str]) -> list[PropertyCheck]:
     """Decide the named playability predicates, each with a witness cell on
-    failure, in the order named: one battery run on the table for every
-    predicate of the report, and one full report for playable and
-    truly_playable.  Raises the error of the first name in order that is
-    unknown or whose check raised."""
-    found = _battery(E.rows()[None], E.geometry(), tuple(set(names) & set(_REPORT_ORDER)))
-    report, checks = None, []
+    failure, in the order named.  When playable or truly_playable is named,
+    one full report answers every name; otherwise, or when that report
+    raises, one _decide run answers the named predicates of the report.
+    Raises the error of the first name in order that is unknown or whose
+    check raised."""
+    report = found = None
+    if "playable" in names or "truly_playable" in names:
+        try:
+            report = check_playability(E)
+        except MveffError as error:
+            report = error
+        else:
+            holds = {**report.properties, "semi_playable": report.semi_playable}
+            found = {name: (holds[name], report.witnesses.get(name)) for name in holds}
+    if found is None:
+        found = _decide((E,), tuple(name for name in _REPORT_ORDER if name in names))[0]
+    checks = []
     for which in names:
         if which in ("playable", "truly_playable"):
-            report = report or check_playability(E)
+            if isinstance(report, MveffError):
+                raise report
             checks.append(PropertyCheck(which, getattr(report, which)))
             continue
         if which not in _REPORT_ORDER:
             raise InvalidInput(f"unknown property {which!r}")
-        verdict = found[which][0]
+        verdict = found[which]
         if isinstance(verdict, MveffError):
             raise verdict
         checks.append(PropertyCheck(which, *verdict))
@@ -774,65 +849,87 @@ def check_playability(E: EffFn) -> PlayabilityReport:
 
 
 def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
-    """The playability report of each table, checked as stacks of tables.
+    """The playability report of each table, checked as stacks of tables
+    (_decide).  Where checks raise, the call raises the error of the first
+    such table in input order, as a loop over check_playability would."""
+    return [_report(verdicts) for verdicts in _decide(tables, _REPORT_ORDER)]
 
-    Tables are grouped by (n, k, S), and homogeneity is decided on each
-    group's stack.  A homogeneous table with n > 1 is checked on its Boolean
-    skeleton, which gives the same verdicts; every other table on itself.
-    Equal targets run the battery once, all targets of one geometry in one
-    stack, and the tables whose skeleton fails a predicate run the battery
-    again on themselves, for their witnesses.  Where checks raise, the call
-    raises the error of the first such table in input order, as a loop over
-    check_playability would.
+
+def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
+    """Per table, name -> verdict of each named predicate of _REPORT_ORDER.
+
+    A table held as its skeleton is homogeneous by construction (the
+    skeleton is outcome-monotone, lift_boolean), and a Boolean table by
+    definition (both doubling maps are the identity on {0, 1}).  The other tables are grouped by (n, k, S), and homogeneity is
+    decided on each group's stack.  A homogeneous table with n > 1 is
+    checked on its Boolean skeleton, which gives the same verdicts; every
+    other table on itself.  Equal targets run the battery once, all targets
+    of one geometry in one stack, and the tables whose skeleton fails a
+    predicate run it again on their cells, all such tables of one geometry
+    in one stack, for its first failing dense cell.
     """
-    own = [None] * len(tables)  # per table: its homogeneity and rerun verdicts
+    battery = tuple(name for name in names if name != "homogeneous")
+    own = [{} for _ in tables]  # per table: its homogeneity and rerun verdicts
     place = [None] * len(tables)  # per table: (its target's verdicts, target index)
     targets = {}  # target geometry -> {target cells: (target rows, owners)}
     lifted = []  # the tables checked on their skeletons
-    groups = {}
+    dense = {}  # the tables with n > 1 held as cells, by geometry
+
+    def aim(i, target, key):
+        unique = targets.setdefault(key, {})
+        unique.setdefault(target.tobytes(), (target, []))[1].append(i)
+
     for i, E in enumerate(tables):
-        groups.setdefault((E.n, E.k, E.num_outcomes), []).append(i)
-    for (n, k, size), idx in groups.items():
+        if E._skeleton is None:
+            dense.setdefault((E.n, E.k, E.num_outcomes), []).append(i)
+            continue
+        own[i]["homogeneous"] = (True, None)
+        aim(i, E._skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes))
+        if E.n > 1:
+            lifted.append(i)
+    for (n, k, size), idx in dense.items():
         geo = _geometry(n, size)
         rows = _stack([tables[i].rows() for i in idx])
         homogeneous = _check_homogeneous(rows, geo)
-        skeletons = None
+        skeletons = _skeleton_cells(rows, geo) if any(h for h, _ in homogeneous) else None
         for t, i in enumerate(idx):
-            own[i] = {"homogeneous": homogeneous[t]}
-            if n > 1 and homogeneous[t][0]:
-                if skeletons is None:
-                    skeletons = _skeleton_cells(rows, geo)
-                target, key = skeletons[t], (BOOL_CHAIN.n, k, size)
+            own[i]["homogeneous"] = homogeneous[t]
+            if homogeneous[t][0]:
+                aim(i, skeletons[t], (BOOL_CHAIN.n, k, size))
                 lifted.append(i)
             else:
-                target, key = rows[t], (n, k, size)
-            unique = targets.setdefault(key, {})
-            unique.setdefault(target.tobytes(), (target, []))[1].append(i)
+                aim(i, rows[t], (n, k, size))
     for (n, k, size), unique in targets.items():
         # an owner of the target's own n reports the target's verdicts; a
         # lifted owner reruns on itself where its skeleton fails, so a
         # target owned only by lifted tables needs no witness transform
         witnessed = [any(tables[i].n == n for i in owners) for _, owners in unique.values()]
         stack = _stack([target for target, _ in unique.values()])
-        found = _battery(stack, _geometry(n, size), witnessed=witnessed)
+        found = _battery(stack, _geometry(n, size), battery, witnessed)
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t
-    # a table whose skeleton fails a predicate runs the battery again, so
-    # each such witness is the first failing dense cell
+    # a table whose skeleton fails a predicate runs it again, so each such
+    # witness is the first failing dense cell
     failing, again = {}, {}
     for i in lifted:
         found, t = place[i]
-        names = [
+        failed = [
             name
-            for name, column in found.items()
-            if isinstance(column[t], tuple) and column[t][1] is not None
+            for name in battery
+            if isinstance(found[name][t], tuple) and found[name][t][1] is not None
         ]
-        if names:
-            failing[i] = names
+        if failed:
+            failing[i] = failed
             again.setdefault((tables[i].k, tables[i].geometry()), []).append(i)
     for (_, geo), idx in again.items():
-        found = _battery(_stack([tables[i].rows() for i in idx]), geo)
+        rerun = tuple(name for name in battery if any(name in failing[i] for i in idx))
+        try:
+            rows = _stack([tables[i].rows() for i in idx])
+        except BudgetExceeded as over:  # a lift too large to hold has no dense witness
+            found = dict.fromkeys(rerun, [over] * len(idx))
+        else:
+            found = _battery(rows, geo, rerun)
         for t, i in enumerate(idx):
             for name in failing[i]:
                 verdict = found[name][t]
@@ -841,15 +938,18 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
                         f"the skeleton fails {name} and the table does not"
                     )
                 own[i][name] = verdict
-    return [_report(own[i], *place[i]) for i in range(len(tables))]
+    return [
+        {name: own[i][name] if name in own[i] else found[name][t] for name in names}
+        for i, (found, t) in enumerate(place)
+    ]
 
 
-def _report(own: dict, found: dict, t: int) -> PlayabilityReport:
-    """The report of one table from its own verdicts and its target's; the
-    first check in loop order that raised raises here."""
+def _report(verdicts: dict) -> PlayabilityReport:
+    """The report of one table from its verdicts; the first check in loop
+    order that raised raises here."""
     properties, witnesses = {}, {}
     for name in _REPORT_ORDER:
-        verdict = own[name] if name in own else found[name][t]
+        verdict = verdicts[name]
         if isinstance(verdict, MveffError):
             raise verdict
         properties[name], witness = verdict
@@ -880,10 +980,13 @@ def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
 
     A cell counts as accepted exactly when its value is the top element.  In
     strict mode any intermediate value on an idempotent assessment raises,
-    since homogeneity rules those out; non-strict mode just thresholds.
+    since homogeneity rules those out; non-strict mode just thresholds.  A
+    lift's skeleton is the one it is held as.
     """
     if E.n == 1:
         return E
+    if E._skeleton is not None:
+        return _lifted(BOOL_CHAIN, E.k, E.outcomes, E._skeleton)
     geo = E.geometry()
     if strict:
         values = E.rows().take(geo.idempotent_idx, axis=1)
@@ -894,19 +997,22 @@ def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
                 f"skeleton cell (coalition {mask}, assessment {int(geo.idempotent_idx[j])}) "
                 f"has value {int(values[mask, j])}/{E.n}"
             )
-    table = _skeleton_cells(E.rows(), geo)
-    return EffFn(chain=BOOL_CHAIN, k=E.k, outcomes=E.outcomes, table=table)
+    return _lifted(BOOL_CHAIN, E.k, E.outcomes, _skeleton_cells(E.rows(), geo))
 
 
 def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
     """The canonical chain-valued extension of a playable Boolean table.
 
     E(C, f) is the largest i/n whose thresholded assessment the Boolean
-    table accepts; an empty index set gives 0.  It is one gather of S + 1
-    rows per coalition (_Geometry.lift_index), so its memory is linear in
-    the lifted table.  A lift of more than DEFAULT_CELL_BUDGET cells, the
-    effectivity table's budget, raises BudgetExceeded before anything is
-    built.
+    table accepts; an empty index set gives 0.  The lift of an
+    outcome-monotone table, a playable one among them, is homogeneous, and
+    it is held as H's cells, its skeleton, so it is built at once at any
+    size; its own cells are built on first use (EffFn.rows), and a lift of
+    more than DEFAULT_CELL_BUDGET cells, the effectivity table's budget,
+    raises BudgetExceeded there.  For n > 1 any other lift is not
+    homogeneous (where H(A) > H(B) for A inside B, the assessment n on A
+    and 1 on the rest of B has cuts B at level 1 and A at level n), so it is
+    held as its cells, built here under the same budget.
     """
     if H.n != 1:
         raise InvalidInput("lift expects a Boolean (two-valued) table")
@@ -914,14 +1020,10 @@ def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
         raise NotPlayableInput("lift requires a playable Boolean table")
     if chain.n == 1:
         return H
-    n = chain.n
-    cells = (n + 1) ** H.num_outcomes * (1 << H.k)
-    if cells > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"{cells} lifted table cells exceed budget {DEFAULT_CELL_BUDGET}")
-    cuts, levels = _geometry(n, H.num_outcomes).lift_index
-    # (masks, rows, assessments): the level where the cut is accepted, else 0
-    table = (H.rows().take(cuts, axis=1) * levels).max(axis=1)
-    return EffFn(chain=chain, k=H.k, outcomes=H.outcomes, table=table)
+    E = _lifted(chain, H.k, H.outcomes, H.rows())
+    if check_input or all(h for h, _ in _check_outcome_monotonic(H.rows()[None], H.geometry())):
+        return E
+    return _hold(object.__new__(EffFn), chain, H.k, H.outcomes, None, E.rows())
 
 
 # -- game-form synthesis -----------------------------------------------------

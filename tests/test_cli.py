@@ -67,8 +67,8 @@ def test_check_command_specific_properties(runner, workdir):
 
 
 def test_check_properties_share_one_battery(runner, workdir):
-    # one battery for every named predicate and one report for playable and
-    # truly_playable: two superadditivity counts, one of them the report's
+    # one report for playable and truly_playable, whose verdicts answer the
+    # other names too: one superadditivity count, the report's
     args = ["playable", "truly_playable", "superadditive", "semi_playable", "playable"]
     with mock.patch.object(
         tables, "check_playability_many", wraps=tables.check_playability_many
@@ -78,7 +78,7 @@ def test_check_properties_share_one_battery(runner, workdir):
     assert result.output == json.dumps(
         {"kind": "property-check", **dict.fromkeys(args, True)}, indent=2, sort_keys=True
     ) + "\n"
-    assert reports.call_count == 1 and counts.call_count == 2
+    assert reports.call_count == 1 and counts.call_count == 1
 
 
 def test_check_failure_exit_code(runner, workdir):
@@ -157,6 +157,37 @@ def test_lift_then_check(runner, workdir):
     check = runner.invoke(main, ["check", str(workdir / "lifted.json")])
     assert check.exit_code == 0
     assert json.loads(check.output)["playable"] is True
+
+
+def test_effectivity_budget_counts_the_document_cells(runner, tmp_path):
+    # a 2-player form on 12 outcomes: its n = 2 document has 4 x 3^12 =
+    # 2 125 764 cells, over the default budget, though the Boolean table it
+    # is computed on has 4 x 2^12; a 3-outcome form has 4 x 3^3 = 108.  The
+    # refusal comes before any cell of the document is built.
+    (tmp_path / "twelve.json").write_text(random_game_form(random.Random(3), 2, 12).to_json())
+    small = random_game_form(random.Random(3), 2, 3)
+    (tmp_path / "small.json").write_text(small.to_json())
+    with mock.patch.object(EffFn, "_cells", side_effect=AssertionError):
+        for name, extra, message in (
+            ("twelve.json", [], "2125764 table cells exceed budget 1048576"),
+            ("small.json", ["--budget-cells", "107"], "108 table cells exceed budget 107"),
+        ):
+            args = ["effectivity", str(tmp_path / name), "--n", "2", *extra]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2 and result.stderr == f"error: {message}\n"
+    args = ["effectivity", str(tmp_path / "small.json"), "--n", "2", "--budget-cells", "108"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert json.loads(result.output) == effectivity_table(small, Chain(2)).to_doc()
+
+
+def test_lift_over_the_cell_budget_exit_2(runner, tmp_path):
+    # 4 x 513^2 cells: the lift is held as its skeleton, and the budget
+    # raises where the document's cells are built
+    (tmp_path / "bool2.json").write_text(playable_boolean_tables()[2].to_json())
+    result = runner.invoke(main, ["lift", str(tmp_path / "bool2.json"), "--n", "512"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: 1052676 lifted table cells exceed budget 1048576\n"
 
 
 def test_decide_countermodel_exit_1(runner):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,9 +140,12 @@ def test_empty_coalition_single_empty_joint_strategy():
 
 
 def test_cell_budget():
+    # the budget counts the 2^k x 2^S Boolean cells the table is computed
+    # on: 16 for matching pennies, at every n
     g = _matching_pennies()
     with pytest.raises(BudgetExceeded):
         effectivity_table(g, Chain(2), cell_budget=10)
+    assert effectivity_table(g, Chain(2), cell_budget=16).rows().size == 36
 
 
 def test_document_round_trip():
@@ -157,11 +161,11 @@ def test_document_round_trip():
 
 
 @st.composite
-def _game_forms(draw):
-    """Any game form of 2 to 3 players, 1 to 3 strategies each, and 1 to 3
-    outcomes."""
+def _game_forms(draw, max_outcomes=3):
+    """Any game form of 2 to 3 players, 1 to 3 strategies each, and 1 to
+    max_outcomes outcomes."""
     counts = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
-    size = draw(st.integers(1, 3))
+    size = draw(st.integers(1, max_outcomes))
     outcomes = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
     profiles = math.prod(counts)
     omap = draw(st.lists(st.integers(0, size - 1), min_size=profiles, max_size=profiles))
@@ -172,6 +176,32 @@ def _game_forms(draw):
 @given(_game_forms())
 def test_document_round_trip_of_any_game_form(g):
     assert GameForm.from_doc(json.loads(g.to_json())) == g
+
+
+def _dense_max_min_table(g, n):
+    """Every cell of the chain-valued table by the displayed max-min, over
+    all (n+1)^S assessments at once: per coalition, the max over its joint
+    strategies of the min over the profiles that extend each one."""
+    f = np.array(list(enumerate_assessments(n, len(g.outcomes))))
+    profiles = list(g.profiles())
+    values = f[:, [g.outcome_of(p) for p in profiles]]
+    table = []
+    for mask in range(1 << g.k):
+        extending = {}
+        for j, p in enumerate(profiles):
+            joint = tuple(s for i, s in enumerate(p) if mask >> i & 1)
+            extending.setdefault(joint, []).append(j)
+        table.append(np.max([values[:, js].min(axis=1) for js in extending.values()], axis=0))
+    return np.array(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_game_forms(max_outcomes=5), st.integers(1, 4))
+def test_table_is_the_dense_max_min(g, n):
+    # the table is computed at n = 1 and held as that skeleton; its cells
+    # are the max-min of every (coalition, assessment)
+    E = effectivity_table(g, Chain(n))
+    assert E.rows().tolist() == _dense_max_min_table(g, n).tolist()
 
 
 def test_bad_game_form_documents():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -191,13 +192,16 @@ def test_lift_matches_threshold_definition():
 
 def test_lift_cell_budget():
     # k = 2, 9 outcomes: 4 x 4^9 = 2^20 cells at n = 3 is the effectivity
-    # budget exactly; 4 x 5^9 at n = 4 is over it and raises before any
-    # geometry is built
+    # budget exactly; 4 x 5^9 at n = 4 is over it.  A lift is held as its
+    # skeleton, so the budget applies where its cells are first built, and
+    # raises there before their geometry is built
     H = effectivity_table(random_game_form(random.Random(2), 2, 9), BOOL)
     assert lift_boolean(H, Chain(3)).rows().size == 1 << 20
+    E = lift_boolean(H, Chain(4), check_input=False)
     tables._geometry.cache_clear()
-    with pytest.raises(BudgetExceeded, match="7812500 lifted table cells"):
-        lift_boolean(H, Chain(4), check_input=False)
+    for build in (E.rows, lambda: E.table, E.to_doc):
+        with pytest.raises(BudgetExceeded, match="^7812500 lifted table cells exceed budget 1048576$"):
+            build()
     assert tables._geometry.cache_info().currsize == 0
 
 
@@ -1028,3 +1032,103 @@ def test_stacked_skeleton_reruns_keep_player_counts_apart():
     single = [check_playability(E).to_doc() for E in stack]
     assert not any(doc["properties"]["N_maximal"] for doc in single)
     assert [report.to_doc() for report in check_playability_many(stack)] == single
+
+
+# -- tables held as their Boolean skeletons ----------------------------------
+
+
+@st.composite
+def _lifts(draw):
+    """A table held as its skeleton, n 1 to 4: a game form's table, or the
+    unchecked lift of random upsets or of uniform random rows (these are
+    rarely playable)."""
+    n, k, size = draw(st.integers(1, 4)), draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+    style = draw(st.sampled_from(("game form", "upset", "uniform")))
+    if style == "game form":
+        return draw(_game_form_table(n, k, size))
+    if style == "upset":
+        return draw(_upset_table(n, k, size))
+    rows = st.lists(st.integers(0, 1), min_size=1 << size, max_size=1 << size)
+    H = EffFn(BOOL, k, state_names(size), draw(st.lists(rows, min_size=1 << k, max_size=1 << k)))
+    return lift_boolean(H, Chain(n), check_input=False)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_lifts())
+def test_lift_behaves_as_its_dense_table(E):
+    # equality, hash, documents, pickling and the report of a table held as
+    # its skeleton are those of the same cells held densely
+    held = E._skeleton is not None and E.n > 1
+    assert (E._rows is None) == held
+    key = hash(E)
+    assert (E._rows is None) == held  # hashing builds no cells
+    dense = EffFn(E.chain, E.k, E.outcomes, E.rows())
+    assert E == dense and dense == E and hash(dense) == key
+    assert E.to_json() == dense.to_json()
+    for table in (E, dense):
+        again = pickle.loads(pickle.dumps(table))
+        assert again == E and again == dense and hash(again) == key
+    fresh = pickle.loads(pickle.dumps(E))
+    assert (fresh._rows is None) == held
+    assert check_playability(fresh).to_doc() == check_playability(dense).to_doc()
+    assert check_playability(E).to_doc() == check_playability(dense).to_doc()
+    # a dense table with one cell off the lift is another table
+    rows = E.rows().copy()
+    middle = len(rows[-1]) // 2
+    rows[-1, middle] = (rows[-1, middle] + 1) % (E.n + 1)
+    assert EffFn(E.chain, E.k, E.outcomes, rows) != pickle.loads(pickle.dumps(E))
+
+
+def _dense_battery_doc(E):
+    """The report of the battery run on the table's own cells, homogeneity
+    included, with no skeleton."""
+    found = tables._battery(E.rows()[None], E.geometry(), tables._REPORT_ORDER)
+    return tables._report({name: column[0] for name, column in found.items()}).to_doc()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_boolean_inputs(), st.integers(2, 4))
+def test_unplayable_lift_reports_dense_witnesses(H, n):
+    # a lift whose skeleton fails predicates reruns them on its cells: each
+    # witness is the first failing dense cell.  The lift of a table that is
+    # not outcome-monotone is not homogeneous, and is held as its cells.
+    E = lift_boolean(H, Chain(n), check_input=False)
+    monotone = check_property(H, "outcome_monotonic").holds
+    assert (E._skeleton is not None) == monotone
+    assert check_property(E, "homogeneous").holds == monotone
+    assert check_playability(E).to_doc() == _dense_battery_doc(E) == _dense_report(E)
+
+
+def test_equal_tables_however_held():
+    H = effectivity_table(random_game_form(random.Random(5), 3, 3), BOOL)
+    E = lift_boolean(H, Chain(3))
+    dense = EffFn(E.chain, E.k, E.outcomes, E.rows())
+    held = {E: "lift"}
+    assert held[dense] == "lift" and dense in held
+    assert boolean_skeleton(dense) == H == boolean_skeleton(E)
+    # a table with the same skeleton that is not its lift: equal hashes are
+    # allowed, equality is not
+    rows = E.rows().copy()
+    rows[0, 1] = 1 - rows[0, 1] if rows[0, 1] < 2 else 1
+    other = EffFn(E.chain, E.k, E.outcomes, rows)
+    assert other._key() == E._key() and other != E and E != other
+
+
+@pytest.mark.parametrize("n", (2, 9))
+def test_sixteen_outcomes_checked_on_the_skeleton(n):
+    # a 2-player form on 16 outcomes: (n+1)^16 assessments, far over the
+    # cell budget, yet its table and report take a few MB
+    form = random_game_form(random.Random(3), 2, 16)
+    tracemalloc.start()
+    try:
+        E = effectivity_table(form, Chain(n))
+        report = check_playability(E)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.truly_playable and report.witnesses == {}
+    assert E._rows is None and peak < (n + 1) ** 16
+    with pytest.raises(BudgetExceeded, match="lifted table cells exceed budget 1048576"):
+        E.rows()
+    assert repr(E) == f"lift_boolean({boolean_skeleton(E)!r}, {E.chain!r})"
+    assert E._rows is None
