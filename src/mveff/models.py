@@ -20,10 +20,13 @@ before anything is allocated.
 
 check_axiom_schema decides the Pn, B and TPn axiom instances and the
 modal rule conclusions of the soundness suite by frame correspondence, one
-predicate on the stacked tables of all states (and the relation R for
-[O]), and any other formula, or an instance whose predicate fails, on that
-grid.  Superadditivity on one pair, the costliest predicate, is counted on
-the Boolean skeletons of the three rows it reads when they are homogeneous.
+predicate on the rows it reads of the tables of all states (and the
+relation R for [O]), and any other formula, or an instance whose predicate
+fails, on that grid.  Where those rows are homogeneous in every table (a
+game form's table is), the predicate reads their Boolean skeletons
+(tables._held_rows), with the same verdict, so a model of game-form tables
+builds no cells for it; standard_relation reads the empty coalition's row
+the same way.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .tables import (
     _check_outcome_monotonic,
     _check_regular,
     _check_safety,
-    _geometry,
+    _held_rows,
     _value_dtype,
     assessment_columns,
     commutes_with_doublings,
@@ -447,9 +450,11 @@ def _rows_are_minima(rows: np.ndarray, geo, R) -> bool:
 def standard_relation(model: LnModel) -> frozenset:
     """The relation induced by the empty coalition's effectivity: u R v
     exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
-    top elsewhere."""
-    geo = _geometry(model.n, model.num_states)
-    return _row_relation(np.stack([E.rows()[0] for E in model.eff]), geo)
+    top elsewhere.  The empty coalition's rows are read on their Boolean
+    skeletons where they are homogeneous (tables._held_rows), so a model of
+    game-form tables builds no cells."""
+    rows, geo = _held_rows(model.eff, [0])
+    return _row_relation(rows[:, 0], geo)
 
 
 def is_standard(model: EnrichedLnModel) -> bool:
@@ -550,21 +555,22 @@ def _all_hold(verdicts) -> bool:
 
 
 def _correspondent(phi: Formula, k: int):
-    """The table predicate equivalent to the validity of phi, as a function
-    of the stacked tables of every state, their geometry and the model,
-    when phi is one of the instances below with coalitions of k players and
-    bare propositions; None for any other formula.  The coalitions,
-    propositions and doubling maps are read off phi, and phi counts only
-    when the instance rebuilt from them is == phi.  The predicate of a K
-    instance only implies its validity."""
+    """(masks, predicate): the rows the table predicate equivalent to the
+    validity of phi reads, and that predicate, as a function of those rows
+    of every state's table stacked, their geometry and the model, when phi
+    is one of the instances below with coalitions of k players and bare
+    propositions; None for any other formula.  The coalitions, propositions
+    and doubling maps are read off phi, and phi counts only when the
+    instance rebuilt from them is == phi.  The predicate of a K instance
+    only implies its validity."""
     match phi:
         case Neg(Box(C, _)) if C.k == k and phi == _ax3(C):
             # E(C, 0) = 0: safety on row C
-            return lambda rows, geo, model: _all_hold(_check_safety(rows[:, [C.mask]], geo))
+            return [C.mask], lambda rows, geo, model: _all_hold(_check_safety(rows, geo))
         case Implies(Box(_, Prop() as p), _) if phi == _ax5(k, p):
             # E({}, f) + E(N, ~f) <= n: regularity of the two-row stack of {}
             # and N, in which each row is the other's complement
-            return lambda rows, geo, model: _all_hold(_check_regular(rows[:, [0, -1]], geo))
+            return [0, (1 << k) - 1], lambda rows, geo, model: _all_hold(_check_regular(rows, geo))
         case Implies(
             Neg(Implies(Implies(Neg(Box(C1, Prop() as p)), Neg(Box(C2, Prop() as q))), _)), _
         ) if (
@@ -572,24 +578,23 @@ def _correspondent(phi: Formula, k: int):
         ):
             # superadditivity on the pair (C1, C2) alone: as p and q vary
             # apart, every pair (f, g) of assessments is reached
-            return lambda rows, geo, model: superadditive_on_pair(rows, geo, C1.mask, C2.mask)
+            masks = [C1.mask, C2.mask, C1.mask | C2.mask]
+            return masks, lambda rows, geo, model: superadditive_on_pair(rows, geo)
         case Neg(Implies(Implies(Box(C, sub), _), _)) if C.k == k:
             ops, p = _doublings(sub)
             if isinstance(p, Prop) and phi == _commutation(C, ops, p):
                 # E(C, g(f)) = g(E(C, f)) for the doubling composite g: iff
                 # is top exactly where its two sides are equal
-                return lambda rows, geo, model: commutes_with_doublings(
-                    rows[:, [C.mask]], geo, ops
-                )
+                return [C.mask], lambda rows, geo, model: commutes_with_doublings(rows, geo, ops)
         case BoxO(Top()):
             # a min over no successors is n: valid on every enriched model
-            return lambda rows, geo, model: isinstance(model, EnrichedLnModel)
+            return [], lambda rows, geo, model: isinstance(model, EnrichedLnModel)
         case Neg(Implies(Implies(BoxO(Prop() as p), Box(C, _)), _)) if (
             C.k == k and phi == _ax7(C, p)
         ):
             # E_u(C, f) = min over R(u) of f, as [O] reads it
-            return lambda rows, geo, model: isinstance(model, EnrichedLnModel) and (
-                _rows_are_minima(rows[:, C.mask], geo, model.R)
+            return [C.mask], lambda rows, geo, model: isinstance(model, EnrichedLnModel) and (
+                _rows_are_minima(rows[:, 0], geo, model.R)
             )
         case Implies(Box(C, Implies(Prop() as p, Prop() as q)), _) if (
             C.k == k and phi == _ax8(C, p, q)
@@ -597,8 +602,8 @@ def _correspondent(phi: Formula, k: int):
             # K holds for a row that is a min over a set of states, as [O]
             # is; that set can only be the v with E_u(C, not chi_v) = 0, so
             # the relation is read off the row itself
-            return lambda rows, geo, model: _rows_are_minima(
-                rows[:, C.mask], geo, _row_relation(rows[:, C.mask], geo)
+            return [C.mask], lambda rows, geo, model: _rows_are_minima(
+                rows[:, 0], geo, _row_relation(rows[:, 0], geo)
             )
         case Implies(Box(C, Neg(Implies(Implies(Neg(Prop() as p), Neg(Prop() as q)), _))), _) if (
             C.k == k and p != q and phi == Implies(Box(C, meet(p, q)), Box(C, p))
@@ -606,13 +611,11 @@ def _correspondent(phi: Formula, k: int):
             # the monotonicity rule's conclusion: as p and q vary apart,
             # every g <= f is f meet g, so this is outcome monotonicity of
             # row C
-            return lambda rows, geo, model: _all_hold(
-                _check_outcome_monotonic(rows[:, [C.mask]], geo)
-            )
+            return [C.mask], lambda rows, geo, model: _all_hold(_check_outcome_monotonic(rows, geo))
         case Box(C, Implies(Prop() as p, _)) if C.k == k and phi == Box(C, Implies(p, p)):
             # the necessitation rule's conclusion: p -> p is top, so this is
             # E(C, top) = n, liveness of row C
-            return lambda rows, geo, model: _all_hold(_check_liveness(rows[:, [C.mask]], geo))
+            return [C.mask], lambda rows, geo, model: _all_hold(_check_liveness(rows, geo))
     return None
 
 
@@ -630,8 +633,7 @@ def check_axiom_schema(model: LnModel, schema: Formula):
     - ax1[C], ax2[C], B[C, i], and [C] commuting with any composite g of
       the doubling maps: E(C, g(f)) = g(E(C, f));
     - ax3[C]: E(C, 0) = 0;
-    - ax4[C1, C2]: superadditivity on that one pair, from its count, on the
-      Boolean skeletons of its three rows when they are homogeneous;
+    - ax4[C1, C2]: superadditivity on that one pair, from its count;
     - ax5: E({}, f) + E(N, ~f) <= n, regularity on the pair ({}, N);
     - ax6, [O]1: the model is enriched;
     - ax7, [O]p <-> [C]p: the model is enriched and E_u(C, f) = min over
@@ -642,17 +644,19 @@ def check_axiom_schema(model: LnModel, schema: Formula):
       monotonicity of row C;
     - [C](p -> p), the necessitation rule's conclusion: E(C, top) = n.
 
-    Where that predicate holds the result is (True, None) and no valuation
-    is enumerated.  Every other formula, and every instance whose predicate
-    fails or is over its own budget, is decided by is_valid over the
-    (n+1)^(P*S) valuations, which also gives the witness (or raises
-    DialectViolation for [O] on a model that is not enriched).
+    Each predicate reads only the rows it names, on their Boolean skeletons
+    where they are homogeneous in every table (tables._held_rows).  Where
+    it holds the result is (True, None) and no valuation is enumerated.
+    Every other formula, and every instance whose predicate fails or is
+    over its own budget, is decided by is_valid over the (n+1)^(P*S)
+    valuations, which also gives the witness (or raises DialectViolation
+    for [O] on a model that is not enriched).
     """
-    predicate = _correspondent(schema, model.k)
-    if predicate is not None:
+    found = _correspondent(schema, model.k)
+    if found is not None:
+        masks, predicate = found
         try:
-            rows = np.stack([E.rows() for E in model.eff])
-            if predicate(rows, model.eff[0].geometry(), model):
+            if predicate(*_held_rows(model.eff, masks), model):
                 return True, None
         except BudgetExceeded:
             pass  # the count is over its budget: the grid decides within its own

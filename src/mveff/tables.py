@@ -39,22 +39,25 @@ outermost and the grand coalition last, so one fails on a proper row exactly
 when its first witness's mask is not the grand coalition's, and the
 superadditivity count already holds the proper-union scope.
 
-`check_playability_many` decides homogeneity only where it is not known:
-a table held as its skeleton is homogeneous by construction and a Boolean
-table by definition; the other tables are grouped by (n, k, S) and checked
-on each group's stack.  A homogeneous table commutes with both doubling
-maps, hence with every cut tau_i, so it is the lift of its Boolean skeleton
-and every predicate (built from <=, meet, negation and the constants) has
-the same verdict on the table and on the 2^S-assessment skeleton.  For
-n > 1 the battery therefore runs on the skeletons, a held one as it is and
-the others gathered for the whole stack at once; non-homogeneous tables
-and Boolean tables run it on themselves.  Equal targets run the battery
-once, all targets of one geometry in one stack, so a lift checked beside
-its skeleton costs nothing more.  A table whose skeleton fails a predicate
-runs that predicate again on its cells, all such tables of one geometry in
-one stack, so each witness is the first failing dense cell; a skeleton's
-superadditivity witness is computed only when a Boolean table equal to it
-reports it.  The check builds no other table's cells.
+Whether rows are read on their Boolean skeleton is decided in one place,
+_skeletons: a table held as its skeleton is homogeneous by construction
+and a Boolean table by definition; the other tables are grouped by (n, k,
+S) and tested on each group's stack.  A homogeneous table commutes with
+both doubling maps, hence with every cut tau_i, so it is the lift of its
+Boolean skeleton and every predicate (built from <=, meet, negation and
+the constants) has the same verdict on the table and on the 2^S-assessment
+skeleton; so has each frame correspondence of models.check_axiom_schema,
+which reads its rows through _held_rows, and a table held as its skeleton
+equals one held as cells exactly when those cells are homogeneous with the
+same skeleton.  For n > 1 `check_playability_many` therefore runs the
+battery on the skeletons of the homogeneous tables and on the cells of
+the others.  Equal targets run the battery once, all targets of one
+geometry in one stack, so a lift checked beside its skeleton costs nothing
+more.  A table whose skeleton fails a predicate runs that predicate again
+on its cells, all such tables of one geometry in one stack, so each
+witness is the first failing dense cell; a skeleton's superadditivity
+witness is computed only when a Boolean table equal to it reports it.  The
+check builds no other table's cells.
 `check_playability(E)` is the stack of one, with the same report, and
 `check_properties` reads the named predicates off that report when it makes
 one, or else runs the same stacked check on those predicates alone.
@@ -297,10 +300,10 @@ class EffFn:
             return False
         if self._rows is not None and other._rows is not None:
             return self._rows.tobytes() == other._rows.tobytes()
-        if self._skeleton is not None and other._skeleton is not None:
-            return self._skeleton.tobytes() == other._skeleton.tobytes()
-        # a lift and a table held as cells: the skeletons first
-        return self._key() == other._key() and self.rows().tobytes() == other.rows().tobytes()
+        # one is held as its skeleton, so it is homogeneous, the lift of that
+        # skeleton: the two are equal exactly when both have the same one
+        (_, mine), (_, theirs) = _skeletons((self, other), slice(None))
+        return mine is not None and theirs is not None and mine.tobytes() == theirs.tobytes()
 
     def __hash__(self):
         if self._hash is None:
@@ -641,21 +644,12 @@ def _count_pairs(rows, geo, witnessed=None):
     return [tuple(hit and hit[0] for hit in pair) for pair in zip(*scopes)], verdict
 
 
-def superadditive_on_pair(rows, geo, c1: int, c2: int) -> bool:
+def superadditive_on_pair(rows, geo) -> bool:
     """Whether every table of the stack is superadditive on the one
-    disjoint pair (c1, c2): _pair_counts on the three rows it reads.
-
-    For n > 1, when those three rows of every table are homogeneous, the
-    count runs on their Boolean skeletons, one level over 2^S assessments:
-    a homogeneous row commutes with every cut tau_i, so the inequality holds
-    at every level exactly when it holds on the Boolean cuts.  Any other
-    stack is counted dense.  Raises BudgetExceeded as that count does.
+    disjoint pair its three rows are, in the order c1, c2, c1 | c2:
+    _pair_counts on that pair.  Raises BudgetExceeded as that count does.
     """
-    pair = tuple(np.array([i]) for i in range(3))
-    rows = rows[:, [c1, c2, c1 | c2]]
-    if geo.n > 1 and all(h for h, _ in _check_homogeneous(rows, geo)):
-        rows, geo = _skeleton_cells(rows, geo), _geometry(BOOL_CHAIN.n, geo.size)
-    return not _pair_counts(rows, geo, pair)[2].any()
+    return not _pair_counts(rows, geo, tuple(np.array([i]) for i in range(3)))[2].any()
 
 
 def _superadditivity_witness(table, geo, up, beta, c1, c2):
@@ -801,7 +795,9 @@ def _battery(rows, geo, names, witnessed=None):
 
 
 def _stack(arrays) -> np.ndarray:
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    # np.array of a list of equal arrays is np.stack, in a third of the time
+    # on the few small tables of a model
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def check_property(E: EffFn, which: str) -> PropertyCheck:
@@ -858,47 +854,28 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
 def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     """Per table, name -> verdict of each named predicate of _REPORT_ORDER.
 
-    A table held as its skeleton is homogeneous by construction (the
-    skeleton is outcome-monotone, lift_boolean), and a Boolean table by
-    definition (both doubling maps are the identity on {0, 1}).  The other tables are grouped by (n, k, S), and homogeneity is
-    decided on each group's stack.  A homogeneous table with n > 1 is
-    checked on its Boolean skeleton, which gives the same verdicts; every
-    other table on itself.  Equal targets run the battery once, all targets
-    of one geometry in one stack, and the tables whose skeleton fails a
-    predicate run it again on their cells, all such tables of one geometry
-    in one stack, for its first failing dense cell.
+    A table whose rows are homogeneous (_skeletons) is checked on its
+    Boolean skeleton, and every other table on itself.  Equal targets run
+    the battery once, all targets of one geometry in one stack, and the
+    tables with n > 1 whose skeleton fails a predicate run it again on
+    their cells, all such tables of one geometry in one stack, for its
+    first failing dense cell.
     """
     battery = tuple(name for name in names if name != "homogeneous")
     own = [{} for _ in tables]  # per table: its homogeneity and rerun verdicts
     place = [None] * len(tables)  # per table: (its target's verdicts, target index)
     targets = {}  # target geometry -> {target cells: (target rows, owners)}
-    lifted = []  # the tables checked on their skeletons
-    dense = {}  # the tables with n > 1 held as cells, by geometry
-
-    def aim(i, target, key):
+    lifted = []  # the tables with n > 1 checked on their skeletons
+    for i, (E, (homogeneous, skeleton)) in enumerate(zip(tables, _skeletons(tables, slice(None)))):
+        own[i]["homogeneous"] = homogeneous
+        if skeleton is None:
+            target, key = E.rows(), (E.n, E.k, E.num_outcomes)
+        else:
+            target, key = skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes)
+            if E.n > 1:
+                lifted.append(i)
         unique = targets.setdefault(key, {})
         unique.setdefault(target.tobytes(), (target, []))[1].append(i)
-
-    for i, E in enumerate(tables):
-        if E._skeleton is None:
-            dense.setdefault((E.n, E.k, E.num_outcomes), []).append(i)
-            continue
-        own[i]["homogeneous"] = (True, None)
-        aim(i, E._skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes))
-        if E.n > 1:
-            lifted.append(i)
-    for (n, k, size), idx in dense.items():
-        geo = _geometry(n, size)
-        rows = _stack([tables[i].rows() for i in idx])
-        homogeneous = _check_homogeneous(rows, geo)
-        skeletons = _skeleton_cells(rows, geo) if any(h for h, _ in homogeneous) else None
-        for t, i in enumerate(idx):
-            own[i]["homogeneous"] = homogeneous[t]
-            if homogeneous[t][0]:
-                aim(i, skeletons[t], (BOOL_CHAIN.n, k, size))
-                lifted.append(i)
-            else:
-                aim(i, rows[t], (n, k, size))
     for (n, k, size), unique in targets.items():
         # an owner of the target's own n reports the target's verdicts; a
         # lifted owner reruns on itself where its skeleton fails, so a
@@ -973,6 +950,49 @@ def _skeleton_cells(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
     """The Boolean skeleton of every row of rows, in _value_dtype(1): its
     cells on the idempotent assessments, 1 where top."""
     return (rows.take(geo.idempotent_idx, axis=-1) == geo.n).view(_value_dtype(BOOL_CHAIN.n))
+
+
+def _skeletons(tables: Sequence[EffFn], masks) -> list:
+    """Per table, (the homogeneity verdict of its rows masks, their Boolean
+    skeleton, or None where they are not homogeneous); masks indexes the
+    rows, slice(None) for every row, and a witness names a row by its
+    place in masks.
+
+    This is the one place that decides whether rows are read on their
+    skeleton.  A table held as its skeleton is homogeneous by construction
+    (the skeleton is outcome-monotone, lift_boolean), and a Boolean table
+    by definition (both doubling maps are the identity on {0, 1}), so each
+    is passed through untested.  The other tables are grouped by (n, k, S)
+    and tested on one stack per group.
+    """
+    found = [None] * len(tables)
+    groups = {}
+    for i, E in enumerate(tables):
+        if E._skeleton is None:
+            groups.setdefault((E.n, E.k, E.num_outcomes), []).append(i)
+        else:
+            found[i] = (True, None), E._skeleton[masks]
+    for idx in groups.values():
+        geo = tables[idx[0]].geometry()
+        rows = _stack([tables[i].rows()[masks] for i in idx])
+        verdicts = _check_homogeneous(rows, geo)
+        skeletons = _skeleton_cells(rows, geo) if any(h for h, _ in verdicts) else None
+        for t, i in enumerate(idx):
+            found[i] = verdicts[t], skeletons[t] if verdicts[t][0] else None
+    return found
+
+
+def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
+    """(rows, geometry) of the rows masks of tables of one geometry,
+    stacked: their Boolean skeletons on _geometry(1, S) when those rows
+    are homogeneous in every table (_skeletons), else their cells on the
+    tables' own geometry.  A homogeneous row commutes with every cut tau_i,
+    so a predicate built from <=, meet, negation and the constants has the
+    same verdict on both."""
+    skeletons = [skeleton for _, skeleton in _skeletons(tables, masks)]
+    if any(skeleton is None for skeleton in skeletons):
+        return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
+    return _stack(skeletons), _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
 
 
 def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:

@@ -332,6 +332,109 @@ def test_standard_relation_reads_the_empty_coalition_at_each_negated_indicator()
         assert all(type(x) is int for pair in got for x in pair)
 
 
+def _relation_by_definition(M):
+    n, size = M.n, M.num_states
+    return {
+        (u, v)
+        for u in range(size)
+        for v in range(size)
+        if M.eff[u].value_num(0, tuple(0 if j == v else n for j in range(size))) == 0
+    }
+
+
+@st.composite
+def _held_models(draw):
+    """A standardized model of game-form tables, n 1 to 3, k 2 or 3, 1 to 3
+    states: its tables are held as their Boolean skeletons."""
+    n, k, size = draw(st.integers(1, 3)), draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    return standardize(random_playable_model(rng, Chain(n), size, k=k, props=()))
+
+
+def _dense_copies(data, M):
+    """M with its tables held as cells, built on copies so that M's own
+    stay held, and that copy with one cell of one table changed."""
+    eff = [EffFn(E.chain, E.k, E.outcomes, copy.copy(E).rows()) for E in M.eff]
+    u = data.draw(st.integers(0, M.num_states - 1))
+    rows = eff[u].rows().copy()
+    mask = data.draw(st.integers(0, (1 << M.k) - 1))
+    rows[mask, data.draw(st.integers(0, rows.shape[1] - 1))] = data.draw(st.integers(0, M.n))
+    perturbed = eff[:u] + [EffFn(M.chain, M.k, M.states, rows)] + eff[u + 1 :]
+    return [EnrichedLnModel(M.chain, M.states, tables, {}, M.R) for tables in (eff, perturbed)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_held_models(), st.data())
+def test_standard_relation_however_the_tables_are_held(M, data):
+    dense, perturbed = _dense_copies(data, M)
+    assert standard_relation(M) == standard_relation(dense) == M.R
+    assert standard_relation(perturbed) == _relation_by_definition(perturbed)
+    assert M.n == 1 or all(E._rows is None for E in M.eff)
+
+
+def test_standardize_of_a_large_model_builds_no_cells():
+    # 13 states at n = 3: each table's 4 x 4^13 cells are over the budget,
+    # and the 4^13-assessment geometry alone would take GiBs, but row {} is
+    # read on its Boolean skeleton
+    M = random_playable_model(random.Random(0), Chain(3), 13)
+    tracemalloc.start()
+    try:
+        S = standardize(M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert S.R and is_standard(S) and all(E._rows is None for E in M.eff)
+
+
+def _dense_route(M, phi):
+    """check_axiom_schema(M, phi), or its DialectViolation, with the
+    correspondent predicate read on every table's cells, and whether the
+    grid ran."""
+    masks, predicate = models._correspondent(phi, M.k)
+    rows = np.stack([E.rows()[masks] for E in M.eff])
+    if predicate(rows, M.eff[0].geometry(), M):
+        return (True, None), False
+    return _verdict_or_dialect_error(is_valid, M, phi), True
+
+
+@settings(max_examples=30, deadline=None)
+@given(_held_models(), st.data())
+def test_axiom_correspondences_read_skeletons_as_cells(M, data):
+    # every Pn, B and TPn instance and both rule conclusions give the same
+    # verdict, witness and grid runs on a model of held tables, on its
+    # dense copy and on a perturbed copy as the predicate read on the cells
+    # does; the held model is decided without its cells or the grid
+    k, p1, p2 = M.k, Prop(1), Prop(2)
+    C = Coalition(data.draw(st.integers(0, (1 << k) - 1)), k)
+    instances = [
+        phi for _, phi in pn_axioms(k, M.chain) + b_family(k, M.chain) + tpn_axioms(k, M.chain)
+    ] + [Implies(Box(C, meet(p1, p2)), Box(C, p1)), Box(C, Implies(p1, p1))]
+    dense, perturbed = _dense_copies(data, M)
+    for phi in instances:
+        expected = _dense_route(dense, phi)
+        assert expected == ((True, None), False), phi
+        cases = ((M, expected), (dense, expected), (perturbed, _dense_route(perturbed, phi)))
+        for model, want in cases:
+            with mock.patch.object(models, "is_valid", wraps=models.is_valid) as grid:
+                got = _verdict_or_dialect_error(check_axiom_schema, model, phi)
+            assert (got, grid.called) == want, phi
+    assert M.n == 1 or all(E._rows is None for E in M.eff)
+
+
+def test_pn_and_b_instances_of_a_large_model_build_no_cells():
+    # 13 states at n = 2: each table's 4 x 3^13 cells are over the budget,
+    # and the grid's 3^26 valuations over its own, but every instance is
+    # decided on the Boolean skeletons
+    M = random_playable_model(random.Random(4), Chain(2), 13)
+    instances = pn_axioms(2, M.chain) + b_family(2, M.chain)
+    assert len(instances) == 30
+    with mock.patch.object(models, "is_valid", side_effect=AssertionError):
+        for name, phi in instances:
+            assert check_axiom_schema(M, phi) == (True, None), name
+    assert all(E._rows is None for E in M.eff)
+
+
 def test_axiom_schemata_on_playable_models():
     rng = random.Random(5)
     chain = Chain(2)

@@ -34,3 +34,26 @@ def test_only_tables_builds_assessments():
         and node.func.value.id == "np"
     ]
     assert found and all(place.startswith("tables.py:") for place in found), found
+
+
+def test_one_function_decides_the_skeleton_route():
+    # whether rows are read on their Boolean skeleton is decided by
+    # tables._skeletons alone: it is the one function that calls
+    # _check_homogeneous by name, and no module but tables.py reads how a
+    # table is held
+    calls, reads = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # node -> the innermost function around it (walks are breadth first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_skeleton":
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "_check_homogeneous"
+            ):
+                calls.append(f"{path.name}:{owner.get(node, '<module>')}")
+    assert calls == ["tables.py:_skeletons"], calls
+    assert reads and all(place.startswith("tables.py:") for place in reads), reads

@@ -890,10 +890,15 @@ def test_superadditive_on_pair_matches_the_dense_count(case):
     homogeneous = all(
         tables.commutes_with_doublings(three, geo, (op,)) for op in (TAU_OPLUS, TAU_ODOT)
     )
-    with mock.patch.object(tables, "_pair_counts", wraps=tables._pair_counts) as count:
-        assert tables.superadditive_on_pair(rows, geo, c1, c2) == dense
-    (call,) = count.call_args_list
-    assert (call.args[1].n == 1) == homogeneous
+    assert tables.superadditive_on_pair(three, geo) == dense
+    # the tables' three rows are read on their Boolean skeletons exactly
+    # when they are homogeneous in every table, with the same verdict
+    k = rows.shape[1].bit_length() - 1
+    states = tuple(f"s{j}" for j in range(geo.size))
+    held = [EffFn(Chain(geo.n), k, states, table) for table in rows]
+    held_rows, held_geo = tables._held_rows(held, [c1, c2, c1 | c2])
+    assert (held_geo.n == 1) == homogeneous
+    assert tables.superadditive_on_pair(held_rows, held_geo) == dense
 
 
 def test_skeleton_failure_rescanned_on_its_pair_alone():
@@ -1112,6 +1117,26 @@ def test_equal_tables_however_held():
     rows[0, 1] = 1 - rows[0, 1] if rows[0, 1] < 2 else 1
     other = EffFn(E.chain, E.k, E.outcomes, rows)
     assert other._key() == E._key() and other != E and E != other
+
+
+def test_equality_with_a_held_table_over_the_budget():
+    # a 12-outcome game-form table at n = 2 has 4 x 3^12 cells, over the
+    # 2^20 budget: it equals its dense copy, in a set too, without building
+    # its own cells, and a copy with one cell changed is another table
+    form = random_game_form(random.Random(3), 2, 12)
+    try:
+        cells = effectivity_table(form, Chain(2))._cells(1 << 40)
+        assert cells.size > 1 << 20
+        dense = EffFn(Chain(2), 2, form.outcomes, cells)
+        E = effectivity_table(form, Chain(2))
+        assert E == dense and dense == E
+        assert dense in {E} and E in {dense}
+        rows = cells.copy()
+        rows[-1, 1] = (rows[-1, 1] + 1) % 3
+        assert E != EffFn(Chain(2), 2, form.outcomes, rows)
+        assert E._rows is None
+    finally:
+        tables._geometry.cache_clear()  # the 3^12-assessment geometry is large
 
 
 @pytest.mark.parametrize("n", (2, 9))
