@@ -71,8 +71,8 @@ class NotStandard(MveffError):
 
 class BadDocument(MveffError):
     """A JSON document is not an object at the top level, is of another
-    kind, lacks a required key, holds a field of the wrong type, or names
-    an outcome or state it does not declare."""
+    kind, lacks a required key, holds a field of the wrong type, names an
+    outcome or state it does not declare, or declares one twice."""
 
 
 class VerificationFailed(MveffError):
@@ -120,3 +120,11 @@ def check_field(value, kind: type, name: str, items: type | None = None):
     elements = value.values() if isinstance(value, dict) else value
     if items is not None and not all(fits(v, items) for v in elements):
         raise BadDocument(f"every element of {name} must be {_JSON_NAMES[items]}")
+
+
+def check_names(value, name: str):
+    """Raise BadDocument unless value is a list of distinct strings."""
+    check_field(value, list, name, str)
+    if len(set(value)) < len(value):
+        twice = next(item for i, item in enumerate(value) if item in value[:i])
+        raise BadDocument(f"{name} declares {twice!r} twice")

@@ -17,7 +17,7 @@ when it is a multiple of each class's step at that class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,9 +37,12 @@ from .models import (
     is_standard,
 )
 from .tables import (
+    BOOL_CHAIN,
     EffFn,
     _geometry,
-    boolean_skeleton,
+    _lifted,
+    _skeleton_cells,
+    _stack,
     check_playability_many,
     encode_assessment,
     lift_boolean,
@@ -223,28 +226,32 @@ def _filtered_valuation(q: Quotient):
     }
 
 
-def _intermediate(model: LnModel, mu: Formula, lift_chain=None):
-    """The intermediate filtration and the Boolean skeleton of each of its
-    distinct tables (built once, for the check and for the lift); with
-    lift_chain, also the lift of each distinct skeleton to that chain and
-    the lifts' playability reports.
+def _intermediate(model: LnModel, mu: Formula):
+    """The intermediate filtration, and per class the lift of its table's
+    Boolean skeleton to the model's chain.
 
-    Each stage is one stacked playability check: the source tables, then
-    the skeletons and their lifts together.  A lift is checked on its
-    skeleton, the table checked beside it, so its battery runs once.
+    E* is 0 or n on the idempotent assessments (there g*(f) = f, as every
+    step divides n), so the distinct tables are thresholded at the top in
+    one stacked gather, and each distinct skeleton is lifted once.  Each
+    stage is one stacked playability check: the source tables, then the
+    skeletons and their lifts together, a lift checked on its skeleton.
     """
     if not all(report.playable for report in check_playability_many(model.eff)):
         raise NotPlayable("filtration requires a playable model")
     q = quotient(model, mu)
     tables = _intermediate_tables(q, definable_class_vectors(q))
-    skeletons = {E: boolean_skeleton(E, strict=False) for E in dict.fromkeys(tables)}
-    distinct = tuple(dict.fromkeys(skeletons.values()))
-    lifts = {} if lift_chain is None else {
-        H: lift_boolean(H, lift_chain, check_input=False) for H in distinct
+    unique = tuple(dict.fromkeys(tables))
+    cells = _skeleton_cells(_stack([E.rows() for E in unique]), unique[0].geometry())
+    skeletons = {E: _lifted(BOOL_CHAIN, model.k, E.outcomes, H) for E, H in zip(unique, cells)}
+    lifts = {
+        H: lift_boolean(H, model.chain, check_input=False)
+        for H in dict.fromkeys(skeletons.values())
     }
-    reports = check_playability_many(distinct + tuple(lifts.values()))
-    if not all(report.playable for report in reports[: len(distinct)]):
+    reports = check_playability_many((*lifts, *lifts.values()))
+    if not all(report.playable for report in reports[: len(lifts)]):
         raise VerificationFailed("intermediate skeleton is not playable")
+    if not all(report.truly_playable for report in reports[len(lifts) :]):
+        raise VerificationFailed("lifted table is not truly playable")
     filtered = LnModel(
         chain=model.chain,
         states=q.class_names(),
@@ -253,7 +260,7 @@ def _intermediate(model: LnModel, mu: Formula, lift_chain=None):
     )
     _verify_filtration_conditions(q, filtered)
     inter = FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE)
-    return inter, skeletons, lifts, reports[len(distinct) :]
+    return inter, tuple(lifts[skeletons[E]] for E in tables)
 
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
@@ -265,18 +272,10 @@ def _playable(model: LnModel, mu: Formula):
     """The quotient and the lifted model of the playable filtration, with
     every check but truth transfer, which each public filtration runs once
     on the model it returns."""
-    inter, skeletons, lifts, reports = _intermediate(model, mu, model.chain)
-    q = inter.quotient
-    filtered = LnModel(
-        chain=model.chain,
-        states=q.class_names(),
-        eff=tuple(lifts[skeletons[E]] for E in inter.model.eff),
-        valuation=_filtered_valuation(q),
-    )
-    if not all(report.truly_playable for report in reports):
-        raise VerificationFailed("lifted table is not truly playable")
-    _verify_filtration_conditions(q, filtered)
-    return q, filtered
+    inter, lifted = _intermediate(model, mu)
+    filtered = replace(inter.model, eff=lifted)
+    _verify_filtration_conditions(inter.quotient, filtered)
+    return inter.quotient, filtered
 
 
 def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidInput,
     check_document,
     check_field,
+    check_names,
 )
 from .formulas import Coalition
 
@@ -102,7 +103,7 @@ class GameForm:
     def from_doc(cls, doc: dict) -> "GameForm":
         check_document(doc, ("game-form",), ("strategies", "outcomes", "o"))
         check_field(doc["strategies"], list, "strategies", int)
-        check_field(doc["outcomes"], list, "outcomes", str)
+        check_names(doc["outcomes"], "outcomes")
         check_field(doc["o"], list, "o", str)
         outcomes = tuple(doc["outcomes"])
         index = {name: i for i, name in enumerate(outcomes)}

@@ -46,6 +46,7 @@ from .errors import (
     UnknownProposition,
     check_document,
     check_field,
+    check_names,
     read_int,
 )
 from .formulas import (
@@ -163,7 +164,7 @@ class LnModel:
         check_document(doc, ("model", "enriched-model"), ("n", "states", "E", "val"))
         kind = doc.get("kind", "model")
         check_field(doc["n"], int, "n")
-        check_field(doc["states"], list, "states", str)
+        check_names(doc["states"], "states")
         states = tuple(doc["states"])
         for key in ("E", "val"):
             check_document(doc[key], (), states)

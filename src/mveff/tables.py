@@ -55,12 +55,11 @@ the others.  Equal targets run the battery once, all targets of one
 geometry in one stack, so a lift checked beside its skeleton costs nothing
 more.  A table whose skeleton fails a predicate runs that predicate again
 on its cells, all such tables of one geometry in one stack, so each
-witness is the first failing dense cell; a skeleton's superadditivity
-witness is computed only when a Boolean table equal to it reports it.  The
-check builds no other table's cells.
-`check_playability(E)` is the stack of one, with the same report, and
-`check_properties` reads the named predicates off that report when it makes
-one, or else runs the same stacked check on those predicates alone.
+witness is the first failing dense cell.  The check builds no other
+table's cells.  `check_playability(E)` is the stack of one, with the same
+report, and `check_properties` runs that check once: on every predicate
+when the named ones include playable or truly_playable, which it reads off
+the report, and on the named predicates alone otherwise.
 """
 
 from __future__ import annotations
@@ -87,6 +86,7 @@ from .errors import (
     VerificationFailed,
     check_document,
     check_field,
+    check_names,
 )
 from .formulas import Coalition
 from .games import DEFAULT_CELL_BUDGET, GameForm, effectivity_table
@@ -391,7 +391,7 @@ class EffFn:
         k = doc["players"]
         check_field(doc["n"], int, "n")
         check_field(k, int, "players")
-        check_field(doc["outcomes"], list, "outcomes", str)
+        check_names(doc["outcomes"], "outcomes")
         check_field(doc["table"], dict, "table")
         if k < 2:
             raise BadDocument(f"players must be at least 2, got {k}")
@@ -609,17 +609,15 @@ def _pair_counts(rows, geo, pairs=None):
     return up, beta, counts[0] if len(counts) == 1 else np.concatenate(counts)
 
 
-def _count_pairs(rows, geo, witnessed=None):
+def _count_pairs(rows, geo):
     """Superadditivity's count over the disjoint coalition pairs, read in
     both of its scopes: every pair, and the pairs with a proper union.
 
     Returns (hits, verdict): per table (p, q), the _pair_stack indices of
     its first failing pair and of its first failing pair with a proper
     union, None where there is none, and verdict(t, p), table t's verdict
-    on pair p, computed once per (t, p): (True, None) for p None, or the
-    BudgetExceeded of an over-budget count.  A table t whose witnessed[t]
-    is false fails with the pair (c1, c2) alone as its witness, and its
-    witness transform is not run.
+    on pair p with its first failing (f, g), computed once per (t, p):
+    (True, None) for p None, or the BudgetExceeded of an over-budget count.
     """
     try:
         up, beta, counts = _pair_counts(rows, geo)
@@ -635,8 +633,6 @@ def _count_pairs(rows, geo, witnessed=None):
         if p is None:
             return True, None
         c1, c2 = int(first[p]), int(second[p])
-        if witnessed is not None and not witnessed[t]:
-            return False, (c1, c2)
         return _superadditivity_witness(rows[t], geo, up[c2, t], beta[c1 | c2, t], c1, c2)
 
     bad = counts.T != 0
@@ -771,12 +767,12 @@ _CHECKS = {
 _REPORT_ORDER = (*PROPERTY_NAMES, "semi_playable")
 
 
-def _battery(rows, geo, names, witnessed=None):
+def _battery(rows, geo, names):
     """The named predicates of _REPORT_ORDER on a stack of tables of one
     geometry: name -> one verdict per table.  The superadditivity count
     runs only when superadditivity or semi-playability reads it, and one
     count answers both; semi-playability runs it only when some table
-    passes the proper rows.  witnessed is as _count_pairs takes it."""
+    passes the proper rows."""
     semi = "semi_playable" in names
     found = {
         name: check(rows, geo)
@@ -785,11 +781,11 @@ def _battery(rows, geo, names, witnessed=None):
     }
     counted = None
     if "superadditive" in names:
-        hits, verdict = counted = _count_pairs(rows, geo, witnessed)
+        hits, verdict = counted = _count_pairs(rows, geo)
         found["superadditive"] = [verdict(t, p) for t, (p, _) in enumerate(hits)]
     if semi:
         found["semi_playable"] = _semi_playable(
-            found, rows.shape[1] - 1, lambda: counted or _count_pairs(rows, geo, witnessed)
+            found, rows.shape[1] - 1, lambda: counted or _count_pairs(rows, geo)
         )
     return found
 
@@ -807,27 +803,17 @@ def check_property(E: EffFn, which: str) -> PropertyCheck:
 
 def check_properties(E: EffFn, names: Sequence[str]) -> list[PropertyCheck]:
     """Decide the named playability predicates, each with a witness cell on
-    failure, in the order named.  When playable or truly_playable is named,
-    one full report answers every name; otherwise, or when that report
-    raises, one _decide run answers the named predicates of the report.
-    Raises the error of the first name in order that is unknown or whose
-    check raised."""
-    report = found = None
-    if "playable" in names or "truly_playable" in names:
-        try:
-            report = check_playability(E)
-        except MveffError as error:
-            report = error
-        else:
-            holds = {**report.properties, "semi_playable": report.semi_playable}
-            found = {name: (holds[name], report.witnesses.get(name)) for name in holds}
-    if found is None:
-        found = _decide((E,), tuple(name for name in _REPORT_ORDER if name in names))[0]
-    checks = []
+    failure, in the order named, from one _decide run: of every predicate
+    when playable or truly_playable is named, whose report answers those
+    two, else of the named predicates alone.  Raises the error of the first
+    name in order that is unknown or whose check raised, for playable and
+    truly_playable the report's first error, as check_playability does."""
+    whole = "playable" in names or "truly_playable" in names
+    found = _decide((E,), tuple(name for name in _REPORT_ORDER if whole or name in names))[0]
+    checks, report = [], None
     for which in names:
         if which in ("playable", "truly_playable"):
-            if isinstance(report, MveffError):
-                raise report
+            report = report or _report(found)
             checks.append(PropertyCheck(which, getattr(report, which)))
             continue
         if which not in _REPORT_ORDER:
@@ -876,13 +862,9 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
                 lifted.append(i)
         unique = targets.setdefault(key, {})
         unique.setdefault(target.tobytes(), (target, []))[1].append(i)
-    for (n, k, size), unique in targets.items():
-        # an owner of the target's own n reports the target's verdicts; a
-        # lifted owner reruns on itself where its skeleton fails, so a
-        # target owned only by lifted tables needs no witness transform
-        witnessed = [any(tables[i].n == n for i in owners) for _, owners in unique.values()]
+    for (n, _, size), unique in targets.items():
         stack = _stack([target for target, _ in unique.values()])
-        found = _battery(stack, _geometry(n, size), battery, witnessed)
+        found = _battery(stack, _geometry(n, size), battery)
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t
@@ -995,28 +977,27 @@ def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
     return _stack(skeletons), _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
 
 
-def boolean_skeleton(E: EffFn, strict: bool = True) -> EffFn:
+def boolean_skeleton(E: EffFn) -> EffFn:
     """Restriction of the table to idempotent assessments, as a two-valued table.
 
-    A cell counts as accepted exactly when its value is the top element.  In
-    strict mode any intermediate value on an idempotent assessment raises,
-    since homogeneity rules those out; non-strict mode just thresholds.  A
-    lift's skeleton is the one it is held as.
+    A cell counts as accepted exactly when its value is the top element.
+    Any intermediate value on an idempotent assessment raises
+    NotHomogeneous, since homogeneity rules those out.  A lift's skeleton is
+    the one it is held as.
     """
     if E.n == 1:
         return E
     if E._skeleton is not None:
         return _lifted(BOOL_CHAIN, E.k, E.outcomes, E._skeleton)
     geo = E.geometry()
-    if strict:
-        values = E.rows().take(geo.idempotent_idx, axis=1)
-        hits = _first(((values != 0) & (values != E.n))[None])
-        if hits is not None:
-            mask, j = hits[0]
-            raise NotHomogeneous(
-                f"skeleton cell (coalition {mask}, assessment {int(geo.idempotent_idx[j])}) "
-                f"has value {int(values[mask, j])}/{E.n}"
-            )
+    values = E.rows().take(geo.idempotent_idx, axis=1)
+    hits = _first(((values != 0) & (values != E.n))[None])
+    if hits is not None:
+        mask, j = hits[0]
+        raise NotHomogeneous(
+            f"skeleton cell (coalition {mask}, assessment {int(geo.idempotent_idx[j])}) "
+            f"has value {int(values[mask, j])}/{E.n}"
+        )
     return _lifted(BOOL_CHAIN, E.k, E.outcomes, _skeleton_cells(E.rows(), geo))
 
 

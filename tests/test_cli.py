@@ -67,18 +67,19 @@ def test_check_command_specific_properties(runner, workdir):
 
 
 def test_check_properties_share_one_battery(runner, workdir):
-    # one report for playable and truly_playable, whose verdicts answer the
-    # other names too: one superadditivity count, the report's
+    # one run of every predicate and one report for playable and
+    # truly_playable, whose verdicts answer the other names too: one
+    # superadditivity count, the report's
     args = ["playable", "truly_playable", "superadditive", "semi_playable", "playable"]
-    with mock.patch.object(
-        tables, "check_playability_many", wraps=tables.check_playability_many
+    with mock.patch.object(tables, "_decide", wraps=tables._decide) as decide, mock.patch.object(
+        tables, "_report", wraps=tables._report
     ) as reports, mock.patch.object(tables, "_pair_counts", wraps=tables._pair_counts) as counts:
         result = runner.invoke(main, ["check", str(workdir / "eff.json"), *args])
     assert result.exit_code == 0
     assert result.output == json.dumps(
         {"kind": "property-check", **dict.fromkeys(args, True)}, indent=2, sort_keys=True
     ) + "\n"
-    assert reports.call_count == 1 and counts.call_count == 1
+    assert decide.call_count == 1 and reports.call_count == 1 and counts.call_count == 1
 
 
 def test_check_failure_exit_code(runner, workdir):
@@ -284,6 +285,26 @@ def test_unknown_outcome_exit_2(runner, workdir):
     (workdir / "stray.json").write_text(json.dumps(doc))
     result = runner.invoke(main, ["effectivity", str(workdir / "stray.json")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "command, name, field",
+    [
+        ("effectivity", "gf.json", "outcomes"),
+        ("check", "eff.json", "outcomes"),
+        ("check", "model.json", "states"),
+    ],
+)
+def test_repeated_name_exit_2(runner, workdir, command, name, field):
+    # a document that declares an outcome or a state twice is refused: the
+    # game form could never reach the first copy, and the model would keep
+    # one table for two states
+    doc = json.loads((workdir / name).read_text())
+    doc[field][1] = doc[field][0]
+    (workdir / "twice.json").write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(workdir / "twice.json")])
+    assert result.exit_code == 2
+    assert result.stderr == f"error: {field} declares {doc[field][0]!r} twice\n"
 
 
 def test_non_object_document_exit_2(runner, workdir):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, iff, oplus, parse
 from mveff.models import EnrichedLnModel, LnModel, check_axiom_schema, eval_vector, is_standard
 from mveff.tables import (
     EffFn,
+    _skeleton_cells,
     boolean_skeleton,
     check_playability,
     check_playability_many,
@@ -183,7 +185,7 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
         M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
         expect = playable_filtration(M, mu)
         inter = intermediate_filtration(M, mu).model.eff
-        built = {boolean_skeleton(E, strict=False) for E in inter}
+        built = {boolean_skeleton(E) for E in inter}
         calls, stacks = [], []
 
         def counting_many(stack):
@@ -218,23 +220,43 @@ def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
     tables = intermediate_filtration(M, mu).model.eff
     # classes whose representatives share a source table share E*
     assert len(set(tables)) < len(tables)
-    built, lifted = [], []
+    stacks, lifted = [], []
 
-    def counting_skeleton(E, strict=True):
-        built.append(E)
-        return boolean_skeleton(E, strict)
+    def counting_cells(rows, geo):
+        stacks.append(len(rows))
+        return _skeleton_cells(rows, geo)
 
     def counting_lift(H, chain, check_input=True):
         lifted.append(H)
         return lift_boolean(H, chain, check_input)
 
-    monkeypatch.setattr(filtration, "boolean_skeleton", counting_skeleton)
+    monkeypatch.setattr(filtration, "_skeleton_cells", counting_cells)
     monkeypatch.setattr(filtration, "lift_boolean", counting_lift)
     result = playable_filtration(M, mu)
     assert result == expect
-    assert built == list(dict.fromkeys(tables))
-    skeletons = {boolean_skeleton(E, strict=False) for E in tables}
+    # one stacked gather of the distinct tables builds every skeleton
+    assert stacks == [len(set(tables))]
+    skeletons = {boolean_skeleton(E) for E in tables}
     assert len(lifted) == len(set(lifted)) and set(lifted) == skeletons
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from((1, 2, 3, 4, 6)), st.integers(1, 5))
+def test_intermediate_tables_have_strict_skeletons(seed, n, size):
+    # E* is 0 or n on every idempotent assessment, so the strict skeleton
+    # of each intermediate table exists, and it is the skeleton the
+    # playable stage lifts for that class
+    rng = random.Random(seed)
+    chain = Chain(n)
+    M = random_playable_model(rng, chain, size)
+    mu = random_formula(rng, 3, (1, 2), 2, chain)
+    inter = intermediate_filtration(M, mu).model.eff
+    with mock.patch.object(filtration, "lift_boolean", wraps=lift_boolean) as lift:
+        result = playable_filtration(M, mu)
+    skeletons = [boolean_skeleton(E) for E in inter]
+    assert {call.args[0] for call in lift.call_args_list} == set(skeletons)
+    for H, F in zip(skeletons, result.model.eff):
+        assert F == lift_boolean(H, chain)
 
 
 def test_six_class_filtration_at_n4():

@@ -57,3 +57,25 @@ def test_one_function_decides_the_skeleton_route():
                 calls.append(f"{path.name}:{owner.get(node, '<module>')}")
     assert calls == ["tables.py:_skeletons"], calls
     assert reads and all(place.startswith("tables.py:") for place in reads), reads
+
+
+def test_sources_use_every_name_they_import():
+    # an import nothing reads is a leftover: every name a module imports is
+    # read in its code or, for the package, exported by __all__
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert found == []

@@ -36,6 +36,7 @@ from mveff.tables import (
     boolean_skeleton,
     check_playability,
     check_playability_many,
+    check_properties,
     check_property,
     encode_assessment,
     enumerate_assessments,
@@ -137,6 +138,47 @@ def test_unknown_property_rejected():
         check_property(_game_table(0), "sideways")
 
 
+def test_check_properties_decides_once():
+    # one _decide run answers any names: every predicate of the report when
+    # playable or truly_playable is named, the named ones alone otherwise
+    E = _game_table(3)
+    table = [list(row) for row in E.table]
+    table[1][0] = 1  # break safety
+    bad = EffFn(E.chain, E.k, E.outcomes, table)
+    report = check_playability(bad)
+    holds = {**report.properties, "semi_playable": report.semi_playable}
+    for names, decided in (
+        (("semi_playable", "safety", "regular"), ("regular", "safety", "semi_playable")),
+        (("safety", "truly_playable", "superadditive", "playable"), tables._REPORT_ORDER),
+    ):
+        with mock.patch.object(tables, "_decide", wraps=tables._decide) as decide:
+            checks = check_properties(bad, names)
+        assert decide.call_count == 1 and decide.call_args.args[1] == decided
+        assert [check.name for check in checks] == list(names)
+        for check in checks:
+            if check.name in ("playable", "truly_playable"):
+                assert check.holds == getattr(report, check.name)
+            else:
+                assert check.holds == holds[check.name]
+                assert check.witness == report.witnesses.get(check.name)
+    # k = 2, n = 700, one outcome, a middle value at the top: its
+    # superadditivity count is over the budget, and the report raises that
+    # after the regular verdict, in the order named
+    rows = [[0] * 700 + [700] for _ in range(4)]
+    rows[0][-1] = 1
+    big = EffFn(Chain(700), 2, ["s0"], rows)
+    with mock.patch.object(tables, "_decide", wraps=tables._decide) as decide:
+        [regular] = check_properties(big, ("regular",))
+        with mock.patch.object(tables, "PropertyCheck", wraps=tables.PropertyCheck) as made:
+            with pytest.raises(BudgetExceeded):
+                check_properties(big, ("regular", "playable"))
+    assert decide.call_count == 2
+    assert made.call_args_list == [mock.call("regular", regular.holds, regular.witness)]
+    for names in (("superadditive", "regular"), ("truly_playable",)):
+        with pytest.raises(BudgetExceeded):
+            check_properties(big, names)
+
+
 def test_regularity_failure_detected():
     # a table where both proper coalitions force complementary outcomes
     table = [
@@ -225,7 +267,6 @@ def test_skeleton_rejects_inhomogeneous_cells():
     broken = EffFn(E.chain, E.k, E.outcomes, table)
     with pytest.raises(NotHomogeneous):
         boolean_skeleton(broken)
-    assert boolean_skeleton(broken, strict=False).table[3][2] == 0
 
 
 def test_equal_by_skeleton():
@@ -1007,9 +1048,9 @@ def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     assert full.count(("zeta_up", "mobius_down")) == 1
     # one witness transform per reported pair
     assert full.count(("zeta_down",)) == 2
-    # the skeleton's count runs, but no table reports its witnesses
+    # the skeleton's pairs are counted once too
     skeleton = [call.args[2] for call in transform.call_args_list if call.args[1].count == 64]
-    assert skeleton == [("zeta_up", "mobius_down")]
+    assert skeleton.count(("zeta_up", "mobius_down")) == 1
 
 
 def test_semi_playable_on_failing_proper_rows_runs_no_count():
