@@ -122,9 +122,15 @@ def check_field(value, kind: type, name: str, items: type | None = None):
         raise BadDocument(f"every element of {name} must be {_JSON_NAMES[items]}")
 
 
+def check_distinct(names, what: str, error: type = InvalidInput):
+    """Raise error unless no item of the sequence names repeats an earlier
+    one."""
+    if len(set(names)) < len(names):
+        twice = next(item for i, item in enumerate(names) if item in names[:i])
+        raise error(f"{what} declares {twice!r} twice")
+
+
 def check_names(value, name: str):
     """Raise BadDocument unless value is a list of distinct strings."""
     check_field(value, list, name, str)
-    if len(set(value)) < len(value):
-        twice = next(item for i, item in enumerate(value) if item in value[:i])
-        raise BadDocument(f"{name} declares {twice!r} twice")
+    check_distinct(value, name, BadDocument)

@@ -8,6 +8,14 @@ playable.  The playable stage lifts that skeleton back to the chain, giving
 a truly playable filtered model that evaluates every subformula exactly as
 the source model did.
 
+Every step divides n, so each class's skeleton is gathered straight from
+the Boolean skeleton of its representative's source table
+(_class_skeletons), and the playable and enriched stages read skeletons
+alone: they build no E*, the lifts are held as their skeletons, and
+evaluation, condition (2) and both stacked playability checks read those.
+Only intermediate_filtration builds the dense E* tables, and it checks
+their skeletons against the gathered ones.
+
 The definable vectors form the MV-subalgebra of the chain power generated
 by the subformula vectors, and are kept in closed form: each class has a
 step, the gcd of n and its seed column, and a vector is definable exactly
@@ -17,7 +25,7 @@ when it is a multiple of each class's step at that class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +46,14 @@ from .models import (
 )
 from .tables import (
     BOOL_CHAIN,
+    PLAYABLE_PARTS,
     EffFn,
     _geometry,
     _lifted,
-    _skeleton_cells,
+    _require,
+    _row_values,
+    _skeletons,
     _stack,
-    check_playability_many,
-    encode_assessment,
     lift_boolean,
 )
 
@@ -138,7 +147,38 @@ def definable_class_vectors(q: Quotient) -> tuple[int, ...]:
     )
 
 
-def _intermediate_tables(q: Quotient, steps) -> list[EffFn]:
+def _class_weights(q: Quotient, n: int) -> np.ndarray:
+    """Each class's weight in a source assessment index over the chain
+    with n: the sum of its members' place values, so a class-level
+    assessment times the weights is the index of its value at each
+    state."""
+    weights = np.zeros(q.num_classes, dtype=np.int64)
+    places = (n + 1) ** np.arange(q.source.num_states - 1, -1, -1, dtype=np.int64)
+    np.add.at(weights, np.asarray(q.class_map), places)
+    return weights
+
+
+def _class_skeletons(q: Quotient) -> list[EffFn]:
+    """Per class, the Boolean skeleton of its E* table, gathered from the
+    skeleton of its representative's source table (tables._skeletons).
+
+    On an idempotent assessment chi_A, A a set of classes, g*(chi_A) =
+    chi_A, as every step divides n, so E*(C, chi_A) is the source value at
+    the indicator of A's states: row C != N is the source skeleton's row C
+    at that state mask, and row N, the dual of row {}, is 1 - row {} at the
+    complement of A.  The source tables are playable, so homogeneous, and
+    each has a skeleton.
+    """
+    model = q.source
+    idx = _geometry(BOOL_CHAIN.n, q.num_classes).tuples @ _class_weights(q, BOOL_CHAIN.n)
+    reps = [model.eff[rep] for rep in q.representatives]
+    rows = _stack([skeleton for _, skeleton in _skeletons(reps, slice(None))]).take(idx, axis=2)
+    # the complement of a set of classes is its index reversed
+    rows[:, -1] = 1 - rows[:, 0, ::-1]
+    return [_lifted(BOOL_CHAIN, model.k, q.class_names(), H) for H in rows]
+
+
+def _intermediate_tables(q: Quotient, steps, skeletons) -> list[EffFn]:
     """E* per class: the source value at the largest definable vector below f.
 
     E*(f) is the max of the source value over definable vectors below f.
@@ -152,21 +192,23 @@ def _intermediate_tables(q: Quotient, steps) -> list[EffFn]:
     every other row reads the source table of the canonical (first-seen)
     representative of the class.  At cells named by boxed subformulas all
     representatives agree, so the canonical choice is harmless there, and
-    it keeps E* well defined everywhere else.
+    it keeps E* well defined everywhere else.  Each table is 0 or n on the
+    idempotent assessments, n exactly where its class's skeleton in
+    skeletons (_class_skeletons) is 1; VerificationFailed is raised where
+    it is not.
     """
     model = q.source
     n = model.n
     geo = _geometry(n, q.num_classes)
-    # a class's weight in a source index: the place values of its members
-    weights = np.zeros(q.num_classes, dtype=np.int64)
-    np.add.at(weights, np.asarray(q.class_map), _geometry(n, model.num_states).powers)
     steps = np.asarray(steps, dtype=np.int64)
-    idx = (geo.tuples // steps * steps) @ weights
+    idx = (geo.tuples // steps * steps) @ _class_weights(q, n)
     full = (1 << model.k) - 1
     tables = []
-    for rep in q.representatives:
+    for rep, H in zip(q.representatives, skeletons):
         rows = model.eff[rep].rows().take(idx, axis=1)
         rows[full] = n - rows[0].take(geo.neg_idx)
+        if not np.array_equal(rows.take(geo.idempotent_idx, axis=1), H.rows().astype(rows.dtype) * n):
+            raise VerificationFailed("an intermediate table's skeleton is not the gathered one")
         tables.append(EffFn(chain=model.chain, k=model.k, outcomes=q.class_names(), table=rows))
     return tables
 
@@ -183,6 +225,9 @@ def _boxed_cells(q: Quotient):
 
 
 def _verify_filtration_conditions(q: Quotient, filtered: LnModel):
+    """Condition (1), each proposition's value at a state is its class's,
+    and condition (2), each boxed subformula's value at a state is its
+    class's table read at the argument's class vector, once per class."""
     model = q.source
     lookup = dict(q.subformula_vectors)
     for p in filtered.declared_props():
@@ -191,13 +236,11 @@ def _verify_filtration_conditions(q: Quotient, filtered: LnModel):
         for j, u in enumerate(model.states):
             if row[q.class_map[j]] != src[j]:
                 raise VerificationFailed(f"condition (1) failed for p{p} at {u}")
+    class_map = np.asarray(q.class_map)
     for phi, class_arg in _boxed_cells(q):
-        fidx = encode_assessment(class_arg, model.n)
-        src = lookup[phi]
-        for j in range(model.num_states):
-            got = filtered.eff[q.class_map[j]].rows()[phi.coalition.mask, fidx]
-            if got != src[j]:
-                raise VerificationFailed(f"condition (2) failed at {phi}")
+        got = _row_values(filtered.eff, phi.coalition.mask, np.asarray(class_arg))
+        if not np.array_equal(got[class_map], lookup[phi]):
+            raise VerificationFailed(f"condition (2) failed at {phi}")
 
 
 def _verify_truth_transfer(q: Quotient, filtered: LnModel):
@@ -210,10 +253,12 @@ def _verify_truth_transfer(q: Quotient, filtered: LnModel):
                 above_o.add(phi)
         nodes = tuple(phi for phi in nodes if phi not in above_o)
     values = _eval_nodes(nodes, filtered.n, {}, filtered)
-    class_map = np.asarray(q.class_map)
-    for phi, vec in q.subformula_vectors:
-        if phi in values and not np.array_equal(values[phi][class_map], vec):
-            raise VerificationFailed(f"truth transfer failed at {phi}")
+    # every node's values at the states' classes against its source vector
+    checked = [(phi, vec) for phi, vec in q.subformula_vectors if phi in values]
+    got = _stack([values[phi] for phi, _ in checked])[:, np.asarray(q.class_map)]
+    bad = (got != np.array([vec for _, vec in checked])).any(axis=1)
+    if bad.any():
+        raise VerificationFailed(f"truth transfer failed at {checked[int(bad.argmax())][0]}")
 
 
 def _filtered_valuation(q: Quotient):
@@ -226,56 +271,58 @@ def _filtered_valuation(q: Quotient):
     }
 
 
-def _intermediate(model: LnModel, mu: Formula):
-    """The intermediate filtration, and per class the lift of its table's
-    Boolean skeleton to the model's chain.
+def _classes(model: LnModel, mu: Formula):
+    """The quotient, and per class its skeleton and the lift of that
+    skeleton to the model's chain.
 
-    E* is 0 or n on the idempotent assessments (there g*(f) = f, as every
-    step divides n), so the distinct tables are thresholded at the top in
-    one stacked gather, and each distinct skeleton is lifted once.  Each
-    stage is one stacked playability check: the source tables, then the
-    skeletons and their lifts together, a lift checked on its skeleton.
+    Two stacked checks, each asking only for the verdicts it reads: the
+    source tables are playable; the distinct skeletons are playable and
+    their lifts, each checked on its skeleton, truly playable.  Each
+    distinct skeleton is lifted once.
     """
-    if not all(report.playable for report in check_playability_many(model.eff)):
-        raise NotPlayable("filtration requires a playable model")
+    _require(((model.eff, PLAYABLE_PARTS, NotPlayable("filtration requires a playable model")),))
     q = quotient(model, mu)
-    tables = _intermediate_tables(q, definable_class_vectors(q))
-    unique = tuple(dict.fromkeys(tables))
-    cells = _skeleton_cells(_stack([E.rows() for E in unique]), unique[0].geometry())
-    skeletons = {E: _lifted(BOOL_CHAIN, model.k, E.outcomes, H) for E, H in zip(unique, cells)}
-    lifts = {
-        H: lift_boolean(H, model.chain, check_input=False)
-        for H in dict.fromkeys(skeletons.values())
-    }
-    reports = check_playability_many((*lifts, *lifts.values()))
-    if not all(report.playable for report in reports[: len(lifts)]):
-        raise VerificationFailed("intermediate skeleton is not playable")
-    if not all(report.truly_playable for report in reports[len(lifts) :]):
-        raise VerificationFailed("lifted table is not truly playable")
+    skeletons = _class_skeletons(q)
+    lifts = {H: lift_boolean(H, model.chain, check_input=False) for H in dict.fromkeys(skeletons)}
+    _require(
+        (
+            (tuple(lifts), PLAYABLE_PARTS, VerificationFailed("intermediate skeleton is not playable")),
+            (
+                tuple(lifts.values()),
+                (*PLAYABLE_PARTS, "principal"),
+                VerificationFailed("lifted table is not truly playable"),
+            ),
+        )
+    )
+    return q, skeletons, tuple(lifts[H] for H in skeletons)
+
+
+def _filtered(q: Quotient, eff) -> LnModel:
+    """The class-level model with the given tables, conditions (1) and (2)
+    verified."""
     filtered = LnModel(
-        chain=model.chain,
+        chain=q.source.chain,
         states=q.class_names(),
-        eff=tables,
+        eff=eff,
         valuation=_filtered_valuation(q),
     )
     _verify_filtration_conditions(q, filtered)
-    inter = FiltrationResult(quotient=q, model=filtered, stage=STAGE_INTERMEDIATE)
-    return inter, tuple(lifts[skeletons[E]] for E in tables)
+    return filtered
 
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     """Class-level model with the E* tables, conditions verified."""
-    return _intermediate(model, mu)[0]
+    q, skeletons, _ = _classes(model, mu)
+    tables = _intermediate_tables(q, definable_class_vectors(q), skeletons)
+    return FiltrationResult(quotient=q, model=_filtered(q, tables), stage=STAGE_INTERMEDIATE)
 
 
 def _playable(model: LnModel, mu: Formula):
     """The quotient and the lifted model of the playable filtration, with
     every check but truth transfer, which each public filtration runs once
     on the model it returns."""
-    inter, lifted = _intermediate(model, mu)
-    filtered = replace(inter.model, eff=lifted)
-    _verify_filtration_conditions(inter.quotient, filtered)
-    return inter.quotient, filtered
+    q, _, lifted = _classes(model, mu)
+    return q, _filtered(q, lifted)
 
 
 def playable_filtration(model: LnModel, mu: Formula) -> FiltrationResult:

@@ -26,6 +26,7 @@ from .errors import (
     BadDocument,
     BudgetExceeded,
     InvalidInput,
+    check_distinct,
     check_document,
     check_field,
     check_names,
@@ -49,6 +50,7 @@ class GameForm:
             raise InvalidInput("a game form needs at least 2 players")
         if len(self.outcomes) < 1:
             raise InvalidInput("a game form needs at least 1 outcome")
+        check_distinct(self.outcomes, "outcomes")
         if any(m < 1 for m in self.strategy_counts):
             raise InvalidInput("strategy sets must be nonempty")
         expected = math.prod(self.strategy_counts)

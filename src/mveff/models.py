@@ -26,7 +26,8 @@ fails, on that grid.  Where those rows are homogeneous in every table (a
 game form's table is), the predicate reads their Boolean skeletons
 (tables._held_rows), with the same verdict, so a model of game-form tables
 builds no cells for it; standard_relation reads the empty coalition's row
-the same way.
+the same way, and the evaluator reads a [C] node on the skeletons when
+every table is held as one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     DialectViolation,
     InvalidInput,
     UnknownProposition,
+    check_distinct,
     check_document,
     check_field,
     check_names,
@@ -72,10 +74,10 @@ from .tables import (
     _check_regular,
     _check_safety,
     _held_rows,
+    _row_values,
     _value_dtype,
     assessment_columns,
     commutes_with_doublings,
-    encode_assessments,
     superadditive_on_pair,
 )
 
@@ -102,6 +104,7 @@ class LnModel:
         object.__setattr__(self, "valuation", valuation)
         if not self.states or len(self.eff) != len(self.states):
             raise InvalidInput("need at least one state and one effectivity table per state")
+        check_distinct(self.states, "states")
         for E in self.eff:
             if E.chain != chain or E.outcomes != self.states or E.k != self.eff[0].k:
                 raise InvalidInput("every table must share the model's chain, states and players")
@@ -284,6 +287,11 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
     _lattice), and its inner nodes are computed only when another node or
     the caller reads them.  A node in assign takes its array from
     there; any other proposition, [C] or [O] node is read from the model.
+    A [C] node reads row C of every state's table through
+    tables._row_values: when every table is held as its Boolean skeleton,
+    E(C, f) is the number of cuts [f >= i] the skeleton accepts, one
+    gather per candidate level, and no cells are built; otherwise it is one gather
+    of the stacked cells.
     The lead axes are those of the assigned arrays (an open grid from
     _valuation_grid, none when nothing is assigned), and each node
     broadcasts over only the lead axes its operands vary on.  Without a
@@ -324,11 +332,7 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
                     f"[{node.coalition}] is a coalition of {node.coalition.k} players "
                     f"and the model has {model.k}"
                 )
-            # the argument's assessment index per valuation
-            idx = encode_assessments(values[node.sub], n)
-            mask = node.coalition.mask
-            rows = np.stack([E.rows()[mask] for E in model.eff])
-            out = np.take(rows, idx, axis=1)
+            out = _row_values(model.eff, node.coalition.mask, values[node.sub])
         elif isinstance(node, BoxO):
             if not isinstance(model, EnrichedLnModel):
                 raise DialectViolation("[O] needs an enriched model")

@@ -9,7 +9,11 @@ its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments,
 and the lift of an outcome-monotone Boolean table is homogeneous.  So a
 game form's table and the lift of such a table are held as that skeleton,
 and their cells are built on first use, under DEFAULT_CELL_BUDGET; a table
-held either way compares, hashes, pickles and prints as its cells.
+held either way compares, hashes, pickles and prints as its cells.  A
+held table's value E(C, f) is read off its skeleton, the number of cuts
+[f >= i] it accepts (_lift_values), by one function for every reader:
+_row_values, which the formula evaluator's [C] nodes, a filtration's
+condition (2) and value_num go through, and the cells themselves.
 
 Each playability predicate is one array expression over a stack of tables
 of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
@@ -59,7 +63,9 @@ witness is the first failing dense cell.  The check builds no other
 table's cells.  `check_playability(E)` is the stack of one, with the same
 report, and `check_properties` runs that check once: on every predicate
 when the named ones include playable or truly_playable, which it reads off
-the report, and on the named predicates alone otherwise.
+the report, and on the named predicates alone otherwise.  _require runs
+it on only the predicates a caller reads, such as a filtration's
+PLAYABLE_PARTS, and raises the caller's error without building a report.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ from .errors import (
     VerificationFailed,
     check_document,
     check_field,
+    check_distinct,
     check_names,
 )
 from .formulas import Coalition
@@ -155,13 +162,12 @@ def encode_assessment(f: Sequence[int], n: int) -> int:
 
 def encode_assessments(values: np.ndarray, n: int) -> np.ndarray:
     """encode_assessment of every column of values, whose first axis runs
-    over the outcomes, in the narrowest signed type that holds (n+1)^size."""
+    over the outcomes, in the narrowest signed type that holds (n+1)^size:
+    one product with the place values."""
     size = len(values)
-    idx = np.zeros(values.shape[1:], dtype=np.min_scalar_type(-1 - (n + 1) ** size))
-    for j in range(size):
-        idx *= n + 1
-        idx += values[j]
-    return idx
+    powers = (n + 1) ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    idx = powers @ values.reshape(size, -1)
+    return idx.astype(np.min_scalar_type(-1 - (n + 1) ** size)).reshape(values.shape[1:])
 
 
 def assessment_columns(n: int, size: int, dtype) -> np.ndarray:
@@ -203,18 +209,10 @@ class _Geometry:
         self.blocks = [width] * (size // width) + [size % width] * (size % width > 0)
 
     @cached_property
-    def lift_index(self) -> tuple:
-        """(cuts, levels) for lift_boolean, built on first use: the lift of a
-        Boolean table H is max over r of levels[r, f] H(C, cuts[r, f]), the
-        cut in base 2 at its level.  A threshold cut [f >= i] only changes at
-        a value of f, so the rows are the cut [f >= f_j] at level f_j for
-        each coordinate j, and the empty cut at level n where max f < n."""
-        n, tuples = self.n, self.tuples
-        bool_powers = 2 ** np.arange(self.size - 1, -1, -1, dtype=np.int64)
-        cuts = np.stack([(tuples >= level[:, None]) @ bool_powers for level in tuples.T])
-        cuts = np.vstack((cuts, np.zeros(self.count, dtype=np.int64)))
-        levels = np.vstack((tuples.T, np.where(tuples.max(axis=1) < n, n, 0)))
-        return cuts, levels.astype(_value_dtype(n))
+    def lift_cuts(self) -> tuple:
+        """_lift_cuts of every assessment, built on first use, for the
+        cells of a table held as its skeleton (EffFn._cells)."""
+        return _lift_cuts(self.tuples.T, self.n)
 
 
 @lru_cache(maxsize=None)
@@ -270,6 +268,7 @@ class EffFn:
         outcomes = tuple(outcomes)
         if len(outcomes) < 1 or k < 2:
             raise InvalidInput("need at least 1 outcome and 2 players")
+        check_distinct(outcomes, "outcomes")
         try:
             rows = np.asarray(table)
         except ValueError:  # ragged rows
@@ -352,24 +351,24 @@ class EffFn:
         return self._cells(DEFAULT_CELL_BUDGET)
 
     def _cells(self, budget: int) -> np.ndarray:
-        """The cells, kept once built.  A lift's E(C, f) is the largest level
-        whose threshold cut of f its skeleton accepts: one gather of S + 1
-        cut rows per coalition (_Geometry.lift_index), so its memory is
-        linear in the cells.  Raises BudgetExceeded before anything is built
-        when a lift has more than budget cells."""
+        """The cells, kept once built.  A lift's are its skeleton's values
+        at every assessment (_lift_values), so its memory is linear in the
+        cells.  Raises BudgetExceeded before anything is built when a lift
+        has more than budget cells."""
         if self._rows is None:
             cells = (self.n + 1) ** self.num_outcomes << self.k
             if cells > budget:
                 raise BudgetExceeded(f"{cells} lifted table cells exceed budget {budget}")
-            cuts, levels = self.geometry().lift_index
-            # (masks, rows, assessments): the level where the cut is accepted, else 0
-            rows = (self._skeleton.take(cuts, axis=1) * levels).max(axis=1)
+            geo = self.geometry()
+            rows = _lift_values(self._skeleton, geo.lift_cuts)
             rows.flags.writeable = False
             object.__setattr__(self, "_rows", rows)
         return self._rows
 
     def value_num(self, mask: int, f: Sequence[int]) -> int:
-        return int(self.rows()[mask, encode_assessment(f, self.n)])
+        """The numerator of E(mask, f); a table held as its skeleton reads
+        it there, building no cells."""
+        return int(_row_values((self,), mask, np.asarray(f))[0])
 
     # -- documents ----------------------------------------------------------
 
@@ -925,6 +924,27 @@ def _report(verdicts: dict) -> PlayabilityReport:
     )
 
 
+def _require(checks) -> None:
+    """Raise unless, for each (tables, names, error) of checks, every table
+    holds each named predicate; one _decide run decides every table on the
+    names some check reads, and builds no report.  As a loop over
+    check_playability would, the first table in order whose check of one of
+    its names raised raises that error, the first in report order, as
+    _report does; else the error of the first check that a table fails."""
+    names = tuple(name for name in _REPORT_ORDER if any(name in own for _, own, _ in checks))
+    found = iter(_decide([E for tables, _, _ in checks for E in tables], names))
+    failed = None
+    for tables, own, error in checks:
+        for verdicts in itertools.islice(found, len(tables)):
+            for name in names:
+                if name in own and isinstance(verdicts[name], MveffError):
+                    raise verdicts[name]
+            if failed is None and not all(verdicts[name][0] for name in own):
+                failed = error
+    if failed is not None:
+        raise failed
+
+
 # -- skeleton, lift, equality -----------------------------------------------
 
 
@@ -975,6 +995,48 @@ def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
     if any(skeleton is None for skeleton in skeletons):
         return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
     return _stack(skeletons), _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
+
+
+def _lift_cuts(f: np.ndarray, n: int) -> tuple:
+    """(levels, cuts) of a lift at the assessments f, numerators with the S
+    outcomes on its first axis: the candidate levels stacked on a first
+    axis, every level 1..n when n <= S, else the S values of f and n, as
+    [f >= i] only changes at a value of f (and is empty above the largest);
+    and per level the base-2 index of the cut [f >= level] at each
+    assessment.  levels is in _value_dtype(n)."""
+    lead = f.shape[1:]
+    if n <= len(f):
+        levels = np.arange(1, n + 1).reshape((n,) + (1,) * len(lead))
+    else:
+        levels = np.concatenate((f, np.full((1,) + lead, n)))
+    levels = levels.astype(_value_dtype(n))
+    cuts = encode_assessments(np.moveaxis(f[None] >= levels[:, None], 1, 0), BOOL_CHAIN.n)
+    return levels, cuts
+
+
+def _lift_values(skeleton: np.ndarray, cuts: tuple) -> np.ndarray:
+    """The lift of each Boolean skeleton row at the assessments whose
+    _lift_cuts are cuts: the largest level i <= n whose threshold cut
+    [f >= i] the row accepts, 0 where it accepts none, from one gather of
+    the skeleton at every candidate level's cut.  skeleton is (rows, 2^S)
+    in {0, 1}; the values are (rows, *assessment shape) in _value_dtype(n).
+    On an outcome-monotone skeleton, a held table's, the accepted levels
+    are 1..E(C, f), so E(C, f) = #{i <= n : H(C, [f >= i]) = 1}."""
+    levels, cut = cuts
+    return (skeleton.take(cut, axis=1) * levels).max(axis=1)
+
+
+def _row_values(tables: Sequence[EffFn], mask: int, f: np.ndarray) -> np.ndarray:
+    """E(C, f) of the row mask of each of tables of one geometry at the
+    assessments f, outcomes on its first axis: (tables, *f.shape[1:]) in
+    _value_dtype(n).  When every table is held as its skeleton they are
+    read there (_lift_values), and no cells are built; else one gather of
+    the rows' cells at f's index."""
+    n = tables[0].n
+    if all(E._skeleton is not None for E in tables):
+        skeleton = _stack([E._skeleton[mask] for E in tables])
+        return _lift_values(skeleton, _lift_cuts(f, n))
+    return _stack([E.rows()[mask] for E in tables]).take(encode_assessments(f, n), axis=1)
 
 
 def boolean_skeleton(E: EffFn) -> EffFn:

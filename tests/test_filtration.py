@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -26,13 +27,19 @@ from mveff.filtration import (
     quotient,
 )
 from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, iff, oplus, parse, subformulas
-from mveff.models import EnrichedLnModel, LnModel, check_axiom_schema, eval_vector, is_standard
+from mveff.models import (
+    EnrichedLnModel,
+    LnModel,
+    check_axiom_schema,
+    eval_vector,
+    is_standard,
+    standardize,
+)
 from mveff.tables import (
+    PLAYABLE_PARTS,
     EffFn,
-    _skeleton_cells,
     boolean_skeleton,
     check_playability,
-    check_playability_many,
     encode_assessment,
     lift_boolean,
 )
@@ -177,7 +184,8 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
     # at n = 1 a skeleton is its table and so is its lift; at n = 2 a lift
     # is checked on its skeleton, the table checked beside it
     mu = parse("[{1}]p1 -> p2", 2)
-    regular = tables._CHECKS["regular"]
+    liveness = tables._CHECKS["liveness"]
+    decide = tables._decide
     for n in (2, 1):
         chain = Chain(n)
         base = random_playable_model(random.Random(8), chain, 4)
@@ -188,24 +196,27 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
         built = {boolean_skeleton(E) for E in inter}
         calls, stacks = [], []
 
-        def counting_many(stack):
-            calls.append(tuple(stack))
-            return check_playability_many(stack)
+        def counting_decide(stack, names):
+            calls.append((tuple(stack), tuple(names)))
+            return decide(stack, names)
 
-        def counting_regular(rows, geo):
+        def counting_liveness(rows, geo):
             stacks.append(len(rows))
-            return regular(rows, geo)
+            return liveness(rows, geo)
 
-        monkeypatch.setattr(filtration, "check_playability_many", counting_many)
-        monkeypatch.setitem(tables._CHECKS, "regular", counting_regular)
+        monkeypatch.setattr(tables, "_decide", counting_decide)
+        monkeypatch.setitem(tables._CHECKS, "liveness", counting_liveness)
         result = playable_filtration(M, mu)
         monkeypatch.undo()
         assert result == expect
-        # one stacked check of the source tables, one of skeletons and lifts
+        # one stacked check of the source tables, one of skeletons and lifts,
+        # each asking only for the verdicts it reads
         assert len(calls) == 2
-        assert set(calls[0]) == set(M.eff)
+        assert set(calls[0][0]) == set(M.eff)
+        assert calls[0][1] == PLAYABLE_PARTS
+        assert calls[1][1] == (*PLAYABLE_PARTS, "principal")
         # every table built still gets a verdict
-        assert built | set(result.model.eff) <= set(calls[1])
+        assert built | set(result.model.eff) <= set(calls[1][0])
         # the battery runs once per call, on each distinct skeleton once
         assert stacks == [len({boolean_skeleton(E) for E in M.eff}), len(built)]
 
@@ -217,26 +228,28 @@ def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
     M = LnModel(chain, base.states, base.eff[:2] * 2, dict(base.valuation))
     mu = parse("[{1}]p1 -> p2", 2)
     expect = playable_filtration(M, mu)
-    tables = intermediate_filtration(M, mu).model.eff
+    inter = intermediate_filtration(M, mu).model.eff
     # classes whose representatives share a source table share E*
-    assert len(set(tables)) < len(tables)
-    stacks, lifted = [], []
+    assert len(set(inter)) < len(inter)
+    gathers, lifted = [], []
 
-    def counting_cells(rows, geo):
-        stacks.append(len(rows))
-        return _skeleton_cells(rows, geo)
+    def counting_gather(q):
+        gathers.append(q)
+        return class_skeletons(q)
 
     def counting_lift(H, chain, check_input=True):
         lifted.append(H)
         return lift_boolean(H, chain, check_input)
 
-    monkeypatch.setattr(filtration, "_skeleton_cells", counting_cells)
+    class_skeletons = filtration._class_skeletons
+    monkeypatch.setattr(filtration, "_class_skeletons", counting_gather)
     monkeypatch.setattr(filtration, "lift_boolean", counting_lift)
     result = playable_filtration(M, mu)
     assert result == expect
-    # one stacked gather of the distinct tables builds every skeleton
-    assert stacks == [len(set(tables))]
-    skeletons = {boolean_skeleton(E) for E in tables}
+    # one gather from the source skeletons gives every class's skeleton
+    assert len(gathers) == 1
+    skeletons = {boolean_skeleton(E) for E in inter}
+    assert set(class_skeletons(gathers[0])) == skeletons
     assert len(lifted) == len(set(lifted)) and set(lifted) == skeletons
 
 
@@ -257,6 +270,40 @@ def test_intermediate_tables_have_strict_skeletons(seed, n, size):
     assert {call.args[0] for call in lift.call_args_list} == set(skeletons)
     for H, F in zip(skeletons, result.model.eff):
         assert F == lift_boolean(H, chain)
+
+
+def test_sixteen_state_filtrations_build_no_cells(monkeypatch):
+    # 16 states at n = 2: each table's 4 x 3^16 cells are over the budget
+    # and the 3^16-assessment geometry would take GiBs, but evaluation, the
+    # class skeletons and both checks read Boolean skeletons alone; the
+    # peak is the source check's superadditivity count over 2^16
+    # assessments
+    M = random_playable_model(random.Random(1), Chain(2), 16)
+    mu = parse("[{1}]p1 -> [N](p1 | p2)", 2)
+    built = []
+
+    class Recording(tables._Geometry):
+        def __init__(self, n, size):
+            built.append((n, size))
+            super().__init__(n, size)
+
+    monkeypatch.setattr(tables, "_Geometry", Recording)
+    tables._geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        values = eval_vector(M, mu)
+        results = playable_filtration(M, mu), enriched_filtration(standardize(M), mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        tables._geometry.cache_clear()
+    assert (2, 16) not in built
+    assert peak < 288 << 20
+    assert all(E._rows is None for E in M.eff)
+    for result in results:
+        q = result.quotient
+        assert all(E._rows is None for E in result.model.eff)
+        assert eval_vector(result.model, mu) == tuple(values[q.representatives[c]] for c in range(q.num_classes))
 
 
 def test_six_class_filtration_at_n4():

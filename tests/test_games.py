@@ -221,3 +221,8 @@ def test_wrong_typed_game_form_fields():
     ):
         with pytest.raises(BadDocument):
             GameForm.from_doc({**doc, **bad})
+
+
+def test_game_form_refuses_repeated_outcomes():
+    with pytest.raises(InvalidInput, match="outcomes declares 's0' twice"):
+        GameForm(strategy_counts=(1, 2), outcomes=("s0", "s0"), outcome_map=(0, 1))

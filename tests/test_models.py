@@ -60,7 +60,7 @@ from mveff.models import (
     standardize,
     tpn_axioms,
 )
-from mveff.tables import EffFn, enumerate_assessments
+from mveff.tables import EffFn, boolean_skeleton, encode_assessment, enumerate_assessments
 
 
 def _single_state_model(n=2, val=1):
@@ -351,10 +351,28 @@ def _held_models(draw):
     return standardize(random_playable_model(rng, Chain(n), size, k=k, props=()))
 
 
+def _cells_by_definition(E):
+    """The cells of a held table from its Boolean skeleton H by the lift's
+    definition, E(C, f) = max{i : H(C, [f >= i])} (0 when H accepts no cut),
+    in Python ints."""
+    H = boolean_skeleton(E).table
+    return [
+        [
+            max(
+                (i for i in range(1, E.n + 1) if H[mask][encode_assessment([v >= i for v in f], 1)]),
+                default=0,
+            )
+            for f in enumerate_assessments(E.n, E.num_outcomes)
+        ]
+        for mask in range(1 << E.k)
+    ]
+
+
 def _dense_copies(data, M):
-    """M with its tables held as cells, built on copies so that M's own
-    stay held, and that copy with one cell of one table changed."""
-    eff = [EffFn(E.chain, E.k, E.outcomes, copy.copy(E).rows()) for E in M.eff]
+    """M with its tables held as cells, built by the lift's definition so
+    that M's own stay held, and that copy with one cell of one table
+    changed."""
+    eff = [EffFn(E.chain, E.k, E.outcomes, _cells_by_definition(E)) for E in M.eff]
     u = data.draw(st.integers(0, M.num_states - 1))
     rows = eff[u].rows().copy()
     mask = data.draw(st.integers(0, (1 << M.k) - 1))
@@ -369,6 +387,26 @@ def test_standard_relation_however_the_tables_are_held(M, data):
     dense, perturbed = _dense_copies(data, M)
     assert standard_relation(M) == standard_relation(dense) == M.R
     assert standard_relation(perturbed) == _relation_by_definition(perturbed)
+    assert M.n == 1 or all(E._rows is None for E in M.eff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_held_models(), st.data())
+def test_evaluation_however_the_tables_are_held(M, data):
+    # a [C] node reads a held table on its skeleton and any other table on
+    # its cells: eval_vector and is_valid agree on a held model and its
+    # dense copy, and a perturbed copy agrees with the recursive reference
+    n, size = M.n, M.num_states
+    rng = random.Random(data.draw(st.integers(0, 1 << 16)))
+    phi = random_formula(rng, 3, (1, 2), M.k, M.chain, allow_outcome=True)
+    val = {p: tuple(rng.randint(0, n) for _ in range(size)) for p in (1, 2)}
+    # at most 1024 valuations, so the reference stays quick
+    support = (1, 2) if (n + 1) ** (2 * size) <= 1024 else (1,)
+    held, dense, perturbed = (model.with_valuation(val) for model in (M, *_dense_copies(data, M)))
+    assert eval_vector(held, phi) == eval_vector(dense, phi)
+    assert is_valid(held, phi, support) == is_valid(dense, phi, support)
+    assert eval_vector(perturbed, phi) == _reference_vector(perturbed, phi, val)
+    assert is_valid(perturbed, phi, support) == _reference_is_valid(perturbed, phi, support)
     assert M.n == 1 or all(E._rows is None for E in M.eff)
 
 
@@ -746,3 +784,9 @@ def test_state_index_takes_only_a_name_or_an_index_in_range():
         EnrichedLnModel(E.chain, E.states, E.eff, E.valuation, [(0, 3)])
     with pytest.raises(InvalidInput):
         EnrichedLnModel(E.chain, E.states, E.eff, E.valuation, [(-1, 0)])
+
+
+def test_model_refuses_repeated_states():
+    E = EffFn(Chain(1), 2, ("s0",), [[0, 1]] * 4)
+    with pytest.raises(InvalidInput, match="states declares 's0' twice"):
+        LnModel(Chain(1), ("s0", "s0"), (E, E), {})

@@ -79,3 +79,21 @@ def test_sources_use_every_name_they_import():
                 used.update(ast.literal_eval(node.value))
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_filtration_reads_cells_only_for_the_intermediate_tables():
+    # the playable and enriched filtrations read Boolean skeletons alone:
+    # in filtration.py only _intermediate_tables, which builds the dense
+    # E* tables, calls .rows()
+    path = next(path for path in SOURCES if path.name == "filtration.py")
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {}  # node -> the innermost function around it (walks are breadth first)
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    calls = [
+        owner.get(node, "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "rows"
+    ]
+    assert calls and set(calls) == {"_intermediate_tables"}, calls

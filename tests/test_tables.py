@@ -22,12 +22,14 @@ from mveff.corpus import (
 from mveff.errors import (
     BadDocument,
     BudgetExceeded,
+    InvalidInput,
     NotHomogeneous,
     NotPlayableInput,
     NotTrulyPlayable,
     SynthesisBudgetExceeded,
 )
-from mveff.games import GameForm, effectivity_table
+from mveff.formulas import Coalition
+from mveff.games import GameForm, boolean_effectivity, effectivity_table
 from mveff.tables import (
     PLAYABLE_PARTS,
     PROPERTY_NAMES,
@@ -1178,6 +1180,31 @@ def test_equality_with_a_held_table_over_the_budget():
         assert E._rows is None
     finally:
         tables._geometry.cache_clear()  # the 3^12-assessment geometry is large
+
+
+def test_value_num_of_a_held_table_reads_its_skeleton():
+    # a 16-outcome game-form table at n = 2 has 4 x 3^16 cells, over the
+    # budget: each value is read off the Boolean table, max{i : H(C, [f >=
+    # i])}, H decided by the max-min rule, without building a cell
+    rng = random.Random(7)
+    form = random_game_form(rng, 2, 16)
+    E = effectivity_table(form, Chain(2))
+    for _ in range(40):
+        mask = rng.randrange(4)
+        f = tuple(rng.randint(0, 2) for _ in range(16))
+        accepted = [
+            i
+            for i in (1, 2)
+            if boolean_effectivity(form, Coalition(mask, 2), (j for j, v in enumerate(f) if v >= i))
+        ]
+        assert E.value_num(mask, f) == max(accepted, default=0)
+    assert E.value_num(3, (2,) * 16) == 2 and E.value_num(0, (0,) * 16) == 0
+    assert E._rows is None
+
+
+def test_effectivity_function_refuses_repeated_outcomes():
+    with pytest.raises(InvalidInput, match="outcomes declares 's0' twice"):
+        EffFn(Chain(1), 2, ("s0", "s0"), np.zeros((4, 4), dtype=int))
 
 
 @pytest.mark.parametrize("n", (2, 9))
