@@ -25,8 +25,9 @@ print("lift/skeleton round trip on", len(playable_boolean_tables(2, 2)), "tables
 # truly playable tables are exactly the tables of game forms; the
 # synthesizer searches small forms and verifies cell-for-cell equality
 targets = known_truly_playable_tables()
-form = synthesize_game_form(targets[3], budget=3)
-print("synthesized strategy counts:", form.strategy_counts)
-print("outcome map:", form.outcome_map)
-assert effectivity_table(form, targets[3].chain) == targets[3]
+forms = [synthesize_game_form(E, budget=3) for E in targets]
+for form, E in zip(forms, targets):
+    assert effectivity_table(form, E.chain) == E
+print("synthesized strategy counts:", forms[3].strategy_counts)
+print("outcome map:", forms[3].outcome_map)
 print("round trip exact for", len(targets), "known tables")

@@ -15,7 +15,7 @@ import click
 
 from .chain import Chain
 from .decide import LOGIC_PN, LOGIC_TPN, search_countermodel
-from .errors import BadDocument, BudgetExceeded, MveffError, check_document
+from .errors import BadDocument, BudgetExceeded, InvalidInput, MveffError, check_document
 from .filtration import (
     STAGE_ENRICHED,
     STAGE_INTERMEDIATE,
@@ -126,11 +126,14 @@ def cmd_check(input_file, properties, fmt):
     """Playability (or standardness) report for a table or model document.
 
     With no explicit properties the full report is produced; the exit code
-    is 1 as soon as any requested property fails.
+    is 1 as soon as any requested property fails.  Properties are refused
+    with a model document.
     """
     doc = _read_doc(input_file)
     kind = doc.get("kind", "effectivity")
     if kind in ("model", "enriched-model"):
+        if properties:
+            raise InvalidInput("properties are checked on a table document, not on a model")
         model = LnModel.from_doc(doc)
         reports = check_playability_many(model.eff)
         results = {u: report.to_doc() for u, report in zip(model.states, reports)}

@@ -61,7 +61,7 @@ from .models import (
     pn_axioms,
     tpn_axioms,
 )
-from .tables import BOOL_CHAIN, EffFn, check_playability_many, lift_boolean
+from .tables import BOOL_CHAIN, EffFn, _lifted, _value_dtype, check_playability_many
 
 LOGIC_PN = "Pn"
 LOGIC_TPN = "TPn"
@@ -246,8 +246,8 @@ class _Round:
             rows.append(np.any([idx & g == g for g in gens[mask]], axis=0))
         rows.append(idx & z != 0)
         outcomes = tuple(f"s{j}" for j in range(self.size))
-        H = EffFn(chain=BOOL_CHAIN, k=k, outcomes=outcomes, table=np.array(rows))
-        return lift_boolean(H, self.signatures.chain, check_input=False)
+        skeleton = np.array(rows).view(_value_dtype(BOOL_CHAIN.n))
+        return _lifted(self.signatures.chain, k, outcomes, skeleton)
 
     def model(self, logic):
         """The model over T whose states carry their witnesses' tables."""

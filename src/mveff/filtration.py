@@ -54,7 +54,6 @@ from .tables import (
     _row_values,
     _skeletons,
     _stack,
-    lift_boolean,
 )
 
 STAGE_INTERMEDIATE = "intermediate"
@@ -158,16 +157,18 @@ def _class_weights(q: Quotient, n: int) -> np.ndarray:
     return weights
 
 
-def _class_skeletons(q: Quotient) -> list[EffFn]:
-    """Per class, the Boolean skeleton of its E* table, gathered from the
-    skeleton of its representative's source table (tables._skeletons).
+def _class_skeletons(q: Quotient) -> np.ndarray:
+    """The Boolean skeleton of each class's E* table, stacked (classes,
+    2^k, 2^S), gathered from the skeleton of its representative's source
+    table (tables._skeletons).
 
     On an idempotent assessment chi_A, A a set of classes, g*(chi_A) =
     chi_A, as every step divides n, so E*(C, chi_A) is the source value at
     the indicator of A's states: row C != N is the source skeleton's row C
     at that state mask, and row N, the dual of row {}, is 1 - row {} at the
     complement of A.  The source tables are playable, so homogeneous, and
-    each has a skeleton.
+    each has a skeleton.  Those are outcome-monotone, and so is each
+    gathered row: more classes are more states, and row N is a dual.
     """
     model = q.source
     idx = _geometry(BOOL_CHAIN.n, q.num_classes).tuples @ _class_weights(q, BOOL_CHAIN.n)
@@ -175,7 +176,7 @@ def _class_skeletons(q: Quotient) -> list[EffFn]:
     rows = _stack([skeleton for _, skeleton in _skeletons(reps, slice(None))]).take(idx, axis=2)
     # the complement of a set of classes is its index reversed
     rows[:, -1] = 1 - rows[:, 0, ::-1]
-    return [_lifted(BOOL_CHAIN, model.k, q.class_names(), H) for H in rows]
+    return rows
 
 
 def _intermediate_tables(q: Quotient, steps, skeletons) -> list[EffFn]:
@@ -278,12 +279,13 @@ def _classes(model: LnModel, mu: Formula):
     Two stacked checks, each asking only for the verdicts it reads: the
     source tables are playable; the distinct skeletons are playable and
     their lifts, each checked on its skeleton, truly playable.  Each
-    distinct skeleton is lifted once.
+    distinct skeleton, outcome-monotone (_class_skeletons), is lifted once.
     """
     _require(((model.eff, PLAYABLE_PARTS, NotPlayable("filtration requires a playable model")),))
     q = quotient(model, mu)
-    skeletons = _class_skeletons(q)
-    lifts = {H: lift_boolean(H, model.chain, check_input=False) for H in dict.fromkeys(skeletons)}
+    rows, names = _class_skeletons(q), q.class_names()
+    skeletons = [_lifted(BOOL_CHAIN, model.k, names, H) for H in rows]
+    lifts = {H: _lifted(model.chain, model.k, names, S) for H, S in dict(zip(skeletons, rows)).items()}
     _require(
         (
             (tuple(lifts), PLAYABLE_PARTS, VerificationFailed("intermediate skeleton is not playable")),

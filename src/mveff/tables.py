@@ -6,10 +6,10 @@ The cells are one read-only array of shape (2^k, (n+1)^S) in the narrowest
 signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
 `.table` is built only when asked for.  A homogeneous table is the lift of
 its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments,
-and the lift of an outcome-monotone Boolean table is homogeneous.  So a
-game form's table and the lift of such a table are held as that skeleton,
-and their cells are built on first use, under DEFAULT_CELL_BUDGET; a table
-held either way compares, hashes, pickles and prints as its cells.  A
+and the lift of an outcome-monotone Boolean table is homogeneous.  Every
+table with n > 1 held as its skeleton is such a lift (_lifted), and its
+cells are built on first use, under DEFAULT_CELL_BUDGET; a table held
+either way compares, hashes, pickles and prints as its cells.  A
 held table's value E(C, f) is read off its skeleton, the number of cuts
 [f >= i] it accepts (_lift_values), by one function for every reader:
 _row_values, which the formula evaluator's [C] nodes, a filtration's
@@ -253,12 +253,12 @@ class EffFn:
 
     rows()[mask, f_index] is the numerator of the value of the coalition
     with that bitmask at the encoded assessment; `table` is the same cells
-    as a tuple of tuples of ints.  A table is held as its cells, or, when it
-    is the lift of an outcome-monotone Boolean table (a game form's table,
-    lift_boolean), as that Boolean skeleton, whose lift's cells rows()
-    builds on first use.
-    A Boolean table is its own skeleton.  Instances are immutable and
-    compare and hash by (chain, k, outcomes, cells), however they are held.
+    as a tuple of tuples of ints.  A table is held as its cells, or as a
+    Boolean skeleton (_lifted), whose lift's cells rows() builds on first
+    use; for n > 1 that skeleton is always outcome-monotone, so the table
+    is homogeneous.  A Boolean table is its own skeleton.  Instances are
+    immutable and compare and hash by (chain, k, outcomes, cells), however
+    they are held.
     """
 
     __slots__ = ("chain", "k", "outcomes", "_skeleton", "_rows", "_table", "_hash")
@@ -434,10 +434,11 @@ def _hold(E: EffFn, chain, k, outcomes, skeleton, rows) -> EffFn:
 
 
 def _lifted(chain: Chain, k: int, outcomes, skeleton: np.ndarray) -> EffFn:
-    """The lift of a Boolean skeleton to the chain, held as that skeleton:
-    its cells (2^k, 2^S) in _value_dtype(1), 0 or 1, unchecked.  For n > 1
-    the skeleton must be outcome-monotone, so that the lift is homogeneous
-    (lift_boolean)."""
+    """The lift of an outcome-monotone Boolean skeleton to the chain, held
+    as that skeleton: its cells (2^k, 2^S) in _value_dtype(1), 0 or 1,
+    unchecked.  For n > 1 every caller passes such a skeleton, so every
+    held table is homogeneous (_skeletons); a Boolean table is by
+    definition."""
     skeleton.flags.writeable = False
     return _hold(
         object.__new__(EffFn), chain, k, tuple(outcomes), skeleton, skeleton if chain.n == 1 else None
@@ -962,7 +963,7 @@ def _skeletons(tables: Sequence[EffFn], masks) -> list:
 
     This is the one place that decides whether rows are read on their
     skeleton.  A table held as its skeleton is homogeneous by construction
-    (the skeleton is outcome-monotone, lift_boolean), and a Boolean table
+    (every held skeleton is outcome-monotone, _lifted), and a Boolean table
     by definition (both doubling maps are the identity on {0, 1}), so each
     is passed through untested.  The other tables are grouped by (n, k, S)
     and tested on one stack per group.
@@ -1063,30 +1064,23 @@ def boolean_skeleton(E: EffFn) -> EffFn:
     return _lifted(BOOL_CHAIN, E.k, E.outcomes, _skeleton_cells(E.rows(), geo))
 
 
-def lift_boolean(H: EffFn, chain: Chain, check_input: bool = True) -> EffFn:
+def lift_boolean(H: EffFn, chain: Chain) -> EffFn:
     """The canonical chain-valued extension of a playable Boolean table.
 
     E(C, f) is the largest i/n whose thresholded assessment the Boolean
-    table accepts; an empty index set gives 0.  The lift of an
-    outcome-monotone table, a playable one among them, is homogeneous, and
-    it is held as H's cells, its skeleton, so it is built at once at any
-    size; its own cells are built on first use (EffFn.rows), and a lift of
-    more than DEFAULT_CELL_BUDGET cells, the effectivity table's budget,
-    raises BudgetExceeded there.  For n > 1 any other lift is not
-    homogeneous (where H(A) > H(B) for A inside B, the assessment n on A
-    and 1 on the rest of B has cuts B at level 1 and A at level n), so it is
-    held as its cells, built here under the same budget.
+    table accepts; an empty index set gives 0.  A playable table is
+    outcome-monotone, so its lift is homogeneous, and it is held as H's
+    cells, its skeleton (_lifted): it is built at once at any size, and its
+    own cells are built on first use (EffFn.rows), where a lift of more
+    than DEFAULT_CELL_BUDGET cells, the effectivity table's budget, raises
+    BudgetExceeded.  Raises NotPlayableInput when H is not playable.
     """
     if H.n != 1:
         raise InvalidInput("lift expects a Boolean (two-valued) table")
-    if check_input and not check_playability(H).playable:
-        raise NotPlayableInput("lift requires a playable Boolean table")
+    _require((((H,), PLAYABLE_PARTS, NotPlayableInput("lift requires a playable Boolean table")),))
     if chain.n == 1:
         return H
-    E = _lifted(chain, H.k, H.outcomes, H.rows())
-    if check_input or all(h for h, _ in _check_outcome_monotonic(H.rows()[None], H.geometry())):
-        return E
-    return _hold(object.__new__(EffFn), chain, H.k, H.outcomes, None, E.rows())
+    return _lifted(chain, H.k, H.outcomes, H.rows())
 
 
 # -- game-form synthesis -----------------------------------------------------

@@ -393,6 +393,8 @@ _DIGITS = "9" * 5000
         pytest.param(["check", "deep.json"], id="check-deep-json"),
         pytest.param(["check", "mixed-players.json"], id="check-mixed-players"),
         pytest.param(["check", "no-states.json"], id="check-no-states"),
+        pytest.param(["check", "model.json", "nonsense_property"], id="check-model-with-property"),
+        pytest.param(["check", "model.json", "playable"], id="check-model-with-known-property"),
         pytest.param(["eval", "mixed-players.json", "[{1}]p1"], id="eval-mixed-players"),
         pytest.param(["eval", "no-states.json", "p1"], id="eval-no-states"),
         pytest.param(["filter", "no-states.json", "p1"], id="filter-no-states"),

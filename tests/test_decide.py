@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mveff
-from mveff import models
+from mveff import models, tables
 
 from mveff.chain import Chain
 from mveff.corpus import random_enriched_model, random_formula, random_playable_model
@@ -35,7 +35,7 @@ from mveff.models import (
     pn_axioms,
     standardize,
 )
-from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment, lift_boolean
+from mveff.tables import BOOL_CHAIN, EffFn, check_playability, encode_assessment
 
 
 def test_trivial_theorem():
@@ -354,7 +354,7 @@ def _table_by_cells(z, gens, k, size, chain):
                 row.append(any(states(g) <= X for g in gens[mask]))
         rows.append(row)
     H = EffFn(BOOL_CHAIN, k, tuple(f"s{j}" for j in range(size)), rows)
-    return lift_boolean(H, chain, check_input=False)
+    return tables._lifted(chain, k, H.outcomes, H.rows())
 
 
 def test_every_survivor_witness_realizes_its_signature():

@@ -237,19 +237,21 @@ def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
         gathers.append(q)
         return class_skeletons(q)
 
-    def counting_lift(H, chain, check_input=True):
-        lifted.append(H)
-        return lift_boolean(H, chain, check_input)
+    def counting_lift(lift_chain, k, outcomes, skeleton):
+        if lift_chain == chain:  # a lift, not a Boolean class skeleton
+            lifted.append(EffFn(Chain(1), k, outcomes, skeleton))
+        return tables._lifted(lift_chain, k, outcomes, skeleton)
 
     class_skeletons = filtration._class_skeletons
     monkeypatch.setattr(filtration, "_class_skeletons", counting_gather)
-    monkeypatch.setattr(filtration, "lift_boolean", counting_lift)
+    monkeypatch.setattr(filtration, "_lifted", counting_lift)
     result = playable_filtration(M, mu)
     assert result == expect
     # one gather from the source skeletons gives every class's skeleton
     assert len(gathers) == 1
     skeletons = {boolean_skeleton(E) for E in inter}
-    assert set(class_skeletons(gathers[0])) == skeletons
+    names = gathers[0].class_names()
+    assert {EffFn(Chain(1), M.k, names, rows) for rows in class_skeletons(gathers[0])} == skeletons
     assert len(lifted) == len(set(lifted)) and set(lifted) == skeletons
 
 
@@ -264,10 +266,17 @@ def test_intermediate_tables_have_strict_skeletons(seed, n, size):
     M = random_playable_model(rng, chain, size)
     mu = random_formula(rng, 3, (1, 2), 2, chain)
     inter = intermediate_filtration(M, mu).model.eff
-    with mock.patch.object(filtration, "lift_boolean", wraps=lift_boolean) as lift:
+    with mock.patch.object(filtration, "_lifted", wraps=tables._lifted) as lift:
         result = playable_filtration(M, mu)
     skeletons = [boolean_skeleton(E) for E in inter]
-    assert {call.args[0] for call in lift.call_args_list} == set(skeletons)
+    # the lifts to the model's chain (at n = 1 the Boolean class skeletons
+    # are such calls too)
+    lifted = {
+        EffFn(Chain(1), k, outcomes, skeleton)
+        for lift_chain, k, outcomes, skeleton in (call.args for call in lift.call_args_list)
+        if lift_chain == chain
+    }
+    assert lifted == set(skeletons)
     for H, F in zip(skeletons, result.model.eff):
         assert F == lift_boolean(H, chain)
 
@@ -335,25 +344,29 @@ from mveff import filtration
 from mveff.chain import Chain
 from mveff.corpus import random_playable_model
 from mveff.formulas import parse
-from mveff.tables import EffFn, lift_boolean
+from mveff.tables import EffFn, _lifted
 
 
-def broken_lift(H, chain, check_input=True):
-    # the lift with the grand coalition's top cell lowered: not live
-    rows = lift_boolean(H, chain, check_input).rows().copy()
+def broken_lift(chain, k, outcomes, skeleton):
+    # the lift to the model's chain with the grand coalition's top cell
+    # lowered: not live; the Boolean class skeletons stay intact
+    E = _lifted(chain, k, outcomes, skeleton)
+    if chain.n == 1:
+        return E
+    rows = E.rows().copy()
     rows[-1, -1] -= 1
-    return EffFn(chain, H.k, H.outcomes, rows)
+    return EffFn(chain, k, outcomes, rows)
 
 
-filtration.lift_boolean = broken_lift
+filtration._lifted = broken_lift
 M = random_playable_model(random.Random(5), Chain(2), 4)
 filtration.playable_filtration(M, parse("[{1}]p1 -> p2", 2))
 """
 
 
 def test_broken_lift_is_refused(monkeypatch):
-    # the script replaces filtration.lift_boolean; monkeypatch puts it back
-    monkeypatch.setattr(filtration, "lift_boolean", lift_boolean)
+    # the script replaces filtration._lifted; monkeypatch puts it back
+    monkeypatch.setattr(filtration, "_lifted", tables._lifted)
     with pytest.raises(VerificationFailed, match="lifted table is not truly playable"):
         exec(_BROKEN_LIFT, {})
 

@@ -221,17 +221,49 @@ def _reference_lift(H, n):
     ]
 
 
+def _unchecked_lift(H, n):
+    """The lift of any Boolean table to Chain(n): held as its skeleton when
+    it is outcome-monotone (tables._lifted, as lift_boolean holds a
+    playable table), else its dense cells by the threshold definition."""
+    if check_property(H, "outcome_monotonic").holds:
+        return tables._lifted(Chain(n), H.k, H.outcomes, H.rows())
+    return EffFn(Chain(n), H.k, H.outcomes, _reference_lift(H, n))
+
+
 def test_lift_matches_threshold_definition():
-    # random Boolean tables, unsafe and unplayable ones too, lifted unchecked
+    # random Boolean tables, unsafe and unplayable ones too, and game forms'
+    # tables, which are playable, each with a copy with one cell flipped:
+    # lift_boolean refuses exactly the unplayable ones and holds the others'
+    # lifts as their skeletons; the threshold values of every skeleton,
+    # monotone or not, are the definition's
     rng = random.Random(4)
-    for _ in range(150):
+    inputs = []
+    for draw in range(180):
         n, k, size = rng.choice((2, 3, 5, 64)), rng.randint(2, 3), rng.randint(1, 3)
         if n == 64:
             size = 1
-        rows = [[rng.randint(0, 1) for _ in range(1 << size)] for _ in range(1 << k)]
-        H = EffFn(BOOL, k, state_names(size), rows)
-        E = lift_boolean(H, Chain(n), check_input=False)
-        assert E.rows().tolist() == _reference_lift(H, n)
+        if draw < 150:
+            rows = [[rng.randint(0, 1) for _ in range(1 << size)] for _ in range(1 << k)]
+            inputs.append((n, EffFn(BOOL, k, state_names(size), rows)))
+            continue
+        H = effectivity_table(random_game_form(rng, k, size), BOOL)
+        rows = H.rows().copy()
+        rows[rng.randrange(1 << k), rng.randrange(1 << size)] ^= 1
+        inputs += [(n, H), (n, EffFn(BOOL, k, H.outcomes, rows))]
+    playable = 0
+    for n, H in inputs:
+        reference = _reference_lift(H, n)
+        cuts = tables._geometry(n, H.num_outcomes).lift_cuts
+        assert tables._lift_values(H.rows(), cuts).tolist() == reference
+        if not check_playability(H).playable:
+            with pytest.raises(NotPlayableInput):
+                lift_boolean(H, Chain(n))
+            continue
+        playable += 1
+        E = lift_boolean(H, Chain(n))
+        assert E._skeleton is not None and E._rows is None
+        assert E.rows().tolist() == reference
+    assert 30 <= playable < len(inputs)
 
 
 def test_lift_cell_budget():
@@ -241,7 +273,7 @@ def test_lift_cell_budget():
     # raises there before their geometry is built
     H = effectivity_table(random_game_form(random.Random(2), 2, 9), BOOL)
     assert lift_boolean(H, Chain(3)).rows().size == 1 << 20
-    E = lift_boolean(H, Chain(4), check_input=False)
+    E = lift_boolean(H, Chain(4))
     tables._geometry.cache_clear()
     for build in (E.rows, lambda: E.table, E.to_doc):
         with pytest.raises(BudgetExceeded, match="^7812500 lifted table cells exceed budget 1048576$"):
@@ -256,6 +288,14 @@ def test_lift_requires_playable_input():
     bad_rows = [list(r) for r in H.table]
     bad_rows[0][1] = 1
     bad = EffFn(BOOL, 2, state_names(2), bad_rows)
+    with pytest.raises(NotPlayableInput):
+        lift_boolean(bad, Chain(2))
+    # {2} accepts {s0} (assessment 4) and not {s0, s1} (6): a table that
+    # fails outcome monotonicity alone, whose lift would not be homogeneous
+    rows = [[0] * 7 + [1], [0] * 7 + [1], [0, 1, 1, 1, 1, 1, 0, 1], [0] + [1] * 7]
+    bad = EffFn(BOOL, 2, state_names(3), rows)
+    report = check_playability(bad)
+    assert [name for name in PLAYABLE_PARTS if not report.properties[name]] == ["outcome_monotonic"]
     with pytest.raises(NotPlayableInput):
         lift_boolean(bad, Chain(2))
 
@@ -623,8 +663,7 @@ def _upset_table(draw, n, k, size):
         rows.append(
             [int(any(g & ~a == 0 for g in generators)) for a in range(1 << size)]
         )
-    H = EffFn(BOOL, k, state_names(size), rows)
-    return lift_boolean(H, Chain(n), check_input=False)
+    return tables._lifted(Chain(n), k, state_names(size), np.array(rows, dtype=np.int8))
 
 
 @st.composite
@@ -952,7 +991,7 @@ def test_skeleton_failure_rescanned_on_its_pair_alone():
     H = effectivity_table(random_game_form(random.Random(3), 2, 9), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
-    E = lift_boolean(EffFn(BOOL, 2, H.outcomes, rows), Chain(2), check_input=False)
+    E = tables._lifted(Chain(2), 2, H.outcomes, rows)
     table = E.rows()
     count = table.shape[1]
     assert 9 * count * count > tables._DENSE_CELL_BUDGET
@@ -1040,7 +1079,7 @@ def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     H = effectivity_table(random_game_form(random.Random(3), 2, 6), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
-    E = lift_boolean(EffFn(BOOL, 2, H.outcomes, rows), Chain(2), check_input=False)
+    E = tables._lifted(Chain(2), 2, H.outcomes, rows)
     with mock.patch.object(tables, "_transform", wraps=tables._transform) as transform:
         report = check_playability(E)
     assert report.properties["homogeneous"]
@@ -1076,7 +1115,7 @@ def test_stacked_skeleton_reruns_keep_player_counts_apart():
         rows = H.rows().copy()
         rows[-1] = 0
         rows[-1, -1] = 1
-        stack.append(lift_boolean(EffFn(BOOL, k, H.outcomes, rows), Chain(2), check_input=False))
+        stack.append(tables._lifted(Chain(2), k, H.outcomes, rows))
     single = [check_playability(E).to_doc() for E in stack]
     assert not any(doc["properties"]["N_maximal"] for doc in single)
     assert [report.to_doc() for report in check_playability_many(stack)] == single
@@ -1088,8 +1127,8 @@ def test_stacked_skeleton_reruns_keep_player_counts_apart():
 @st.composite
 def _lifts(draw):
     """A table held as its skeleton, n 1 to 4: a game form's table, or the
-    unchecked lift of random upsets or of uniform random rows (these are
-    rarely playable)."""
+    unchecked lift of random upsets, or of uniform random rows (held as
+    cells when these are not outcome-monotone); these are rarely playable."""
     n, k, size = draw(st.integers(1, 4)), draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
     style = draw(st.sampled_from(("game form", "upset", "uniform")))
     if style == "game form":
@@ -1098,7 +1137,7 @@ def _lifts(draw):
         return draw(_upset_table(n, k, size))
     rows = st.lists(st.integers(0, 1), min_size=1 << size, max_size=1 << size)
     H = EffFn(BOOL, k, state_names(size), draw(st.lists(rows, min_size=1 << k, max_size=1 << k)))
-    return lift_boolean(H, Chain(n), check_input=False)
+    return _unchecked_lift(H, n)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1139,10 +1178,9 @@ def _dense_battery_doc(E):
 def test_unplayable_lift_reports_dense_witnesses(H, n):
     # a lift whose skeleton fails predicates reruns them on its cells: each
     # witness is the first failing dense cell.  The lift of a table that is
-    # not outcome-monotone is not homogeneous, and is held as its cells.
-    E = lift_boolean(H, Chain(n), check_input=False)
+    # not outcome-monotone is not homogeneous.
+    E = _unchecked_lift(H, n)
     monotone = check_property(H, "outcome_monotonic").holds
-    assert (E._skeleton is not None) == monotone
     assert check_property(E, "homogeneous").holds == monotone
     assert check_playability(E).to_doc() == _dense_battery_doc(E) == _dense_report(E)
 
