@@ -61,7 +61,7 @@ from .models import (
     pn_axioms,
     tpn_axioms,
 )
-from .tables import BOOL_CHAIN, EffFn, _lifted, _value_dtype, check_playability_many
+from .tables import BOOL_CHAIN, PLAYABLE_PARTS, EffFn, _lifted, _require, _value_dtype
 
 LOGIC_PN = "Pn"
 LOGIC_TPN = "TPn"
@@ -294,11 +294,15 @@ def _closure_generators(k, accepted, z):
     return gens
 
 
-def _verify_countermodel(model, phi, state_idx, signatures, logic):
+def _verify_countermodel(model, phi, state_idx, logic):
     """Double-entry bookkeeping: re-check the found model from scratch."""
-    for state, report in zip(model.states, check_playability_many(model.eff)):
-        if not report.truly_playable:
-            raise VerificationFailed(f"countermodel table at {state} is not truly playable")
+    message = "countermodel table at {} is not truly playable"
+    _require(
+        tuple(
+            ((E,), (*PLAYABLE_PARTS, "principal"), VerificationFailed(message.format(state)))
+            for state, E in zip(model.states, model.eff)
+        )
+    )
     if logic == LOGIC_TPN and not is_standard(model):
         raise VerificationFailed("countermodel is not a standard enriched model")
     if eval_vector(model, phi)[state_idx] >= model.n:
@@ -363,7 +367,7 @@ def search_countermodel(
             return None
         model = round_.model(logic)
         state_idx = next(j for j, sig in enumerate(T) if sig[phi_pos] < chain.n)
-        _verify_countermodel(model, phi, state_idx, signatures, logic)
+        _verify_countermodel(model, phi, state_idx, logic)
         stats["countermodel_states"] = len(T)
         return DecisionVerdict(
             STATUS_COUNTERMODEL, bound, model, model.states[state_idx], stats

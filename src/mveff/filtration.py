@@ -49,10 +49,10 @@ from .tables import (
     PLAYABLE_PARTS,
     EffFn,
     _geometry,
+    _held_rows,
     _lifted,
     _require,
     _row_values,
-    _skeletons,
     _stack,
 )
 
@@ -159,21 +159,21 @@ def _class_weights(q: Quotient, n: int) -> np.ndarray:
 
 def _class_skeletons(q: Quotient) -> np.ndarray:
     """The Boolean skeleton of each class's E* table, stacked (classes,
-    2^k, 2^S), gathered from the skeleton of its representative's source
-    table (tables._skeletons).
+    2^k, 2^S), gathered from the skeleton its representative's source
+    table holds (tables._held_rows).
 
     On an idempotent assessment chi_A, A a set of classes, g*(chi_A) =
     chi_A, as every step divides n, so E*(C, chi_A) is the source value at
     the indicator of A's states: row C != N is the source skeleton's row C
     at that state mask, and row N, the dual of row {}, is 1 - row {} at the
     complement of A.  The source tables are playable, so homogeneous, and
-    each has a skeleton.  Those are outcome-monotone, and so is each
+    each holds its skeleton.  Those are outcome-monotone, and so is each
     gathered row: more classes are more states, and row N is a dual.
     """
     model = q.source
     idx = _geometry(BOOL_CHAIN.n, q.num_classes).tuples @ _class_weights(q, BOOL_CHAIN.n)
     reps = [model.eff[rep] for rep in q.representatives]
-    rows = _stack([skeleton for _, skeleton in _skeletons(reps, slice(None))]).take(idx, axis=2)
+    rows = _held_rows(reps, slice(None))[0].take(idx, axis=2)
     # the complement of a set of classes is its index reversed
     rows[:, -1] = 1 - rows[:, 0, ::-1]
     return rows

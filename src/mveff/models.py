@@ -22,12 +22,11 @@ check_axiom_schema decides the Pn, B and TPn axiom instances and the
 modal rule conclusions of the soundness suite by frame correspondence, one
 predicate on the rows it reads of the tables of all states (and the
 relation R for [O]), and any other formula, or an instance whose predicate
-fails, on that grid.  Where those rows are homogeneous in every table (a
-game form's table is), the predicate reads their Boolean skeletons
-(tables._held_rows), with the same verdict, so a model of game-form tables
-builds no cells for it; standard_relation reads the empty coalition's row
-the same way, and the evaluator reads a [C] node on the skeletons when
-every table is held as one.
+fails, on that grid.  Where every table is homogeneous (a game form's
+table is), so holds its Boolean skeleton, the predicate reads the
+skeletons' rows (tables._held_rows), with the same verdict, so a model of
+game-form tables builds no cells for it; standard_relation reads the empty
+coalition's row the same way, and so does the evaluator a [C] node.
 """
 
 from __future__ import annotations
@@ -288,10 +287,10 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
     the caller reads them.  A node in assign takes its array from
     there; any other proposition, [C] or [O] node is read from the model.
     A [C] node reads row C of every state's table through
-    tables._row_values: when every table is held as its Boolean skeleton,
+    tables._row_values: when every table holds its Boolean skeleton,
     E(C, f) is the number of cuts [f >= i] the skeleton accepts, one
-    gather per candidate level, and no cells are built; otherwise it is one gather
-    of the stacked cells.
+    gather per candidate level, and no cells are built; otherwise it is one
+    gather of the stacked cells.
     The lead axes are those of the assigned arrays (an open grid from
     _valuation_grid, none when nothing is assigned), and each node
     broadcasts over only the lead axes its operands vary on.  Without a
@@ -455,9 +454,9 @@ def _rows_are_minima(rows: np.ndarray, geo, R) -> bool:
 def standard_relation(model: LnModel) -> frozenset:
     """The relation induced by the empty coalition's effectivity: u R v
     exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
-    top elsewhere.  The empty coalition's rows are read on their Boolean
-    skeletons where they are homogeneous (tables._held_rows), so a model of
-    game-form tables builds no cells."""
+    top elsewhere.  The empty coalition's rows are read on the Boolean
+    skeletons when every table is homogeneous, so holds one
+    (tables._held_rows), and a model of game-form tables builds no cells."""
     rows, geo = _held_rows(model.eff, [0])
     return _row_relation(rows[:, 0], geo)
 
@@ -649,8 +648,8 @@ def check_axiom_schema(model: LnModel, schema: Formula):
       monotonicity of row C;
     - [C](p -> p), the necessitation rule's conclusion: E(C, top) = n.
 
-    Each predicate reads only the rows it names, on their Boolean skeletons
-    where they are homogeneous in every table (tables._held_rows).  Where
+    Each predicate reads only the rows it names, on the Boolean skeletons
+    when every table is homogeneous, so holds one (tables._held_rows).  Where
     it holds the result is (True, None) and no valuation is enumerated.
     Every other formula, and every instance whose predicate fails or is
     over its own budget, is decided by is_valid over the (n+1)^(P*S)

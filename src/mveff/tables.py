@@ -5,15 +5,19 @@ assessments over the ordered outcome set encoded as base-(n+1) integers.
 The cells are one read-only array of shape (2^k, (n+1)^S) in the narrowest
 signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
 `.table` is built only when asked for.  A homogeneous table is the lift of
-its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments,
-and the lift of an outcome-monotone Boolean table is homogeneous.  Every
-table with n > 1 held as its skeleton is such a lift (_lifted), and its
-cells are built on first use, under DEFAULT_CELL_BUDGET; a table held
-either way compares, hashes, pickles and prints as its cells.  A
-held table's value E(C, f) is read off its skeleton, the number of cuts
-[f >= i] it accepts (_lift_values), by one function for every reader:
-_row_values, which the formula evaluator's [C] nodes, a filtration's
-condition (2) and value_num go through, and the cells themselves.
+its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments;
+for n > 1 that skeleton is outcome-monotone, and the lift of an
+outcome-monotone Boolean table is homogeneous.  One rule says how a table
+is held: it holds its skeleton exactly when it is homogeneous, decided once
+when it is built.  EffFn() tests the cells it is given (a Boolean table is
+homogeneous by definition) and keeps a homogeneous table's skeleton beside
+them; a lift (_lifted) holds its skeleton alone, and its cells are built
+on first use, under DEFAULT_CELL_BUDGET.  A table held either way
+compares, hashes, pickles and prints as its cells.  A held table's value
+E(C, f) is read off its skeleton, the number of cuts [f >= i] it accepts
+(_lift_values), by one function for every reader: _row_values, which the
+formula evaluator's [C] nodes, a filtration's condition (2) and value_num
+go through, and the cells themselves.
 
 Each playability predicate is one array expression over a stack of tables
 of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
@@ -43,29 +47,27 @@ outermost and the grand coalition last, so one fails on a proper row exactly
 when its first witness's mask is not the grand coalition's, and the
 superadditivity count already holds the proper-union scope.
 
-Whether rows are read on their Boolean skeleton is decided in one place,
-_skeletons: a table held as its skeleton is homogeneous by construction
-and a Boolean table by definition; the other tables are grouped by (n, k,
-S) and tested on each group's stack.  A homogeneous table commutes with
-both doubling maps, hence with every cut tau_i, so it is the lift of its
-Boolean skeleton and every predicate (built from <=, meet, negation and
-the constants) has the same verdict on the table and on the 2^S-assessment
-skeleton; so has each frame correspondence of models.check_axiom_schema,
-which reads its rows through _held_rows, and a table held as its skeleton
-equals one held as cells exactly when those cells are homogeneous with the
-same skeleton.  For n > 1 `check_playability_many` therefore runs the
-battery on the skeletons of the homogeneous tables and on the cells of
-the others.  Equal targets run the battery once, all targets of one
-geometry in one stack, so a lift checked beside its skeleton costs nothing
-more.  A table whose skeleton fails a predicate runs that predicate again
-on its cells, all such tables of one geometry in one stack, so each
-witness is the first failing dense cell.  The check builds no other
-table's cells.  `check_playability(E)` is the stack of one, with the same
-report, and `check_properties` runs that check once: on every predicate
-when the named ones include playable or truly_playable, which it reads off
-the report, and on the named predicates alone otherwise.  _require runs
-it on only the predicates a caller reads, such as a filtration's
-PLAYABLE_PARTS, and raises the caller's error without building a report.
+A table that holds its skeleton is read on it.  A homogeneous table
+commutes with both doubling maps, hence with every cut tau_i, so it is the
+lift of its Boolean skeleton and every predicate (built from <=, meet,
+negation and the constants) has the same verdict on the table and on the
+2^S-assessment skeleton, where homogeneity always holds; so has each frame
+correspondence of models.check_axiom_schema, which reads its rows through
+_held_rows.  Two tables held alike are equal exactly when what they hold
+is, and tables held differently are never equal.  For n > 1
+`check_playability_many` therefore runs the battery on the skeletons of
+the held tables and on the cells of the others.  Equal targets run the
+battery once, all targets of one geometry in one stack, so a lift checked
+beside its skeleton costs nothing more.  A table whose skeleton fails a
+predicate runs that predicate again on its cells, all such tables of one
+geometry in one stack, so each witness is the first failing dense cell.
+The check builds no other table's cells.  `check_playability(E)` is the
+stack of one, with the same report, and `check_properties` runs that check
+once: on every predicate when the named ones include playable or
+truly_playable, which it reads off the report, and on the named predicates
+alone otherwise.  _require runs it on only the predicates a caller reads,
+such as a filtration's PLAYABLE_PARTS, and raises the caller's error
+without building a report.
 """
 
 from __future__ import annotations
@@ -253,18 +255,21 @@ class EffFn:
 
     rows()[mask, f_index] is the numerator of the value of the coalition
     with that bitmask at the encoded assessment; `table` is the same cells
-    as a tuple of tuples of ints.  A table is held as its cells, or as a
-    Boolean skeleton (_lifted), whose lift's cells rows() builds on first
-    use; for n > 1 that skeleton is always outcome-monotone, so the table
-    is homogeneous.  A Boolean table is its own skeleton.  Instances are
-    immutable and compare and hash by (chain, k, outcomes, cells), however
-    they are held.
+    as a tuple of tuples of ints.  A table holds its Boolean skeleton
+    exactly when it is homogeneous, for n > 1 the lift of that skeleton,
+    which is outcome-monotone: built from cells, it holds the skeleton
+    beside them, and a lift (_lifted) holds the skeleton alone, whose
+    cells rows() builds on first use.  A Boolean table is its own
+    skeleton.  Instances are immutable and compare and hash by (chain, k,
+    outcomes, cells), however they are held.
     """
 
     __slots__ = ("chain", "k", "outcomes", "_skeleton", "_rows", "_table", "_hash")
 
     def __init__(self, chain: Chain, k: int, outcomes, table):
-        """table: nested sequences or an array of shape (2^k, (n+1)^S)."""
+        """table: nested sequences or an array of shape (2^k, (n+1)^S).
+        For n > 1 its homogeneity is tested here, once, and a homogeneous
+        table's skeleton is kept."""
         outcomes = tuple(outcomes)
         if len(outcomes) < 1 or k < 2:
             raise InvalidInput("need at least 1 outcome and 2 players")
@@ -279,7 +284,13 @@ class EffFn:
             raise InvalidInput("table entry outside the chain")
         rows = rows.astype(_value_dtype(chain.n))
         rows.flags.writeable = False
-        _hold(self, chain, k, outcomes, rows if chain.n == 1 else None, rows)
+        skeleton = rows
+        if chain.n > 1:
+            geo, skeleton = _geometry(chain.n, len(outcomes)), None
+            if _check_homogeneous(rows[None], geo)[0][0]:
+                skeleton = _skeleton_cells(rows, geo)
+                skeleton.flags.writeable = False
+        _hold(self, chain, k, outcomes, skeleton, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EffFn is immutable; cannot set {name!r}")
@@ -297,12 +308,13 @@ class EffFn:
         # equal chains, players and outcomes fix the shape and the dtype
         if (self.chain, self.k, self.outcomes) != (other.chain, other.k, other.outcomes):
             return False
-        if self._rows is not None and other._rows is not None:
+        # a table holds a skeleton exactly when it is homogeneous, the lift of
+        # that skeleton, so tables held alike are equal when what they hold is
+        if (self._skeleton is None) != (other._skeleton is None):
+            return False
+        if self._skeleton is None:
             return self._rows.tobytes() == other._rows.tobytes()
-        # one is held as its skeleton, so it is homogeneous, the lift of that
-        # skeleton: the two are equal exactly when both have the same one
-        (_, mine), (_, theirs) = _skeletons((self, other), slice(None))
-        return mine is not None and theirs is not None and mine.tobytes() == theirs.tobytes()
+        return self._skeleton.tobytes() == other._skeleton.tobytes()
 
     def __hash__(self):
         if self._hash is None:
@@ -435,10 +447,10 @@ def _hold(E: EffFn, chain, k, outcomes, skeleton, rows) -> EffFn:
 
 def _lifted(chain: Chain, k: int, outcomes, skeleton: np.ndarray) -> EffFn:
     """The lift of an outcome-monotone Boolean skeleton to the chain, held
-    as that skeleton: its cells (2^k, 2^S) in _value_dtype(1), 0 or 1,
-    unchecked.  For n > 1 every caller passes such a skeleton, so every
-    held table is homogeneous (_skeletons); a Boolean table is by
-    definition."""
+    as that skeleton alone: its cells (2^k, 2^S) in _value_dtype(1), 0 or
+    1, unchecked.  For n > 1 every caller passes such a skeleton, so the
+    lift is homogeneous, as every table holding a skeleton is; a Boolean
+    table is by definition."""
     skeleton.flags.writeable = False
     return _hold(
         object.__new__(EffFn), chain, k, tuple(outcomes), skeleton, skeleton if chain.n == 1 else None
@@ -679,6 +691,8 @@ def _check_coalition_monotonic(rows, geo):
 
 
 def _check_homogeneous(rows, geo):
+    if geo.n == BOOL_CHAIN.n:  # both doubling maps are the identity on {0, 1}
+        return [(True, None)] * len(rows)
     # (tables, masks, oplus then odot, assessments)
     expected = np.minimum(np.maximum(2 * rows[:, :, None, :] - geo.double_shift, 0), geo.n)
     bad = rows.take(geo.double_idx, axis=2) != expected
@@ -840,31 +854,29 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
 def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     """Per table, name -> verdict of each named predicate of _REPORT_ORDER.
 
-    A table whose rows are homogeneous (_skeletons) is checked on its
+    A table holding its skeleton, so homogeneous, is checked on that
     Boolean skeleton, and every other table on itself.  Equal targets run
     the battery once, all targets of one geometry in one stack, and the
     tables with n > 1 whose skeleton fails a predicate run it again on
     their cells, all such tables of one geometry in one stack, for its
     first failing dense cell.
     """
-    battery = tuple(name for name in names if name != "homogeneous")
-    own = [{} for _ in tables]  # per table: its homogeneity and rerun verdicts
+    own = [{} for _ in tables]  # per table: its rerun verdicts
     place = [None] * len(tables)  # per table: (its target's verdicts, target index)
     targets = {}  # target geometry -> {target cells: (target rows, owners)}
     lifted = []  # the tables with n > 1 checked on their skeletons
-    for i, (E, (homogeneous, skeleton)) in enumerate(zip(tables, _skeletons(tables, slice(None)))):
-        own[i]["homogeneous"] = homogeneous
-        if skeleton is None:
+    for i, E in enumerate(tables):
+        if E._skeleton is None:
             target, key = E.rows(), (E.n, E.k, E.num_outcomes)
         else:
-            target, key = skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes)
+            target, key = E._skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes)
             if E.n > 1:
                 lifted.append(i)
         unique = targets.setdefault(key, {})
         unique.setdefault(target.tobytes(), (target, []))[1].append(i)
     for (n, _, size), unique in targets.items():
         stack = _stack([target for target, _ in unique.values()])
-        found = _battery(stack, _geometry(n, size), battery)
+        found = _battery(stack, _geometry(n, size), names)
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t
@@ -875,14 +887,14 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
         found, t = place[i]
         failed = [
             name
-            for name in battery
+            for name in names
             if isinstance(found[name][t], tuple) and found[name][t][1] is not None
         ]
         if failed:
             failing[i] = failed
             again.setdefault((tables[i].k, tables[i].geometry()), []).append(i)
     for (_, geo), idx in again.items():
-        rerun = tuple(name for name in battery if any(name in failing[i] for i in idx))
+        rerun = tuple(name for name in names if any(name in failing[i] for i in idx))
         try:
             rows = _stack([tables[i].rows() for i in idx])
         except BudgetExceeded as over:  # a lift too large to hold has no dense witness
@@ -955,47 +967,17 @@ def _skeleton_cells(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
     return (rows.take(geo.idempotent_idx, axis=-1) == geo.n).view(_value_dtype(BOOL_CHAIN.n))
 
 
-def _skeletons(tables: Sequence[EffFn], masks) -> list:
-    """Per table, (the homogeneity verdict of its rows masks, their Boolean
-    skeleton, or None where they are not homogeneous); masks indexes the
-    rows, slice(None) for every row, and a witness names a row by its
-    place in masks.
-
-    This is the one place that decides whether rows are read on their
-    skeleton.  A table held as its skeleton is homogeneous by construction
-    (every held skeleton is outcome-monotone, _lifted), and a Boolean table
-    by definition (both doubling maps are the identity on {0, 1}), so each
-    is passed through untested.  The other tables are grouped by (n, k, S)
-    and tested on one stack per group.
-    """
-    found = [None] * len(tables)
-    groups = {}
-    for i, E in enumerate(tables):
-        if E._skeleton is None:
-            groups.setdefault((E.n, E.k, E.num_outcomes), []).append(i)
-        else:
-            found[i] = (True, None), E._skeleton[masks]
-    for idx in groups.values():
-        geo = tables[idx[0]].geometry()
-        rows = _stack([tables[i].rows()[masks] for i in idx])
-        verdicts = _check_homogeneous(rows, geo)
-        skeletons = _skeleton_cells(rows, geo) if any(h for h, _ in verdicts) else None
-        for t, i in enumerate(idx):
-            found[i] = verdicts[t], skeletons[t] if verdicts[t][0] else None
-    return found
-
-
 def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
     """(rows, geometry) of the rows masks of tables of one geometry,
-    stacked: their Boolean skeletons on _geometry(1, S) when those rows
-    are homogeneous in every table (_skeletons), else their cells on the
-    tables' own geometry.  A homogeneous row commutes with every cut tau_i,
-    so a predicate built from <=, meet, negation and the constants has the
-    same verdict on both."""
-    skeletons = [skeleton for _, skeleton in _skeletons(tables, masks)]
-    if any(skeleton is None for skeleton in skeletons):
-        return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
-    return _stack(skeletons), _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
+    stacked: their Boolean skeletons on _geometry(1, S) when every table
+    holds its skeleton, so is homogeneous, else their cells on the
+    tables' own geometry.  A homogeneous table commutes with every cut
+    tau_i, so a predicate built from <=, meet, negation and the constants
+    has the same verdict on both."""
+    if all(E._skeleton is not None for E in tables):
+        geo = _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
+        return _stack([E._skeleton[masks] for E in tables]), geo
+    return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
 
 
 def _lift_cuts(f: np.ndarray, n: int) -> tuple:
@@ -1030,14 +1012,14 @@ def _lift_values(skeleton: np.ndarray, cuts: tuple) -> np.ndarray:
 def _row_values(tables: Sequence[EffFn], mask: int, f: np.ndarray) -> np.ndarray:
     """E(C, f) of the row mask of each of tables of one geometry at the
     assessments f, outcomes on its first axis: (tables, *f.shape[1:]) in
-    _value_dtype(n).  When every table is held as its skeleton they are
-    read there (_lift_values), and no cells are built; else one gather of
-    the rows' cells at f's index."""
+    _value_dtype(n), from the rows _held_rows picks: the skeletons, when
+    every table holds one, read by _lift_values, building no cells; else
+    one gather of the rows' cells at f's index."""
     n = tables[0].n
-    if all(E._skeleton is not None for E in tables):
-        skeleton = _stack([E._skeleton[mask] for E in tables])
-        return _lift_values(skeleton, _lift_cuts(f, n))
-    return _stack([E.rows()[mask] for E in tables]).take(encode_assessments(f, n), axis=1)
+    rows, geo = _held_rows(tables, mask)
+    if geo.n == BOOL_CHAIN.n:
+        return _lift_values(rows, _lift_cuts(f, n))
+    return rows.take(encode_assessments(f, n), axis=1)
 
 
 def boolean_skeleton(E: EffFn) -> EffFn:
@@ -1045,8 +1027,8 @@ def boolean_skeleton(E: EffFn) -> EffFn:
 
     A cell counts as accepted exactly when its value is the top element.
     Any intermediate value on an idempotent assessment raises
-    NotHomogeneous, since homogeneity rules those out.  A lift's skeleton is
-    the one it is held as.
+    NotHomogeneous, since homogeneity rules those out.  A table holding
+    its skeleton returns that one.
     """
     if E.n == 1:
         return E

@@ -230,7 +230,7 @@ from mveff.tables import EffFn
 E = EffFn(Chain(1), 2, ("s0",), [[1, 1]] * 4)
 model = LnModel(Chain(1), ("s0",), (E,), {1: (0,)})
 try:
-    _verify_countermodel(model, parse("p1", 2), 0, None, LOGIC_PN)
+    _verify_countermodel(model, parse("p1", 2), 0, LOGIC_PN)
 except VerificationFailed:
     print("verification failed")
 else:
@@ -244,7 +244,7 @@ def test_countermodel_verification_names_the_first_unplayable_state():
     bad = EffFn(Chain(1), 2, base.states, [[1] * 8] * 4)
     model = LnModel(Chain(1), base.states, (base.eff[0], bad, bad), dict(base.valuation))
     with pytest.raises(VerificationFailed, match=f"table at {base.states[1]} is not"):
-        _verify_countermodel(model, parse("p1", 2), 0, None, LOGIC_PN)
+        _verify_countermodel(model, parse("p1", 2), 0, LOGIC_PN)
 
 
 def test_countermodel_verification_survives_optimize():

@@ -37,8 +37,8 @@ def test_only_tables_builds_assessments():
 
 
 def test_one_function_decides_the_skeleton_route():
-    # whether rows are read on their Boolean skeleton is decided by
-    # tables._skeletons alone: it is the one function that calls
+    # whether a table is held as its Boolean skeleton is decided once, when
+    # it is built: EffFn.__init__ is the one function that calls
     # _check_homogeneous by name, and no module but tables.py reads how a
     # table is held
     calls, reads = [], []
@@ -55,7 +55,7 @@ def test_one_function_decides_the_skeleton_route():
                 getattr(node.func, "id", getattr(node.func, "attr", None)) == "_check_homogeneous"
             ):
                 calls.append(f"{path.name}:{owner.get(node, '<module>')}")
-    assert calls == ["tables.py:_skeletons"], calls
+    assert calls == ["tables.py:__init__"], calls
     assert reads and all(place.startswith("tables.py:") for place in reads), reads
 
 

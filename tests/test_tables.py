@@ -970,11 +970,11 @@ def test_superadditive_on_pair_matches_the_dense_count(case):
     pair = tuple(np.array([i]) for i in range(3))
     dense = not tables._pair_counts(three, geo, pair)[2].any()
     homogeneous = all(
-        tables.commutes_with_doublings(three, geo, (op,)) for op in (TAU_OPLUS, TAU_ODOT)
+        tables.commutes_with_doublings(rows, geo, (op,)) for op in (TAU_OPLUS, TAU_ODOT)
     )
     assert tables.superadditive_on_pair(three, geo) == dense
     # the tables' three rows are read on their Boolean skeletons exactly
-    # when they are homogeneous in every table, with the same verdict
+    # when every table of the stack is homogeneous, with the same verdict
     k = rows.shape[1].bit_length() - 1
     states = tuple(f"s{j}" for j in range(geo.size))
     held = [EffFn(Chain(geo.n), k, states, table) for table in rows]
@@ -1159,6 +1159,16 @@ def test_lift_behaves_as_its_dense_table(E):
     assert (fresh._rows is None) == held
     assert check_playability(fresh).to_doc() == check_playability(dense).to_doc()
     assert check_playability(E).to_doc() == check_playability(dense).to_doc()
+    # a table built from cells or read from a document holds a skeleton
+    # exactly when a dense battery finds it homogeneous, and then it holds
+    # E's, outcome-monotone when n > 1: the lift of that skeleton
+    for copy in (dense, EffFn.from_doc(E.to_doc())):
+        homogeneous = _dense_battery_doc(copy)["properties"]["homogeneous"]
+        assert (copy._skeleton is not None) == homogeneous
+        if homogeneous:
+            assert copy._skeleton.tobytes() == E._skeleton.tobytes()
+            skeleton = EffFn(BOOL, E.k, E.outcomes, copy._skeleton)
+            assert E.n == 1 or check_property(skeleton, "outcome_monotonic").holds
     # a dense table with one cell off the lift is another table
     rows = E.rows().copy()
     middle = len(rows[-1]) // 2
