@@ -4,11 +4,14 @@ A game form is players, per-player strategy counts, an ordered outcome set
 and a total outcome map stored flat in row-major profile order (player 1
 varies slowest).  A coalition's effectivity at an assessment of the
 outcomes is one max-min over the profile hypercube: the min over the
-non-members' strategy axes, then the max over the members' axes.  The one
-reduction `_max_min` computes every Boolean and chain-valued effectivity,
-a single cell or a whole table.  A whole table is computed at n = 1: max
-and min commute with every threshold cut, so the chain-valued table is the
-lift of the Boolean one, and it is held as that skeleton.
+non-members' strategy axes, then the max over the members' axes, which
+`_max_min` computes for single cells.  A whole table is the lift of the
+Boolean one, as max and min commute with every threshold cut, and a
+coalition accepts an outcome set exactly when one of its joint strategies
+forces the outcome into it.  So `effectivity_table` computes, per
+coalition, the outcome sets its joint strategies force, as bitwise-or
+reductions of a profile cube of outcome bits, and the table is held as
+their minimal ones (Pauly's representation): no assessment is enumerated.
 """
 
 from __future__ import annotations
@@ -165,23 +168,32 @@ def effectivity_table(
     """Full chain-valued effectivity table of the game form.
 
     Max and min commute with every threshold cut, so the table is the lift
-    of the game form's Boolean table (tables.lift_boolean), and it is held
-    as that skeleton: every (coalition, Boolean assessment) cell by the
-    max-min rule, done as vectorized axis reductions over the profile
-    hypercube.  The chain-valued cells are built from it on first use
-    (EffFn.rows).  cell_budget bounds the 2^k x 2^S cells built here.
+    of the game form's Boolean table (tables.lift_boolean), and a coalition
+    C accepts an outcome set exactly when one joint strategy of C forces the
+    outcome into it: when the set contains the outcomes the others can
+    still reach against that strategy (Pauly).  The table is held as those
+    sets, minimized per coalition (tables._generated).  Outcome j is bit
+    S - 1 - j of a uint64 profile cube, so a set's mask is the index of its
+    characteristic assessment, and a coalition's reached sets are one
+    bitwise-or reduction over a non-member's axis of the reached sets of
+    the coalition with that player added.  The skeleton and the
+    chain-valued cells are built on first use (EffFn.rows).  cell_budget
+    bounds the profiles x 2^k cells the reductions read.
     """
-    from .tables import BOOL_CHAIN, _geometry, _lifted, _value_dtype
+    from .tables import _generated
 
-    num_outcomes = len(form.outcomes)
-    cells = (1 << num_outcomes) * (1 << form.k)
+    cells = form.num_profiles << form.k
     if cells > cell_budget:
-        raise BudgetExceeded(f"{cells} table cells exceed budget {cell_budget}")
+        raise BudgetExceeded(f"{cells} profile cells exceed budget {cell_budget}")
 
-    assessments = _geometry(BOOL_CHAIN.n, num_outcomes).tuples
-    # value cube: one row per assessment, one axis per player
-    values = assessments[:, form.outcome_array()]
-    skeleton = np.empty((1 << form.k, len(assessments)), dtype=_value_dtype(BOOL_CHAIN.n))
-    for mask in range(1 << form.k):
-        skeleton[mask] = _max_min(values, mask, form.k)
-    return _lifted(chain, form.k, form.outcomes, skeleton)
+    size = len(form.outcomes)
+    # more than 64 outcomes do not fit a uint64 word: Python ints then
+    dtype = np.uint64 if size <= 64 else object
+    bits = np.array([1 << (size - 1 - j) for j in range(size)], dtype=dtype)
+    full = (1 << form.k) - 1
+    reached = {full: bits[form.outcome_array()]}
+    for mask in range(full - 1, -1, -1):
+        player = (full & ~mask).bit_length() - 1  # a non-member; mask | its bit is done
+        reached[mask] = np.bitwise_or.reduce(reached[mask | 1 << player], axis=player, keepdims=True)
+    rows = [reached[mask].ravel().tolist() for mask in range(full + 1)]
+    return _generated(chain, form.k, form.outcomes, rows)

@@ -8,16 +8,22 @@ signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
 its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments;
 for n > 1 that skeleton is outcome-monotone, and the lift of an
 outcome-monotone Boolean table is homogeneous.  One rule says how a table
-is held: it holds its skeleton exactly when it is homogeneous, decided once
-when it is built.  EffFn() tests the cells it is given (a Boolean table is
-homogeneous by definition) and keeps a homogeneous table's skeleton beside
-them; a lift (_lifted) holds its skeleton alone, and its cells are built
-on first use, under DEFAULT_CELL_BUDGET.  A table held either way
+is held: a homogeneous table holds its skeleton, its generators, or both,
+and any other table its cells, decided once when it is built.  EffFn()
+tests the cells it is given (a Boolean table is homogeneous by
+definition) and keeps a homogeneous table's skeleton beside them; a lift
+(_lifted) holds its skeleton alone, and its cells are built on first use,
+under DEFAULT_CELL_BUDGET.  A game form's table (_generated) holds its
+generators alone, each row's minimal accepted outcome sets with outcome j
+at bit S - 1 - j, the index of the set's characteristic assessment; its
+skeleton is built from them on first use (_upset_skeleton), under the
+same budget, and its cells from that skeleton.  A table held any way
 compares, hashes, pickles and prints as its cells.  A held table's value
 E(C, f) is read off its skeleton, the number of cuts [f >= i] it accepts
 (_lift_values), by one function for every reader: _row_values, which the
 formula evaluator's [C] nodes, a filtration's condition (2) and value_num
-go through, and the cells themselves.
+go through, and the cells themselves; once every table read holds its
+cells, _row_values gathers those instead.
 
 Each playability predicate is one array expression over a stack of tables
 of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
@@ -47,14 +53,21 @@ outermost and the grand coalition last, so one fails on a proper row exactly
 when its first witness's mask is not the grand coalition's, and the
 superadditivity count already holds the proper-union scope.
 
+A table held as its generators is decided on them first (_generators_hold),
+each distinct tuple of generator rows once per check: when liveness,
+safety, principality, N-maximality and superadditivity hold there, every
+predicate holds, with no witness.  Any other such table is decided on its
+skeleton as below, so its witnesses and errors are those of its cells.
+
 A table that holds its skeleton is read on it.  A homogeneous table
 commutes with both doubling maps, hence with every cut tau_i, so it is the
 lift of its Boolean skeleton and every predicate (built from <=, meet,
 negation and the constants) has the same verdict on the table and on the
 2^S-assessment skeleton, where homogeneity always holds; so has each frame
 correspondence of models.check_axiom_schema, which reads its rows through
-_held_rows.  Two tables held alike are equal exactly when what they hold
-is, and tables held differently are never equal.  For n > 1
+_held_rows.  Two homogeneous tables are equal exactly when their skeletons
+are (their generators, when both hold them), two others when their cells
+are, and a homogeneous table never equals another table.  For n > 1
 `check_playability_many` therefore runs the battery on the skeletons of
 the held tables and on the cells of the others.  Equal targets run the
 battery once, all targets of one geometry in one stack, so a lift checked
@@ -255,16 +268,17 @@ class EffFn:
 
     rows()[mask, f_index] is the numerator of the value of the coalition
     with that bitmask at the encoded assessment; `table` is the same cells
-    as a tuple of tuples of ints.  A table holds its Boolean skeleton
-    exactly when it is homogeneous, for n > 1 the lift of that skeleton,
-    which is outcome-monotone: built from cells, it holds the skeleton
-    beside them, and a lift (_lifted) holds the skeleton alone, whose
-    cells rows() builds on first use.  A Boolean table is its own
-    skeleton.  Instances are immutable and compare and hash by (chain, k,
-    outcomes, cells), however they are held.
+    as a tuple of tuples of ints.  A homogeneous table, for n > 1 the lift
+    of its Boolean skeleton, which is outcome-monotone, holds that
+    skeleton, its generators, or both: built from cells, it holds the
+    skeleton beside them; a lift (_lifted) holds the skeleton alone, and a
+    game form's table (_generated) its generators alone, and rows() builds
+    what they lack on first use.  A Boolean table is its own skeleton.
+    Instances are immutable and compare and hash by (chain, k, outcomes,
+    cells), however they are held.
     """
 
-    __slots__ = ("chain", "k", "outcomes", "_skeleton", "_rows", "_table", "_hash")
+    __slots__ = ("chain", "k", "outcomes", "_skeleton", "_gens", "_rows", "_table", "_hash")
 
     def __init__(self, chain: Chain, k: int, outcomes, table):
         """table: nested sequences or an array of shape (2^k, (n+1)^S).
@@ -290,14 +304,15 @@ class EffFn:
             if _check_homogeneous(rows[None], geo)[0][0]:
                 skeleton = _skeleton_cells(rows, geo)
                 skeleton.flags.writeable = False
-        _hold(self, chain, k, outcomes, skeleton, rows)
+        _hold(self, chain, k, outcomes, skeleton, None, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EffFn is immutable; cannot set {name!r}")
 
     def __reduce__(self):
-        if self._skeleton is not None:
-            return (_lifted, (self.chain, self.k, self.outcomes, self._skeleton))
+        skeleton = self._held_skeleton()
+        if skeleton is not None:
+            return (_lifted, (self.chain, self.k, self.outcomes, skeleton))
         return (EffFn, (self.chain, self.k, self.outcomes, self._rows))
 
     def __eq__(self, other):
@@ -308,13 +323,17 @@ class EffFn:
         # equal chains, players and outcomes fix the shape and the dtype
         if (self.chain, self.k, self.outcomes) != (other.chain, other.k, other.outcomes):
             return False
+        # one upset has one antichain of minimal sets, held in one order
+        if self._gens is not None and other._gens is not None:
+            return self._gens == other._gens
         # a table holds a skeleton exactly when it is homogeneous, the lift of
         # that skeleton, so tables held alike are equal when what they hold is
-        if (self._skeleton is None) != (other._skeleton is None):
+        mine, theirs = self._held_skeleton(), other._held_skeleton()
+        if (mine is None) != (theirs is None):
             return False
-        if self._skeleton is None:
+        if mine is None:
             return self._rows.tobytes() == other._rows.tobytes()
-        return self._skeleton.tobytes() == other._skeleton.tobytes()
+        return mine.tobytes() == theirs.tobytes()
 
     def __hash__(self):
         if self._hash is None:
@@ -326,8 +345,9 @@ class EffFn:
         """The cells on the idempotent assessments, 1 where top: the
         skeleton of a lift, which equal tables share, so a lift hashes
         without building its cells."""
-        if self._skeleton is not None:
-            return self._skeleton.tobytes()
+        skeleton = self._held_skeleton()
+        if skeleton is not None:
+            return skeleton.tobytes()
         return _skeleton_cells(self._rows, self.geometry()).tobytes()
 
     def __repr__(self):
@@ -371,11 +391,21 @@ class EffFn:
             cells = (self.n + 1) ** self.num_outcomes << self.k
             if cells > budget:
                 raise BudgetExceeded(f"{cells} lifted table cells exceed budget {budget}")
-            geo = self.geometry()
-            rows = _lift_values(self._skeleton, geo.lift_cuts)
-            rows.flags.writeable = False
+            rows = skeleton = self._held_skeleton(budget)  # no more cells than the table
+            if self.n > BOOL_CHAIN.n:
+                rows = _lift_values(skeleton, self.geometry().lift_cuts)
+                rows.flags.writeable = False
             object.__setattr__(self, "_rows", rows)
         return self._rows
+
+    def _held_skeleton(self, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray | None:
+        """The Boolean skeleton of a homogeneous table, None for any other.
+        A table held as its generators builds it on first use
+        (_upset_skeleton), under budget, and keeps it."""
+        if self._skeleton is None and self._gens is not None:
+            skeleton = _upset_skeleton(self._gens, self.num_outcomes, budget)
+            object.__setattr__(self, "_skeleton", skeleton)
+        return self._skeleton
 
     def value_num(self, mask: int, f: Sequence[int]) -> int:
         """The numerator of E(mask, f); a table held as its skeleton reads
@@ -429,14 +459,16 @@ class EffFn:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-def _hold(E: EffFn, chain, k, outcomes, skeleton, rows) -> EffFn:
-    """Set E's fields: its skeleton when it is a lift (a Boolean table's is
-    its rows), and its cells once built."""
+def _hold(E: EffFn, chain, k, outcomes, skeleton, gens, rows) -> EffFn:
+    """Set E's fields: its skeleton when it is homogeneous (a Boolean
+    table's is its rows), its generators when it was built from them, and
+    its cells once built."""
     for name, value in (
         ("chain", chain),
         ("k", k),
         ("outcomes", outcomes),
         ("_skeleton", skeleton),
+        ("_gens", gens),
         ("_rows", rows),
         ("_table", None),
         ("_hash", None),
@@ -452,9 +484,65 @@ def _lifted(chain: Chain, k: int, outcomes, skeleton: np.ndarray) -> EffFn:
     lift is homogeneous, as every table holding a skeleton is; a Boolean
     table is by definition."""
     skeleton.flags.writeable = False
-    return _hold(
-        object.__new__(EffFn), chain, k, tuple(outcomes), skeleton, skeleton if chain.n == 1 else None
-    )
+    rows = skeleton if chain.n == 1 else None
+    return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), skeleton, None, rows)
+
+
+def _generated(chain: Chain, k: int, outcomes, rows) -> EffFn:
+    """The lift of the Boolean table whose row C accepts the outcome sets
+    that contain one of rows[C], outcome j at bit S - 1 - j, held as each
+    row's minimal sets (_minimal): equal tables hold equal tuples.  That
+    skeleton is outcome-monotone, so the lift is homogeneous; its skeleton
+    and cells are built on first use."""
+    gens = tuple(_minimal(row) for row in rows)
+    return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), None, gens, None)
+
+
+def _minimal(sets) -> tuple:
+    """The minimal sets among sets, in increasing order."""
+    kept = []
+    for g in sorted(set(sets)):  # a proper subset is a smaller int
+        if all(h & ~g for h in kept):
+            kept.append(g)
+    return tuple(kept)
+
+
+# per bit b < 6 of an index, the places of a uint64 word whose index has bit
+# b clear: the superset closure moves them up by 2^b
+_LOW_BITS = (
+    0x5555555555555555,
+    0x3333333333333333,
+    0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF,
+    0x0000FFFF0000FFFF,
+    0x00000000FFFFFFFF,
+)
+
+
+def _upset_skeleton(gens, size: int, budget: int) -> np.ndarray:
+    """The Boolean skeleton of generator rows, read-only, in
+    _value_dtype(1): row C is 1 at each outcome set that contains one of
+    gens[C].  Each row is 2^size bits, index x at bit x % 64 of word x //
+    64, closed under supersets one outcome at a time: within the words
+    for the low six bits of the index, across them for the others.  Raises
+    BudgetExceeded before anything is built when its cells exceed budget."""
+    cells = len(gens) << size
+    if cells > budget:
+        raise BudgetExceeded(f"{cells} skeleton cells exceed budget {budget}")
+    words = np.zeros((len(gens), max(1, (1 << size) >> 6)), dtype="<u8")
+    pairs = [(c, g) for c, sets in enumerate(gens) for g in sets]
+    row, index = np.array(pairs, dtype=np.uint64).reshape(-1, 2).T
+    place = (row.astype(np.intp), (index >> 6).astype(np.intp))
+    np.bitwise_or.at(words, place, np.uint64(1) << (index & 63))
+    for b in range(min(size, 6)):
+        words |= (words & np.uint64(_LOW_BITS[b])) << np.uint64(1 << b)
+    for b in range(6, size):
+        halves = words.reshape(len(gens), -1, 2, 1 << (b - 6))
+        halves[:, :, 1] |= halves[:, :, 0]
+    skeleton = np.unpackbits(words.view(np.uint8), axis=1, count=1 << size, bitorder="little")
+    skeleton = skeleton.view(_value_dtype(BOOL_CHAIN.n))
+    skeleton.flags.writeable = False
+    return skeleton
 
 
 # -- the playability battery -------------------------------------------------
@@ -854,7 +942,9 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
 def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     """Per table, name -> verdict of each named predicate of _REPORT_ORDER.
 
-    A table holding its skeleton, so homogeneous, is checked on that
+    A table held as its generators on which _generators_hold holds, each
+    distinct tuple of them decided once, holds every predicate.  Any other
+    table holding its skeleton, so homogeneous, is checked on that
     Boolean skeleton, and every other table on itself.  Equal targets run
     the battery once, all targets of one geometry in one stack, and the
     tables with n > 1 whose skeleton fails a predicate run it again on
@@ -865,11 +955,20 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     place = [None] * len(tables)  # per table: (its target's verdicts, target index)
     targets = {}  # target geometry -> {target cells: (target rows, owners)}
     lifted = []  # the tables with n > 1 checked on their skeletons
+    passing = {name: [(True, None)] for name in names}
+    decided = {}  # generator rows -> whether every predicate holds on them
     for i, E in enumerate(tables):
-        if E._skeleton is None:
+        if E._gens is not None:
+            if E._gens not in decided:
+                decided[E._gens] = _generators_hold(E._gens)
+            if decided[E._gens]:
+                place[i] = passing, 0
+                continue
+        skeleton = E._held_skeleton()
+        if skeleton is None:
             target, key = E.rows(), (E.n, E.k, E.num_outcomes)
         else:
-            target, key = E._skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes)
+            target, key = skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes)
             if E.n > 1:
                 lifted.append(i)
         unique = targets.setdefault(key, {})
@@ -913,6 +1012,44 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
         {name: own[i][name] if name in own[i] else found[name][t] for name in names}
         for i, (found, t) in enumerate(place)
     ]
+
+
+@lru_cache(maxsize=None)
+def _disjoint_pairs(k: int) -> tuple:
+    """The disjoint coalition pairs (c1, c2) with c1 < c2."""
+    return tuple((c1, c2) for c2 in range(1 << k) for c1 in range(c2) if not c1 & c2)
+
+
+def _generators_hold(gens) -> bool:
+    """Whether every predicate holds on the table whose rows the generator
+    rows gens generate, decided on them: liveness (no row is empty),
+    safety (no generator is 0), principality (row 0 has one generator z),
+    N-maximality (each outcome of z is a generator of the grand coalition)
+    and superadditivity (for disjoint C1 and C2, each g1 & g2 contains a
+    generator of C1 | C2, at once when it is one, as z & g is for each g
+    inside z; the pair (0, 0) holds once row 0 is principal).  With
+    liveness and safety, superadditivity gives regularity (C and its
+    complement on A and not A) and coalition monotonicity (C and {i} on
+    all outcomes); outcome monotonicity and homogeneity hold by
+    construction.  False also when the pair work, the sum of |G1| |G2|
+    |G1 | G2| over the pairs, exceeds _DENSE_CELL_BUDGET."""
+    full = len(gens) - 1
+    if () in gens or (0,) in gens or len(gens[0]) != 1:
+        return False
+    z = gens[0][0]
+    if z & ~reduce(int.__or__, (g for g in gens[full] if not g & g - 1), 0):
+        return False
+    pairs = _disjoint_pairs(full.bit_length())
+    work = sum(len(gens[c1]) * len(gens[c2]) * len(gens[c1 | c2]) for c1, c2 in pairs)
+    if work > _DENSE_CELL_BUDGET:
+        return False
+    known = [set(row) for row in gens]
+    for c1, c2 in pairs:
+        union = gens[c1 | c2]
+        for meet in {g1 & g2 for g1 in gens[c1] for g2 in gens[c2]}:
+            if meet not in known[c1 | c2] and all(h & ~meet for h in union):
+                return False
+    return True
 
 
 def _report(verdicts: dict) -> PlayabilityReport:
@@ -970,13 +1107,14 @@ def _skeleton_cells(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
 def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
     """(rows, geometry) of the rows masks of tables of one geometry,
     stacked: their Boolean skeletons on _geometry(1, S) when every table
-    holds its skeleton, so is homogeneous, else their cells on the
-    tables' own geometry.  A homogeneous table commutes with every cut
-    tau_i, so a predicate built from <=, meet, negation and the constants
-    has the same verdict on both."""
-    if all(E._skeleton is not None for E in tables):
+    is homogeneous, so holds its skeleton or the generators it is built
+    from, else their cells on the tables' own geometry.  A homogeneous
+    table commutes with every cut tau_i, so a predicate built from <=,
+    meet, negation and the constants has the same verdict on both."""
+    skeletons = [E._held_skeleton() for E in tables]
+    if all(skeleton is not None for skeleton in skeletons):
         geo = _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
-        return _stack([E._skeleton[masks] for E in tables]), geo
+        return _stack([skeleton[masks] for skeleton in skeletons]), geo
     return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
 
 
@@ -1012,13 +1150,17 @@ def _lift_values(skeleton: np.ndarray, cuts: tuple) -> np.ndarray:
 def _row_values(tables: Sequence[EffFn], mask: int, f: np.ndarray) -> np.ndarray:
     """E(C, f) of the row mask of each of tables of one geometry at the
     assessments f, outcomes on its first axis: (tables, *f.shape[1:]) in
-    _value_dtype(n), from the rows _held_rows picks: the skeletons, when
-    every table holds one, read by _lift_values, building no cells; else
-    one gather of the rows' cells at f's index."""
+    _value_dtype(n).  When every table holds its cells, one gather of them
+    at f's index; else from the rows _held_rows picks: the skeletons, when
+    every table is homogeneous, read by _lift_values, building no cells,
+    or else the cells, gathered."""
     n = tables[0].n
-    rows, geo = _held_rows(tables, mask)
-    if geo.n == BOOL_CHAIN.n:
-        return _lift_values(rows, _lift_cuts(f, n))
+    if all(E._rows is not None for E in tables):
+        rows = _stack([E._rows[mask] for E in tables])
+    else:
+        rows, geo = _held_rows(tables, mask)
+        if geo.n == BOOL_CHAIN.n:
+            return _lift_values(rows, _lift_cuts(f, n))
     return rows.take(encode_assessments(f, n), axis=1)
 
 
@@ -1032,8 +1174,9 @@ def boolean_skeleton(E: EffFn) -> EffFn:
     """
     if E.n == 1:
         return E
-    if E._skeleton is not None:
-        return _lifted(BOOL_CHAIN, E.k, E.outcomes, E._skeleton)
+    skeleton = E._held_skeleton()
+    if skeleton is not None:
+        return _lifted(BOOL_CHAIN, E.k, E.outcomes, skeleton)
     geo = E.geometry()
     values = E.rows().take(geo.idempotent_idx, axis=1)
     hits = _first(((values != 0) & (values != E.n))[None])

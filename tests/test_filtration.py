@@ -186,6 +186,7 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
     mu = parse("[{1}]p1 -> p2", 2)
     liveness = tables._CHECKS["liveness"]
     decide = tables._decide
+    generators_hold = tables._generators_hold
     for n in (2, 1):
         chain = Chain(n)
         base = random_playable_model(random.Random(8), chain, 4)
@@ -194,7 +195,7 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
         expect = playable_filtration(M, mu)
         inter = intermediate_filtration(M, mu).model.eff
         built = {boolean_skeleton(E) for E in inter}
-        calls, stacks = [], []
+        calls, stacks, decided = [], [], []
 
         def counting_decide(stack, names):
             calls.append((tuple(stack), tuple(names)))
@@ -204,8 +205,13 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
             stacks.append(len(rows))
             return liveness(rows, geo)
 
+        def counting_generators_hold(gens):
+            decided.append(gens)
+            return generators_hold(gens)
+
         monkeypatch.setattr(tables, "_decide", counting_decide)
         monkeypatch.setitem(tables._CHECKS, "liveness", counting_liveness)
+        monkeypatch.setattr(tables, "_generators_hold", counting_generators_hold)
         result = playable_filtration(M, mu)
         monkeypatch.undo()
         assert result == expect
@@ -217,8 +223,11 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
         assert calls[1][1] == (*PLAYABLE_PARTS, "principal")
         # every table built still gets a verdict
         assert built | set(result.model.eff) <= set(calls[1][0])
-        # the battery runs once per call, on each distinct skeleton once
-        assert stacks == [len({boolean_skeleton(E) for E in M.eff}), len(built)]
+        # the source tables, game-form tables, are decided on their
+        # generators, each distinct generator tuple once, and run no
+        # battery; the battery runs on each distinct built skeleton once
+        assert sorted(decided) == sorted({E._gens for E in M.eff})
+        assert stacks == [len(built)]
 
 
 def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
@@ -284,9 +293,10 @@ def test_intermediate_tables_have_strict_skeletons(seed, n, size):
 def test_sixteen_state_filtrations_build_no_cells(monkeypatch):
     # 16 states at n = 2: each table's 4 x 3^16 cells are over the budget
     # and the 3^16-assessment geometry would take GiBs, but evaluation, the
-    # class skeletons and both checks read Boolean skeletons alone; the
-    # peak is the source check's superadditivity count over 2^16
-    # assessments
+    # class skeletons and both checks read Boolean skeletons alone, and the
+    # source check reads the game forms' generators; the peak, about 46 MB
+    # on this model, is the Boolean geometry of 2^16 assessments that
+    # evaluation reads and the lifts' check of the class skeletons
     M = random_playable_model(random.Random(1), Chain(2), 16)
     mu = parse("[{1}]p1 -> [N](p1 | p2)", 2)
     built = []

@@ -140,8 +140,8 @@ def test_empty_coalition_single_empty_joint_strategy():
 
 
 def test_cell_budget():
-    # the budget counts the 2^k x 2^S Boolean cells the table is computed
-    # on: 16 for matching pennies, at every n
+    # the budget counts the profiles x 2^k cells the reductions of the
+    # profile cube read: 4 x 4 = 16 for matching pennies, at every n
     g = _matching_pennies()
     with pytest.raises(BudgetExceeded):
         effectivity_table(g, Chain(2), cell_budget=10)

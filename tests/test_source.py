@@ -40,8 +40,10 @@ def test_one_function_decides_the_skeleton_route():
     # whether a table is held as its Boolean skeleton is decided once, when
     # it is built: EffFn.__init__ is the one function that calls
     # _check_homogeneous by name, and no module but tables.py reads how a
-    # table is held
-    calls, reads = [], []
+    # table is held, as its skeleton or as its generators.  games.py builds
+    # a game form's generators from the profile cube and no assessment
+    # geometry
+    calls, reads, geometries = [], [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> the innermost function around it (walks are breadth first)
@@ -49,14 +51,18 @@ def test_one_function_decides_the_skeleton_route():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(func), func.name))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_skeleton":
-                reads.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Call) and (
-                getattr(node.func, "id", getattr(node.func, "attr", None)) == "_check_homogeneous"
-            ):
-                calls.append(f"{path.name}:{owner.get(node, '<module>')}")
+            if isinstance(node, ast.Attribute) and node.attr in ("_skeleton", "_gens"):
+                reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "_check_homogeneous":
+                    calls.append(f"{path.name}:{owner.get(node, '<module>')}")
+                elif name == "_geometry":
+                    geometries.append(f"{path.name}:{node.lineno}")
     assert calls == ["tables.py:__init__"], calls
-    assert reads and all(place.startswith("tables.py:") for place in reads), reads
+    assert {place.split()[1] for place in reads} == {"_skeleton", "_gens"}, reads
+    assert all(place.startswith("tables.py:") for place in reads), reads
+    assert geometries and not [place for place in geometries if place.startswith("games.py:")], geometries
 
 
 def test_sources_use_every_name_they_import():

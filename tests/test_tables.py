@@ -765,7 +765,11 @@ def test_stack_raises_the_first_tables_error(monkeypatch):
     # cells (each transform is one product over all 2^S assessments, then 9
     # pairs): 164 on two outcomes, under a budget of 200, and 584 and 2192
     # on three and four
-    ok, small, large = (_game_table(0, n=1, outcomes=size) for size in (2, 3, 4))
+    # dense tables: a game-form table passes on its generators, no count
+    ok, small, large = (
+        EffFn(BOOL, 2, E.outcomes, E.rows())
+        for E in (_game_table(0, n=1, outcomes=size) for size in (2, 3, 4))
+    )
     monkeypatch.setattr(tables, "_DENSE_CELL_BUDGET", 200)
     for stack, cells in (([ok, small, large], 584), ([large, ok, small], 2192)):
         with pytest.raises(BudgetExceeded, match=f"count of {cells} cells"):
@@ -1144,8 +1148,10 @@ def _lifts(draw):
 @given(_lifts())
 def test_lift_behaves_as_its_dense_table(E):
     # equality, hash, documents, pickling and the report of a table held as
-    # its skeleton are those of the same cells held densely
-    held = E._skeleton is not None and E.n > 1
+    # its skeleton or its generators are those of the same cells held
+    # densely; a game-form table, held as its generators, holds no cells
+    # until first use, at n = 1 too
+    held = E._gens is not None or E._skeleton is not None and E.n > 1
     assert (E._rows is None) == held
     key = hash(E)
     assert (E._rows is None) == held  # hashing builds no cells
@@ -1156,7 +1162,7 @@ def test_lift_behaves_as_its_dense_table(E):
         again = pickle.loads(pickle.dumps(table))
         assert again == E and again == dense and hash(again) == key
     fresh = pickle.loads(pickle.dumps(E))
-    assert (fresh._rows is None) == held
+    assert (fresh._rows is None) == (held and E.n > 1)  # unpickled as its skeleton
     assert check_playability(fresh).to_doc() == check_playability(dense).to_doc()
     assert check_playability(E).to_doc() == check_playability(dense).to_doc()
     # a table built from cells or read from a document holds a skeleton
@@ -1166,7 +1172,7 @@ def test_lift_behaves_as_its_dense_table(E):
         homogeneous = _dense_battery_doc(copy)["properties"]["homogeneous"]
         assert (copy._skeleton is not None) == homogeneous
         if homogeneous:
-            assert copy._skeleton.tobytes() == E._skeleton.tobytes()
+            assert copy._skeleton.tobytes() == E._held_skeleton().tobytes()
             skeleton = EffFn(BOOL, E.k, E.outcomes, copy._skeleton)
             assert E.n == 1 or check_property(skeleton, "outcome_monotonic").holds
     # a dense table with one cell off the lift is another table
@@ -1193,6 +1199,110 @@ def test_unplayable_lift_reports_dense_witnesses(H, n):
     monotone = check_property(H, "outcome_monotonic").holds
     assert check_property(E, "homogeneous").holds == monotone
     assert check_playability(E).to_doc() == _dense_battery_doc(E) == _dense_report(E)
+
+
+@st.composite
+def _generator_tables(draw):
+    """(table, its game form or None): a game form's table, held as its
+    minimal accepted sets, n 1 to 3, k 2 or 3; or those sets with one
+    dropped, added, shrunk or grown; or with two incomparable sets in the
+    empty coalition's row, which is then not principal."""
+    n, k = draw(st.integers(1, 3)), draw(st.sampled_from((2, 3)))
+    style = draw(st.sampled_from(("game form", "perturbed", "two in row 0")))
+    size = draw(st.integers(2 if style == "two in row 0" else 1, 4))
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(k))
+    omap = draw(st.lists(st.integers(0, size - 1), min_size=math.prod(shape), max_size=math.prod(shape)))
+    form = GameForm(shape, state_names(size), tuple(omap))
+    E = effectivity_table(form, Chain(n))
+    if style == "game form":
+        return E, form
+    rows = [list(row) for row in E._gens]
+    some = st.integers(0, (1 << size) - 1)
+    if style == "perturbed":
+        row = rows[draw(st.integers(0, (1 << k) - 1))]
+        change = draw(st.sampled_from(("drop", "add", "shrink", "grow")))
+        if change == "add" or not row:
+            row.append(draw(some))
+        else:
+            i = draw(st.integers(0, len(row) - 1))
+            if change == "drop":
+                row.pop(i)
+            elif change == "shrink":
+                row[i] &= draw(some)
+            else:
+                row[i] |= draw(some)
+    else:
+        i, j = draw(st.permutations(range(size)))[:2]
+        rows[0] = [1 << i | draw(some) & ~(1 << j), 1 << j | draw(some) & ~(1 << i)]
+    return tables._generated(E.chain, k, E.outcomes, rows), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_tables())
+def test_generator_held_tables_report_as_the_dense_battery(drawn):
+    # a table held as its generators is decided on them when every
+    # predicate holds there, and otherwise on its skeleton: either way its
+    # report is that of its cells held densely
+    E, form = drawn
+    report = check_playability(E).to_doc()
+    dense = EffFn(E.chain, E.k, E.outcomes, E.rows())
+    assert report == check_playability(dense).to_doc()
+    assert tables._generators_hold(E._gens) == report["truly_playable"]
+    assert form is None or report["truly_playable"]
+    if form is not None and E.num_outcomes <= 3:
+        # the skeleton is the max-min rule's, cell by cell, an outcome set's
+        # index having outcome j at bit S - 1 - j
+        size = E.num_outcomes
+        for mask in range(1 << E.k):
+            for x in range(1 << size):
+                target = [j for j in range(size) if x >> (size - 1 - j) & 1]
+                expected = boolean_effectivity(form, Coalition(mask, E.k), target)
+                assert E._held_skeleton()[mask, x] == expected
+
+
+def test_n_maximality_is_decided_on_generators():
+    # every row generated by both outcomes together is live, safe, principal
+    # and superadditive, and N-maximal only once the grand coalition has
+    # each outcome on its own
+    for grand, holds in (((0b11,), False), ((0b01, 0b10), True)):
+        E = tables._generated(Chain(2), 2, state_names(2), [(0b11,)] * 3 + [grand])
+        report = check_playability(E).to_doc()
+        assert report == check_playability(EffFn(E.chain, 2, E.outcomes, E.rows())).to_doc()
+        assert report["properties"]["N_maximal"] == holds == report["truly_playable"]
+        assert all(report["properties"][name] for name in PROPERTY_NAMES if name != "N_maximal")
+
+
+def _forced_sets(form, mask):
+    """Per joint strategy of the coalition, the outcome set the others can
+    still reach against it, outcome j at bit S - 1 - j, by a loop over the
+    profiles."""
+    size, sets = len(form.outcomes), {}
+    for profile in form.profiles():
+        joint = tuple(s for i, s in enumerate(profile) if mask >> i & 1)
+        sets[joint] = sets.get(joint, 0) | 1 << (size - 1 - form.outcome_of(profile))
+    return sets.values()
+
+
+@pytest.mark.parametrize("size", (64, 65))
+def test_sixty_four_outcomes_decided_on_generators(monkeypatch, size):
+    # a 4-player form on 64 outcomes, and on 65, past a uint64 word: 2^64
+    # outcome sets and more, yet its table is built and found truly
+    # playable on its minimal accepted sets alone, the minimal sets its
+    # joint strategies force
+    form = random_game_form(random.Random(3), 4, size)
+
+    def refuse(*args):
+        raise AssertionError("a skeleton was built")
+
+    monkeypatch.setattr(tables, "_upset_skeleton", refuse)
+    E = effectivity_table(form, Chain(2))
+    report = check_playability(E)
+    assert report.truly_playable and report.witnesses == {}
+    assert E == effectivity_table(form, Chain(2))
+    forced = [sorted(set(_forced_sets(form, mask))) for mask in range(16)]
+    assert E._gens == tuple(
+        tuple(g for g in sets if not any(h != g and h & ~g == 0 for h in sets)) for sets in forced
+    )
 
 
 def test_equal_tables_however_held():
