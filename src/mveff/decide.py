@@ -61,7 +61,7 @@ from .models import (
     pn_axioms,
     tpn_axioms,
 )
-from .tables import BOOL_CHAIN, PLAYABLE_PARTS, EffFn, _lifted, _require, _value_dtype
+from .tables import PLAYABLE_PARTS, EffFn, _generated, _require
 
 LOGIC_PN = "Pn"
 LOGIC_TPN = "TPn"
@@ -232,22 +232,16 @@ class _Round:
         return z, gens
 
     def state_table(self, witness) -> EffFn:
-        """The Boolean table of one realized state, lifted to the chain.
-
-        Row cells are indexed by assessment, and an assessment's index is
-        its accepted set: Z's row accepts its supersets, the grand row the
-        sets meeting Z, and a proper row the supersets of a generator.
-        """
+        """The Boolean table of one realized state, lifted to the chain and
+        held as its generators, a set of states being its characteristic
+        assessment's index: Z generates the empty coalition's row, the
+        singletons of Z the grand row (the sets meeting Z), and gens a
+        proper row."""
         z, gens = witness
         k = self.signatures.players
-        idx = np.arange(1 << self.size)
-        rows = [idx & z == z]
-        for mask in range(1, (1 << k) - 1):
-            rows.append(np.any([idx & g == g for g in gens[mask]], axis=0))
-        rows.append(idx & z != 0)
-        outcomes = tuple(f"s{j}" for j in range(self.size))
-        skeleton = np.array(rows).view(_value_dtype(BOOL_CHAIN.n))
-        return _lifted(self.signatures.chain, k, outcomes, skeleton)
+        rows = [(z,), *(gens[mask] for mask in range(1, (1 << k) - 1))]
+        rows.append([1 << b for b in range(self.size) if z >> b & 1])
+        return _generated(self.signatures.chain, k, tuple(f"s{j}" for j in range(self.size)), rows)
 
     def model(self, logic):
         """The model over T whose states carry their witnesses' tables."""

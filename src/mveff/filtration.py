@@ -11,8 +11,9 @@ the source model did.
 Every step divides n, so each class's skeleton is gathered straight from
 the Boolean skeleton of its representative's source table
 (_class_skeletons), and the playable and enriched stages read skeletons
-alone: they build no E*, the lifts are held as their skeletons, and
-evaluation, condition (2) and both stacked playability checks read those.
+alone: they build no E*, the lifts are held as the generators of the
+class skeletons, and evaluation, condition (2) and both stacked
+playability checks read those, or the skeletons kept beside them.
 Only intermediate_filtration builds the dense E* tables, and it checks
 their skeletons against the gathered ones.
 
@@ -54,6 +55,7 @@ from .tables import (
     _require,
     _row_values,
     _stack,
+    boolean_skeleton,
 )
 
 STAGE_INTERMEDIATE = "intermediate"
@@ -167,8 +169,9 @@ def _class_skeletons(q: Quotient) -> np.ndarray:
     the indicator of A's states: row C != N is the source skeleton's row C
     at that state mask, and row N, the dual of row {}, is 1 - row {} at the
     complement of A.  The source tables are playable, so homogeneous, and
-    each holds its skeleton.  Those are outcome-monotone, and so is each
-    gathered row: more classes are more states, and row N is a dual.
+    each holds its generators, whose skeleton is read.  Those are
+    outcome-monotone, and so is each gathered row: more classes are more
+    states, and row N is a dual.
     """
     model = q.source
     idx = _geometry(BOOL_CHAIN.n, q.num_classes).tuples @ _class_weights(q, BOOL_CHAIN.n)
@@ -277,26 +280,27 @@ def _classes(model: LnModel, mu: Formula):
     skeleton to the model's chain.
 
     Two stacked checks, each asking only for the verdicts it reads: the
-    source tables are playable; the distinct skeletons are playable and
-    their lifts, each checked on its skeleton, truly playable.  Each
-    distinct skeleton, outcome-monotone (_class_skeletons), is lifted once.
+    source tables are playable; the skeletons are playable and their
+    lifts truly playable, each distinct one decided once, on its
+    generators or its skeleton.  The class skeletons, outcome-monotone
+    (_class_skeletons), are lifted in one stack, and each class's
+    skeleton is read off its lift.
     """
     _require(((model.eff, PLAYABLE_PARTS, NotPlayable("filtration requires a playable model")),))
     q = quotient(model, mu)
-    rows, names = _class_skeletons(q), q.class_names()
-    skeletons = [_lifted(BOOL_CHAIN, model.k, names, H) for H in rows]
-    lifts = {H: _lifted(model.chain, model.k, names, S) for H, S in dict(zip(skeletons, rows)).items()}
+    lifted = tuple(_lifted(model.chain, model.k, q.class_names(), _class_skeletons(q)))
+    skeletons = [boolean_skeleton(E) for E in lifted]
     _require(
         (
-            (tuple(lifts), PLAYABLE_PARTS, VerificationFailed("intermediate skeleton is not playable")),
+            (skeletons, PLAYABLE_PARTS, VerificationFailed("intermediate skeleton is not playable")),
             (
-                tuple(lifts.values()),
+                lifted,
                 (*PLAYABLE_PARTS, "principal"),
                 VerificationFailed("lifted table is not truly playable"),
             ),
         )
     )
-    return q, skeletons, tuple(lifts[H] for H in skeletons)
+    return q, skeletons, lifted
 
 
 def _filtered(q: Quotient, eff) -> LnModel:

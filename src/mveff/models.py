@@ -23,9 +23,9 @@ modal rule conclusions of the soundness suite by frame correspondence, one
 predicate on the rows it reads of the tables of all states (and the
 relation R for [O]), and any other formula, or an instance whose predicate
 fails, on that grid.  Where every table is homogeneous (a game form's
-table is), so holds its Boolean skeleton, the predicate reads the
-skeletons' rows (tables._held_rows), with the same verdict, so a model of
-game-form tables builds no cells for it; standard_relation reads the empty
+table is), so holds its generators, the predicate reads the rows of the
+Boolean skeletons built from them (tables._held_rows), with the same
+verdict, so a model of game-form tables builds no cells for it; standard_relation reads the empty
 coalition's row the same way, and so does the evaluator a [C] node.
 """
 
@@ -287,10 +287,10 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
     the caller reads them.  A node in assign takes its array from
     there; any other proposition, [C] or [O] node is read from the model.
     A [C] node reads row C of every state's table through
-    tables._row_values: when every table holds its Boolean skeleton,
-    E(C, f) is the number of cuts [f >= i] the skeleton accepts, one
-    gather per candidate level, and no cells are built; otherwise it is one
-    gather of the stacked cells.
+    tables._row_values: one gather of the stacked cells when every table
+    holds them; else, when every table holds its generators, E(C, f) is
+    the number of cuts [f >= i] its skeleton accepts, one gather per
+    candidate level, and no cells are built.
     The lead axes are those of the assigned arrays (an open grid from
     _valuation_grid, none when nothing is assigned), and each node
     broadcasts over only the lead axes its operands vary on.  Without a
@@ -455,7 +455,7 @@ def standard_relation(model: LnModel) -> frozenset:
     """The relation induced by the empty coalition's effectivity: u R v
     exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
     top elsewhere.  The empty coalition's rows are read on the Boolean
-    skeletons when every table is homogeneous, so holds one
+    skeletons when every table is homogeneous, so holds its generators
     (tables._held_rows), and a model of game-form tables builds no cells."""
     rows, geo = _held_rows(model.eff, [0])
     return _row_relation(rows[:, 0], geo)
@@ -649,7 +649,8 @@ def check_axiom_schema(model: LnModel, schema: Formula):
     - [C](p -> p), the necessitation rule's conclusion: E(C, top) = n.
 
     Each predicate reads only the rows it names, on the Boolean skeletons
-    when every table is homogeneous, so holds one (tables._held_rows).  Where
+    when every table is homogeneous, so holds its generators
+    (tables._held_rows).  Where
     it holds the result is (True, None) and no valuation is enumerated.
     Every other formula, and every instance whose predicate fails or is
     over its own budget, is decided by is_valid over the (n+1)^(P*S)

@@ -8,22 +8,25 @@ signed integer type that holds [-n, 2n] (int8 up to n = 63); the tuple view
 its Boolean skeleton, its 2^k x 2^S cells on the idempotent assessments;
 for n > 1 that skeleton is outcome-monotone, and the lift of an
 outcome-monotone Boolean table is homogeneous.  One rule says how a table
-is held: a homogeneous table holds its skeleton, its generators, or both,
-and any other table its cells, decided once when it is built.  EffFn()
-tests the cells it is given (a Boolean table is homogeneous by
-definition) and keeps a homogeneous table's skeleton beside them; a lift
-(_lifted) holds its skeleton alone, and its cells are built on first use,
-under DEFAULT_CELL_BUDGET.  A game form's table (_generated) holds its
-generators alone, each row's minimal accepted outcome sets with outcome j
-at bit S - 1 - j, the index of the set's characteristic assessment; its
-skeleton is built from them on first use (_upset_skeleton), under the
-same budget, and its cells from that skeleton.  A table held any way
-compares, hashes, pickles and prints as its cells.  A held table's value
-E(C, f) is read off its skeleton, the number of cuts [f >= i] it accepts
-(_lift_values), by one function for every reader: _row_values, which the
-formula evaluator's [C] nodes, a filtration's condition (2) and value_num
-go through, and the cells themselves; once every table read holds its
-cells, _row_values gathers those instead.
+is held, decided once when it is built: a table that is homogeneous and
+outcome-monotone (for n > 1, every homogeneous table) holds its
+generators, each row's minimal accepted outcome sets in increasing order,
+outcome j at bit S - 1 - j, the index of the set's characteristic
+assessment; any other table holds its cells.  EffFn() tests the cells it
+is given and takes a homogeneous table's generators from its skeleton, a
+lift (_lifted) from the skeletons of its stack, both in one pass
+(_minimal_sets), and a game form's table (_generated) from its forced
+sets.  The skeleton (_upset_skeleton) and the cells (_lift_values) of a
+table held as its generators are built from them on first use, under
+DEFAULT_CELL_BUDGET, and kept.  One upset has one antichain of minimal
+sets, so a table compares, hashes and pickles as its generators or as
+its cells, whichever it holds, and prints as its cells, or as its
+generators when its cells are over the budget.  E(C, f) of a table held
+as its generators is the max over the row's generators g of the min of f
+on g (value_num); the formula evaluator's [C] nodes and a filtration's
+condition (2) read whole rows through _row_values: the cells when every
+table read holds them, else the skeletons, as the number of cuts [f >= i]
+each accepts (_lift_values).
 
 Each playability predicate is one array expression over a stack of tables
 of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
@@ -59,28 +62,26 @@ safety, principality, N-maximality and superadditivity hold there, every
 predicate holds, with no witness.  Any other such table is decided on its
 skeleton as below, so its witnesses and errors are those of its cells.
 
-A table that holds its skeleton is read on it.  A homogeneous table
-commutes with both doubling maps, hence with every cut tau_i, so it is the
-lift of its Boolean skeleton and every predicate (built from <=, meet,
-negation and the constants) has the same verdict on the table and on the
-2^S-assessment skeleton, where homogeneity always holds; so has each frame
-correspondence of models.check_axiom_schema, which reads its rows through
-_held_rows.  Two homogeneous tables are equal exactly when their skeletons
-are (their generators, when both hold them), two others when their cells
-are, and a homogeneous table never equals another table.  For n > 1
+A homogeneous table commutes with both doubling maps, hence with every
+cut tau_i, so it is the lift of its Boolean skeleton and every predicate
+(built from <=, meet, negation and the constants) has the same verdict on
+the table and on the 2^S-assessment skeleton, where homogeneity always
+holds; so has each frame correspondence of models.check_axiom_schema,
+which reads its rows through _held_rows.  For n > 1
 `check_playability_many` therefore runs the battery on the skeletons of
-the held tables and on the cells of the others.  Equal targets run the
-battery once, all targets of one geometry in one stack, so a lift checked
-beside its skeleton costs nothing more.  A table whose skeleton fails a
-predicate runs that predicate again on its cells, all such tables of one
-geometry in one stack, so each witness is the first failing dense cell.
-The check builds no other table's cells.  `check_playability(E)` is the
-stack of one, with the same report, and `check_properties` runs that check
-once: on every predicate when the named ones include playable or
-truly_playable, which it reads off the report, and on the named predicates
-alone otherwise.  _require runs it on only the predicates a caller reads,
-such as a filtration's PLAYABLE_PARTS, and raises the caller's error
-without building a report.
+the tables held as generators that _generators_hold leaves undecided and
+on the cells of the others.  Equal targets run the battery once, all
+targets of one geometry in one stack, so a lift checked beside its
+skeleton costs nothing more.  A table whose skeleton fails a predicate
+runs that predicate again on its cells, all such tables of one geometry
+in one stack, so each witness is the first failing dense cell.  The check
+builds no other table's cells.  `check_playability(E)` is the stack of
+one, with the same report, and `check_properties` runs that check once:
+on every predicate when the named ones include playable or
+truly_playable, which it reads off the report, and on the named
+predicates alone otherwise.  _require runs it on only the predicates a
+caller reads, such as a filtration's PLAYABLE_PARTS, and raises the
+caller's error without building a report.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ class _Geometry:
     @cached_property
     def lift_cuts(self) -> tuple:
         """_lift_cuts of every assessment, built on first use, for the
-        cells of a table held as its skeleton (EffFn._cells)."""
+        cells of a table held as its generators (EffFn._cells)."""
         return _lift_cuts(self.tuples.T, self.n)
 
 
@@ -268,22 +269,22 @@ class EffFn:
 
     rows()[mask, f_index] is the numerator of the value of the coalition
     with that bitmask at the encoded assessment; `table` is the same cells
-    as a tuple of tuples of ints.  A homogeneous table, for n > 1 the lift
-    of its Boolean skeleton, which is outcome-monotone, holds that
-    skeleton, its generators, or both: built from cells, it holds the
-    skeleton beside them; a lift (_lifted) holds the skeleton alone, and a
-    game form's table (_generated) its generators alone, and rows() builds
-    what they lack on first use.  A Boolean table is its own skeleton.
-    Instances are immutable and compare and hash by (chain, k, outcomes,
-    cells), however they are held.
+    as a tuple of tuples of ints.  A table holds its generators exactly
+    when it is homogeneous and outcome-monotone (for n > 1, when it is
+    homogeneous), and its cells otherwise; its skeleton and cells are
+    built from the generators on first use and kept.  Instances are
+    immutable and compare, hash and pickle by (chain, k, outcomes) and what
+    they hold.
     """
 
-    __slots__ = ("chain", "k", "outcomes", "_skeleton", "_gens", "_rows", "_table", "_hash")
+    __slots__ = ("chain", "k", "outcomes", "_gens", "_skeleton", "_rows", "_table", "_hash")
 
     def __init__(self, chain: Chain, k: int, outcomes, table):
         """table: nested sequences or an array of shape (2^k, (n+1)^S).
-        For n > 1 its homogeneity is tested here, once, and a homogeneous
-        table's skeleton is kept."""
+        Whether it holds its generators is decided here, once: for n > 1
+        its homogeneity is tested, and the minimal sets of a homogeneous
+        table's skeleton, or of a Boolean table, are taken when every row
+        is outcome-monotone."""
         outcomes = tuple(outcomes)
         if len(outcomes) < 1 or k < 2:
             raise InvalidInput("need at least 1 outcome and 2 players")
@@ -304,15 +305,15 @@ class EffFn:
             if _check_homogeneous(rows[None], geo)[0][0]:
                 skeleton = _skeleton_cells(rows, geo)
                 skeleton.flags.writeable = False
-        _hold(self, chain, k, outcomes, skeleton, None, rows)
+        gens = None if skeleton is None else _minimal_sets(skeleton[None])[0]
+        _hold(self, chain, k, outcomes, gens, skeleton, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EffFn is immutable; cannot set {name!r}")
 
     def __reduce__(self):
-        skeleton = self._held_skeleton()
-        if skeleton is not None:
-            return (_lifted, (self.chain, self.k, self.outcomes, skeleton))
+        if self._gens is not None:
+            return (_generated, (self.chain, self.k, self.outcomes, self._gens))
         return (EffFn, (self.chain, self.k, self.outcomes, self._rows))
 
     def __eq__(self, other):
@@ -323,38 +324,24 @@ class EffFn:
         # equal chains, players and outcomes fix the shape and the dtype
         if (self.chain, self.k, self.outcomes) != (other.chain, other.k, other.outcomes):
             return False
-        # one upset has one antichain of minimal sets, held in one order
-        if self._gens is not None and other._gens is not None:
+        # one upset has one antichain of minimal sets, held in one order, and
+        # a table holding them is their lift
+        if self._gens is not None or other._gens is not None:
             return self._gens == other._gens
-        # a table holds a skeleton exactly when it is homogeneous, the lift of
-        # that skeleton, so tables held alike are equal when what they hold is
-        mine, theirs = self._held_skeleton(), other._held_skeleton()
-        if (mine is None) != (theirs is None):
-            return False
-        if mine is None:
-            return self._rows.tobytes() == other._rows.tobytes()
-        return mine.tobytes() == theirs.tobytes()
+        return self._rows.tobytes() == other._rows.tobytes()
 
     def __hash__(self):
         if self._hash is None:
-            key = (self.chain, self.k, self.outcomes, self._key())
-            object.__setattr__(self, "_hash", hash(key))
+            held = self._rows.tobytes() if self._gens is None else self._gens
+            object.__setattr__(self, "_hash", hash((self.chain, self.k, self.outcomes, held)))
         return self._hash
-
-    def _key(self) -> bytes:
-        """The cells on the idempotent assessments, 1 where top: the
-        skeleton of a lift, which equal tables share, so a lift hashes
-        without building its cells."""
-        skeleton = self._held_skeleton()
-        if skeleton is not None:
-            return skeleton.tobytes()
-        return _skeleton_cells(self._rows, self.geometry()).tobytes()
 
     def __repr__(self):
         try:
             table = self.table
-        except BudgetExceeded:  # a lift whose cells are over the budget
-            return f"lift_boolean({boolean_skeleton(self)!r}, {self.chain!r})"
+        except BudgetExceeded:  # held as generators, with cells over the budget
+            held = f"outcomes={self.outcomes!r} generators={self._gens!r}"
+            return f"<EffFn chain={self.chain!r} k={self.k!r} {held}>"
         return (
             f"EffFn(chain={self.chain!r}, k={self.k!r}, "
             f"outcomes={self.outcomes!r}, table={table!r})"
@@ -378,15 +365,15 @@ class EffFn:
         return _geometry(self.n, self.num_outcomes)
 
     def rows(self) -> np.ndarray:
-        """The cells, read-only, in _value_dtype(n); a lift's are built on
-        first use, under DEFAULT_CELL_BUDGET."""
+        """The cells, read-only, in _value_dtype(n); those of a table held
+        as its generators are built on first use, under DEFAULT_CELL_BUDGET."""
         return self._cells(DEFAULT_CELL_BUDGET)
 
     def _cells(self, budget: int) -> np.ndarray:
-        """The cells, kept once built.  A lift's are its skeleton's values
-        at every assessment (_lift_values), so its memory is linear in the
-        cells.  Raises BudgetExceeded before anything is built when a lift
-        has more than budget cells."""
+        """The cells, kept once built.  A table held as its generators has
+        its skeleton's values at every assessment (_lift_values), so its
+        memory is linear in the cells.  Raises BudgetExceeded before
+        anything is built when it has more than budget cells."""
         if self._rows is None:
             cells = (self.n + 1) ** self.num_outcomes << self.k
             if cells > budget:
@@ -398,19 +385,27 @@ class EffFn:
             object.__setattr__(self, "_rows", rows)
         return self._rows
 
-    def _held_skeleton(self, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray | None:
-        """The Boolean skeleton of a homogeneous table, None for any other.
-        A table held as its generators builds it on first use
-        (_upset_skeleton), under budget, and keeps it."""
-        if self._skeleton is None and self._gens is not None:
+    def _held_skeleton(self, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
+        """The Boolean skeleton of a table held as its generators, built on
+        first use (_upset_skeleton), under budget, and kept."""
+        if self._skeleton is None:
             skeleton = _upset_skeleton(self._gens, self.num_outcomes, budget)
             object.__setattr__(self, "_skeleton", skeleton)
         return self._skeleton
 
     def value_num(self, mask: int, f: Sequence[int]) -> int:
-        """The numerator of E(mask, f); a table held as its skeleton reads
-        it there, building no cells."""
-        return int(_row_values((self,), mask, np.asarray(f))[0])
+        """The numerator of E(mask, f): its cell, or on a table held as its
+        generators the max over the row's generators g of the min of f on
+        g (n on the empty set, 0 when the row has none), building no
+        skeleton."""
+        if self._gens is None:
+            return int(self.rows()[mask, encode_assessment(f, self.n)])
+        top = self.num_outcomes - 1
+        values = (
+            min((int(v) for j, v in enumerate(f) if g >> top - j & 1), default=self.n)
+            for g in self._gens[mask]
+        )
+        return max(values, default=0)
 
     # -- documents ----------------------------------------------------------
 
@@ -459,33 +454,26 @@ class EffFn:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-def _hold(E: EffFn, chain, k, outcomes, skeleton, gens, rows) -> EffFn:
-    """Set E's fields: its skeleton when it is homogeneous (a Boolean
-    table's is its rows), its generators when it was built from them, and
-    its cells once built."""
-    for name, value in (
-        ("chain", chain),
-        ("k", k),
-        ("outcomes", outcomes),
-        ("_skeleton", skeleton),
-        ("_gens", gens),
-        ("_rows", rows),
-        ("_table", None),
-        ("_hash", None),
-    ):
+def _hold(E: EffFn, chain, k, outcomes, gens, skeleton=None, rows=None) -> EffFn:
+    """Set E's fields, in the order of EffFn.__slots__: its generators when
+    it holds them, and its skeleton and cells when they are built (a
+    Boolean table's skeleton is its cells)."""
+    for name, value in zip(EffFn.__slots__, (chain, k, outcomes, gens, skeleton, rows, None, None)):
         object.__setattr__(E, name, value)
     return E
 
 
-def _lifted(chain: Chain, k: int, outcomes, skeleton: np.ndarray) -> EffFn:
-    """The lift of an outcome-monotone Boolean skeleton to the chain, held
-    as that skeleton alone: its cells (2^k, 2^S) in _value_dtype(1), 0 or
-    1, unchecked.  For n > 1 every caller passes such a skeleton, so the
-    lift is homogeneous, as every table holding a skeleton is; a Boolean
-    table is by definition."""
-    skeleton.flags.writeable = False
-    rows = skeleton if chain.n == 1 else None
-    return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), skeleton, None, rows)
+def _lifted(chain: Chain, k: int, outcomes, skeletons: np.ndarray) -> list[EffFn]:
+    """The lift to the chain of each outcome-monotone Boolean skeleton of a
+    stack (tables, 2^k, 2^S) in _value_dtype(1), 0 or 1, unchecked, held
+    as its generators, taken for the whole stack in one pass
+    (_minimal_sets), with the skeleton kept."""
+    skeletons.flags.writeable = False
+    outcomes = tuple(outcomes)
+    return [
+        _hold(object.__new__(EffFn), chain, k, outcomes, gens, H, H if chain.n == 1 else None)
+        for gens, H in zip(_minimal_sets(skeletons), skeletons)
+    ]
 
 
 def _generated(chain: Chain, k: int, outcomes, rows) -> EffFn:
@@ -495,7 +483,29 @@ def _generated(chain: Chain, k: int, outcomes, rows) -> EffFn:
     skeleton is outcome-monotone, so the lift is homogeneous; its skeleton
     and cells are built on first use."""
     gens = tuple(_minimal(row) for row in rows)
-    return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), None, gens, None)
+    return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), gens)
+
+
+def _minimal_sets(skeletons: np.ndarray) -> list:
+    """Per table of a stack of Boolean skeletons (tables, 2^k, 2^S), each
+    row's minimal accepted sets in increasing order, the index of a set
+    having outcome j at bit S - 1 - j; None for a table with a row that is
+    not outcome-monotone.  One pass over the indices, one outcome at a
+    time: a set is minimal when it is accepted and the set without any one
+    of its outcomes is not."""
+    tables, rows, count = skeletons.shape
+    cube = skeletons.astype(bool).reshape((tables, rows) + (2,) * (count.bit_length() - 1))
+    minimal, monotone = cube.copy(), np.ones(tables, dtype=bool)
+    for axis in range(2, cube.ndim):
+        lead = (slice(None),) * axis
+        without, within = cube[lead + (0,)], cube[lead + (1,)]
+        monotone &= ~(without & ~within).reshape(tables, -1).any(axis=1)
+        minimal[lead + (1,)] &= ~without
+    gens = [[[] for _ in range(rows)] for _ in range(tables)]
+    hits = np.nonzero(minimal.reshape(tables, rows, count))
+    for t, c, x in zip(*(axis.tolist() for axis in hits)):
+        gens[t][c].append(x)
+    return [tuple(map(tuple, table)) if ok else None for table, ok in zip(gens, monotone.tolist())]
 
 
 def _minimal(sets) -> tuple:
@@ -942,10 +952,11 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
 def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     """Per table, name -> verdict of each named predicate of _REPORT_ORDER.
 
-    A table held as its generators on which _generators_hold holds, each
-    distinct tuple of them decided once, holds every predicate.  Any other
-    table holding its skeleton, so homogeneous, is checked on that
-    Boolean skeleton, and every other table on itself.  Equal targets run
+    A table holds its generators exactly when it is homogeneous and
+    outcome-monotone, and is decided on them first: each distinct tuple of
+    them once, by _generators_hold, and when that holds, so does every
+    predicate.  Else it is checked on its Boolean skeleton, built from
+    them, and a table holding its cells on those.  Equal targets run
     the battery once, all targets of one geometry in one stack, and the
     tables with n > 1 whose skeleton fails a predicate run it again on
     their cells, all such tables of one geometry in one stack, for its
@@ -958,17 +969,15 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     passing = {name: [(True, None)] for name in names}
     decided = {}  # generator rows -> whether every predicate holds on them
     for i, E in enumerate(tables):
-        if E._gens is not None:
+        if E._gens is None:
+            target, key = E.rows(), (E.n, E.k, E.num_outcomes)
+        else:
             if E._gens not in decided:
                 decided[E._gens] = _generators_hold(E._gens)
             if decided[E._gens]:
                 place[i] = passing, 0
                 continue
-        skeleton = E._held_skeleton()
-        if skeleton is None:
-            target, key = E.rows(), (E.n, E.k, E.num_outcomes)
-        else:
-            target, key = skeleton, (BOOL_CHAIN.n, E.k, E.num_outcomes)
+            target, key = E._held_skeleton(), (BOOL_CHAIN.n, E.k, E.num_outcomes)
             if E.n > 1:
                 lifted.append(i)
         unique = targets.setdefault(key, {})
@@ -1032,12 +1041,16 @@ def _generators_hold(gens) -> bool:
     complement on A and not A) and coalition monotonicity (C and {i} on
     all outcomes); outcome monotonicity and homogeneity hold by
     construction.  False also when the pair work, the sum of |G1| |G2|
-    |G1 | G2| over the pairs, exceeds _DENSE_CELL_BUDGET."""
+    |G1 | G2| over the pairs, exceeds _DENSE_CELL_BUDGET, and before the
+    pairs are listed when the 3^k ordered ones, which the battery's count
+    takes too, exceed it."""
     full = len(gens) - 1
     if () in gens or (0,) in gens or len(gens[0]) != 1:
         return False
     z = gens[0][0]
     if z & ~reduce(int.__or__, (g for g in gens[full] if not g & g - 1), 0):
+        return False
+    if 3 ** full.bit_length() > _DENSE_CELL_BUDGET:  # the pairs, listed in Python
         return False
     pairs = _disjoint_pairs(full.bit_length())
     work = sum(len(gens[c1]) * len(gens[c2]) * len(gens[c1 | c2]) for c1, c2 in pairs)
@@ -1106,15 +1119,15 @@ def _skeleton_cells(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
 
 def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
     """(rows, geometry) of the rows masks of tables of one geometry,
-    stacked: their Boolean skeletons on _geometry(1, S) when every table
-    is homogeneous, so holds its skeleton or the generators it is built
-    from, else their cells on the tables' own geometry.  A homogeneous
-    table commutes with every cut tau_i, so a predicate built from <=,
-    meet, negation and the constants has the same verdict on both."""
-    skeletons = [E._held_skeleton() for E in tables]
-    if all(skeleton is not None for skeleton in skeletons):
+    stacked: their Boolean skeletons on _geometry(1, S), built from the
+    generators, when every table holds its generators, so is homogeneous
+    and outcome-monotone, else their cells on the tables' own geometry.  A
+    homogeneous table commutes with every cut tau_i, so a predicate built
+    from <=, meet, negation and the constants has the same verdict on
+    both."""
+    if all(E._gens is not None for E in tables):
         geo = _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
-        return _stack([skeleton[masks] for skeleton in skeletons]), geo
+        return _stack([E._held_skeleton()[masks] for E in tables]), geo
     return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
 
 
@@ -1152,8 +1165,8 @@ def _row_values(tables: Sequence[EffFn], mask: int, f: np.ndarray) -> np.ndarray
     assessments f, outcomes on its first axis: (tables, *f.shape[1:]) in
     _value_dtype(n).  When every table holds its cells, one gather of them
     at f's index; else from the rows _held_rows picks: the skeletons, when
-    every table is homogeneous, read by _lift_values, building no cells,
-    or else the cells, gathered."""
+    every table holds its generators, read by _lift_values, building no
+    cells, or else the cells, gathered."""
     n = tables[0].n
     if all(E._rows is not None for E in tables):
         rows = _stack([E._rows[mask] for E in tables])
@@ -1169,14 +1182,14 @@ def boolean_skeleton(E: EffFn) -> EffFn:
 
     A cell counts as accepted exactly when its value is the top element.
     Any intermediate value on an idempotent assessment raises
-    NotHomogeneous, since homogeneity rules those out.  A table holding
-    its skeleton returns that one.
+    NotHomogeneous, since homogeneity rules those out.  A table held as
+    its generators returns the Boolean table of those generators.
     """
     if E.n == 1:
         return E
-    skeleton = E._held_skeleton()
-    if skeleton is not None:
-        return _lifted(BOOL_CHAIN, E.k, E.outcomes, skeleton)
+    if E._gens is not None:  # a Boolean table's skeleton is its cells
+        skeleton = E._skeleton
+        return _hold(object.__new__(EffFn), BOOL_CHAIN, E.k, E.outcomes, E._gens, skeleton, skeleton)
     geo = E.geometry()
     values = E.rows().take(geo.idempotent_idx, axis=1)
     hits = _first(((values != 0) & (values != E.n))[None])
@@ -1186,7 +1199,7 @@ def boolean_skeleton(E: EffFn) -> EffFn:
             f"skeleton cell (coalition {mask}, assessment {int(geo.idempotent_idx[j])}) "
             f"has value {int(values[mask, j])}/{E.n}"
         )
-    return _lifted(BOOL_CHAIN, E.k, E.outcomes, _skeleton_cells(E.rows(), geo))
+    return EffFn(BOOL_CHAIN, E.k, E.outcomes, _skeleton_cells(E.rows(), geo))
 
 
 def lift_boolean(H: EffFn, chain: Chain) -> EffFn:
@@ -1194,18 +1207,18 @@ def lift_boolean(H: EffFn, chain: Chain) -> EffFn:
 
     E(C, f) is the largest i/n whose thresholded assessment the Boolean
     table accepts; an empty index set gives 0.  A playable table is
-    outcome-monotone, so its lift is homogeneous, and it is held as H's
-    cells, its skeleton (_lifted): it is built at once at any size, and its
-    own cells are built on first use (EffFn.rows), where a lift of more
-    than DEFAULT_CELL_BUDGET cells, the effectivity table's budget, raises
-    BudgetExceeded.  Raises NotPlayableInput when H is not playable.
+    outcome-monotone, so it holds its generators and its lift is
+    homogeneous: the lift holds the same generators, built at once at any
+    size, and its cells are built on first use (EffFn.rows), where a lift
+    of more than DEFAULT_CELL_BUDGET cells, the effectivity table's budget,
+    raises BudgetExceeded.  Raises NotPlayableInput when H is not playable.
     """
     if H.n != 1:
         raise InvalidInput("lift expects a Boolean (two-valued) table")
     _require((((H,), PLAYABLE_PARTS, NotPlayableInput("lift requires a playable Boolean table")),))
     if chain.n == 1:
         return H
-    return _lifted(chain, H.k, H.outcomes, H.rows())
+    return _hold(object.__new__(EffFn), chain, H.k, H.outcomes, H._gens, H._skeleton)
 
 
 # -- game-form synthesis -----------------------------------------------------
@@ -1239,26 +1252,24 @@ def game_form_maps(k: int, budget: int, outcomes: Sequence):
 def synthesize_game_form(E: EffFn, budget: int = 3):
     """Exhaustively search for a game form realizing the table.
 
-    The search reduces the problem to the Boolean skeleton, restricts
-    outcome maps to the forced range (the intersection of the empty
-    coalition's accepted sets) and to maps onto all of it, and tries the
-    game forms of game_form_maps in its order.  The first Boolean match is
-    verified against the full chain-valued table before being returned.
-    Raises SynthesisBudgetExceeded when no form within the budget matches,
-    and BudgetExceeded when budget^k strategy counts are too many to try.
+    A truly playable table is homogeneous and outcome-monotone, so it
+    holds its generators, and its empty coalition's row has one, the forced
+    range z, which safety makes nonempty.  The search restricts outcome
+    maps to z and to maps onto all of it, and tries the game forms of
+    game_form_maps in its order; a form matches when its table, also held
+    as generators, has E's.  Raises SynthesisBudgetExceeded when no form
+    within the budget matches, and BudgetExceeded when budget^k strategy
+    counts are too many to try.
     """
-    report = check_playability(E)
-    if not report.truly_playable:
+    if not check_playability(E).truly_playable:
         raise NotTrulyPlayable("synthesis requires a truly playable table")
-    H = boolean_skeleton(E)
-    targets = np.flatnonzero(_forced_range(H.rows()[None], H.geometry())[0]).tolist()
-    if not targets:
-        raise NotTrulyPlayable("empty forced range; the table violates safety")
-    for shape, outcome_map in game_form_maps(H.k, budget, targets):
+    z, top = E._gens[0][0], E.num_outcomes - 1
+    targets = [j for j in range(E.num_outcomes) if z >> top - j & 1]
+    for shape, outcome_map in game_form_maps(E.k, budget, targets):
         if set(outcome_map) != set(targets):
             continue  # the range of o must be exactly the forced set
-        form = GameForm(strategy_counts=shape, outcomes=H.outcomes, outcome_map=outcome_map)
-        if effectivity_table(form, BOOL_CHAIN) == H and effectivity_table(form, E.chain) == E:
+        form = GameForm(strategy_counts=shape, outcomes=E.outcomes, outcome_map=outcome_map)
+        if effectivity_table(form, E.chain) == E:
             return form
     raise SynthesisBudgetExceeded(
         f"no realizing game form with per-player strategy counts <= {budget}"

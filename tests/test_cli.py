@@ -68,18 +68,24 @@ def test_check_command_specific_properties(runner, workdir):
 
 def test_check_properties_share_one_battery(runner, workdir):
     # one run of every predicate and one report for playable and
-    # truly_playable, whose verdicts answer the other names too: one
-    # superadditivity count, the report's
+    # truly_playable, whose verdicts answer the other names too; the
+    # document's table is homogeneous, so it holds its generators and is
+    # decided on them once, with no superadditivity count
     args = ["playable", "truly_playable", "superadditive", "semi_playable", "playable"]
     with mock.patch.object(tables, "_decide", wraps=tables._decide) as decide, mock.patch.object(
         tables, "_report", wraps=tables._report
-    ) as reports, mock.patch.object(tables, "_pair_counts", wraps=tables._pair_counts) as counts:
+    ) as reports, mock.patch.object(
+        tables, "_pair_counts", wraps=tables._pair_counts
+    ) as counts, mock.patch.object(
+        tables, "_generators_hold", wraps=tables._generators_hold
+    ) as generators:
         result = runner.invoke(main, ["check", str(workdir / "eff.json"), *args])
     assert result.exit_code == 0
     assert result.output == json.dumps(
         {"kind": "property-check", **dict.fromkeys(args, True)}, indent=2, sort_keys=True
     ) + "\n"
-    assert decide.call_count == 1 and reports.call_count == 1 and counts.call_count == 1
+    assert decide.call_count == 1 and reports.call_count == 1
+    assert generators.call_count == 1 and counts.call_count == 0
 
 
 def test_check_failure_exit_code(runner, workdir):

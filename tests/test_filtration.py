@@ -182,7 +182,7 @@ def test_definable_blocks_match_closure(seed, n, size):
 
 def test_each_distinct_table_is_checked_once(monkeypatch):
     # at n = 1 a skeleton is its table and so is its lift; at n = 2 a lift
-    # is checked on its skeleton, the table checked beside it
+    # holds its skeleton's generators, checked beside it
     mu = parse("[{1}]p1 -> p2", 2)
     liveness = tables._CHECKS["liveness"]
     decide = tables._decide
@@ -223,11 +223,13 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
         assert calls[1][1] == (*PLAYABLE_PARTS, "principal")
         # every table built still gets a verdict
         assert built | set(result.model.eff) <= set(calls[1][0])
-        # the source tables, game-form tables, are decided on their
-        # generators, each distinct generator tuple once, and run no
-        # battery; the battery runs on each distinct built skeleton once
-        assert sorted(decided) == sorted({E._gens for E in M.eff})
-        assert stacks == [len(built)]
+        # every table is held as its generators and decided on them, each
+        # distinct generator tuple once per check: the source tables', then
+        # those the built skeletons share with their lifts; no battery runs
+        sources = {E._gens for E in M.eff}
+        assert sorted(decided[: len(sources)]) == sorted(sources)
+        assert sorted(decided[len(sources) :]) == sorted({H._gens for H in built})
+        assert stacks == []
 
 
 def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
@@ -246,22 +248,22 @@ def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
         gathers.append(q)
         return class_skeletons(q)
 
-    def counting_lift(lift_chain, k, outcomes, skeleton):
-        if lift_chain == chain:  # a lift, not a Boolean class skeleton
-            lifted.append(EffFn(Chain(1), k, outcomes, skeleton))
-        return tables._lifted(lift_chain, k, outcomes, skeleton)
+    def counting_lift(lift_chain, k, outcomes, skeletons):
+        lifted.append([EffFn(Chain(1), k, outcomes, skeleton) for skeleton in skeletons])
+        return tables._lifted(lift_chain, k, outcomes, skeletons)
 
     class_skeletons = filtration._class_skeletons
     monkeypatch.setattr(filtration, "_class_skeletons", counting_gather)
     monkeypatch.setattr(filtration, "_lifted", counting_lift)
     result = playable_filtration(M, mu)
     assert result == expect
-    # one gather from the source skeletons gives every class's skeleton
-    assert len(gathers) == 1
-    skeletons = {boolean_skeleton(E) for E in inter}
+    # one gather from the source skeletons gives every class's skeleton,
+    # and one stacked lift lifts them all, in class order
+    assert len(gathers) == 1 and len(lifted) == 1
+    skeletons = [boolean_skeleton(E) for E in inter]
     names = gathers[0].class_names()
-    assert {EffFn(Chain(1), M.k, names, rows) for rows in class_skeletons(gathers[0])} == skeletons
-    assert len(lifted) == len(set(lifted)) and set(lifted) == skeletons
+    assert [EffFn(Chain(1), M.k, names, rows) for rows in class_skeletons(gathers[0])] == skeletons
+    assert lifted[0] == skeletons
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,14 +280,11 @@ def test_intermediate_tables_have_strict_skeletons(seed, n, size):
     with mock.patch.object(filtration, "_lifted", wraps=tables._lifted) as lift:
         result = playable_filtration(M, mu)
     skeletons = [boolean_skeleton(E) for E in inter]
-    # the lifts to the model's chain (at n = 1 the Boolean class skeletons
-    # are such calls too)
-    lifted = {
-        EffFn(Chain(1), k, outcomes, skeleton)
-        for lift_chain, k, outcomes, skeleton in (call.args for call in lift.call_args_list)
-        if lift_chain == chain
-    }
-    assert lifted == set(skeletons)
+    # the one stacked lift to the model's chain
+    assert lift.call_count == 1
+    lift_chain, k, outcomes, stack = lift.call_args.args
+    assert lift_chain == chain
+    assert [EffFn(Chain(1), k, outcomes, skeleton) for skeleton in stack] == skeletons
     for H, F in zip(skeletons, result.model.eff):
         assert F == lift_boolean(H, chain)
 
@@ -357,15 +356,16 @@ from mveff.formulas import parse
 from mveff.tables import EffFn, _lifted
 
 
-def broken_lift(chain, k, outcomes, skeleton):
-    # the lift to the model's chain with the grand coalition's top cell
-    # lowered: not live; the Boolean class skeletons stay intact
-    E = _lifted(chain, k, outcomes, skeleton)
-    if chain.n == 1:
-        return E
-    rows = E.rows().copy()
-    rows[-1, -1] -= 1
-    return EffFn(chain, k, outcomes, rows)
+def broken_lift(chain, k, outcomes, skeletons):
+    # each lift to the model's chain with the grand coalition's value at
+    # the all-1/2 assessment lowered: not homogeneous; its skeleton, on the
+    # idempotent assessments, stays the class skeleton
+    lifts = []
+    for E in _lifted(chain, k, outcomes, skeletons):
+        rows = E.rows().copy()
+        rows[-1, rows.shape[1] // 2] -= 1
+        lifts.append(EffFn(chain, k, outcomes, rows))
+    return lifts
 
 
 filtration._lifted = broken_lift

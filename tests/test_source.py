@@ -37,13 +37,16 @@ def test_only_tables_builds_assessments():
 
 
 def test_one_function_decides_the_skeleton_route():
-    # whether a table is held as its Boolean skeleton is decided once, when
-    # it is built: EffFn.__init__ is the one function that calls
-    # _check_homogeneous by name, and no module but tables.py reads how a
-    # table is held, as its skeleton or as its generators.  games.py builds
-    # a game form's generators from the profile cube and no assessment
-    # geometry
-    calls, reads, geometries = [], [], []
+    # whether a table holds its generators is decided once, when it is
+    # built: homogeneity is tested (_check_homogeneous, by name) only where
+    # a table is built from cells, EffFn.__init__, and the minimal sets are
+    # taken from skeletons (_minimal_sets) only there and in _lifted.  No
+    # module but tables.py reads how a table is held, as its generators or
+    # with its skeleton; decide.py builds its tables from generators
+    # (_generated) and imports no constructor that takes a skeleton.
+    # games.py builds a game form's generators from the profile cube and no
+    # assessment geometry
+    calls, reads, geometries, imports = {}, [], [], {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         owner = {}  # node -> the innermost function around it (walks are breadth first)
@@ -53,15 +56,21 @@ def test_one_function_decides_the_skeleton_route():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in ("_skeleton", "_gens"):
                 reads.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "tables":
+                imports.setdefault(path.name, set()).update(alias.name for alias in node.names)
             elif isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name == "_check_homogeneous":
-                    calls.append(f"{path.name}:{owner.get(node, '<module>')}")
+                if name in ("_check_homogeneous", "_minimal_sets"):
+                    calls.setdefault(name, set()).add(f"{path.name}:{owner.get(node, '<module>')}")
                 elif name == "_geometry":
                     geometries.append(f"{path.name}:{node.lineno}")
-    assert calls == ["tables.py:__init__"], calls
+    assert calls == {
+        "_check_homogeneous": {"tables.py:__init__"},
+        "_minimal_sets": {"tables.py:__init__", "tables.py:_lifted"},
+    }, calls
     assert {place.split()[1] for place in reads} == {"_skeleton", "_gens"}, reads
     assert all(place.startswith("tables.py:") for place in reads), reads
+    assert "_generated" in imports["decide.py"] and "_lifted" not in imports["decide.py"], imports
     assert geometries and not [place for place in geometries if place.startswith("games.py:")], geometries
 
 

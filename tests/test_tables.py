@@ -29,7 +29,7 @@ from mveff.errors import (
     SynthesisBudgetExceeded,
 )
 from mveff.formulas import Coalition
-from mveff.games import GameForm, boolean_effectivity, effectivity_table
+from mveff.games import GameForm, boolean_effectivity, effectivity_table, mv_effectivity
 from mveff.tables import (
     PLAYABLE_PARTS,
     PROPERTY_NAMES,
@@ -226,7 +226,7 @@ def _unchecked_lift(H, n):
     it is outcome-monotone (tables._lifted, as lift_boolean holds a
     playable table), else its dense cells by the threshold definition."""
     if check_property(H, "outcome_monotonic").holds:
-        return tables._lifted(Chain(n), H.k, H.outcomes, H.rows())
+        return tables._lifted(Chain(n), H.k, H.outcomes, H.rows()[None])[0]
     return EffFn(Chain(n), H.k, H.outcomes, _reference_lift(H, n))
 
 
@@ -663,7 +663,7 @@ def _upset_table(draw, n, k, size):
         rows.append(
             [int(any(g & ~a == 0 for g in generators)) for a in range(1 << size)]
         )
-    return tables._lifted(Chain(n), k, state_names(size), np.array(rows, dtype=np.int8))
+    return tables._lifted(Chain(n), k, state_names(size), np.array([rows], dtype=np.int8))[0]
 
 
 @st.composite
@@ -765,11 +765,14 @@ def test_stack_raises_the_first_tables_error(monkeypatch):
     # cells (each transform is one product over all 2^S assessments, then 9
     # pairs): 164 on two outcomes, under a budget of 200, and 584 and 2192
     # on three and four
-    # dense tables: a game-form table passes on its generators, no count
-    ok, small, large = (
-        EffFn(BOOL, 2, E.outcomes, E.rows())
-        for E in (_game_table(0, n=1, outcomes=size) for size in (2, 3, 4))
-    )
+    # a game-form table passes on its generators, with no count; the others
+    # accept the empty set in the empty coalition's row alone, so are not
+    # outcome-monotone, are held as their cells and are counted
+    ok, small, large = (_game_table(0, n=1, outcomes=size) for size in (2, 3, 4))
+    broken = [E.rows().copy() for E in (small, large)]
+    for rows in broken:
+        rows[0, 0] = 1
+    small, large = (EffFn(BOOL, 2, E.outcomes, rows) for E, rows in zip((small, large), broken))
     monkeypatch.setattr(tables, "_DENSE_CELL_BUDGET", 200)
     for stack, cells in (([ok, small, large], 584), ([large, ok, small], 2192)):
         with pytest.raises(BudgetExceeded, match=f"count of {cells} cells"):
@@ -995,7 +998,7 @@ def test_skeleton_failure_rescanned_on_its_pair_alone():
     H = effectivity_table(random_game_form(random.Random(3), 2, 9), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
-    E = tables._lifted(Chain(2), 2, H.outcomes, rows)
+    E = tables._lifted(Chain(2), 2, H.outcomes, rows[None])[0]
     table = E.rows()
     count = table.shape[1]
     assert 9 * count * count > tables._DENSE_CELL_BUDGET
@@ -1083,7 +1086,7 @@ def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     H = effectivity_table(random_game_form(random.Random(3), 2, 6), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
-    E = tables._lifted(Chain(2), 2, H.outcomes, rows)
+    E = tables._lifted(Chain(2), 2, H.outcomes, rows[None])[0]
     with mock.patch.object(tables, "_transform", wraps=tables._transform) as transform:
         report = check_playability(E)
     assert report.properties["homogeneous"]
@@ -1119,20 +1122,20 @@ def test_stacked_skeleton_reruns_keep_player_counts_apart():
         rows = H.rows().copy()
         rows[-1] = 0
         rows[-1, -1] = 1
-        stack.append(tables._lifted(Chain(2), k, H.outcomes, rows))
+        stack.append(tables._lifted(Chain(2), k, H.outcomes, rows[None])[0])
     single = [check_playability(E).to_doc() for E in stack]
     assert not any(doc["properties"]["N_maximal"] for doc in single)
     assert [report.to_doc() for report in check_playability_many(stack)] == single
 
 
-# -- tables held as their Boolean skeletons ----------------------------------
+# -- tables held as their generators ----------------------------------------
 
 
 @st.composite
 def _lifts(draw):
-    """A table held as its skeleton, n 1 to 4: a game form's table, or the
-    unchecked lift of random upsets, or of uniform random rows (held as
-    cells when these are not outcome-monotone); these are rarely playable."""
+    """A table, n 1 to 4: a game form's table, or the unchecked lift of
+    random upsets, or of uniform random rows (held as cells when these are
+    not outcome-monotone); these are rarely playable."""
     n, k, size = draw(st.integers(1, 4)), draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
     style = draw(st.sampled_from(("game form", "upset", "uniform")))
     if style == "game form":
@@ -1147,34 +1150,35 @@ def _lifts(draw):
 @settings(max_examples=120, deadline=None)
 @given(_lifts())
 def test_lift_behaves_as_its_dense_table(E):
-    # equality, hash, documents, pickling and the report of a table held as
-    # its skeleton or its generators are those of the same cells held
-    # densely; a game-form table, held as its generators, holds no cells
-    # until first use, at n = 1 too
-    held = E._gens is not None or E._skeleton is not None and E.n > 1
-    assert (E._rows is None) == held
+    # one holding rule for game-form, upset and uniform tables, their dense
+    # copies and the tables read from their documents: each holds its
+    # generators, the same ones, exactly when the dense battery finds it
+    # homogeneous and outcome-monotone (at n > 1, homogeneous), and else
+    # its cells; equality, hash, documents, pickling and the report are
+    # those of the cells.  A table held as its generators holds no cells
+    # until first use at n > 1
+    held = E._gens is not None
+    assert held or E._rows is not None
+    unbuilt = E._rows is None
+    assert unbuilt or not held or E.n == 1
     key = hash(E)
-    assert (E._rows is None) == held  # hashing builds no cells
+    assert (E._rows is None) == unbuilt  # hashing builds no cells
     dense = EffFn(E.chain, E.k, E.outcomes, E.rows())
+    properties = _dense_battery_doc(dense)["properties"]
+    assert held == (properties["homogeneous"] and properties["outcome_monotonic"])
+    assert E.n == 1 or held == properties["homogeneous"]
+    for copy in (dense, EffFn.from_doc(E.to_doc())):
+        assert copy._gens == E._gens
+        assert not held or copy._held_skeleton().tobytes() == E._held_skeleton().tobytes()
     assert E == dense and dense == E and hash(dense) == key
     assert E.to_json() == dense.to_json()
     for table in (E, dense):
         again = pickle.loads(pickle.dumps(table))
         assert again == E and again == dense and hash(again) == key
     fresh = pickle.loads(pickle.dumps(E))
-    assert (fresh._rows is None) == (held and E.n > 1)  # unpickled as its skeleton
+    assert (fresh._rows is None) == held  # unpickled as its generators
     assert check_playability(fresh).to_doc() == check_playability(dense).to_doc()
     assert check_playability(E).to_doc() == check_playability(dense).to_doc()
-    # a table built from cells or read from a document holds a skeleton
-    # exactly when a dense battery finds it homogeneous, and then it holds
-    # E's, outcome-monotone when n > 1: the lift of that skeleton
-    for copy in (dense, EffFn.from_doc(E.to_doc())):
-        homogeneous = _dense_battery_doc(copy)["properties"]["homogeneous"]
-        assert (copy._skeleton is not None) == homogeneous
-        if homogeneous:
-            assert copy._skeleton.tobytes() == E._held_skeleton().tobytes()
-            skeleton = EffFn(BOOL, E.k, E.outcomes, copy._skeleton)
-            assert E.n == 1 or check_property(skeleton, "outcome_monotonic").holds
     # a dense table with one cell off the lift is another table
     rows = E.rows().copy()
     middle = len(rows[-1]) // 2
@@ -1298,7 +1302,19 @@ def test_sixty_four_outcomes_decided_on_generators(monkeypatch, size):
     E = effectivity_table(form, Chain(2))
     report = check_playability(E)
     assert report.truly_playable and report.witnesses == {}
-    assert E == effectivity_table(form, Chain(2))
+    # compared, hashed, pickled, reduced to its Boolean table and lifted
+    # back, printed and read on its generators too
+    again = effectivity_table(form, Chain(2))
+    assert E == again and hash(E) == hash(again)
+    assert pickle.loads(pickle.dumps(E)) == E
+    H = boolean_skeleton(E)
+    assert H.chain == BOOL and H._gens == E._gens
+    assert lift_boolean(H, E.chain) == E
+    assert repr(E) == f"<EffFn chain=Chain(2) k=4 outcomes={form.outcomes!r} generators={E._gens!r}>"
+    rng = random.Random(size)
+    for _ in range(20):
+        mask, f = rng.randrange(16), tuple(rng.randint(0, 2) for _ in range(size))
+        assert E.value_num(mask, f) == mv_effectivity(form, Chain(2), Coalition(mask, 4), f).num
     forced = [sorted(set(_forced_sets(form, mask))) for mask in range(16)]
     assert E._gens == tuple(
         tuple(g for g in sets if not any(h != g and h & ~g == 0 for h in sets)) for sets in forced
@@ -1312,12 +1328,14 @@ def test_equal_tables_however_held():
     held = {E: "lift"}
     assert held[dense] == "lift" and dense in held
     assert boolean_skeleton(dense) == H == boolean_skeleton(E)
-    # a table with the same skeleton that is not its lift: equal hashes are
-    # allowed, equality is not
+    # a table with the same skeleton that is not its lift is not
+    # homogeneous, so it holds its cells and equals no table held as
+    # generators
     rows = E.rows().copy()
     rows[0, 1] = 1 - rows[0, 1] if rows[0, 1] < 2 else 1
     other = EffFn(E.chain, E.k, E.outcomes, rows)
-    assert other._key() == E._key() and other != E and E != other
+    assert tables._skeleton_cells(rows, E.geometry()).tobytes() == E._held_skeleton().tobytes()
+    assert other._gens is None and other != E and E != other
 
 
 def test_equality_with_a_held_table_over_the_budget():
@@ -1342,8 +1360,8 @@ def test_equality_with_a_held_table_over_the_budget():
 
 def test_value_num_of_a_held_table_reads_its_skeleton():
     # a 16-outcome game-form table at n = 2 has 4 x 3^16 cells, over the
-    # budget: each value is read off the Boolean table, max{i : H(C, [f >=
-    # i])}, H decided by the max-min rule, without building a cell
+    # budget: each value, read on its generators, is max{i : H(C, [f >=
+    # i])}, H decided by the max-min rule, and no cell or skeleton is built
     rng = random.Random(7)
     form = random_game_form(rng, 2, 16)
     E = effectivity_table(form, Chain(2))
@@ -1357,12 +1375,20 @@ def test_value_num_of_a_held_table_reads_its_skeleton():
         ]
         assert E.value_num(mask, f) == max(accepted, default=0)
     assert E.value_num(3, (2,) * 16) == 2 and E.value_num(0, (0,) * 16) == 0
-    assert E._rows is None
+    assert E._rows is None and E._skeleton is None
 
 
 def test_effectivity_function_refuses_repeated_outcomes():
     with pytest.raises(InvalidInput, match="outcomes declares 's0' twice"):
         EffFn(Chain(1), 2, ("s0", "s0"), np.zeros((4, 4), dtype=int))
+
+
+def test_twenty_outcome_boolean_table_prints_its_generators():
+    # 4 x 2^20 cells, over the budget: a game form's Boolean table prints
+    # as its generators
+    E = effectivity_table(random_game_form(random.Random(3), 2, 20), BOOL)
+    assert repr(E) == f"<EffFn chain=Chain(1) k=2 outcomes={E.outcomes!r} generators={E._gens!r}>"
+    assert E._rows is None
 
 
 @pytest.mark.parametrize("n", (2, 9))
@@ -1381,5 +1407,5 @@ def test_sixteen_outcomes_checked_on_the_skeleton(n):
     assert E._rows is None and peak < (n + 1) ** 16
     with pytest.raises(BudgetExceeded, match="lifted table cells exceed budget 1048576"):
         E.rows()
-    assert repr(E) == f"lift_boolean({boolean_skeleton(E)!r}, {E.chain!r})"
+    assert repr(E) == f"<EffFn chain={E.chain!r} k=2 outcomes={E.outcomes!r} generators={E._gens!r}>"
     assert E._rows is None
