@@ -8,14 +8,17 @@ playable.  The playable stage lifts that skeleton back to the chain, giving
 a truly playable filtered model that evaluates every subformula exactly as
 the source model did.
 
-Every step divides n, so each class's skeleton is gathered straight from
-the Boolean skeleton of its representative's source table
-(_class_skeletons), and the playable and enriched stages read skeletons
-alone: they build no E*, the lifts are held as the generators of the
-class skeletons, and evaluation, condition (2) and both stacked
-playability checks read those, or the skeletons kept beside them.
-Only intermediate_filtration builds the dense E* tables, and it checks
-their skeletons against the gathered ones.
+Every step divides n, so each class's skeleton is generated by the
+class-images of its representative's source generators, the sets of
+classes of each generator's states, and by the singletons of the image
+of the empty row's one generator for the grand coalition
+(_class_generators).  The playable and enriched stages read generators
+alone: they build no E*, no skeleton and no cells, the lifts are held as
+the class generators (tables._generated), and evaluation, condition (2),
+truth transfer and both stacked playability checks read those.  Only
+intermediate_filtration builds the dense E* tables, after checking the
+source cell budget, and it checks their skeletons against the ones the
+class generators give.
 
 The definable vectors form the MV-subalgebra of the chain power generated
 by the subformula vectors, and are kept in closed form: each class has a
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -46,12 +50,12 @@ from .models import (
     is_standard,
 )
 from .tables import (
-    BOOL_CHAIN,
     PLAYABLE_PARTS,
     EffFn,
+    _generated,
+    _generator_rows,
     _geometry,
-    _held_rows,
-    _lifted,
+    _minimal,
     _require,
     _row_values,
     _stack,
@@ -159,27 +163,48 @@ def _class_weights(q: Quotient, n: int) -> np.ndarray:
     return weights
 
 
-def _class_skeletons(q: Quotient) -> np.ndarray:
-    """The Boolean skeleton of each class's E* table, stacked (classes,
-    2^k, 2^S), gathered from the skeleton its representative's source
-    table holds (tables._held_rows).
+def _class_generators(q: Quotient) -> list:
+    """Per class, the generator rows of its E* table's Boolean skeleton, one
+    per coalition, read off its representative's source generators
+    (tables._generator_rows).
 
     On an idempotent assessment chi_A, A a set of classes, g*(chi_A) =
     chi_A, as every step divides n, so E*(C, chi_A) is the source value at
-    the indicator of A's states: row C != N is the source skeleton's row C
-    at that state mask, and row N, the dual of row {}, is 1 - row {} at the
-    complement of A.  The source tables are playable, so homogeneous, and
-    each holds its generators, whose skeleton is read.  Those are
-    outcome-monotone, and so is each gathered row: more classes are more
-    states, and row N is a dual.
+    the indicator of A's states.  So row C != N accepts A exactly when a
+    source generator of row C lies in A's states, that is when its
+    class-image, the set of its states' classes, lies in A: the
+    class-images generate the row.  Row N, the dual of row {}, accepts A
+    exactly when row {} does not accept the complement of A.  The source
+    tables are playable, so each holds its generators, and its row {} has
+    one, z: superadditivity on ({}, {}) meets two generators inside a
+    third, which liveness and safety leave only when they are one.  So row
+    N accepts the A that meet the class-image of z, generated by its
+    singletons.  VerificationFailed is raised where a source table is not
+    held as its generators or its row {} is not principal.
     """
     model = q.source
-    idx = _geometry(BOOL_CHAIN.n, q.num_classes).tuples @ _class_weights(q, BOOL_CHAIN.n)
+    size, count, full = model.num_states, q.num_classes, (1 << model.k) - 1
     reps = [model.eff[rep] for rep in q.representatives]
-    rows = _held_rows(reps, slice(None))[0].take(idx, axis=2)
-    # the complement of a set of classes is its index reversed
-    rows[:, -1] = 1 - rows[:, 0, ::-1]
-    return rows
+    sources = _generator_rows(reps, range(full + 1))
+    if sources is None:
+        raise VerificationFailed("a playable source table is not held as its generators")
+    # the class of the state at each bit of a source outcome set, as a set
+    # of classes
+    classes = [1 << count - 1 - q.class_map[size - 1 - b] for b in range(size)]
+
+    def image(g: int) -> int:
+        return reduce(int.__or__, (classes[b] for b in range(size) if g >> b & 1), 0)
+
+    rows = {}  # source generator rows -> class generator rows
+    for gens in sources:
+        if gens not in rows:
+            if len(gens[0]) != 1:
+                raise VerificationFailed("a playable source table's empty row is not principal")
+            z = image(gens[0][0])
+            rows[gens] = tuple(_minimal(map(image, row)) for row in gens[:full]) + (
+                tuple(1 << b for b in range(count) if z >> b & 1),
+            )
+    return [rows[gens] for gens in sources]
 
 
 def _intermediate_tables(q: Quotient, steps, skeletons) -> list[EffFn]:
@@ -198,18 +223,24 @@ def _intermediate_tables(q: Quotient, steps, skeletons) -> list[EffFn]:
     representatives agree, so the canonical choice is harmless there, and
     it keeps E* well defined everywhere else.  Each table is 0 or n on the
     idempotent assessments, n exactly where its class's skeleton in
-    skeletons (_class_skeletons) is 1; VerificationFailed is raised where
-    it is not.
+    skeletons (from _class_generators) is 1; VerificationFailed is raised
+    where it is not.
+
+    The source cells are read first, so a source table over the cell
+    budget raises BudgetExceeded (EffFn.rows) before the class geometry is
+    built; a class table has no more cells, as there are no more classes
+    than states.
     """
     model = q.source
     n = model.n
+    sources = [model.eff[rep].rows() for rep in q.representatives]
     geo = _geometry(n, q.num_classes)
     steps = np.asarray(steps, dtype=np.int64)
     idx = (geo.tuples // steps * steps) @ _class_weights(q, n)
     full = (1 << model.k) - 1
     tables = []
-    for rep, H in zip(q.representatives, skeletons):
-        rows = model.eff[rep].rows().take(idx, axis=1)
+    for source, H in zip(sources, skeletons):
+        rows = source.take(idx, axis=1)
         rows[full] = n - rows[0].take(geo.neg_idx)
         if not np.array_equal(rows.take(geo.idempotent_idx, axis=1), H.rows().astype(rows.dtype) * n):
             raise VerificationFailed("an intermediate table's skeleton is not the gathered one")
@@ -282,13 +313,18 @@ def _classes(model: LnModel, mu: Formula):
     Two stacked checks, each asking only for the verdicts it reads: the
     source tables are playable; the skeletons are playable and their
     lifts truly playable, each distinct one decided once, on its
-    generators or its skeleton.  The class skeletons, outcome-monotone
-    (_class_skeletons), are lifted in one stack, and each class's
-    skeleton is read off its lift.
+    generators or its skeleton.  Each distinct tuple of class generator
+    rows (_class_generators) is lifted once, held as its generators
+    (tables._generated), and each class's skeleton is read off its lift.
     """
     _require(((model.eff, PLAYABLE_PARTS, NotPlayable("filtration requires a playable model")),))
     q = quotient(model, mu)
-    lifted = tuple(_lifted(model.chain, model.k, q.class_names(), _class_skeletons(q)))
+    class_rows = _class_generators(q)
+    lifts = {
+        rows: _generated(model.chain, model.k, q.class_names(), rows)
+        for rows in dict.fromkeys(class_rows)
+    }
+    lifted = tuple(lifts[rows] for rows in class_rows)
     skeletons = [boolean_skeleton(E) for E in lifted]
     _require(
         (

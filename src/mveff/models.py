@@ -23,10 +23,14 @@ modal rule conclusions of the soundness suite by frame correspondence, one
 predicate on the rows it reads of the tables of all states (and the
 relation R for [O]), and any other formula, or an instance whose predicate
 fails, on that grid.  Where every table is homogeneous (a game form's
-table is), so holds its generators, the predicate reads the rows of the
-Boolean skeletons built from them (tables._held_rows), with the same
-verdict, so a model of game-form tables builds no cells for it; standard_relation reads the empty
-coalition's row the same way, and so does the evaluator a [C] node.
+table is), so holds its generators, each row's minimal accepted outcome
+sets, every model-level read is made on those (tables._generator_rows),
+with the verdicts and values of the cells: each correspondence has a
+generator form, standard_relation intersects the empty coalition's
+generators, and a [C] node is the max over a row's generators of the min
+of its argument on each (tables._row_values).  Such a model builds no
+skeleton and no cells; a model with a table held as its cells reads the
+cells of every table.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -72,11 +77,13 @@ from .tables import (
     _check_outcome_monotonic,
     _check_regular,
     _check_safety,
-    _held_rows,
+    _cell_rows,
+    _generator_rows,
     _row_values,
     _value_dtype,
     assessment_columns,
     commutes_with_doublings,
+    superadditive_on_generators,
     superadditive_on_pair,
 )
 
@@ -287,10 +294,9 @@ def _eval_nodes(nodes, n: int, assign: dict, model: LnModel | None = None, keep=
     the caller reads them.  A node in assign takes its array from
     there; any other proposition, [C] or [O] node is read from the model.
     A [C] node reads row C of every state's table through
-    tables._row_values: one gather of the stacked cells when every table
-    holds them; else, when every table holds its generators, E(C, f) is
-    the number of cuts [f >= i] its skeleton accepts, one gather per
-    candidate level, and no cells are built.
+    tables._row_values: when every table holds its generators, E(C, f) is
+    the max over the row's generators of the min of f on each, and no
+    skeleton or cells are built; else one gather of the stacked cells.
     The lead axes are those of the assigned arrays (an open grid from
     _valuation_grid, none when nothing is assigned), and each node
     broadcasts over only the lead axes its operands vary on.  Without a
@@ -454,11 +460,21 @@ def _rows_are_minima(rows: np.ndarray, geo, R) -> bool:
 def standard_relation(model: LnModel) -> frozenset:
     """The relation induced by the empty coalition's effectivity: u R v
     exactly when E_u(empty, not chi_v) = 0, where not chi_v is 0 at v and
-    top elsewhere.  The empty coalition's rows are read on the Boolean
-    skeletons when every table is homogeneous, so holds its generators
-    (tables._held_rows), and a model of game-form tables builds no cells."""
-    rows, geo = _held_rows(model.eff, [0])
-    return _row_relation(rows[:, 0], geo)
+    top elsewhere.  When every table is homogeneous, so holds its
+    generators (tables._generator_rows), not chi_v is accepted exactly when
+    a generator misses v, so R(u) is the intersection of the empty
+    coalition's generators, and no skeleton or cells are built; else the
+    empty coalition's cells are read."""
+    gens = _generator_rows(model.eff, (0,))
+    if gens is None:
+        rows, geo = _cell_rows(model.eff, [0])
+        return _row_relation(rows[:, 0], geo)
+    size = model.num_states
+    pairs = []
+    for u, (row,) in enumerate(gens):
+        common = reduce(int.__and__, row, (1 << size) - 1)
+        pairs += [(u, v) for v in range(size) if common >> size - 1 - v & 1]
+    return frozenset(pairs)
 
 
 def is_standard(model: EnrichedLnModel) -> bool:
@@ -558,23 +574,50 @@ def _all_hold(verdicts) -> bool:
     return all(holds for holds, _ in verdicts)
 
 
+def _always(rows, model) -> bool:
+    return True
+
+
+def _relation_rows(gens, model) -> bool:
+    """Whether, at every state u, the one generator row of gens is the one
+    set R(u) of the enriched model's relation."""
+    size = model.num_states
+    successors = [0] * size
+    for u, v in model.R:
+        successors[u] |= 1 << size - 1 - v
+    return all(row == (z,) for (row,), z in zip(gens, successors))
+
+
 def _correspondent(phi: Formula, k: int):
-    """(masks, predicate): the rows the table predicate equivalent to the
-    validity of phi reads, and that predicate, as a function of those rows
-    of every state's table stacked, their geometry and the model, when phi
-    is one of the instances below with coalitions of k players and bare
-    propositions; None for any other formula.  The coalitions, propositions
-    and doubling maps are read off phi, and phi counts only when the
-    instance rebuilt from them is == phi.  The predicate of a K instance
-    only implies its validity."""
+    """(masks, on_cells, on_generators): the rows the table predicate
+    equivalent to the validity of phi reads, and that predicate, on those
+    rows of every state's table stacked as cells with their geometry and
+    the model, and on each state's generator rows at masks
+    (tables._generator_rows) with the model, when phi is one of the
+    instances below with coalitions of k players and bare propositions;
+    None for any other formula.  The coalitions, propositions and doubling
+    maps are read off phi, and phi counts only when the instance rebuilt
+    from them is == phi.  The predicate of a K instance only implies its
+    validity.  A table held as its generators is homogeneous and
+    outcome-monotone, so the commutations and the monotonicity rule's
+    conclusion hold on generators at once."""
     match phi:
         case Neg(Box(C, _)) if C.k == k and phi == _ax3(C):
-            # E(C, 0) = 0: safety on row C
-            return [C.mask], lambda rows, geo, model: _all_hold(_check_safety(rows, geo))
+            # E(C, 0) = 0: safety on row C, no generator is empty
+            return (
+                [C.mask],
+                lambda rows, geo, model: _all_hold(_check_safety(rows, geo)),
+                lambda gens, model: all(row != (0,) for (row,) in gens),
+            )
         case Implies(Box(_, Prop() as p), _) if phi == _ax5(k, p):
             # E({}, f) + E(N, ~f) <= n: regularity of the two-row stack of {}
-            # and N, in which each row is the other's complement
-            return [0, (1 << k) - 1], lambda rows, geo, model: _all_hold(_check_regular(rows, geo))
+            # and N, in which each row is the other's complement; no set and
+            # its complement hold a generator of {} and one of N
+            return (
+                [0, (1 << k) - 1],
+                lambda rows, geo, model: _all_hold(_check_regular(rows, geo)),
+                lambda gens, model: all(g1 & g2 for empty, grand in gens for g1 in empty for g2 in grand),
+            )
         case Implies(
             Neg(Implies(Implies(Neg(Box(C1, Prop() as p)), Neg(Box(C2, Prop() as q))), _)), _
         ) if (
@@ -582,32 +625,52 @@ def _correspondent(phi: Formula, k: int):
         ):
             # superadditivity on the pair (C1, C2) alone: as p and q vary
             # apart, every pair (f, g) of assessments is reached
-            masks = [C1.mask, C2.mask, C1.mask | C2.mask]
-            return masks, lambda rows, geo, model: superadditive_on_pair(rows, geo)
+            return (
+                [C1.mask, C2.mask, C1.mask | C2.mask],
+                lambda rows, geo, model: superadditive_on_pair(rows, geo),
+                lambda gens, model: superadditive_on_generators(gens),
+            )
         case Neg(Implies(Implies(Box(C, sub), _), _)) if C.k == k:
             ops, p = _doublings(sub)
             if isinstance(p, Prop) and phi == _commutation(C, ops, p):
                 # E(C, g(f)) = g(E(C, f)) for the doubling composite g: iff
                 # is top exactly where its two sides are equal
-                return [C.mask], lambda rows, geo, model: commutes_with_doublings(rows, geo, ops)
+                return (
+                    [C.mask],
+                    lambda rows, geo, model: commutes_with_doublings(rows, geo, ops),
+                    _always,
+                )
         case BoxO(Top()):
             # a min over no successors is n: valid on every enriched model
-            return [], lambda rows, geo, model: isinstance(model, EnrichedLnModel)
+            return (
+                [],
+                lambda rows, geo, model: isinstance(model, EnrichedLnModel),
+                lambda gens, model: isinstance(model, EnrichedLnModel),
+            )
         case Neg(Implies(Implies(BoxO(Prop() as p), Box(C, _)), _)) if (
             C.k == k and phi == _ax7(C, p)
         ):
-            # E_u(C, f) = min over R(u) of f, as [O] reads it
-            return [C.mask], lambda rows, geo, model: isinstance(model, EnrichedLnModel) and (
-                _rows_are_minima(rows[:, 0], geo, model.R)
+            # E_u(C, f) = min over R(u) of f, as [O] reads it: row C has the
+            # one generator R(u)
+            return (
+                [C.mask],
+                lambda rows, geo, model: isinstance(model, EnrichedLnModel)
+                and _rows_are_minima(rows[:, 0], geo, model.R),
+                lambda gens, model: isinstance(model, EnrichedLnModel) and _relation_rows(gens, model),
             )
         case Implies(Box(C, Implies(Prop() as p, Prop() as q)), _) if (
             C.k == k and phi == _ax8(C, p, q)
         ):
             # K holds for a row that is a min over a set of states, as [O]
             # is; that set can only be the v with E_u(C, not chi_v) = 0, so
-            # the relation is read off the row itself
-            return [C.mask], lambda rows, geo, model: _rows_are_minima(
-                rows[:, 0], geo, _row_relation(rows[:, 0], geo)
+            # the relation is read off the row itself: row C has one
+            # generator
+            return (
+                [C.mask],
+                lambda rows, geo, model: _rows_are_minima(
+                    rows[:, 0], geo, _row_relation(rows[:, 0], geo)
+                ),
+                lambda gens, model: all(len(row) == 1 for (row,) in gens),
             )
         case Implies(Box(C, Neg(Implies(Implies(Neg(Prop() as p), Neg(Prop() as q)), _))), _) if (
             C.k == k and p != q and phi == Implies(Box(C, meet(p, q)), Box(C, p))
@@ -615,11 +678,19 @@ def _correspondent(phi: Formula, k: int):
             # the monotonicity rule's conclusion: as p and q vary apart,
             # every g <= f is f meet g, so this is outcome monotonicity of
             # row C
-            return [C.mask], lambda rows, geo, model: _all_hold(_check_outcome_monotonic(rows, geo))
+            return (
+                [C.mask],
+                lambda rows, geo, model: _all_hold(_check_outcome_monotonic(rows, geo)),
+                _always,
+            )
         case Box(C, Implies(Prop() as p, _)) if C.k == k and phi == Box(C, Implies(p, p)):
             # the necessitation rule's conclusion: p -> p is top, so this is
-            # E(C, top) = n, liveness of row C
-            return [C.mask], lambda rows, geo, model: _all_hold(_check_liveness(rows, geo))
+            # E(C, top) = n, liveness of row C: it has a generator
+            return (
+                [C.mask],
+                lambda rows, geo, model: _all_hold(_check_liveness(rows, geo)),
+                lambda gens, model: all(row for (row,) in gens),
+            )
     return None
 
 
@@ -648,10 +719,10 @@ def check_axiom_schema(model: LnModel, schema: Formula):
       monotonicity of row C;
     - [C](p -> p), the necessitation rule's conclusion: E(C, top) = n.
 
-    Each predicate reads only the rows it names, on the Boolean skeletons
-    when every table is homogeneous, so holds its generators
-    (tables._held_rows).  Where
-    it holds the result is (True, None) and no valuation is enumerated.
+    Each predicate reads only the rows it names: their generators when
+    every table is homogeneous, so holds them (tables._generator_rows),
+    else their cells.  Where it holds the result is (True, None) and no
+    valuation is enumerated.
     Every other formula, and every instance whose predicate fails or is
     over its own budget, is decided by is_valid over the (n+1)^(P*S)
     valuations, which also gives the witness (or raises DialectViolation
@@ -659,10 +730,11 @@ def check_axiom_schema(model: LnModel, schema: Formula):
     """
     found = _correspondent(schema, model.k)
     if found is not None:
-        masks, predicate = found
+        masks, on_cells, on_generators = found
+        gens = _generator_rows(model.eff, masks)
         try:
-            if predicate(*_held_rows(model.eff, masks), model):
+            if on_cells(*_cell_rows(model.eff, masks), model) if gens is None else on_generators(gens, model):
                 return True, None
         except BudgetExceeded:
-            pass  # the count is over its budget: the grid decides within its own
+            pass  # over its budget: the grid decides within its own
     return is_valid(model, schema)

@@ -13,20 +13,21 @@ outcome-monotone (for n > 1, every homogeneous table) holds its
 generators, each row's minimal accepted outcome sets in increasing order,
 outcome j at bit S - 1 - j, the index of the set's characteristic
 assessment; any other table holds its cells.  EffFn() tests the cells it
-is given and takes a homogeneous table's generators from its skeleton, a
-lift (_lifted) from the skeletons of its stack, both in one pass
-(_minimal_sets), and a game form's table (_generated) from its forced
-sets.  The skeleton (_upset_skeleton) and the cells (_lift_values) of a
-table held as its generators are built from them on first use, under
-DEFAULT_CELL_BUDGET, and kept.  One upset has one antichain of minimal
-sets, so a table compares, hashes and pickles as its generators or as
-its cells, whichever it holds, and prints as its cells, or as its
+is given and takes a homogeneous table's generators from its skeleton in
+one pass (_minimal_sets); a game form's table, a lift, a filtration's
+class table and a decided state's table are built from their generators
+(_generated).  The skeleton (_upset_skeleton) and the cells (_lift_values)
+of a table held as its generators are built from them on first use,
+under DEFAULT_CELL_BUDGET, and kept.  One upset has one antichain of
+minimal sets, so a table compares, hashes and pickles as its generators
+or as its cells, whichever it holds, and prints as its cells, or as its
 generators when its cells are over the budget.  E(C, f) of a table held
 as its generators is the max over the row's generators g of the min of f
 on g (value_num); the formula evaluator's [C] nodes and a filtration's
-condition (2) read whole rows through _row_values: the cells when every
-table read holds them, else the skeletons, as the number of cuts [f >= i]
-each accepts (_lift_values).
+condition (2) read whole rows through _row_values: on the generators
+when every table read holds them, building no skeleton and no cells,
+else a gather of the cells.  The model layer reads generator rows
+through _generator_rows and cell rows through _cell_rows.
 
 Each playability predicate is one array expression over a stack of tables
 of one geometry, rows of shape (tables, 2^k, (n+1)^S), and every coalition
@@ -67,7 +68,7 @@ cut tau_i, so it is the lift of its Boolean skeleton and every predicate
 (built from <=, meet, negation and the constants) has the same verdict on
 the table and on the 2^S-assessment skeleton, where homogeneity always
 holds; so has each frame correspondence of models.check_axiom_schema,
-which reads its rows through _held_rows.  For n > 1
+which reads its rows on generators when every table holds them.  For n > 1
 `check_playability_many` therefore runs the battery on the skeletons of
 the tables held as generators that _generators_hold leaves undecided and
 on the cells of the others.  Equal targets run the battery once, all
@@ -305,7 +306,7 @@ class EffFn:
             if _check_homogeneous(rows[None], geo)[0][0]:
                 skeleton = _skeleton_cells(rows, geo)
                 skeleton.flags.writeable = False
-        gens = None if skeleton is None else _minimal_sets(skeleton[None])[0]
+        gens = None if skeleton is None else _minimal_sets(skeleton)
         _hold(self, chain, k, outcomes, gens, skeleton, rows)
 
     def __setattr__(self, name, value):
@@ -463,19 +464,6 @@ def _hold(E: EffFn, chain, k, outcomes, gens, skeleton=None, rows=None) -> EffFn
     return E
 
 
-def _lifted(chain: Chain, k: int, outcomes, skeletons: np.ndarray) -> list[EffFn]:
-    """The lift to the chain of each outcome-monotone Boolean skeleton of a
-    stack (tables, 2^k, 2^S) in _value_dtype(1), 0 or 1, unchecked, held
-    as its generators, taken for the whole stack in one pass
-    (_minimal_sets), with the skeleton kept."""
-    skeletons.flags.writeable = False
-    outcomes = tuple(outcomes)
-    return [
-        _hold(object.__new__(EffFn), chain, k, outcomes, gens, H, H if chain.n == 1 else None)
-        for gens, H in zip(_minimal_sets(skeletons), skeletons)
-    ]
-
-
 def _generated(chain: Chain, k: int, outcomes, rows) -> EffFn:
     """The lift of the Boolean table whose row C accepts the outcome sets
     that contain one of rows[C], outcome j at bit S - 1 - j, held as each
@@ -486,26 +474,25 @@ def _generated(chain: Chain, k: int, outcomes, rows) -> EffFn:
     return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), gens)
 
 
-def _minimal_sets(skeletons: np.ndarray) -> list:
-    """Per table of a stack of Boolean skeletons (tables, 2^k, 2^S), each
-    row's minimal accepted sets in increasing order, the index of a set
-    having outcome j at bit S - 1 - j; None for a table with a row that is
-    not outcome-monotone.  One pass over the indices, one outcome at a
-    time: a set is minimal when it is accepted and the set without any one
-    of its outcomes is not."""
-    tables, rows, count = skeletons.shape
-    cube = skeletons.astype(bool).reshape((tables, rows) + (2,) * (count.bit_length() - 1))
-    minimal, monotone = cube.copy(), np.ones(tables, dtype=bool)
-    for axis in range(2, cube.ndim):
+def _minimal_sets(skeleton: np.ndarray):
+    """Each row's minimal accepted sets of a Boolean skeleton (2^k, 2^S), in
+    increasing order, the index of a set having outcome j at bit S - 1 - j;
+    None when a row is not outcome-monotone.  One pass over the indices,
+    one outcome at a time: a set is minimal when it is accepted and the set
+    without any one of its outcomes is not."""
+    rows, count = skeleton.shape
+    cube = skeleton.astype(bool).reshape((rows,) + (2,) * (count.bit_length() - 1))
+    minimal = cube.copy()
+    for axis in range(1, cube.ndim):
         lead = (slice(None),) * axis
         without, within = cube[lead + (0,)], cube[lead + (1,)]
-        monotone &= ~(without & ~within).reshape(tables, -1).any(axis=1)
+        if (without & ~within).any():
+            return None
         minimal[lead + (1,)] &= ~without
-    gens = [[[] for _ in range(rows)] for _ in range(tables)]
-    hits = np.nonzero(minimal.reshape(tables, rows, count))
-    for t, c, x in zip(*(axis.tolist() for axis in hits)):
-        gens[t][c].append(x)
-    return [tuple(map(tuple, table)) if ok else None for table, ok in zip(gens, monotone.tolist())]
+    gens = [[] for _ in range(rows)]
+    for c, x in zip(*(axis.tolist() for axis in np.nonzero(minimal.reshape(rows, count)))):
+        gens[c].append(x)
+    return tuple(map(tuple, gens))
 
 
 def _minimal(sets) -> tuple:
@@ -1057,11 +1044,28 @@ def _generators_hold(gens) -> bool:
     if work > _DENSE_CELL_BUDGET:
         return False
     known = [set(row) for row in gens]
-    for c1, c2 in pairs:
-        union = gens[c1 | c2]
-        for meet in {g1 & g2 for g1 in gens[c1] for g2 in gens[c2]}:
-            if meet not in known[c1 | c2] and all(h & ~meet for h in union):
-                return False
+    return all(_pair_holds(gens[c1], gens[c2], gens[c1 | c2], known[c1 | c2]) for c1, c2 in pairs)
+
+
+def superadditive_on_generators(rows) -> bool:
+    """Whether every table is superadditive on the one disjoint pair its
+    three generator rows are, in the order c1, c2, c1 | c2 (_pair_holds).
+    Raises BudgetExceeded before any meet is taken when the work, the sum
+    of |G1| |G2| |G1 | G2|, exceeds _DENSE_CELL_BUDGET, as _generators_hold
+    bounds it."""
+    work = sum(len(first) * len(second) * len(union) for first, second, union in rows)
+    if work > _DENSE_CELL_BUDGET:
+        raise BudgetExceeded(f"superadditivity work of {work} exceeds budget {_DENSE_CELL_BUDGET}")
+    return all(_pair_holds(first, second, union, set(union)) for first, second, union in rows)
+
+
+def _pair_holds(first, second, union, known) -> bool:
+    """Superadditivity on one disjoint pair (C1, C2) of generator rows:
+    each g1 & g2 contains a generator of union, the row of C1 | C2, at once
+    when it is one of them, the set known."""
+    for meet in {g1 & g2 for g1 in first for g2 in second}:
+        if meet not in known and all(h & ~meet for h in union):
+            return False
     return True
 
 
@@ -1117,17 +1121,20 @@ def _skeleton_cells(rows: np.ndarray, geo: _Geometry) -> np.ndarray:
     return (rows.take(geo.idempotent_idx, axis=-1) == geo.n).view(_value_dtype(BOOL_CHAIN.n))
 
 
-def _held_rows(tables: Sequence[EffFn], masks) -> tuple:
-    """(rows, geometry) of the rows masks of tables of one geometry,
-    stacked: their Boolean skeletons on _geometry(1, S), built from the
-    generators, when every table holds its generators, so is homogeneous
-    and outcome-monotone, else their cells on the tables' own geometry.  A
-    homogeneous table commutes with every cut tau_i, so a predicate built
-    from <=, meet, negation and the constants has the same verdict on
-    both."""
-    if all(E._gens is not None for E in tables):
-        geo = _geometry(BOOL_CHAIN.n, tables[0].num_outcomes)
-        return _stack([E._held_skeleton()[masks] for E in tables]), geo
+def _generator_rows(tables: Sequence[EffFn], masks) -> list | None:
+    """Per table, the tuple of its generator rows at masks, when every
+    table holds its generators, so is homogeneous and outcome-monotone;
+    None when some table holds its cells.  A homogeneous table commutes
+    with every cut tau_i, so a predicate built from <=, meet, negation and
+    the constants has the same verdict on the generators as on the cells."""
+    if any(E._gens is None for E in tables):
+        return None
+    return [tuple(E._gens[mask] for mask in masks) for E in tables]
+
+
+def _cell_rows(tables: Sequence[EffFn], masks) -> tuple:
+    """(rows, geometry) of the rows masks of tables of one geometry, their
+    cells stacked."""
     return _stack([E.rows()[masks] for E in tables]), tables[0].geometry()
 
 
@@ -1163,18 +1170,53 @@ def _lift_values(skeleton: np.ndarray, cuts: tuple) -> np.ndarray:
 def _row_values(tables: Sequence[EffFn], mask: int, f: np.ndarray) -> np.ndarray:
     """E(C, f) of the row mask of each of tables of one geometry at the
     assessments f, outcomes on its first axis: (tables, *f.shape[1:]) in
-    _value_dtype(n).  When every table holds its cells, one gather of them
-    at f's index; else from the rows _held_rows picks: the skeletons, when
-    every table holds its generators, read by _lift_values, building no
-    cells, or else the cells, gathered."""
+    _value_dtype(n).  When every table holds its generators, the max over
+    the row's generators g of the min of f on g, as value_num reads one
+    cell, building no skeleton and no cells: in Python for one assessment
+    (_generator_values), else one generator at a time over the grid
+    (_generator_grid).  Else one gather of the cells at f's index."""
     n = tables[0].n
-    if all(E._rows is not None for E in tables):
-        rows = _stack([E._rows[mask] for E in tables])
-    else:
-        rows, geo = _held_rows(tables, mask)
-        if geo.n == BOOL_CHAIN.n:
-            return _lift_values(rows, _lift_cuts(f, n))
-    return rows.take(encode_assessments(f, n), axis=1)
+    held = _generator_rows(tables, (mask,))
+    if held is None:
+        return _cell_rows(tables, mask)[0].take(encode_assessments(f, n), axis=1)
+    rows = [gens for (gens,) in held]
+    if f.ndim == 1:
+        return np.array(_generator_values(rows, f.tolist(), n), dtype=_value_dtype(n))
+    return _generator_grid(rows, f, n)
+
+
+def _generator_values(rows, f: list, n: int) -> list:
+    """Per generator row, the max over its generators g of the min of the
+    numerators f on g (n on the empty set), 0 for a row with none: the
+    largest level v, a value of f or n, whose cut [f >= v] contains a
+    generator, the levels tried from the top."""
+    size = len(f)
+    cuts = {n: 0}  # value -> the outcomes f takes it at
+    for j, v in enumerate(f):
+        cuts[v] = cuts.get(v, 0) | 1 << size - 1 - j
+    levels, inside = [], 0  # (v, the outcomes outside [f >= v]), v > 0
+    for v in sorted(cuts, reverse=True):
+        inside |= cuts[v]
+        if v:
+            levels.append((v, ~inside))
+    return [next((v for v, outside in levels if any(not g & outside for g in gens)), 0) for gens in rows]
+
+
+def _generator_grid(rows, f: np.ndarray, n: int) -> np.ndarray:
+    """_generator_values of each generator row at every assessment of f,
+    outcomes on its first axis: the running max over the row's generators
+    of the min of f over each one's outcomes, one generator at a time,
+    each distinct generator's min taken once."""
+    size = len(f)
+    out = np.zeros((len(rows),) + f.shape[1:], dtype=_value_dtype(n))
+    mins = {}
+    for t, gens in enumerate(rows):
+        for g in gens:
+            if g not in mins:
+                members = [f[j] for j in range(size) if g >> size - 1 - j & 1]
+                mins[g] = reduce(np.minimum, members) if members else n
+            np.maximum(out[t], mins[g], out=out[t])
+    return out
 
 
 def boolean_skeleton(E: EffFn) -> EffFn:

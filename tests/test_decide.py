@@ -354,7 +354,7 @@ def _table_by_cells(z, gens, k, size, chain):
                 row.append(any(states(g) <= X for g in gens[mask]))
         rows.append(row)
     H = EffFn(BOOL_CHAIN, k, tuple(f"s{j}" for j in range(size)), rows)
-    return tables._lifted(chain, k, H.outcomes, H.rows()[None])[0]
+    return tables._generated(chain, k, H.outcomes, H._gens)
 
 
 def test_every_survivor_witness_realizes_its_signature():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -18,7 +19,7 @@ from mveff.corpus import (
     random_formula,
     random_playable_model,
 )
-from mveff.errors import NotPlayable, NotStandard, VerificationFailed
+from mveff.errors import BudgetExceeded, NotPlayable, NotStandard, VerificationFailed
 from mveff.filtration import (
     definable_class_vectors,
     enriched_filtration,
@@ -30,11 +31,15 @@ from mveff.formulas import Box, BoxO, Implies, Neg, Prop, Top, iff, oplus, parse
 from mveff.models import (
     EnrichedLnModel,
     LnModel,
+    b_family,
     check_axiom_schema,
     eval_vector,
     is_standard,
+    pn_axioms,
     standardize,
+    tpn_axioms,
 )
+from mveff.games import DEFAULT_CELL_BUDGET
 from mveff.tables import (
     PLAYABLE_PARTS,
     EffFn,
@@ -246,24 +251,24 @@ def test_each_distinct_skeleton_is_built_and_lifted_once(monkeypatch):
 
     def counting_gather(q):
         gathers.append(q)
-        return class_skeletons(q)
+        return class_generators(q)
 
-    def counting_lift(lift_chain, k, outcomes, skeletons):
-        lifted.append([EffFn(Chain(1), k, outcomes, skeleton) for skeleton in skeletons])
-        return tables._lifted(lift_chain, k, outcomes, skeletons)
+    def counting_lift(lift_chain, k, outcomes, rows):
+        lifted.append((lift_chain, tables._generated(Chain(1), k, outcomes, rows)))
+        return tables._generated(lift_chain, k, outcomes, rows)
 
-    class_skeletons = filtration._class_skeletons
-    monkeypatch.setattr(filtration, "_class_skeletons", counting_gather)
-    monkeypatch.setattr(filtration, "_lifted", counting_lift)
+    class_generators = filtration._class_generators
+    monkeypatch.setattr(filtration, "_class_generators", counting_gather)
+    monkeypatch.setattr(filtration, "_generated", counting_lift)
     result = playable_filtration(M, mu)
     assert result == expect
-    # one gather from the source skeletons gives every class's skeleton,
-    # and one stacked lift lifts them all, in class order
-    assert len(gathers) == 1 and len(lifted) == 1
+    # one read of the source generators gives every class's generator
+    # rows, and each distinct class skeleton is lifted once, in class order
     skeletons = [boolean_skeleton(E) for E in inter]
     names = gathers[0].class_names()
-    assert [EffFn(Chain(1), M.k, names, rows) for rows in class_skeletons(gathers[0])] == skeletons
-    assert lifted[0] == skeletons
+    assert len(gathers) == 1
+    assert [tables._generated(Chain(1), M.k, names, rows) for rows in class_generators(gathers[0])] == skeletons
+    assert lifted == [(chain, H) for H in dict.fromkeys(skeletons)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,14 +282,14 @@ def test_intermediate_tables_have_strict_skeletons(seed, n, size):
     M = random_playable_model(rng, chain, size)
     mu = random_formula(rng, 3, (1, 2), 2, chain)
     inter = intermediate_filtration(M, mu).model.eff
-    with mock.patch.object(filtration, "_lifted", wraps=tables._lifted) as lift:
+    with mock.patch.object(filtration, "_generated", wraps=tables._generated) as lift:
         result = playable_filtration(M, mu)
     skeletons = [boolean_skeleton(E) for E in inter]
-    # the one stacked lift to the model's chain
-    assert lift.call_count == 1
-    lift_chain, k, outcomes, stack = lift.call_args.args
-    assert lift_chain == chain
-    assert [EffFn(Chain(1), k, outcomes, skeleton) for skeleton in stack] == skeletons
+    # one lift to the model's chain per distinct class skeleton, from the
+    # class generator rows
+    calls = [call.args for call in lift.call_args_list]
+    assert [args[0] for args in calls] == [chain] * len(set(skeletons))
+    assert [tables._generated(Chain(1), *args[1:]) for args in calls] == list(dict.fromkeys(skeletons))
     for H, F in zip(skeletons, result.model.eff):
         assert F == lift_boolean(H, chain)
 
@@ -324,6 +329,55 @@ def test_sixteen_state_filtrations_build_no_cells(monkeypatch):
         assert eval_vector(result.model, mu) == tuple(values[q.representatives[c]] for c in range(q.num_classes))
 
 
+def test_intermediate_filtration_checks_the_budget_before_the_class_geometry(monkeypatch):
+    # 16 states at n = 2 fall into 13 classes: the source tables' 4 x 3^16
+    # cells are over the budget, and the 3^13-assessment class geometry
+    # would take hundreds of MB, so the budget refuses before it is built
+    M = random_playable_model(random.Random(1), Chain(2), 16)
+    mu = parse("[{1}]p1 -> [N](p1 | p2)", 2)
+    assert quotient(M, mu).num_classes == 13
+    geometry = filtration._geometry
+
+    def refuse(n, size):
+        if (n + 1) ** size << M.k > DEFAULT_CELL_BUDGET:
+            raise AssertionError(f"the geometry of {size} classes is built")
+        return geometry(n, size)
+
+    monkeypatch.setattr(filtration, "_geometry", refuse)
+    with pytest.raises(BudgetExceeded, match="^172186884 lifted table cells exceed budget 1048576$"):
+        intermediate_filtration(M, mu)
+
+
+def test_sixty_four_state_model_is_read_on_generators(monkeypatch):
+    # 64 states at n = 2: a skeleton row has 2^64 cells and the assessment
+    # geometry cannot be built, but evaluation, both filtrations and every
+    # Pn, B and TPn correspondence read the game forms' generators, each
+    # in well under a second
+    M = random_playable_model(random.Random(1), Chain(2), 64)
+    mu = parse("[{1}]p1 -> [N](p1 | p2)", 2)
+    refuse = mock.Mock(side_effect=AssertionError("a skeleton or a geometry is built"))
+    for module, name in ((tables, "_geometry"), (filtration, "_geometry"), (tables, "_upset_skeleton")):
+        monkeypatch.setattr(module, name, refuse)
+
+    def timed(call):
+        start = time.perf_counter()
+        out = call()
+        assert time.perf_counter() - start < 1
+        return out
+
+    S = timed(lambda: standardize(M))
+    values = timed(lambda: eval_vector(M, mu))
+    results = timed(lambda: playable_filtration(M, mu)), timed(lambda: enriched_filtration(S, mu))
+    for model, instances in ((M, pn_axioms(2, M.chain) + b_family(2, M.chain)), (S, tpn_axioms(2, M.chain))):
+        for name, phi in instances:
+            assert timed(lambda: check_axiom_schema(model, phi)) == (True, None), name
+    for result in results:
+        q = result.quotient
+        assert eval_vector(result.model, mu) == tuple(values[q.representatives[c]] for c in range(q.num_classes))
+    assert not refuse.called
+    assert all(E._rows is None for E in M.eff)
+
+
 def test_six_class_filtration_at_n4():
     # 6 classes at n = 4, steps 2,1,1,1,1,1: 3 * 5^5 definable vectors
     chain = Chain(4)
@@ -353,30 +407,27 @@ from mveff import filtration
 from mveff.chain import Chain
 from mveff.corpus import random_playable_model
 from mveff.formulas import parse
-from mveff.tables import EffFn, _lifted
+from mveff.tables import EffFn, _generated
 
 
-def broken_lift(chain, k, outcomes, skeletons):
-    # each lift to the model's chain with the grand coalition's value at
-    # the all-1/2 assessment lowered: not homogeneous; its skeleton, on the
-    # idempotent assessments, stays the class skeleton
-    lifts = []
-    for E in _lifted(chain, k, outcomes, skeletons):
-        rows = E.rows().copy()
-        rows[-1, rows.shape[1] // 2] -= 1
-        lifts.append(EffFn(chain, k, outcomes, rows))
-    return lifts
+def broken_lift(chain, k, outcomes, rows):
+    # the lift of class generator rows to the model's chain with the grand
+    # coalition's value at the all-1/2 assessment lowered: not homogeneous;
+    # its skeleton, on the idempotent assessments, stays the class skeleton
+    cells = _generated(chain, k, outcomes, rows).rows().copy()
+    cells[-1, cells.shape[1] // 2] -= 1
+    return EffFn(chain, k, outcomes, cells)
 
 
-filtration._lifted = broken_lift
+filtration._generated = broken_lift
 M = random_playable_model(random.Random(5), Chain(2), 4)
 filtration.playable_filtration(M, parse("[{1}]p1 -> p2", 2))
 """
 
 
 def test_broken_lift_is_refused(monkeypatch):
-    # the script replaces filtration._lifted; monkeypatch puts it back
-    monkeypatch.setattr(filtration, "_lifted", tables._lifted)
+    # the script replaces filtration._generated; monkeypatch puts it back
+    monkeypatch.setattr(filtration, "_generated", tables._generated)
     with pytest.raises(VerificationFailed, match="lifted table is not truly playable"):
         exec(_BROKEN_LIFT, {})
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mveff import models
+from mveff import models, tables
 from mveff.chain import Chain
 from mveff.corpus import random_enriched_model, random_formula, random_playable_model
 from mveff.errors import (
@@ -429,7 +429,7 @@ def _dense_route(M, phi):
     """check_axiom_schema(M, phi), or its DialectViolation, with the
     correspondent predicate read on every table's cells, and whether the
     grid ran."""
-    masks, predicate = models._correspondent(phi, M.k)
+    masks, predicate, _ = models._correspondent(phi, M.k)
     rows = np.stack([E.rows()[masks] for E in M.eff])
     if predicate(rows, M.eff[0].geometry(), M):
         return (True, None), False
@@ -458,6 +458,65 @@ def test_axiom_correspondences_read_skeletons_as_cells(M, data):
                 got = _verdict_or_dialect_error(check_axiom_schema, model, phi)
             assert (got, grid.called) == want, phi
     assert M.n == 1 or all(E._rows is None for E in M.eff)
+
+
+@st.composite
+def _generator_models(draw):
+    """An enriched model whose tables are held as generators, n 1 to 3, k 2
+    or 3, 1 to 3 states: game forms' tables, some with one generator
+    dropped, added, shrunk or grown or with two sets in the empty
+    coalition's row, so that predicates fail; R is the standard relation
+    or any relation."""
+    n, k, size = draw(st.integers(1, 3)), draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    chain, some = Chain(n), st.integers(0, (1 << size) - 1)
+    M = random_playable_model(rng, chain, size, k=k, props=())
+    eff = []
+    for E in M.eff:
+        rows = [list(row) for row in E._gens]
+        change = draw(st.sampled_from(("none", "drop", "add", "shrink", "grow", "row 0")))
+        row = rows[draw(st.integers(0, (1 << k) - 1))]
+        if change == "row 0":
+            rows[0] = [draw(some), draw(some)]
+        elif change == "add" or change != "none" and not row:
+            row.append(draw(some))
+        elif change != "none":
+            i = draw(st.integers(0, len(row) - 1))
+            if change == "drop":
+                row.pop(i)
+            elif change == "shrink":
+                row[i] &= draw(some)
+            else:
+                row[i] |= draw(some)
+        eff.append(tables._generated(chain, k, M.states, rows))
+    M = LnModel(chain, M.states, eff, {})
+    pairs = itertools.product(range(size), repeat=2)
+    R = standard_relation(M) if draw(st.booleans()) else [pair for pair in pairs if draw(st.booleans())]
+    return EnrichedLnModel(chain, M.states, eff, {}, R)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_models())
+def test_generator_correspondences_are_the_cell_predicates(M):
+    # each frame correspondence read on the generators gives the verdict of
+    # the predicate read on the cells, for every Pn, B and TPn instance and
+    # both rule conclusions of every coalition, on the enriched model and
+    # on its plain base; so does the standard relation
+    k, p1, p2 = M.k, Prop(1), Prop(2)
+    base = LnModel(M.chain, M.states, M.eff, {})
+    instances = [phi for _, phi in pn_axioms(k, M.chain) + b_family(k, M.chain) + tpn_axioms(k, M.chain)]
+    for mask in range(1 << k):
+        C = Coalition(mask, k)
+        instances += [Implies(Box(C, meet(p1, p2)), Box(C, p1)), Box(C, Implies(p1, p1))]
+    geo = M.eff[0].geometry()
+    for phi in instances:
+        masks, on_cells, on_generators = models._correspondent(phi, k)
+        gens = tables._generator_rows(M.eff, masks)
+        cells = np.stack([E.rows()[masks] for E in M.eff])
+        for model in (M, base):
+            assert on_generators(gens, model) == on_cells(cells, geo, model), phi
+    empty = np.stack([E.rows()[0] for E in M.eff])
+    assert standard_relation(base) == models._row_relation(empty, geo)
 
 
 def test_pn_and_b_instances_of_a_large_model_build_no_cells():

@@ -38,14 +38,14 @@ def test_only_tables_builds_assessments():
 
 def test_one_function_decides_the_skeleton_route():
     # whether a table holds its generators is decided once, when it is
-    # built: homogeneity is tested (_check_homogeneous, by name) only where
-    # a table is built from cells, EffFn.__init__, and the minimal sets are
-    # taken from skeletons (_minimal_sets) only there and in _lifted.  No
-    # module but tables.py reads how a table is held, as its generators or
-    # with its skeleton; decide.py builds its tables from generators
-    # (_generated) and imports no constructor that takes a skeleton.
-    # games.py builds a game form's generators from the profile cube and no
-    # assessment geometry
+    # built: homogeneity is tested (_check_homogeneous, by name) and the
+    # minimal sets are taken from a skeleton (_minimal_sets) only where a
+    # table is built from cells, EffFn.__init__.  No module but tables.py
+    # reads how a table is held, as its generators or with its skeleton;
+    # decide.py and filtration.py build their tables from generators
+    # (_generated), and no module imports a constructor that takes a
+    # skeleton (the stacked lift _lifted is gone).  games.py builds a game
+    # form's generators from the profile cube and no assessment geometry
     calls, reads, geometries, imports = {}, [], [], {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -66,11 +66,12 @@ def test_one_function_decides_the_skeleton_route():
                     geometries.append(f"{path.name}:{node.lineno}")
     assert calls == {
         "_check_homogeneous": {"tables.py:__init__"},
-        "_minimal_sets": {"tables.py:__init__", "tables.py:_lifted"},
+        "_minimal_sets": {"tables.py:__init__"},
     }, calls
     assert {place.split()[1] for place in reads} == {"_skeleton", "_gens"}, reads
     assert all(place.startswith("tables.py:") for place in reads), reads
-    assert "_generated" in imports["decide.py"] and "_lifted" not in imports["decide.py"], imports
+    assert all("_generated" in imports[name] for name in ("decide.py", "filtration.py")), imports
+    assert not any("_lifted" in names for names in imports.values()), imports
     assert geometries and not [place for place in geometries if place.startswith("games.py:")], geometries
 
 
@@ -112,3 +113,21 @@ def test_filtration_reads_cells_only_for_the_intermediate_tables():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "rows"
     ]
     assert calls and set(calls) == {"_intermediate_tables"}, calls
+
+
+def test_model_path_builds_no_skeleton():
+    # models.py and filtration.py read tables held as their generators on
+    # the generators themselves (tables._generator_rows, _row_values): no
+    # name there reaches the functions that build a skeleton from
+    # generators or the cuts of a lift's cells
+    builders = {"_held_skeleton", "_upset_skeleton", "_lift_cuts", "lift_cuts"}
+    paths = [path for path in SOURCES if path.name in ("models.py", "filtration.py")]
+    assert len(paths) == 2
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in builders
+    ]
+    assert found == []

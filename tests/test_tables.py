@@ -30,6 +30,7 @@ from mveff.errors import (
 )
 from mveff.formulas import Coalition
 from mveff.games import GameForm, boolean_effectivity, effectivity_table, mv_effectivity
+from mveff.models import _valuation_grid
 from mveff.tables import (
     PLAYABLE_PARTS,
     PROPERTY_NAMES,
@@ -221,12 +222,18 @@ def _reference_lift(H, n):
     ]
 
 
+def _lift_cells(n, k, outcomes, rows):
+    """The lift to Chain(n) of the outcome-monotone Boolean table with the
+    given cells, unchecked, held as the generators EffFn takes from them."""
+    return tables._generated(Chain(n), k, outcomes, EffFn(BOOL, k, outcomes, rows)._gens)
+
+
 def _unchecked_lift(H, n):
-    """The lift of any Boolean table to Chain(n): held as its skeleton when
-    it is outcome-monotone (tables._lifted, as lift_boolean holds a
-    playable table), else its dense cells by the threshold definition."""
+    """The lift of any Boolean table to Chain(n): held as its generators
+    when it is outcome-monotone (as lift_boolean holds a playable table),
+    else its dense cells by the threshold definition."""
     if check_property(H, "outcome_monotonic").holds:
-        return tables._lifted(Chain(n), H.k, H.outcomes, H.rows()[None])[0]
+        return _lift_cells(n, H.k, H.outcomes, H.rows())
     return EffFn(Chain(n), H.k, H.outcomes, _reference_lift(H, n))
 
 
@@ -663,7 +670,7 @@ def _upset_table(draw, n, k, size):
         rows.append(
             [int(any(g & ~a == 0 for g in generators)) for a in range(1 << size)]
         )
-    return tables._lifted(Chain(n), k, state_names(size), np.array([rows], dtype=np.int8))[0]
+    return _lift_cells(n, k, state_names(size), rows)
 
 
 @st.composite
@@ -980,14 +987,15 @@ def test_superadditive_on_pair_matches_the_dense_count(case):
         tables.commutes_with_doublings(rows, geo, (op,)) for op in (TAU_OPLUS, TAU_ODOT)
     )
     assert tables.superadditive_on_pair(three, geo) == dense
-    # the tables' three rows are read on their Boolean skeletons exactly
-    # when every table of the stack is homogeneous, with the same verdict
+    # the tables' three rows are read on their generators exactly when
+    # every table of the stack is homogeneous, with the same verdict
     k = rows.shape[1].bit_length() - 1
     states = tuple(f"s{j}" for j in range(geo.size))
     held = [EffFn(Chain(geo.n), k, states, table) for table in rows]
-    held_rows, held_geo = tables._held_rows(held, [c1, c2, c1 | c2])
-    assert (held_geo.n == 1) == homogeneous
-    assert tables.superadditive_on_pair(held_rows, held_geo) == dense
+    gens = tables._generator_rows(held, [c1, c2, c1 | c2])
+    assert (gens is not None) == homogeneous
+    if gens is not None:
+        assert tables.superadditive_on_generators(gens) == dense
 
 
 def test_skeleton_failure_rescanned_on_its_pair_alone():
@@ -998,7 +1006,7 @@ def test_skeleton_failure_rescanned_on_its_pair_alone():
     H = effectivity_table(random_game_form(random.Random(3), 2, 9), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
-    E = tables._lifted(Chain(2), 2, H.outcomes, rows[None])[0]
+    E = _lift_cells(2, 2, H.outcomes, rows)
     table = E.rows()
     count = table.shape[1]
     assert 9 * count * count > tables._DENSE_CELL_BUDGET
@@ -1086,7 +1094,7 @@ def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     H = effectivity_table(random_game_form(random.Random(3), 2, 6), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
-    E = tables._lifted(Chain(2), 2, H.outcomes, rows[None])[0]
+    E = _lift_cells(2, 2, H.outcomes, rows)
     with mock.patch.object(tables, "_transform", wraps=tables._transform) as transform:
         report = check_playability(E)
     assert report.properties["homogeneous"]
@@ -1122,7 +1130,7 @@ def test_stacked_skeleton_reruns_keep_player_counts_apart():
         rows = H.rows().copy()
         rows[-1] = 0
         rows[-1, -1] = 1
-        stack.append(tables._lifted(Chain(2), k, H.outcomes, rows[None])[0])
+        stack.append(_lift_cells(2, k, H.outcomes, rows))
     single = [check_playability(E).to_doc() for E in stack]
     assert not any(doc["properties"]["N_maximal"] for doc in single)
     assert [report.to_doc() for report in check_playability_many(stack)] == single
@@ -1206,14 +1214,18 @@ def test_unplayable_lift_reports_dense_witnesses(H, n):
 
 
 @st.composite
-def _generator_tables(draw):
+def _generator_tables(draw, n=None, k=None, size=None):
     """(table, its game form or None): a game form's table, held as its
-    minimal accepted sets, n 1 to 3, k 2 or 3; or those sets with one
-    dropped, added, shrunk or grown; or with two incomparable sets in the
-    empty coalition's row, which is then not principal."""
-    n, k = draw(st.integers(1, 3)), draw(st.sampled_from((2, 3)))
-    style = draw(st.sampled_from(("game form", "perturbed", "two in row 0")))
-    size = draw(st.integers(2 if style == "two in row 0" else 1, 4))
+    minimal accepted sets, n 1 to 3, k 2 or 3, on 1 to 4 outcomes (n, k
+    and size when given); or those sets with one dropped, added, shrunk or
+    grown; or with two incomparable sets in the empty coalition's row,
+    which is then not principal."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    k = draw(st.sampled_from((2, 3))) if k is None else k
+    styles = ("game form", "perturbed") + ("two in row 0",) * (size != 1)
+    style = draw(st.sampled_from(styles))
+    if size is None:
+        size = draw(st.integers(2 if style == "two in row 0" else 1, 4))
     shape = tuple(draw(st.integers(1, 3)) for _ in range(k))
     omap = draw(st.lists(st.integers(0, size - 1), min_size=math.prod(shape), max_size=math.prod(shape)))
     form = GameForm(shape, state_names(size), tuple(omap))
@@ -1262,6 +1274,41 @@ def test_generator_held_tables_report_as_the_dense_battery(drawn):
                 target = [j for j in range(size) if x >> (size - 1 - j) & 1]
                 expected = boolean_effectivity(form, Coalition(mask, E.k), target)
                 assert E._held_skeleton()[mask, x] == expected
+
+
+@st.composite
+def _generator_stacks(draw):
+    """1 to 3 tables of one geometry from _generator_tables."""
+    first, _ = draw(_generator_tables())
+    geometry = first.n, first.k, first.num_outcomes
+    return [first] + [draw(_generator_tables(*geometry))[0] for _ in range(draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_stacks(), st.data())
+def test_generator_values_are_the_cells(stack, data):
+    # every [C] row read on generators, game-form, perturbed and
+    # non-principal ones, is a gather of the cells and value_num's value,
+    # on one assessment and on a grid of valuations, and builds no cells;
+    # so are the rows with no generator and with the empty one
+    n, k, size = stack[0].n, stack[0].k, stack[0].num_outcomes
+    stack = stack + [tables._generated(Chain(n), k, stack[0].outcomes, [(), (0,)] * (1 << k - 1))]
+    dtype = tables._value_dtype(n)
+    f = np.array(data.draw(st.lists(st.integers(0, n), min_size=size, max_size=size)), dtype=dtype)
+    # one or two propositions on their lead axes, joined or met when two
+    props = (1, 2) if (n + 1) ** (2 * size) <= 1 << 16 and data.draw(st.booleans()) else (1,)
+    grid = _valuation_grid(n, size, props, 1 << 16)
+    lattice = data.draw(st.sampled_from((np.maximum, np.minimum)))
+    g = grid[1] if len(props) == 1 else lattice(grid[1], grid[2])
+    reads = [(tables._row_values(stack, mask, f), tables._row_values(stack, mask, g)) for mask in range(1 << k)]
+    assert all(E._rows is None for E in stack)
+    for mask, (single, many) in enumerate(reads):
+        cells = np.stack([E.rows()[mask] for E in stack])
+        assert single.dtype == many.dtype == dtype
+        assert single.tolist() == cells[:, encode_assessment(f.tolist(), n)].tolist()
+        assert single.tolist() == [E.value_num(mask, f.tolist()) for E in stack]
+        assert many.shape == (len(stack),) + g.shape[1:]
+        assert np.array_equal(many, cells.take(tables.encode_assessments(g, n), axis=1))
 
 
 def test_n_maximality_is_decided_on_generators():
