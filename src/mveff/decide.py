@@ -61,7 +61,7 @@ from .models import (
     pn_axioms,
     tpn_axioms,
 )
-from .tables import PLAYABLE_PARTS, EffFn, _generated, _require
+from .tables import PLAYABLE_PARTS, EffFn, _generated, _minimal, _require
 
 LOGIC_PN = "Pn"
 LOGIC_TPN = "TPn"
@@ -273,8 +273,8 @@ def _closure_generators(k, accepted, z):
     into more parts is a two-part split of which one part is a union.
     Meeting with Z is idempotent, so one meet after the splits closes the
     row.  Upward closure stays implicit in the generator view; pruning each
-    row to its antichain loses nothing, since the minimal meets are meets
-    of minimal sets.
+    row to its antichain (tables._minimal) loses nothing, since the minimal
+    meets are meets of minimal sets.
     """
     gens = {}
     for mask in range(1, (1 << k) - 1):
@@ -283,8 +283,7 @@ def _closure_generators(k, accepted, z):
             rest = mask ^ part
             if part & rest == 0 and part < rest:
                 row.update(g1 & g2 for g1 in gens[part] for g2 in gens[rest])
-        row = {g & z for g in row}
-        gens[mask] = [g for g in row if not any(h != g and h & g == h for h in row)]
+        gens[mask] = _minimal(g & z for g in row)
     return gens
 
 
@@ -352,7 +351,6 @@ def search_countermodel(
 
     # a countermodel exists on the survivor set; present a small one
     full = tuple(survivors)
-    cell_cap = 1 << 16
     comb_cap = 300_000
 
     def attempt(T):
@@ -369,10 +367,6 @@ def search_countermodel(
 
     sizes = range(1, min(max_states, len(full)) + 1)
     for size in sizes:
-        if (chain.n + 1) ** size * (1 << signatures.players) > cell_cap:
-            raise BudgetExceeded(
-                f"countermodel tables at {size} states exceed the cell cap"
-            )
         subsets = math.comb(len(full), size)
         if subsets > comb_cap:
             raise BudgetExceeded(

@@ -15,10 +15,13 @@ of the empty row's one generator for the grand coalition
 (_class_generators).  The playable and enriched stages read generators
 alone: they build no E*, no skeleton and no cells, the lifts are held as
 the class generators (tables._generated), and evaluation, condition (2),
-truth transfer and both stacked playability checks read those.  Only
-intermediate_filtration builds the dense E* tables, after checking the
-source cell budget, and it checks their skeletons against the ones the
-class generators give.
+truth transfer and both stacked playability checks read those.  The
+lifts' check, which includes homogeneity, is also the check that the
+class skeletons are playable, so no skeleton is checked apart.  Only
+intermediate_filtration takes the skeletons, as the Boolean tables of
+the lifts (tables.boolean_skeleton), and builds the dense E* tables,
+after checking the source cell budget, and it checks their skeletons
+against those.
 
 The definable vectors form the MV-subalgebra of the chain power generated
 by the subformula vectors, and are kept in closed form: each class has a
@@ -307,15 +310,17 @@ def _filtered_valuation(q: Quotient):
 
 
 def _classes(model: LnModel, mu: Formula):
-    """The quotient, and per class its skeleton and the lift of that
-    skeleton to the model's chain.
+    """The quotient, and per class the lift of its skeleton to the model's
+    chain.
 
     Two stacked checks, each asking only for the verdicts it reads: the
-    source tables are playable; the skeletons are playable and their
-    lifts truly playable, each distinct one decided once, on its
-    generators or its skeleton.  Each distinct tuple of class generator
-    rows (_class_generators) is lifted once, held as its generators
-    (tables._generated), and each class's skeleton is read off its lift.
+    source tables are playable, and the lifts are truly playable, each
+    distinct one decided once, on its generators or its skeleton.  A lift
+    is homogeneous exactly when it is the lift of its skeleton, and then
+    every predicate has the same verdict on both, so the lifts' check is
+    also the check that the skeletons are playable.  Each distinct tuple
+    of class generator rows (_class_generators) is lifted once, held as
+    its generators (tables._generated).
     """
     _require(((model.eff, PLAYABLE_PARTS, NotPlayable("filtration requires a playable model")),))
     q = quotient(model, mu)
@@ -325,18 +330,9 @@ def _classes(model: LnModel, mu: Formula):
         for rows in dict.fromkeys(class_rows)
     }
     lifted = tuple(lifts[rows] for rows in class_rows)
-    skeletons = [boolean_skeleton(E) for E in lifted]
-    _require(
-        (
-            (skeletons, PLAYABLE_PARTS, VerificationFailed("intermediate skeleton is not playable")),
-            (
-                lifted,
-                (*PLAYABLE_PARTS, "principal"),
-                VerificationFailed("lifted table is not truly playable"),
-            ),
-        )
-    )
-    return q, skeletons, lifted
+    truly = (*PLAYABLE_PARTS, "principal")
+    _require(((lifted, truly, VerificationFailed("lifted table is not truly playable")),))
+    return q, lifted
 
 
 def _filtered(q: Quotient, eff) -> LnModel:
@@ -354,7 +350,8 @@ def _filtered(q: Quotient, eff) -> LnModel:
 
 def intermediate_filtration(model: LnModel, mu: Formula) -> FiltrationResult:
     """Class-level model with the E* tables, conditions verified."""
-    q, skeletons, _ = _classes(model, mu)
+    q, lifted = _classes(model, mu)
+    skeletons = [boolean_skeleton(E) for E in lifted]
     tables = _intermediate_tables(q, definable_class_vectors(q), skeletons)
     return FiltrationResult(quotient=q, model=_filtered(q, tables), stage=STAGE_INTERMEDIATE)
 
@@ -363,7 +360,7 @@ def _playable(model: LnModel, mu: Formula):
     """The quotient and the lifted model of the playable filtration, with
     every check but truth transfer, which each public filtration runs once
     on the model it returns."""
-    q, _, lifted = _classes(model, mu)
+    q, lifted = _classes(model, mu)
     return q, _filtered(q, lifted)
 
 

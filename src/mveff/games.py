@@ -148,16 +148,23 @@ def boolean_effectivity(form: GameForm, coalition: Coalition, target: Iterable[i
     return mv_effectivity(form, Chain(1), coalition, indicator).num == 1
 
 
+def check_assessment(f: Sequence[int], size: int, n: int) -> np.ndarray:
+    """f as an array, raising InvalidInput unless it lists size numerators
+    of the chain with n."""
+    f = np.asarray(f)
+    if f.shape != (size,):
+        raise InvalidInput("assessment length does not match the outcome set")
+    if f.dtype.kind not in "biu" or f.min() < 0 or f.max() > n:
+        raise InvalidInput("assessment entry outside the chain")
+    return f
+
+
 def mv_effectivity(
     form: GameForm, chain: Chain, coalition: Coalition, f: Sequence[int]
 ) -> TruthValue:
     """Exact max-min value of the coalition for the assessment f, which
     lists numerators over the outcome set."""
-    f = np.asarray(f)
-    if f.shape != (len(form.outcomes),):
-        raise InvalidInput("assessment length does not match the outcome set")
-    if f.dtype.kind not in "biu" or f.min() < 0 or f.max() > chain.n:
-        raise InvalidInput("assessment entry outside the chain")
+    f = check_assessment(f, len(form.outcomes), chain.n)
     values = f[form.outcome_array()][None]
     return TruthValue(_max_min(values, coalition.mask, form.k)[0].item(), chain)
 
@@ -176,9 +183,9 @@ def effectivity_table(
     S - 1 - j of a uint64 profile cube, so a set's mask is the index of its
     characteristic assessment, and a coalition's reached sets are one
     bitwise-or reduction over a non-member's axis of the reached sets of
-    the coalition with that player added.  The skeleton and the
-    chain-valued cells are built on first use (EffFn.rows).  cell_budget
-    bounds the profiles x 2^k cells the reductions read.
+    the coalition with that player added.  The chain-valued cells are
+    built on first use (EffFn.rows).  cell_budget bounds the profiles x
+    2^k cells the reductions read.
     """
     from .tables import _generated
 

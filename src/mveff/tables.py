@@ -16,10 +16,12 @@ assessment; any other table holds its cells.  EffFn() tests the cells it
 is given and takes a homogeneous table's generators from its skeleton in
 one pass (_minimal_sets); a game form's table, a lift, a filtration's
 class table and a decided state's table are built from their generators
-(_generated).  The skeleton (_upset_skeleton) and the cells (_lift_values)
-of a table held as its generators are built from them on first use,
-under DEFAULT_CELL_BUDGET, and kept.  One upset has one antichain of
-minimal sets, so a table compares, hashes and pickles as its generators
+(_generated).  A table held as its generators keeps no skeleton: its
+cells (_lift_values) are built from them on first use, under
+DEFAULT_CELL_BUDGET, and kept, and its Boolean skeleton (_upset_skeleton)
+is built only where it is read, for those cells and for a check that the
+generators leave undecided.  One upset has one antichain of minimal
+sets, so a table compares, hashes and pickles as its generators
 or as its cells, whichever it holds, and prints as its cells, or as its
 generators when its cells are over the budget.  E(C, f) of a table held
 as its generators is the max over the row's generators g of the min of f
@@ -70,16 +72,16 @@ the table and on the 2^S-assessment skeleton, where homogeneity always
 holds; so has each frame correspondence of models.check_axiom_schema,
 which reads its rows on generators when every table holds them.  For n > 1
 `check_playability_many` therefore runs the battery on the skeletons of
-the tables held as generators that _generators_hold leaves undecided and
-on the cells of the others.  Equal targets run the battery once, all
-targets of one geometry in one stack, so a lift checked beside its
-skeleton costs nothing more.  A table whose skeleton fails a predicate
-runs that predicate again on its cells, all such tables of one geometry
-in one stack, so each witness is the first failing dense cell.  The check
-builds no other table's cells.  `check_playability(E)` is the stack of
-one, with the same report, and `check_properties` runs that check once:
-on every predicate when the named ones include playable or
-truly_playable, which it reads off the report, and on the named
+the tables held as generators that _generators_hold leaves undecided,
+built for the check, and on the cells of the others.  Equal targets run
+the battery once, all targets of one geometry in one stack, so a lift
+checked beside its skeleton costs nothing more.  A table whose skeleton
+fails a predicate runs that predicate again on its cells, all such tables
+of one geometry in one stack, so each witness is the first failing dense
+cell.  The check builds no other table's cells.  `check_playability(E)`
+is the stack of one, with the same report, and `check_properties` runs
+that check once: on every predicate when the named ones include playable
+or truly_playable, which it reads off the report, and on the named
 predicates alone otherwise.  _require runs it on only the predicates a
 caller reads, such as a filtration's PLAYABLE_PARTS, and raises the
 caller's error without building a report.
@@ -113,7 +115,7 @@ from .errors import (
     check_names,
 )
 from .formulas import Coalition
-from .games import DEFAULT_CELL_BUDGET, GameForm, effectivity_table
+from .games import DEFAULT_CELL_BUDGET, GameForm, check_assessment, effectivity_table
 
 BOOL_CHAIN = Chain(1)
 
@@ -272,20 +274,21 @@ class EffFn:
     with that bitmask at the encoded assessment; `table` is the same cells
     as a tuple of tuples of ints.  A table holds its generators exactly
     when it is homogeneous and outcome-monotone (for n > 1, when it is
-    homogeneous), and its cells otherwise; its skeleton and cells are
-    built from the generators on first use and kept.  Instances are
-    immutable and compare, hash and pickle by (chain, k, outcomes) and what
-    they hold.
+    homogeneous), and its cells otherwise, and nothing else: the cells of
+    one held as its generators are built from them on first use and kept.
+    Instances are immutable and compare, hash and pickle by (chain, k,
+    outcomes) and what they hold.
     """
 
-    __slots__ = ("chain", "k", "outcomes", "_gens", "_skeleton", "_rows", "_table", "_hash")
+    __slots__ = ("chain", "k", "outcomes", "_gens", "_rows", "_table", "_hash")
 
     def __init__(self, chain: Chain, k: int, outcomes, table):
         """table: nested sequences or an array of shape (2^k, (n+1)^S).
         Whether it holds its generators is decided here, once: for n > 1
         its homogeneity is tested, and the minimal sets of a homogeneous
         table's skeleton, or of a Boolean table, are taken when every row
-        is outcome-monotone."""
+        is outcome-monotone.  The cells given are kept; the skeleton is
+        not."""
         outcomes = tuple(outcomes)
         if len(outcomes) < 1 or k < 2:
             raise InvalidInput("need at least 1 outcome and 2 players")
@@ -305,9 +308,8 @@ class EffFn:
             geo, skeleton = _geometry(chain.n, len(outcomes)), None
             if _check_homogeneous(rows[None], geo)[0][0]:
                 skeleton = _skeleton_cells(rows, geo)
-                skeleton.flags.writeable = False
         gens = None if skeleton is None else _minimal_sets(skeleton)
-        _hold(self, chain, k, outcomes, gens, skeleton, rows)
+        _hold(self, chain, k, outcomes, gens, rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EffFn is immutable; cannot set {name!r}")
@@ -372,41 +374,32 @@ class EffFn:
 
     def _cells(self, budget: int) -> np.ndarray:
         """The cells, kept once built.  A table held as its generators has
-        its skeleton's values at every assessment (_lift_values), so its
-        memory is linear in the cells.  Raises BudgetExceeded before
-        anything is built when it has more than budget cells."""
+        the values of its skeleton, built from them (_upset_skeleton) and
+        not kept, at every assessment (_lift_values), so its memory is
+        linear in the cells.  Raises BudgetExceeded before anything is
+        built when it has more than budget cells."""
         if self._rows is None:
             cells = (self.n + 1) ** self.num_outcomes << self.k
             if cells > budget:
                 raise BudgetExceeded(f"{cells} lifted table cells exceed budget {budget}")
-            rows = skeleton = self._held_skeleton(budget)  # no more cells than the table
+            rows = _upset_skeleton(self._gens, self.num_outcomes, budget)  # no more cells than the table
             if self.n > BOOL_CHAIN.n:
-                rows = _lift_values(skeleton, self.geometry().lift_cuts)
+                rows = _lift_values(rows, self.geometry().lift_cuts)
                 rows.flags.writeable = False
             object.__setattr__(self, "_rows", rows)
         return self._rows
 
-    def _held_skeleton(self, budget: int = DEFAULT_CELL_BUDGET) -> np.ndarray:
-        """The Boolean skeleton of a table held as its generators, built on
-        first use (_upset_skeleton), under budget, and kept."""
-        if self._skeleton is None:
-            skeleton = _upset_skeleton(self._gens, self.num_outcomes, budget)
-            object.__setattr__(self, "_skeleton", skeleton)
-        return self._skeleton
-
     def value_num(self, mask: int, f: Sequence[int]) -> int:
-        """The numerator of E(mask, f): its cell, or on a table held as its
-        generators the max over the row's generators g of the min of f on
-        g (n on the empty set, 0 when the row has none), building no
-        skeleton."""
-        if self._gens is None:
-            return int(self.rows()[mask, encode_assessment(f, self.n)])
-        top = self.num_outcomes - 1
-        values = (
-            min((int(v) for j, v in enumerate(f) if g >> top - j & 1), default=self.n)
-            for g in self._gens[mask]
-        )
-        return max(values, default=0)
+        """The numerator of E(mask, f), read as a [C] node reads its row
+        (_row_values): its cell, or on a table held as its generators the
+        max over the row's generators g of the min of f on g, building no
+        skeleton and no cells.  Raises InvalidInput for a mask outside the
+        players or an assessment that is not one over the outcomes and the
+        chain."""
+        if not 0 <= mask < 1 << self.k:
+            raise InvalidInput(f"mask {mask} does not fit {self.k} players")
+        f = check_assessment(f, self.num_outcomes, self.n)
+        return int(_row_values((self,), mask, f)[0])
 
     # -- documents ----------------------------------------------------------
 
@@ -455,11 +448,10 @@ class EffFn:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-def _hold(E: EffFn, chain, k, outcomes, gens, skeleton=None, rows=None) -> EffFn:
+def _hold(E: EffFn, chain, k, outcomes, gens, rows=None) -> EffFn:
     """Set E's fields, in the order of EffFn.__slots__: its generators when
-    it holds them, and its skeleton and cells when they are built (a
-    Boolean table's skeleton is its cells)."""
-    for name, value in zip(EffFn.__slots__, (chain, k, outcomes, gens, skeleton, rows, None, None)):
+    it holds them, and its cells when they are built."""
+    for name, value in zip(EffFn.__slots__, (chain, k, outcomes, gens, rows, None, None)):
         object.__setattr__(E, name, value)
     return E
 
@@ -468,8 +460,8 @@ def _generated(chain: Chain, k: int, outcomes, rows) -> EffFn:
     """The lift of the Boolean table whose row C accepts the outcome sets
     that contain one of rows[C], outcome j at bit S - 1 - j, held as each
     row's minimal sets (_minimal): equal tables hold equal tuples.  That
-    skeleton is outcome-monotone, so the lift is homogeneous; its skeleton
-    and cells are built on first use."""
+    skeleton is outcome-monotone, so the lift is homogeneous; its cells are
+    built on first use."""
     gens = tuple(_minimal(row) for row in rows)
     return _hold(object.__new__(EffFn), chain, k, tuple(outcomes), gens)
 
@@ -942,8 +934,10 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     A table holds its generators exactly when it is homogeneous and
     outcome-monotone, and is decided on them first: each distinct tuple of
     them once, by _generators_hold, and when that holds, so does every
-    predicate.  Else it is checked on its Boolean skeleton, built from
-    them, and a table holding its cells on those.  Equal targets run
+    predicate.  Else it is checked on its Boolean skeleton, built here
+    once per distinct tuple, from them (_upset_skeleton, which refuses
+    more than DEFAULT_CELL_BUDGET cells) or off its cells when they are
+    built, and a table holding its cells on those.  Equal targets run
     the battery once, all targets of one geometry in one stack, and the
     tables with n > 1 whose skeleton fails a predicate run it again on
     their cells, all such tables of one geometry in one stack, for its
@@ -954,17 +948,23 @@ def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     targets = {}  # target geometry -> {target cells: (target rows, owners)}
     lifted = []  # the tables with n > 1 checked on their skeletons
     passing = {name: [(True, None)] for name in names}
-    decided = {}  # generator rows -> whether every predicate holds on them
+    skeletons = {}  # (outcomes, generator rows) -> their skeleton, None when they hold
     for i, E in enumerate(tables):
         if E._gens is None:
             target, key = E.rows(), (E.n, E.k, E.num_outcomes)
         else:
-            if E._gens not in decided:
-                decided[E._gens] = _generators_hold(E._gens)
-            if decided[E._gens]:
+            held = E.num_outcomes, E._gens
+            if held not in skeletons:
+                if _generators_hold(E._gens):
+                    skeletons[held] = None
+                elif E._rows is None:
+                    skeletons[held] = _upset_skeleton(E._gens, E.num_outcomes, DEFAULT_CELL_BUDGET)
+                else:  # cells in hand give their skeleton at any size
+                    skeletons[held] = _skeleton_cells(E._rows, E.geometry())
+            target, key = skeletons[held], (BOOL_CHAIN.n, E.k, E.num_outcomes)
+            if target is None:
                 place[i] = passing, 0
                 continue
-            target, key = E._held_skeleton(), (BOOL_CHAIN.n, E.k, E.num_outcomes)
             if E.n > 1:
                 lifted.append(i)
         unique = targets.setdefault(key, {})
@@ -1225,13 +1225,13 @@ def boolean_skeleton(E: EffFn) -> EffFn:
     A cell counts as accepted exactly when its value is the top element.
     Any intermediate value on an idempotent assessment raises
     NotHomogeneous, since homogeneity rules those out.  A table held as
-    its generators returns the Boolean table of those generators.
+    its generators returns the Boolean table held as the same generators,
+    building no skeleton.
     """
     if E.n == 1:
         return E
-    if E._gens is not None:  # a Boolean table's skeleton is its cells
-        skeleton = E._skeleton
-        return _hold(object.__new__(EffFn), BOOL_CHAIN, E.k, E.outcomes, E._gens, skeleton, skeleton)
+    if E._gens is not None:
+        return _hold(object.__new__(EffFn), BOOL_CHAIN, E.k, E.outcomes, E._gens)
     geo = E.geometry()
     values = E.rows().take(geo.idempotent_idx, axis=1)
     hits = _first(((values != 0) & (values != E.n))[None])
@@ -1250,17 +1250,18 @@ def lift_boolean(H: EffFn, chain: Chain) -> EffFn:
     E(C, f) is the largest i/n whose thresholded assessment the Boolean
     table accepts; an empty index set gives 0.  A playable table is
     outcome-monotone, so it holds its generators and its lift is
-    homogeneous: the lift holds the same generators, built at once at any
-    size, and its cells are built on first use (EffFn.rows), where a lift
-    of more than DEFAULT_CELL_BUDGET cells, the effectivity table's budget,
-    raises BudgetExceeded.  Raises NotPlayableInput when H is not playable.
+    homogeneous: the lift holds the same generators and nothing else,
+    built at once at any size, and its cells are built on first use
+    (EffFn.rows), where a lift of more than DEFAULT_CELL_BUDGET cells, the
+    effectivity table's budget, raises BudgetExceeded.  Raises
+    NotPlayableInput when H is not playable.
     """
     if H.n != 1:
         raise InvalidInput("lift expects a Boolean (two-valued) table")
     _require((((H,), PLAYABLE_PARTS, NotPlayableInput("lift requires a playable Boolean table")),))
     if chain.n == 1:
         return H
-    return _hold(object.__new__(EffFn), chain, H.k, H.outcomes, H._gens, H._skeleton)
+    return _hold(object.__new__(EffFn), chain, H.k, H.outcomes, H._gens)
 
 
 # -- game-form synthesis -----------------------------------------------------

@@ -501,3 +501,12 @@ def test_decide_agrees_with_a_search_over_every_z():
                 decided += 1
                 realizable += found
         assert decided >= 50 and 0 < realizable < decided, players
+
+
+def test_countermodel_search_counts_subsets_not_cells():
+    # at n = 128, two-state countermodel tables would have 4 x 129^2 cells,
+    # but they are held as their generators and no cell is counted: the
+    # search stops at the subset cap instead
+    chain = Chain(128)
+    with pytest.raises(BudgetExceeded, match="^138453120 subsets of 2 states exceed the cap 300000$"):
+        search_countermodel(parse("p1 -> [{1}]p1", 2, chain=chain), chain=chain)

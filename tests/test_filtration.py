@@ -186,8 +186,8 @@ def test_definable_blocks_match_closure(seed, n, size):
 
 
 def test_each_distinct_table_is_checked_once(monkeypatch):
-    # at n = 1 a skeleton is its table and so is its lift; at n = 2 a lift
-    # holds its skeleton's generators, checked beside it
+    # a lift holds its skeleton's generators, so its check is its
+    # skeleton's: the class skeletons are not checked apart
     mu = parse("[{1}]p1 -> p2", 2)
     liveness = tables._CHECKS["liveness"]
     decide = tables._decide
@@ -220,17 +220,15 @@ def test_each_distinct_table_is_checked_once(monkeypatch):
         result = playable_filtration(M, mu)
         monkeypatch.undo()
         assert result == expect
-        # one stacked check of the source tables, one of skeletons and lifts,
-        # each asking only for the verdicts it reads
+        # one stacked check of the source tables, one of the lifts, each
+        # asking only for the verdicts it reads
         assert len(calls) == 2
         assert set(calls[0][0]) == set(M.eff)
         assert calls[0][1] == PLAYABLE_PARTS
-        assert calls[1][1] == (*PLAYABLE_PARTS, "principal")
-        # every table built still gets a verdict
-        assert built | set(result.model.eff) <= set(calls[1][0])
+        assert calls[1] == (result.model.eff, (*PLAYABLE_PARTS, "principal"))
         # every table is held as its generators and decided on them, each
         # distinct generator tuple once per check: the source tables', then
-        # those the built skeletons share with their lifts; no battery runs
+        # the lifts', which are the built skeletons'; no battery runs
         sources = {E._gens for E in M.eff}
         assert sorted(decided[: len(sources)]) == sorted(sources)
         assert sorted(decided[len(sources) :]) == sorted({H._gens for H in built})

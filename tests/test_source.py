@@ -40,9 +40,10 @@ def test_one_function_decides_the_skeleton_route():
     # whether a table holds its generators is decided once, when it is
     # built: homogeneity is tested (_check_homogeneous, by name) and the
     # minimal sets are taken from a skeleton (_minimal_sets) only where a
-    # table is built from cells, EffFn.__init__.  No module but tables.py
-    # reads how a table is held, as its generators or with its skeleton;
-    # decide.py and filtration.py build their tables from generators
+    # table is built from cells, EffFn.__init__.  A table holds its
+    # generators or its cells, no skeleton, and no module but tables.py
+    # reads its generators; decide.py and filtration.py build their tables
+    # from generators
     # (_generated), and no module imports a constructor that takes a
     # skeleton (the stacked lift _lifted is gone).  games.py builds a game
     # form's generators from the profile cube and no assessment geometry
@@ -54,7 +55,7 @@ def test_one_function_decides_the_skeleton_route():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner.update(dict.fromkeys(ast.walk(func), func.name))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr in ("_skeleton", "_gens"):
+            if isinstance(node, ast.Attribute) and node.attr == "_gens":
                 reads.append(f"{path.name}:{node.lineno} {node.attr}")
             elif isinstance(node, ast.ImportFrom) and node.module == "tables":
                 imports.setdefault(path.name, set()).update(alias.name for alias in node.names)
@@ -68,8 +69,8 @@ def test_one_function_decides_the_skeleton_route():
         "_check_homogeneous": {"tables.py:__init__"},
         "_minimal_sets": {"tables.py:__init__"},
     }, calls
-    assert {place.split()[1] for place in reads} == {"_skeleton", "_gens"}, reads
-    assert all(place.startswith("tables.py:") for place in reads), reads
+    assert reads and all(place.startswith("tables.py:") for place in reads), reads
+    assert not [name for name in mveff.tables.EffFn.__slots__ if "skeleton" in name]
     assert all("_generated" in imports[name] for name in ("decide.py", "filtration.py")), imports
     assert not any("_lifted" in names for names in imports.values()), imports
     assert geometries and not [place for place in geometries if place.startswith("games.py:")], geometries
@@ -120,7 +121,7 @@ def test_model_path_builds_no_skeleton():
     # the generators themselves (tables._generator_rows, _row_values): no
     # name there reaches the functions that build a skeleton from
     # generators or the cuts of a lift's cells
-    builders = {"_held_skeleton", "_upset_skeleton", "_lift_cuts", "lift_cuts"}
+    builders = {"_upset_skeleton", "_lift_cuts", "lift_cuts"}
     paths = [path for path in SOURCES if path.name in ("models.py", "filtration.py")]
     assert len(paths) == 2
     found = [

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -268,7 +269,7 @@ def test_lift_matches_threshold_definition():
             continue
         playable += 1
         E = lift_boolean(H, Chain(n))
-        assert E._skeleton is not None and E._rows is None
+        assert E._gens == H._gens and E._rows is None
         assert E.rows().tolist() == reference
     assert 30 <= playable < len(inputs)
 
@@ -1177,7 +1178,9 @@ def test_lift_behaves_as_its_dense_table(E):
     assert E.n == 1 or held == properties["homogeneous"]
     for copy in (dense, EffFn.from_doc(E.to_doc())):
         assert copy._gens == E._gens
-        assert not held or copy._held_skeleton().tobytes() == E._held_skeleton().tobytes()
+    # the skeleton built from the generators is the one the cells have
+    skeleton = tables._skeleton_cells(dense.rows(), dense.geometry())
+    assert not held or tables._upset_skeleton(E._gens, E.num_outcomes, 1 << 20).tobytes() == skeleton.tobytes()
     assert E == dense and dense == E and hash(dense) == key
     assert E.to_json() == dense.to_json()
     for table in (E, dense):
@@ -1269,11 +1272,12 @@ def test_generator_held_tables_report_as_the_dense_battery(drawn):
         # the skeleton is the max-min rule's, cell by cell, an outcome set's
         # index having outcome j at bit S - 1 - j
         size = E.num_outcomes
+        skeleton = tables._upset_skeleton(E._gens, size, 1 << 20)
         for mask in range(1 << E.k):
             for x in range(1 << size):
                 target = [j for j in range(size) if x >> (size - 1 - j) & 1]
                 expected = boolean_effectivity(form, Coalition(mask, E.k), target)
-                assert E._held_skeleton()[mask, x] == expected
+                assert skeleton[mask, x] == expected
 
 
 @st.composite
@@ -1381,7 +1385,8 @@ def test_equal_tables_however_held():
     rows = E.rows().copy()
     rows[0, 1] = 1 - rows[0, 1] if rows[0, 1] < 2 else 1
     other = EffFn(E.chain, E.k, E.outcomes, rows)
-    assert tables._skeleton_cells(rows, E.geometry()).tobytes() == E._held_skeleton().tobytes()
+    skeleton = tables._upset_skeleton(E._gens, E.num_outcomes, 1 << 20)
+    assert tables._skeleton_cells(rows, E.geometry()).tobytes() == skeleton.tobytes()
     assert other._gens is None and other != E and E != other
 
 
@@ -1405,10 +1410,14 @@ def test_equality_with_a_held_table_over_the_budget():
         tables._geometry.cache_clear()  # the 3^12-assessment geometry is large
 
 
-def test_value_num_of_a_held_table_reads_its_skeleton():
+def test_value_num_of_a_held_table_reads_its_skeleton(monkeypatch):
     # a 16-outcome game-form table at n = 2 has 4 x 3^16 cells, over the
     # budget: each value, read on its generators, is max{i : H(C, [f >=
     # i])}, H decided by the max-min rule, and no cell or skeleton is built
+    def refuse(*args):
+        raise AssertionError("a skeleton was built")
+
+    monkeypatch.setattr(tables, "_upset_skeleton", refuse)
     rng = random.Random(7)
     form = random_game_form(rng, 2, 16)
     E = effectivity_table(form, Chain(2))
@@ -1422,7 +1431,7 @@ def test_value_num_of_a_held_table_reads_its_skeleton():
         ]
         assert E.value_num(mask, f) == max(accepted, default=0)
     assert E.value_num(3, (2,) * 16) == 2 and E.value_num(0, (0,) * 16) == 0
-    assert E._rows is None and E._skeleton is None
+    assert E._rows is None
 
 
 def test_effectivity_function_refuses_repeated_outcomes():
@@ -1456,3 +1465,80 @@ def test_sixteen_outcomes_checked_on_the_skeleton(n):
         E.rows()
     assert repr(E) == f"<EffFn chain={E.chain!r} k=2 outcomes={E.outcomes!r} generators={E._gens!r}>"
     assert E._rows is None
+
+
+def test_value_num_refuses_what_is_not_a_cell():
+    # value_num reads through _row_values on either holding form, after the
+    # checks mv_effectivity makes: a mask outside the players or an
+    # assessment off the outcomes or the chain raises InvalidInput instead
+    # of reading another cell
+    E = effectivity_table(random_game_form(random.Random(1), 2, 3), Chain(2))
+    rows = E.rows().copy()
+    rows[0, 1] = 1  # a middle value below the assessment 0: not homogeneous
+    dense = EffFn(E.chain, E.k, E.outcomes, rows)
+    assert E._gens is not None and dense._gens is None
+    bad = (
+        (3, (2, 2), "assessment length does not match the outcome set"),
+        (3, (2, 2, 2, 2), "assessment length does not match the outcome set"),
+        (3, (5, 5, 5), "assessment entry outside the chain"),
+        (0, (-1, 0, 0), "assessment entry outside the chain"),
+        (0, (1.0, 0, 0), "assessment entry outside the chain"),
+        (7, (0, 0, 0), "mask 7 does not fit 2 players"),
+        (-1, (0, 0, 0), "mask -1 does not fit 2 players"),
+    )
+    for table in (E, dense):
+        for mask, f, message in bad:
+            with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                table.value_num(mask, f)
+        for mask in range(4):
+            for fi, f in enumerate(enumerate_assessments(2, 3)):
+                assert table.value_num(mask, f) == table.rows()[mask, fi]
+
+
+def test_skeleton_route_reports_the_dense_witness(monkeypatch):
+    # a 7-outcome game-form table whose empty row's generator grows by one
+    # outcome fails N-maximality alone: it is decided on its 2^7-assessment
+    # skeleton, every transform of the superadditivity count runs there,
+    # and only N-maximality runs again on its 3^7 cells, for the witness
+    # its dense copy reports
+    E = effectivity_table(random_game_form(random.Random(0), 2, 7), Chain(2))
+    (z,) = E._gens[0]
+    grown = tables._generated(E.chain, E.k, E.outcomes, ((z | 1,), *E._gens[1:]))
+    dense = EffFn(E.chain, E.k, E.outcomes, grown.rows())
+    transform, counts = tables._transform, []
+
+    def counting(cells, geo, kinds):
+        counts.append(geo.count)
+        return transform(cells, geo, kinds)
+
+    monkeypatch.setattr(tables, "_transform", counting)
+    report = check_playability(grown)
+    assert counts and set(counts) == {1 << 7}
+    monkeypatch.undo()
+    assert [name for name in PROPERTY_NAMES if not report.properties[name]] == ["N_maximal"]
+    assert report.to_doc() == check_playability(dense).to_doc()
+
+
+def test_skeleton_route_refuses_a_skeleton_over_the_budget(monkeypatch):
+    # a failing 2-player generator-held table on 19 outcomes: its skeleton
+    # has 4 x 2^19 cells, over the budget, and the check refuses before
+    # building it
+    E = effectivity_table(random_game_form(random.Random(3), 2, 19), Chain(2))
+    failing = tables._generated(E.chain, E.k, E.outcomes, (*E._gens[:-1], E._gens[-1][1:]))
+    assert not tables._generators_hold(failing._gens)
+    with pytest.raises(BudgetExceeded, match="^2097152 skeleton cells exceed budget 1048576$"):
+        check_playability(failing)
+    # a table given as its Boolean cells holds its generators beside them,
+    # and its check reads its skeleton off those cells at any size: under a
+    # 256-cell budget, the 4 x 2^7-cell skeleton of a failing table is
+    # refused when built from its generators and read when held
+    E = effectivity_table(random_game_form(random.Random(3), 2, 7), BOOL)
+    failing = tables._generated(BOOL, E.k, E.outcomes, (*E._gens[:-1], E._gens[-1][1:]))
+    held = EffFn(BOOL, E.k, E.outcomes, tables._upset_skeleton(failing._gens, E.num_outcomes, 1 << 9))
+    assert held._gens == failing._gens and failing._rows is None
+    report = check_playability(failing).to_doc()
+    assert not report["properties"]["N_maximal"]
+    monkeypatch.setattr(tables, "DEFAULT_CELL_BUDGET", 1 << 8)
+    with pytest.raises(BudgetExceeded, match="^512 skeleton cells exceed budget 256$"):
+        check_playability(failing)
+    assert check_playability(held).to_doc() == report
