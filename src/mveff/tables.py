@@ -18,17 +18,16 @@ one pass (_minimal_sets); a game form's table, a lift, a filtration's
 class table and a decided state's table are built from their generators
 (_generated).  A table held as its generators keeps no skeleton: its
 cells (_lift_values) are built from them on first use, under
-DEFAULT_CELL_BUDGET, and kept, and its Boolean skeleton (_upset_skeleton)
-is built only where it is read, for those cells and for a check that the
-generators leave undecided.  One upset has one antichain of minimal
-sets, so a table compares, hashes and pickles as its generators
-or as its cells, whichever it holds, and prints as its cells, or as its
-generators when its cells are over the budget.  E(C, f) of a table held
-as its generators is the max over the row's generators g of the min of f
-on g (value_num); the formula evaluator's [C] nodes and a filtration's
-condition (2) read whole rows through _row_values: on the generators
-when every table read holds them, building no skeleton and no cells,
-else a gather of the cells.  The model layer reads generator rows
+DEFAULT_CELL_BUDGET, and kept, lifted from its Boolean skeleton
+(_upset_skeleton), which is built for them alone.  One upset has one
+antichain of minimal sets, so a table compares, hashes and pickles as its
+generators or as its cells, whichever it holds, and prints as its cells,
+or as its generators when its cells are over the budget.  E(C, f) of a
+table held as its generators is the max over the row's generators g of
+the min of f on g (value_num); the formula evaluator's [C] nodes and a
+filtration's condition (2) read whole rows through _row_values: on the
+generators when every table read holds them, building no skeleton and no
+cells, else a gather of the cells.  The model layer reads generator rows
 through _generator_rows and cell rows through _cell_rows.
 
 Each playability predicate is one array expression over a stack of tables
@@ -59,28 +58,23 @@ outermost and the grand coalition last, so one fails on a proper row exactly
 when its first witness's mask is not the grand coalition's, and the
 superadditivity count already holds the proper-union scope.
 
-A table held as its generators is decided on them first (_generators_hold),
-each distinct tuple of generator rows once per check: when liveness,
-safety, principality, N-maximality and superadditivity hold there, every
-predicate holds, with no witness.  Any other such table is decided on its
-skeleton as below, so its witnesses and errors are those of its cells.
-
 A homogeneous table commutes with both doubling maps, hence with every
 cut tau_i, so it is the lift of its Boolean skeleton and every predicate
 (built from <=, meet, negation and the constants) has the same verdict on
-the table and on the 2^S-assessment skeleton, where homogeneity always
-holds; so has each frame correspondence of models.check_axiom_schema,
-which reads its rows on generators when every table holds them.  For n > 1
-`check_playability_many` therefore runs the battery on the skeletons of
-the tables held as generators that _generators_hold leaves undecided,
-built for the check, and on the cells of the others.  Equal targets run
-the battery once, all targets of one geometry in one stack, so a lift
-checked beside its skeleton costs nothing more.  A table whose skeleton
-fails a predicate runs that predicate again on its cells, all such tables
-of one geometry in one stack, so each witness is the first failing dense
-cell.  The check builds no other table's cells.  `check_playability(E)`
-is the stack of one, with the same report, and `check_properties` runs
-that check once: on every predicate when the named ones include playable
+the table and on its skeleton, hence on its generators; so has each frame
+correspondence of models.check_axiom_schema, which reads its rows on
+generators when every table holds them.  A table held as its generators
+is decided on them first (_generators_hold), each distinct tuple of
+generator rows once per check: when liveness, safety, principality,
+N-maximality and superadditivity hold there, every predicate holds, with
+no witness.  Every other table is decided on its cells, so its witnesses
+and errors are those of a dense check: a table held as its generators
+builds them for the check, and one whose cells are over
+DEFAULT_CELL_BUDGET has that BudgetExceeded for its verdict.
+`check_playability_many` runs the battery once per distinct table, all
+tables of one geometry in one stack.  `check_playability(E)` is the
+stack of one, with the same report, and `check_properties` runs that
+check once: on every predicate when the named ones include playable
 or truly_playable, which it reads off the report, and on the named
 predicates alone otherwise.  _require runs it on only the predicates a
 caller reads, such as a filtration's PLAYABLE_PARTS, and raises the
@@ -377,12 +371,13 @@ class EffFn:
         the values of its skeleton, built from them (_upset_skeleton) and
         not kept, at every assessment (_lift_values), so its memory is
         linear in the cells.  Raises BudgetExceeded before anything is
-        built when it has more than budget cells."""
+        built when it has more than budget cells, which bounds the
+        skeleton too: it has no more cells than the table."""
         if self._rows is None:
             cells = (self.n + 1) ** self.num_outcomes << self.k
             if cells > budget:
                 raise BudgetExceeded(f"{cells} lifted table cells exceed budget {budget}")
-            rows = _upset_skeleton(self._gens, self.num_outcomes, budget)  # no more cells than the table
+            rows = _upset_skeleton(self._gens, self.num_outcomes)
             if self.n > BOOL_CHAIN.n:
                 rows = _lift_values(rows, self.geometry().lift_cuts)
                 rows.flags.writeable = False
@@ -508,16 +503,13 @@ _LOW_BITS = (
 )
 
 
-def _upset_skeleton(gens, size: int, budget: int) -> np.ndarray:
+def _upset_skeleton(gens, size: int) -> np.ndarray:
     """The Boolean skeleton of generator rows, read-only, in
     _value_dtype(1): row C is 1 at each outcome set that contains one of
     gens[C].  Each row is 2^size bits, index x at bit x % 64 of word x //
     64, closed under supersets one outcome at a time: within the words
-    for the low six bits of the index, across them for the others.  Raises
-    BudgetExceeded before anything is built when its cells exceed budget."""
-    cells = len(gens) << size
-    if cells > budget:
-        raise BudgetExceeded(f"{cells} skeleton cells exceed budget {budget}")
+    for the low six bits of the index, across them for the others.  Its
+    one caller, EffFn._cells, has refused a table of more cells first."""
     words = np.zeros((len(gens), max(1, (1 << size) >> 6)), dtype="<u8")
     pairs = [(c, g) for c, sets in enumerate(gens) for g in sets]
     row, index = np.array(pairs, dtype=np.uint64).reshape(-1, 2).T
@@ -931,83 +923,37 @@ def check_playability_many(tables: Sequence[EffFn]) -> list[PlayabilityReport]:
 def _decide(tables: Sequence[EffFn], names: Sequence[str]) -> list[dict]:
     """Per table, name -> verdict of each named predicate of _REPORT_ORDER.
 
-    A table holds its generators exactly when it is homogeneous and
-    outcome-monotone, and is decided on them first: each distinct tuple of
-    them once, by _generators_hold, and when that holds, so does every
-    predicate.  Else it is checked on its Boolean skeleton, built here
-    once per distinct tuple, from them (_upset_skeleton, which refuses
-    more than DEFAULT_CELL_BUDGET cells) or off its cells when they are
-    built, and a table holding its cells on those.  Equal targets run
-    the battery once, all targets of one geometry in one stack, and the
-    tables with n > 1 whose skeleton fails a predicate run it again on
-    their cells, all such tables of one geometry in one stack, for its
-    first failing dense cell.
+    A table held as its generators is decided on them first: each distinct
+    tuple of them once, by _generators_hold, and when that holds, so does
+    every predicate.  Every other table is decided on its cells, built
+    under DEFAULT_CELL_BUDGET; a BudgetExceeded there is that table's
+    verdict on every name.  Equal tables run the battery once, all tables
+    of one geometry in one stack.
     """
-    own = [{} for _ in tables]  # per table: its rerun verdicts
-    place = [None] * len(tables)  # per table: (its target's verdicts, target index)
-    targets = {}  # target geometry -> {target cells: (target rows, owners)}
-    lifted = []  # the tables with n > 1 checked on their skeletons
+    place = [None] * len(tables)  # per table: (its verdicts, index in them)
+    targets = {}  # geometry -> {cells: (rows, owners)}
     passing = {name: [(True, None)] for name in names}
-    skeletons = {}  # (outcomes, generator rows) -> their skeleton, None when they hold
+    held = {}  # generator rows -> whether they hold
     for i, E in enumerate(tables):
-        if E._gens is None:
-            target, key = E.rows(), (E.n, E.k, E.num_outcomes)
-        else:
-            held = E.num_outcomes, E._gens
-            if held not in skeletons:
-                if _generators_hold(E._gens):
-                    skeletons[held] = None
-                elif E._rows is None:
-                    skeletons[held] = _upset_skeleton(E._gens, E.num_outcomes, DEFAULT_CELL_BUDGET)
-                else:  # cells in hand give their skeleton at any size
-                    skeletons[held] = _skeleton_cells(E._rows, E.geometry())
-            target, key = skeletons[held], (BOOL_CHAIN.n, E.k, E.num_outcomes)
-            if target is None:
+        if E._gens is not None:
+            if E._gens not in held:
+                held[E._gens] = _generators_hold(E._gens)
+            if held[E._gens]:
                 place[i] = passing, 0
                 continue
-            if E.n > 1:
-                lifted.append(i)
-        unique = targets.setdefault(key, {})
-        unique.setdefault(target.tobytes(), (target, []))[1].append(i)
+        try:
+            rows = E.rows()
+        except BudgetExceeded as over:
+            place[i] = dict.fromkeys(names, [over]), 0
+            continue
+        unique = targets.setdefault((E.n, E.k, E.num_outcomes), {})
+        unique.setdefault(rows.tobytes(), (rows, []))[1].append(i)
     for (n, _, size), unique in targets.items():
-        stack = _stack([target for target, _ in unique.values()])
-        found = _battery(stack, _geometry(n, size), names)
+        found = _battery(_stack([rows for rows, _ in unique.values()]), _geometry(n, size), names)
         for t, (_, owners) in enumerate(unique.values()):
             for i in owners:
                 place[i] = found, t
-    # a table whose skeleton fails a predicate runs it again, so each such
-    # witness is the first failing dense cell
-    failing, again = {}, {}
-    for i in lifted:
-        found, t = place[i]
-        failed = [
-            name
-            for name in names
-            if isinstance(found[name][t], tuple) and found[name][t][1] is not None
-        ]
-        if failed:
-            failing[i] = failed
-            again.setdefault((tables[i].k, tables[i].geometry()), []).append(i)
-    for (_, geo), idx in again.items():
-        rerun = tuple(name for name in names if any(name in failing[i] for i in idx))
-        try:
-            rows = _stack([tables[i].rows() for i in idx])
-        except BudgetExceeded as over:  # a lift too large to hold has no dense witness
-            found = dict.fromkeys(rerun, [over] * len(idx))
-        else:
-            found = _battery(rows, geo, rerun)
-        for t, i in enumerate(idx):
-            for name in failing[i]:
-                verdict = found[name][t]
-                if isinstance(verdict, tuple) and verdict[1] is None:
-                    verdict = VerificationFailed(
-                        f"the skeleton fails {name} and the table does not"
-                    )
-                own[i][name] = verdict
-    return [
-        {name: own[i][name] if name in own[i] else found[name][t] for name in names}
-        for i, (found, t) in enumerate(place)
-    ]
+    return [{name: found[name][t] for name in names} for found, t in place]
 
 
 @lru_cache(maxsize=None)
@@ -1030,7 +976,7 @@ def _generators_hold(gens) -> bool:
     construction.  False also when the pair work, the sum of |G1| |G2|
     |G1 | G2| over the pairs, exceeds _DENSE_CELL_BUDGET, and before the
     pairs are listed when the 3^k ordered ones, which the battery's count
-    takes too, exceed it."""
+    takes too, exceed it.  On False, _decide checks the table's cells."""
     full = len(gens) - 1
     if () in gens or (0,) in gens or len(gens[0]) != 1:
         return False

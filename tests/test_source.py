@@ -76,6 +76,30 @@ def test_one_function_decides_the_skeleton_route():
     assert geometries and not [place for place in geometries if place.startswith("games.py:")], geometries
 
 
+def test_playability_is_decided_on_generators_or_cells():
+    # tables._decide decides a table on its generators, else on its cells:
+    # it builds no Boolean skeleton, from generators or from cells, and the
+    # one builder of a skeleton from generators is EffFn._cells, which
+    # lifts it to the table's cells
+    path = next(path for path in SOURCES if path.name == "tables.py")
+    calls = {}  # called name -> the qualified names of the functions calling it
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                calls.setdefault(name, set()).add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), ())
+    assert calls["_upset_skeleton"] == {"EffFn._cells"}, calls["_upset_skeleton"]
+    assert "_decide" not in calls["_skeleton_cells"], calls["_skeleton_cells"]
+    assert "_decide" in calls["_generators_hold"] and "_decide" in calls["_battery"]
+
+
 def test_sources_use_every_name_they_import():
     # an import nothing reads is a leftover: every name a module imports is
     # read in its code or, for the package, exported by __all__

@@ -1003,7 +1003,8 @@ def test_skeleton_failure_rescanned_on_its_pair_alone():
     # the Boolean game-form table on 9 outcomes with the empty coalition's
     # row replaced by the grand coalition's, lifted to n = 2: homogeneous,
     # and a full dense superadditivity scan (9 pairs x 3^18 cells) is over
-    # the budget, but the table fails exactly the pairs its skeleton fails
+    # the budget, but the count on its cells finds each failing pair's
+    # first failing cell
     H = effectivity_table(random_game_form(random.Random(3), 2, 9), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
@@ -1089,9 +1090,9 @@ def test_one_count_answers_both_pair_scopes():
 
 def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     # the Boolean game-form table on 6 outcomes with the empty coalition's
-    # row replaced by the grand coalition's, lifted to n = 2: its skeleton
-    # fails superadditivity and semi-playability, and the full table's
-    # rerun counts its pairs once for both
+    # row replaced by the grand coalition's, lifted to n = 2: its
+    # generators fail, and the check of its cells counts its pairs once
+    # for both superadditivity and semi-playability
     H = effectivity_table(random_game_form(random.Random(3), 2, 6), BOOL)
     rows = H.rows().copy()
     rows[0] = rows[-1]
@@ -1105,9 +1106,6 @@ def test_lifted_table_reruns_one_count_for_both_pair_scopes():
     assert full.count(("zeta_up", "mobius_down")) == 1
     # one witness transform per reported pair
     assert full.count(("zeta_down",)) == 2
-    # the skeleton's pairs are counted once too
-    skeleton = [call.args[2] for call in transform.call_args_list if call.args[1].count == 64]
-    assert skeleton.count(("zeta_up", "mobius_down")) == 1
 
 
 def test_semi_playable_on_failing_proper_rows_runs_no_count():
@@ -1123,8 +1121,8 @@ def test_semi_playable_on_failing_proper_rows_runs_no_count():
 
 def test_stacked_skeleton_reruns_keep_player_counts_apart():
     # lifted tables of 2 and 3 players whose grand coalition accepts only
-    # the top: both fail N-maximality on their skeletons, and each reruns
-    # on its own full table
+    # the top: both fail N-maximality on their generators, and each is
+    # checked on its own cells
     stack = []
     for k in (2, 3):
         H = effectivity_table(random_game_form(random.Random(1), k, 2), BOOL)
@@ -1180,7 +1178,7 @@ def test_lift_behaves_as_its_dense_table(E):
         assert copy._gens == E._gens
     # the skeleton built from the generators is the one the cells have
     skeleton = tables._skeleton_cells(dense.rows(), dense.geometry())
-    assert not held or tables._upset_skeleton(E._gens, E.num_outcomes, 1 << 20).tobytes() == skeleton.tobytes()
+    assert not held or tables._upset_skeleton(E._gens, E.num_outcomes).tobytes() == skeleton.tobytes()
     assert E == dense and dense == E and hash(dense) == key
     assert E.to_json() == dense.to_json()
     for table in (E, dense):
@@ -1207,8 +1205,8 @@ def _dense_battery_doc(E):
 @settings(max_examples=80, deadline=None)
 @given(_boolean_inputs(), st.integers(2, 4))
 def test_unplayable_lift_reports_dense_witnesses(H, n):
-    # a lift whose skeleton fails predicates reruns them on its cells: each
-    # witness is the first failing dense cell.  The lift of a table that is
+    # a lift whose generators fail is checked on its cells: each witness
+    # is the first failing dense cell.  The lift of a table that is
     # not outcome-monotone is not homogeneous.
     E = _unchecked_lift(H, n)
     monotone = check_property(H, "outcome_monotonic").holds
@@ -1260,7 +1258,7 @@ def _generator_tables(draw, n=None, k=None, size=None):
 @given(_generator_tables())
 def test_generator_held_tables_report_as_the_dense_battery(drawn):
     # a table held as its generators is decided on them when every
-    # predicate holds there, and otherwise on its skeleton: either way its
+    # predicate holds there, and otherwise on its cells: either way its
     # report is that of its cells held densely
     E, form = drawn
     report = check_playability(E).to_doc()
@@ -1272,7 +1270,7 @@ def test_generator_held_tables_report_as_the_dense_battery(drawn):
         # the skeleton is the max-min rule's, cell by cell, an outcome set's
         # index having outcome j at bit S - 1 - j
         size = E.num_outcomes
-        skeleton = tables._upset_skeleton(E._gens, size, 1 << 20)
+        skeleton = tables._upset_skeleton(E._gens, size)
         for mask in range(1 << E.k):
             for x in range(1 << size):
                 target = [j for j in range(size) if x >> (size - 1 - j) & 1]
@@ -1385,7 +1383,7 @@ def test_equal_tables_however_held():
     rows = E.rows().copy()
     rows[0, 1] = 1 - rows[0, 1] if rows[0, 1] < 2 else 1
     other = EffFn(E.chain, E.k, E.outcomes, rows)
-    skeleton = tables._upset_skeleton(E._gens, E.num_outcomes, 1 << 20)
+    skeleton = tables._upset_skeleton(E._gens, E.num_outcomes)
     assert tables._skeleton_cells(rows, E.geometry()).tobytes() == skeleton.tobytes()
     assert other._gens is None and other != E and E != other
 
@@ -1495,12 +1493,11 @@ def test_value_num_refuses_what_is_not_a_cell():
                 assert table.value_num(mask, f) == table.rows()[mask, fi]
 
 
-def test_skeleton_route_reports_the_dense_witness(monkeypatch):
+def test_failing_generator_table_reports_the_dense_witness(monkeypatch):
     # a 7-outcome game-form table whose empty row's generator grows by one
-    # outcome fails N-maximality alone: it is decided on its 2^7-assessment
-    # skeleton, every transform of the superadditivity count runs there,
-    # and only N-maximality runs again on its 3^7 cells, for the witness
-    # its dense copy reports
+    # outcome fails N-maximality alone: its generators fail, so it is
+    # decided on its 3^7 cells, every transform of the superadditivity
+    # count runs there, and it reports the witness its dense copy reports
     E = effectivity_table(random_game_form(random.Random(0), 2, 7), Chain(2))
     (z,) = E._gens[0]
     grown = tables._generated(E.chain, E.k, E.outcomes, ((z | 1,), *E._gens[1:]))
@@ -1513,32 +1510,65 @@ def test_skeleton_route_reports_the_dense_witness(monkeypatch):
 
     monkeypatch.setattr(tables, "_transform", counting)
     report = check_playability(grown)
-    assert counts and set(counts) == {1 << 7}
+    assert counts and set(counts) == {3**7}
     monkeypatch.undo()
     assert [name for name in PROPERTY_NAMES if not report.properties[name]] == ["N_maximal"]
     assert report.to_doc() == check_playability(dense).to_doc()
 
 
-def test_skeleton_route_refuses_a_skeleton_over_the_budget(monkeypatch):
-    # a failing 2-player generator-held table on 19 outcomes: its skeleton
-    # has 4 x 2^19 cells, over the budget, and the check refuses before
-    # building it
+def test_failing_generator_table_refuses_cells_over_the_budget(monkeypatch):
+    # a failing 2-player generator-held table on 19 outcomes: its cells,
+    # 4 x 3^19, are over the budget, and the check refuses before building
+    # them
     E = effectivity_table(random_game_form(random.Random(3), 2, 19), Chain(2))
     failing = tables._generated(E.chain, E.k, E.outcomes, (*E._gens[:-1], E._gens[-1][1:]))
     assert not tables._generators_hold(failing._gens)
-    with pytest.raises(BudgetExceeded, match="^2097152 skeleton cells exceed budget 1048576$"):
+    with pytest.raises(BudgetExceeded, match="^4649045868 lifted table cells exceed budget 1048576$"):
         check_playability(failing)
+    assert failing._rows is None
     # a table given as its Boolean cells holds its generators beside them,
-    # and its check reads its skeleton off those cells at any size: under a
-    # 256-cell budget, the 4 x 2^7-cell skeleton of a failing table is
-    # refused when built from its generators and read when held
+    # and its check reads those cells at any size: under a 256-cell budget,
+    # the 4 x 2^7 cells of a failing table are refused when built from its
+    # generators and read when held
     E = effectivity_table(random_game_form(random.Random(3), 2, 7), BOOL)
-    failing = tables._generated(BOOL, E.k, E.outcomes, (*E._gens[:-1], E._gens[-1][1:]))
-    held = EffFn(BOOL, E.k, E.outcomes, tables._upset_skeleton(failing._gens, E.num_outcomes, 1 << 9))
-    assert held._gens == failing._gens and failing._rows is None
-    report = check_playability(failing).to_doc()
+    gens = (*E._gens[:-1], E._gens[-1][1:])
+    held = EffFn(BOOL, E.k, E.outcomes, tables._upset_skeleton(gens, E.num_outcomes))
+    report = check_playability(tables._generated(BOOL, E.k, E.outcomes, gens)).to_doc()
     assert not report["properties"]["N_maximal"]
     monkeypatch.setattr(tables, "DEFAULT_CELL_BUDGET", 1 << 8)
-    with pytest.raises(BudgetExceeded, match="^512 skeleton cells exceed budget 256$"):
+    failing = tables._generated(BOOL, E.k, E.outcomes, gens)
+    assert held._gens == failing._gens and failing._rows is None
+    with pytest.raises(BudgetExceeded, match="^512 lifted table cells exceed budget 256$"):
         check_playability(failing)
     assert check_playability(held).to_doc() == report
+
+
+def test_failing_generator_table_over_the_budget_raises_in_input_order():
+    # a 2-player game-form table on 16 outcomes at n = 2 with one generator
+    # dropped from row N fails on its generators, and its 4 x 3^16 cells
+    # are over the budget: its verdict on every predicate is that refusal,
+    # liveness too, which its generators would pass.  Beside a failing
+    # table given as its cells, each table's verdicts or error come in
+    # input order, and the first table's error raises first
+    E = effectivity_table(random_game_form(random.Random(3), 2, 16), Chain(2))
+    failing = tables._generated(E.chain, E.k, E.outcomes, (*E._gens[:-1], E._gens[-1][1:]))
+    assert not tables._generators_hold(failing._gens)
+    over = "^172186884 lifted table cells exceed budget 1048576$"
+    with pytest.raises(BudgetExceeded, match=over):
+        check_property(failing, "liveness")
+    rows = _game_table(3, n=2, outcomes=3).rows().copy()
+    rows[1] = 2  # coalition {1} accepts the bottom assessment: unsafe
+    dense = EffFn(Chain(2), 2, state_names(3), rows)
+    report = check_playability(dense)
+    assert not report.properties["safety"]
+    first, second = tables._decide([dense, failing], tables._REPORT_ORDER)
+    assert tables._report(first) == report
+    assert {type(verdict) for verdict in second.values()} == {BudgetExceeded}
+    with pytest.raises(BudgetExceeded, match=over):
+        check_playability_many([dense, failing])
+    # an over-budget superadditivity count is the first table's error, and
+    # raises before the second table's refusal
+    with mock.patch.object(tables, "_DENSE_CELL_BUDGET", 1):
+        with pytest.raises(BudgetExceeded, match="^superadditivity count of"):
+            check_playability_many([dense, failing])
+    assert failing._rows is None
